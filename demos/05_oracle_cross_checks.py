@@ -3,11 +3,12 @@
 
 The closed form is only trustworthy because two estimators with unrelated
 error budgets land on it: an arbitrary-precision momentum integral (the
-infinite-chain limit, exact to quadrature tolerance) and exact
-diagonalisation of the full single-electron problem (finite chain, exact
-in the coupling).  The integral is a brutal cancellation at large R, nine
-orders between integrand scale and answer by R = 20, which is why it runs
-in extended precision rather than float64.
+infinite-chain limit, exact to quadrature tolerance) and the exact ground
+energy of the full single-electron problem, the root of a secular equation
+on the finite ring (finite chain, exact in the coupling).  The integral is
+a brutal cancellation at large R, nine orders between integrand scale and
+answer by R = 20, which is why it runs in extended precision rather than
+float64.
 """
 
 from chaincp import SymmetricSystem, cp_energy, cp_energy_ed, cp_energy_quadrature
@@ -15,7 +16,7 @@ from chaincp import SymmetricSystem, cp_energy, cp_energy_ed, cp_energy_quadratu
 
 def main():
     sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=1, N=400)
-    print("closed form vs quadrature vs diagonalisation")
+    print("closed form vs quadrature vs finite-ring secular equation")
     print("(delta = -1, J = 0.3, lambda = 0.01, N = 400)\n")
     print("   R     closed          quadrature     quad rel     ED             ED rel")
     for r in (1, 2, 3, 5, 8, 12, 20):
@@ -28,8 +29,8 @@ def main():
             row += "   {: .6e}   {:.1e}".format(ed, abs(ed - closed) / abs(closed))
         print(row)
 
-    print("\nquadrature agrees to ~1e-15 at every R; diagonalisation carries")
-    print("its honest fourth-order systematics at the 1e-3 level.  Neither")
+    print("\nquadrature agrees to ~1e-15 at every R; the secular equation")
+    print("carries its honest fourth-order systematics at the 1e-3 level.  Neither")
     print("shares a line of algebra with the closed form.")
 
 

@@ -4,9 +4,9 @@ Two atoms side-coupled below the band of a 1D wire exchange virtual band
 electrons; to second order in the tunnelling this splits the impurity
 doublet and produces an attractive, exponentially decaying force between
 the attachment sites.  The package evaluates the closed forms for this
-interaction, checks them against exact diagonalisation and an
-arbitrary-precision momentum integral, and extends them to finite
-temperature.
+interaction, checks them against the exact ground energy of the finite
+ring (a secular-equation root) and an arbitrary-precision momentum
+integral, and extends them to finite temperature.
 """
 
 from ._version import __version__
@@ -38,15 +38,7 @@ from .lattice import (
     dispersion,
     validate_regime,
 )
-from .oracle import (
-    EDResult,
-    SingleElectronMatrix,
-    build_matrix,
-    cp_energy_ed,
-    cp_energy_quadrature,
-    exact_diagonalize,
-    write_triplets,
-)
+from .oracle import cp_energy_ed, cp_energy_quadrature
 from .perturbation import (
     EffectiveCoefficients,
     SymmetricSpectrum,
@@ -80,8 +72,7 @@ __all__ = [
     "force_curve", "decay_profile", "continuum_decay_constant",
     "cp_energy_continuum",
     # oracle
-    "SingleElectronMatrix", "EDResult", "build_matrix", "exact_diagonalize",
-    "cp_energy_ed", "cp_energy_quadrature", "write_triplets",
+    "cp_energy_ed", "cp_energy_quadrature",
     # thermal
     "ThermalEnsemble", "TemperatureForce", "TemperatureSweep",
     "thermal_ensemble", "thermal_energy", "thermal_force",

@@ -1,13 +1,23 @@
-"""Independent checks: exact diagonalisation and arbitrary-precision quadrature.
+"""Independent checks: a secular equation on the finite ring, and mpmath quadrature.
 
 Nothing here reuses the closed forms (beyond an additive reference constant
 that is zero to machine precision).  The point is to have two estimates of
 the same interaction energy whose error budgets are unrelated, so agreement
 is evidence rather than tautology.
 
-* :func:`cp_energy_ed` diagonalises the full single-electron Hamiltonian on
-  the ring.  Its systematic errors are fourth order in the coupling plus a
-  ring-image term, both of which it knows how to estimate.
+* :func:`cp_energy_ed` takes the exact ground energy of the single-electron
+  Hamiltonian on the ring of ``M = 2N + 1`` sites.  The impurities touch the
+  ring at only two sites, so eliminating the ring from ``(E - H) psi = 0``
+  leaves, for the even impurity combination, the secular equation
+
+  .. math::
+
+      f(E) = E - \\epsilon_0 - \\frac{\\lambda^2}{M}
+             \\sum_k \\frac{1 + \\cos kR}{E - \\Omega_k} = 0
+
+  over the ``M`` ring modes: a finite sum, exact in the coupling and in
+  ``N``, with no dense matrix.  Its systematic errors are fourth order in the
+  coupling plus a ring-image term, both of which it knows how to estimate.
 * :func:`cp_energy_quadrature` evaluates the ``N -> inf`` momentum integral
 
   .. math::
@@ -25,147 +35,94 @@ is evidence rather than tautology.
 
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass
+import weakref
 
 import numpy as np
 from mpmath import mp
 
 from .casimir import cp_energy
-from .errors import ConvergenceError, DimensionError, InvalidRegime, NonConvergence
-from .lattice import ChainParams, ImpurityConfig, SymmetricSystem
+from .errors import ConvergenceError, InvalidRegime, NonConvergence
+from .lattice import SymmetricSystem, brillouin_modes, dispersion
 from .perturbation import geometric_ratio
 
 __all__ = [
-    "SingleElectronMatrix",
-    "EDResult",
-    "build_matrix",
-    "exact_diagonalize",
     "cp_energy_ed",
     "cp_energy_quadrature",
-    "write_triplets",
 ]
 
-
-@dataclass(frozen=True)
-class SingleElectronMatrix:
-    """Dense symmetric Hamiltonian on the basis (imp1, imp2, site -N .. site N)."""
-
-    matrix: np.ndarray
-    basis_labels: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class EDResult:
-    """Full spectrum and eigenvectors, energies ascending.
-
-    ``vectors[:, i]`` is the eigenvector for ``energies[i]``.
-    """
-
-    energies: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def ground_energy(self) -> float:
-        return float(self.energies[0])
-
-    @property
-    def splitting(self) -> float:
-        return float(self.energies[1] - self.energies[0])
-
-    def even_impurity_overlap(self) -> float:
-        """|<even| ground>| with |even> = (|imp1> + |imp2>) / sqrt(2).
-
-        Assumes the impurity amplitudes occupy rows 0 and 1, as produced by
-        :func:`build_matrix`.
-        """
-        v = self.vectors[:, 0]
-        return abs(float(v[0] + v[1])) / math.sqrt(2.0)
-
-
-def build_matrix(chain: ChainParams, imps: ImpurityConfig) -> SingleElectronMatrix:
-    """Single-electron Hamiltonian of the ring plus two side-coupled impurities.
-
-    Basis order is ``(imp1, imp2, site -N, ..., site N)``; impurity 1 attaches
-    to site 0 and impurity 2 to site ``R``.
-
-    Raises
-    ------
-    DimensionError
-        If the attachment site ``R`` falls off the chain (``R > N``).
-    """
-    if imps.R > chain.N:
-        raise DimensionError(
-            f"attachment site R={imps.R} is off the chain (sites run -N..N, N={chain.N})"
-        )
-    n_sites = chain.num_sites
-    dim = n_sites + 2
-    h = np.zeros((dim, dim))
-
-    h[0, 0] = imps.eps1
-    h[1, 1] = imps.eps2
-
-    site0 = 2 + chain.N  # chain site j sits at row 2 + (j + N)
-    for j in range(n_sites):
-        h[2 + j, 2 + j] = chain.omega
-    for j in range(n_sites - 1):
-        h[2 + j, 3 + j] = -chain.J
-        h[3 + j, 2 + j] = -chain.J
-    # periodic closure between site N and site -N
-    h[2, 1 + n_sites] = -chain.J
-    h[1 + n_sites, 2] = -chain.J
-
-    h[0, site0] = imps.lambda0
-    h[site0, 0] = imps.lambda0
-    h[1, site0 + imps.R] = imps.lambda_r
-    h[site0 + imps.R, 1] = imps.lambda_r
-
-    labels = ("imp1", "imp2") + tuple(f"site[{j}]" for j in range(-chain.N, chain.N + 1))
-    return SingleElectronMatrix(matrix=h, basis_labels=labels)
-
-
-def exact_diagonalize(mat: SingleElectronMatrix) -> EDResult:
-    """Eigenvalues and eigenvectors of a real symmetric matrix, ascending.
-
-    Raises
-    ------
-    ValueError
-        For matrices smaller than 3x3 (no room for two impurities and a site).
-    ConvergenceError
-        If the underlying eigensolver fails to converge.
-    """
-    if mat.dim < 3:
-        raise ValueError(f"matrix dimension {mat.dim} < 3")
-    try:
-        energies, vectors = np.linalg.eigh(mat.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed on a {mat.dim}x{mat.dim} matrix: {exc}") from exc
-    return EDResult(energies=energies, vectors=vectors)
+#: Reference ground energies ``{r_ref: E0}`` per system, kept only while the
+#: system object lives, so a sweep over ``R`` on one system solves its
+#: reference once and nothing carries over to the next system built.
+_REFERENCE_ENERGIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _ground_energy(sys: SymmetricSystem, R: int) -> float:
-    imps = ImpurityConfig(eps1=sys.eps0, eps2=sys.eps0,
-                          lambda0=sys.lam, lambda_r=sys.lam, R=R)
-    return exact_diagonalize(build_matrix(sys.chain, imps)).ground_energy
+    """Lowest eigenvalue of the ring plus both impurities, ``R`` sites apart.
+
+    This is the root of the even-channel secular equation ``f`` (see the
+    module docstring).  Below the band every term of the mode sum is
+    negative, so ``f`` rises strictly there, and it has exactly one root
+    below ``band_bottom``; the odd channel's root lies above it, because the
+    ring propagator between sites 0 and ``R`` is negative below the band.
+    The root lies in ``[eps0 - 2|lam|, eps0]``: ``f(eps0) >= 0`` term by term,
+    and the weights ``(1 + cos kR) / M`` sum to 1, so at ``eps0 - 2|lam|`` the
+    sum term is at most ``|lam| / 2``.  Bisection runs down to adjacent floats
+    and returns the end with the smaller residual.
+
+    Raises
+    ------
+    ConvergenceError
+        If ``f`` does not change sign across that bracket.
+    """
+    modes = brillouin_modes(sys.chain)
+    band = dispersion(sys.chain, modes)
+    weights = sys.lam ** 2 * (1.0 + np.cos(R * modes)) / sys.chain.num_sites
+
+    def secular(e: float) -> float:
+        return e - sys.eps0 - float(np.sum(weights / (e - band)))
+
+    lo, hi = sys.eps0 - 2.0 * abs(sys.lam), sys.eps0
+    f_lo, f_hi = secular(lo), secular(hi)
+    if not f_lo <= 0.0 <= f_hi:
+        raise ConvergenceError(
+            f"secular equation does not change sign on [{lo!r}, {hi!r}] "
+            f"(f = {f_lo!r}, {f_hi!r}) at R={R}, N={sys.chain.N}"
+        )
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = secular(mid)
+        if f_mid <= 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if -f_lo <= f_hi else hi
+
+
+def _reference_energy(sys: SymmetricSystem, r_ref: int) -> float:
+    by_ref = _REFERENCE_ENERGIES.setdefault(sys, {})
+    if r_ref not in by_ref:
+        by_ref[r_ref] = _ground_energy(sys, r_ref)
+    return by_ref[r_ref]
 
 
 def cp_energy_ed(sys: SymmetricSystem, R: int, r_ref: int | None = None) -> float:
-    """Interaction energy at separation ``R`` from exact diagonalisation.
+    """Interaction energy at separation ``R`` from the exact ground energy.
 
-    The ground energy contains large separation-independent pieces (the bare
-    level and the single-impurity shift), so the estimate is the difference
-    against a far-apart reference where the interaction has died off:
+    The ground energy is the root of the secular equation on the finite ring
+    (see the module docstring), exact in the coupling.  It contains large
+    separation-independent pieces (the bare level and the single-impurity
+    shift), so the estimate is the difference against a far-apart reference
+    where the interaction has died off:
 
     ``E0(R) - E0(r_ref) + E_cp(r_ref)``
 
     with ``r_ref = N // 2`` by default, where the closed-form remainder is
     below double precision.  Cancelling the reference this way also removes
-    the separation-independent fourth-order shift.
+    the separation-independent fourth-order shift.  ``E0(r_ref)`` is solved
+    once per system object and reused across calls.
 
     Residual systematics are fourth order in ``lam / gap`` plus the ring
     image at separation ``2N + 1 - 2R``; a ``UserWarning`` fires when their
@@ -200,7 +157,7 @@ def cp_energy_ed(sys: SymmetricSystem, R: int, r_ref: int | None = None) -> floa
             stacklevel=2,
         )
 
-    return _ground_energy(sys, R) - _ground_energy(sys, r_ref) + cp_energy(sys, r_ref)
+    return _ground_energy(sys, R) - _reference_energy(sys, r_ref) + cp_energy(sys, r_ref)
 
 
 def cp_energy_quadrature(
@@ -214,8 +171,11 @@ def cp_energy_quadrature(
 
     The periodic trapezoid rule is spectrally accurate here; the number of
     points doubles from 64 until two successive estimates agree to
-    ``rel_tol``.  The imaginary part must cancel by the k -> -k symmetry of
-    the grid and is asserted to vanish below 1e-12 relative.
+    ``rel_tol``.  Each doubling adds only the new midpoints to the running
+    sums, and every node of the full ``[-pi, pi)`` grid is evaluated.  The
+    imaginary part must cancel by the k -> -k symmetry of the grid; a
+    residual above 1e-12 relative raises
+    :class:`~chaincp.errors.ConvergenceError`.
 
     Parameters
     ----------
@@ -248,43 +208,34 @@ def cp_energy_quadrature(
         lam_sq = mp.mpf(sys.lam) ** 2
 
         prev = None
+        acc_re = mp.mpf(0)
+        acc_im = mp.mpf(0)
         m_points = 64
+        # the nodes not yet in the sums are first + j * step, j < count
+        step = 2 * mp.pi / m_points
+        first, count = -mp.pi, m_points
         while m_points <= max_points:
-            h = 2 * mp.pi / m_points
-            acc_re = mp.mpf(0)
-            acc_im = mp.mpf(0)
-            for j in range(m_points):
-                k = -mp.pi + j * h
+            for j in range(count):
+                k = first + j * step
                 den = delta + two_j * mp.cos(k)
                 acc_re += mp.cos(k * R) / den
                 acc_im -= mp.sin(k * R) / den
             value = lam_sq * acc_re / m_points
             imag = lam_sq * acc_im / m_points
             if prev is not None and abs(value - prev) <= rel_tol * abs(value):
-                assert abs(imag) <= 1e-12 * max(1.0, abs(value)), \
-                    f"odd part failed to cancel: {imag}"
+                if abs(imag) > 1e-12 * max(1.0, abs(value)):
+                    raise ConvergenceError(
+                        f"odd part failed to cancel at R={R}: {mp.nstr(imag, 6)} "
+                        f"with {m_points} points"
+                    )
                 return float(value)
             prev = value
+            # doubling the grid adds one node halfway between each pair of current ones
+            step = 2 * mp.pi / m_points
+            first, count = -mp.pi + step / 2, m_points
             m_points *= 2
 
     raise NonConvergence(
         f"trapezoid refinement reached {max_points} points at R={R} without "
         f"two estimates agreeing to {rel_tol}"
     )
-
-
-def write_triplets(mat: SingleElectronMatrix, path) -> None:
-    """Dump the nonzero upper triangle as ``i j value`` lines for external checks.
-
-    Entries appear in row-major order with values printed via ``%.17g``, so
-    the file is reproducible bit for bit and the matrix can be rebuilt
-    exactly.
-    """
-    h = mat.matrix
-    lines = [f"{mat.dim} {mat.dim}"]
-    for i in range(mat.dim):
-        for j in range(i, mat.dim):
-            if h[i, j] != 0.0:
-                lines.append(f"{i} {j} {h[i, j]:.17g}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

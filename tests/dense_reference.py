@@ -1,0 +1,43 @@
+"""Dense single-electron Hamiltonian, the reference the secular-equation oracle is checked against.
+
+Building the full ``(2N + 3)``-square matrix and diagonalising it with numpy
+is O(N^3) and needs O(N^2) memory, so it lives here, in the tests, for small
+chains only.
+"""
+
+import numpy as np
+
+from chaincp.lattice import ChainParams, ImpurityConfig, SymmetricSystem
+
+
+def dense_hamiltonian(chain: ChainParams, imps: ImpurityConfig) -> np.ndarray:
+    """The ring plus two side-coupled impurities, as a dense symmetric matrix.
+
+    Basis order is ``(imp1, imp2, site -N, ..., site N)``; impurity 1 attaches
+    to site 0 and impurity 2 to site ``R``.
+    """
+    n_sites = chain.num_sites
+    h = np.zeros((n_sites + 2, n_sites + 2))
+    h[0, 0] = imps.eps1
+    h[1, 1] = imps.eps2
+
+    ring = np.arange(2, n_sites + 2)  # chain site j sits at row 2 + (j + N)
+    h[ring, ring] = chain.omega
+    right = np.roll(ring, -1)  # includes the periodic bond between sites N and -N
+    h[ring, right] = -chain.J
+    h[right, ring] = -chain.J
+
+    site0 = 2 + chain.N
+    h[0, site0] = h[site0, 0] = imps.lambda0
+    h[1, site0 + imps.R] = h[site0 + imps.R, 1] = imps.lambda_r
+    return h
+
+
+def symmetric_hamiltonian(sys: SymmetricSystem, R: int) -> np.ndarray:
+    """:func:`dense_hamiltonian` for identical impurities ``R`` sites apart."""
+    return dense_hamiltonian(sys.chain, sys.at_separation(R).impurities)
+
+
+def dense_ground_energy(sys: SymmetricSystem, R: int) -> float:
+    """Lowest eigenvalue of :func:`symmetric_hamiltonian`."""
+    return float(np.linalg.eigvalsh(symmetric_hamiltonian(sys, R))[0])
