@@ -23,7 +23,7 @@ from chaincp import (
 
 
 def main():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=1, N=200)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=200)
     chain = sys_.chain
 
     print("chain: omega = {:.3f}, J = {:.3f}, {} sites".format(
@@ -44,9 +44,10 @@ def main():
         k = modes[idx]
         print("  k = {:+.4f}   Omega_k = {:.6f}".format(k, dispersion(chain, float(k))))
 
-    print("\nbound doublet below the band (separation R = {}):".format(sys_.R))
-    e_plus, e_minus = symmetric_spectrum_closed(sys_)
-    spectrum = symmetric_spectrum_ksum(sys_)
+    R = 1
+    print("\nbound doublet below the band (separation R = {}):".format(R))
+    e_plus, e_minus = symmetric_spectrum_closed(sys_, R)
+    spectrum = symmetric_spectrum_ksum(sys_, R)
     print("              closed form        finite k-sum")
     print("  E+ (even)   {:.12f}   {:.12f}".format(e_plus, spectrum.e_plus))
     print("  E- (odd)    {:.12f}   {:.12f}".format(e_minus, spectrum.e_minus))

@@ -15,7 +15,7 @@ from chaincp import SymmetricSystem, cp_energy, cp_energy_ed, cp_energy_quadratu
 
 
 def main():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=1, N=400)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=400)
     print("closed form vs quadrature vs finite-ring secular equation")
     print("(delta = -1, J = 0.3, lambda = 0.01, N = 400)\n")
     print("   R     closed          quadrature     quad rel     ED             ED rel")

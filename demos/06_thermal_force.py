@@ -15,12 +15,12 @@ from chaincp import SymmetricSystem, ecp_force, thermal_ensemble, thermal_force
 
 
 def main():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, R=1, N=100)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=100)
 
     print("where the electron sits (N = 100, R = 1):")
     print("    T       even      odd       band")
     for temp in (0.0, 0.01, 0.05, 0.1, 0.5, 1.0):
-        w = thermal_ensemble(sys_, temp).weights
+        w = thermal_ensemble(sys_, temp, 1).weights
         print("  {:5.2f}   {:.5f}   {:.5f}   {:.5f}".format(
             temp, w[0], w[1], 1.0 - w[0] - w[1]))
 
@@ -29,7 +29,7 @@ def main():
     for n in (100, 400):
         print("\nN = {}".format(n))
         print(header)
-        sys_n = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, R=1, N=n)
+        sys_n = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=n)
         for r in range(1, 9):
             print("  {:2d}   {: .6e}   {: .6e}   {: .6e}".format(
                 r,

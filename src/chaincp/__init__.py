@@ -24,7 +24,6 @@ from .casimir import (
 from .errors import (
     BandEdgeError,
     ConvergenceError,
-    DimensionError,
     InvalidRegime,
     NonConvergence,
     RegimeViolation,
@@ -44,7 +43,6 @@ from .perturbation import (
     SymmetricSpectrum,
     band_energies,
     effective_coefficients,
-    geometric_ratio,
     symmetric_spectrum_closed,
     symmetric_spectrum_ksum,
 )
@@ -66,7 +64,6 @@ __all__ = [
     # perturbation
     "EffectiveCoefficients", "SymmetricSpectrum", "effective_coefficients",
     "band_energies", "symmetric_spectrum_ksum", "symmetric_spectrum_closed",
-    "geometric_ratio",
     # casimir
     "ForceRecord", "ForceCurve", "DecayProfile", "cp_energy", "ecp_force",
     "force_curve", "decay_profile", "continuum_decay_constant",
@@ -78,6 +75,6 @@ __all__ = [
     "thermal_ensemble", "thermal_energy", "thermal_force",
     "force_vs_temperature",
     # errors
-    "RegimeViolation", "BandEdgeError", "InvalidRegime", "DimensionError",
+    "RegimeViolation", "BandEdgeError", "InvalidRegime",
     "ConvergenceError", "NonConvergence",
 ]

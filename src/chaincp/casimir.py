@@ -36,9 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import BandEdgeError, InvalidRegime
-from .lattice import SymmetricSystem
-from .perturbation import geometric_ratio
+from .errors import InvalidRegime
+from .lattice import SymmetricSystem, _check_separation
 
 __all__ = [
     "ForceRecord",
@@ -66,12 +65,6 @@ class ForceCurve:
     system: SymmetricSystem
     records: tuple[ForceRecord, ...]
 
-    def separations(self) -> list[int]:
-        return [rec.R for rec in self.records]
-
-    def forces(self) -> list[float]:
-        return [rec.force for rec in self.records]
-
 
 @dataclass(frozen=True)
 class DecayProfile:
@@ -93,20 +86,13 @@ class DecayProfile:
     amplitude: float
 
 
-def _check_separation(R: int) -> None:
-    if not isinstance(R, int):
-        raise TypeError(f"separation must be an integer, got {R!r}")
-    if R < 1:
-        raise ValueError(f"separation must be >= 1, got R={R}")
-
-
 def cp_energy(sys: SymmetricSystem, R: int) -> float:
     """Separation-dependent ground-state energy at separation ``R``.
 
     Parameters
     ----------
     sys : SymmetricSystem
-        Only the couplings and detuning enter; ``sys.R`` is ignored.
+        Only the couplings and detuning enter; the chain length does not.
     R : int
         Separation to evaluate at, ``R >= 1``.
 
@@ -118,9 +104,7 @@ def cp_energy(sys: SymmetricSystem, R: int) -> float:
     """
     _check_separation(R)
     a = sys.a
-    if abs(a) >= 1.0:
-        raise BandEdgeError(f"band parameter |a| >= 1 (a={a}); no bound doublet")
-    return (sys.lam ** 2 / sys.delta) * geometric_ratio(a) ** R / math.sqrt(1.0 - a * a)
+    return (sys.lam ** 2 / sys.delta) * sys.q ** R / math.sqrt(1.0 - a * a)
 
 
 def ecp_force(sys: SymmetricSystem, R: int) -> float:
@@ -134,14 +118,8 @@ def force_curve(sys: SymmetricSystem, rmin: int, rmax: int) -> ForceCurve:
     The force at ``rmax`` uses the energy at ``rmax + 1``, so the range must
     satisfy ``1 <= rmin <= rmax <= chain.N - 1``.
     """
-    _check_separation(rmin)
-    if rmax < rmin:
-        raise ValueError(f"need rmin <= rmax, got rmin={rmin}, rmax={rmax}")
-    if rmax > sys.chain.N - 1:
-        raise ValueError(
-            f"rmax={rmax} leaves no room for the difference at R + 1 "
-            f"on a chain with N={sys.chain.N}"
-        )
+    _check_separation(rmin, rmax)
+    _check_separation(rmax, sys.chain.N - 1)
     records = tuple(
         ForceRecord(R=r, energy=cp_energy(sys, r), force=ecp_force(sys, r))
         for r in range(rmin, rmax + 1)
@@ -157,8 +135,7 @@ def decay_profile(sys: SymmetricSystem) -> DecayProfile:
     finite, so ``amplitude * exp(-gamma * R)`` is still ``0.0`` for every
     ``R >= 1``.
     """
-    a = sys.a
-    q = geometric_ratio(a)
+    a, q = sys.a, sys.q
     if q == 0.0:
         gamma, rc = math.inf, 0.0
     else:
@@ -178,11 +155,7 @@ def continuum_decay_constant(sys: SymmetricSystem) -> float:
     """
     if sys.chain.J == 0.0:
         raise InvalidRegime("continuum approximation needs J > 0")
-    edge = sys.chain.band_bottom - sys.eps0
-    # edge > 0 is guaranteed by SymmetricSystem, but guard the sqrt anyway.
-    if edge <= 0.0:
-        raise BandEdgeError(f"impurity level is not below the band edge (distance {edge})")
-    return math.sqrt(edge / sys.chain.J)
+    return math.sqrt((sys.chain.band_bottom - sys.eps0) / sys.chain.J)
 
 
 def cp_energy_continuum(sys: SymmetricSystem, R: int) -> float:

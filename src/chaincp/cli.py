@@ -24,10 +24,10 @@ import numpy as np
 
 from ._version import __version__
 from .casimir import cp_energy, decay_profile, force_curve
-from .errors import ConvergenceError, RegimeViolation
-from .lattice import SymmetricSystem, brillouin_modes, dispersion, validate_regime
+from .errors import ConvergenceError, InvalidRegime, RegimeViolation
+from .lattice import SymmetricSystem, brillouin_modes, dispersion, require_valid_regime
 from .oracle import cp_energy_ed, cp_energy_quadrature
-from .thermal import thermal_energy, thermal_force
+from .thermal import TemperatureForce, _growth_violations, thermal_energy, thermal_force
 
 MODES = (
     "force-sweep",
@@ -71,44 +71,48 @@ class ConfigError(ValueError):
     """Bad flag, file, or value; maps to exit code 2."""
 
 
-_DEFAULTS: dict = {
-    "mode": None, "format": "csv", "output": None,
-    "eps0": 1.0, "omega": None, "delta": -1.0, "J": 0.3, "lambda": 0.01,
-    "N": 200, "R": 1, "rmin": 1, "rmax": 10,
-    "temperatures": (0.0, 0.1, 1.0),
-    "n_values": None, "j_values": None, "delta_values": None,
-    "amin": -0.99, "amax": -0.01, "asteps": 100,
-    "jmin": 0.02, "jmax": 0.48, "jsteps": 24,
-    "dmin": -3.0, "dmax": -0.7, "dsteps": 24,
-    "max_points": 2 ** 22,
+#: Every configuration key, as ``key -> (type, default)``.  A ``(float,)``
+#: or ``(int,)`` type is a comma-separated list.  Keys other than ``str`` ones
+#: get a ``--key`` flag (``_`` spelled ``-``), in this order.
+_KEYS: dict[str, tuple] = {
+    "mode": (str, None), "format": (str, "csv"), "output": (str, None),
+    "eps0": (float, 1.0), "omega": (float, None), "delta": (float, -1.0),
+    "J": (float, 0.3), "lambda": (float, 0.01),
+    "amin": (float, -0.99), "amax": (float, -0.01),
+    "jmin": (float, 0.02), "jmax": (float, 0.48),
+    "dmin": (float, -3.0), "dmax": (float, -0.7),
+    "N": (int, 200), "R": (int, 1), "rmin": (int, 1), "rmax": (int, 10),
+    "asteps": (int, 100), "jsteps": (int, 24), "dsteps": (int, 24),
+    "max_points": (int, 2 ** 22),
+    "temperatures": ((float,), (0.0, 0.1, 1.0)),
+    "j_values": ((float,), None), "delta_values": ((float,), None),
+    "n_values": ((int,), None),
 }
 
-_FLOAT_KEYS = {"eps0", "omega", "delta", "J", "lambda",
-               "amin", "amax", "jmin", "jmax", "dmin", "dmax"}
-_INT_KEYS = {"N", "R", "rmin", "rmax", "asteps", "jsteps", "dsteps", "max_points"}
-_FLOAT_TUPLE_KEYS = {"temperatures", "j_values", "delta_values"}
-_INT_TUPLE_KEYS = {"n_values"}
-_STR_KEYS = {"mode", "format", "output"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _FLOAT_TUPLE_KEYS | _INT_TUPLE_KEYS | _STR_KEYS
+#: RunConfig fields spelled differently from their key.
+_FIELDS = {"format": "fmt", "lambda": "lam"}
 
 
 def _coerce(key: str, raw) -> object:
-    """Parse a raw (usually string) value into the type the key expects."""
+    """Parse a raw (usually string) value into the type the key expects.
+
+    NaN is refused for every numeric key: it compares false with everything,
+    so it would slip past every range check downstream.
+    """
     if not isinstance(raw, str):
         return raw
+    kind = _KEYS[key][0]
     text = raw.strip()
+    if kind is str:
+        return text
+    parse, parts = (kind[0], text.split(",")) if isinstance(kind, tuple) else (kind, [text])
     try:
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_TUPLE_KEYS:
-            return tuple(float(part) for part in text.split(","))
-        if key in _INT_TUPLE_KEYS:
-            return tuple(int(part) for part in text.split(","))
+        values = tuple(parse(part) for part in parts)
     except ValueError:
         raise ConfigError(f"cannot parse value {raw!r} for key {key!r}") from None
-    return text
+    if any(math.isnan(v) for v in values):
+        raise ConfigError(f"NaN is not a valid value for key {key!r}")
+    return values if isinstance(kind, tuple) else values[0]
 
 
 def _parse_config_file(path: str) -> dict[str, object]:
@@ -130,7 +134,7 @@ def _parse_config_file(path: str) -> dict[str, object]:
         key = key.strip()
         if key == "preset":
             raise ConfigError(f"{path}:{lineno}: a preset can only be chosen on the command line")
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -187,14 +191,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-o", "--output", metavar="PATH",
                         help="output file, '-' for stdout (default <mode>.<format> "
                              f"in the current dir or ${OUTDIR_ENV})")
-    for key in ("eps0", "omega", "delta", "J", "lambda",
-                "amin", "amax", "jmin", "jmax", "dmin", "dmax"):
-        parser.add_argument(f"--{key}", metavar="X", help=f"{key} (float)")
-    for key in ("N", "R", "rmin", "rmax", "asteps", "jsteps", "dsteps", "max_points"):
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="K", help=f"{key} (int)")
-    for key in ("temperatures", "j_values", "delta_values", "n_values"):
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="A,B,...",
-                            help=f"{key} (comma separated)")
+    for key, (kind, _) in _KEYS.items():
+        flag = f"--{key.replace('_', '-')}"
+        if isinstance(kind, tuple):
+            parser.add_argument(flag, dest=key, metavar="A,B,...", help=f"{key} (comma separated)")
+        elif kind is not str:
+            parser.add_argument(flag, dest=key, metavar="X" if kind is float else "K",
+                                help=f"{key} ({kind.__name__})")
     return parser
 
 
@@ -209,7 +212,7 @@ def load_config(argv: list[str] | None = None) -> RunConfig:
     """
     args = _build_parser().parse_args(argv)
 
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default) in _KEYS.items()}
     sources: dict[str, str] = {}
 
     if args.preset is not None:
@@ -223,7 +226,7 @@ def load_config(argv: list[str] | None = None) -> RunConfig:
             sources[key] = "file"
 
     flag_keys = set()
-    for key in _ALL_KEYS:
+    for key in _KEYS:
         raw = getattr(args, key, None)
         if raw is not None:
             merged[key] = _coerce(key, raw)
@@ -267,40 +270,20 @@ def load_config(argv: list[str] | None = None) -> RunConfig:
         raise ConfigError("temperatures must be sorted ascending")
 
     return RunConfig(
-        mode=merged["mode"], fmt=merged["format"], output=merged["output"],
         preset=args.preset,
-        eps0=merged["eps0"], delta=merged["delta"], J=merged["J"], lam=merged["lambda"],
-        N=merged["N"], R=merged["R"], rmin=merged["rmin"], rmax=merged["rmax"],
-        temperatures=tuple(temps),
-        n_values=merged["n_values"], j_values=merged["j_values"],
-        delta_values=merged["delta_values"],
-        amin=merged["amin"], amax=merged["amax"], asteps=merged["asteps"],
-        jmin=merged["jmin"], jmax=merged["jmax"], jsteps=merged["jsteps"],
-        dmin=merged["dmin"], dmax=merged["dmax"], dsteps=merged["dsteps"],
-        max_points=merged["max_points"],
         sources=tuple(sorted(sources.items())),
+        **{_FIELDS.get(key, key): merged[key] for key in _KEYS if key != "omega"},
     )
 
 
-def _system(cfg: RunConfig, *, delta: float | None = None, J: float | None = None,
-            N: int | None = None, R: int | None = None) -> SymmetricSystem:
-    return SymmetricSystem.from_detuning(
-        delta=cfg.delta if delta is None else delta,
-        J=cfg.J if J is None else J,
-        lam=cfg.lam,
-        R=cfg.R if R is None else R,
-        N=cfg.N if N is None else N,
-        eps0=cfg.eps0,
-    )
+def _system(cfg: RunConfig, **overrides) -> SymmetricSystem:
+    """The configured system, with ``delta``, ``J`` or ``N`` overridden."""
+    params = {"delta": cfg.delta, "J": cfg.J, "lam": cfg.lam, "N": cfg.N, "eps0": cfg.eps0}
+    return SymmetricSystem.from_detuning(**{**params, **overrides})
 
 
-def _check_regime(sys_: SymmetricSystem) -> None:
-    report = validate_regime(sys_.chain, sys_.impurities)
-    if not report.ok:
-        raise RegimeViolation("; ".join(report.warnings)
-                              or f"coupling ratio {report.coupling_ratio:.3g} too large")
-    for note in report.warnings:
-        print(f"chaincp: warning: {note}", file=sys.stderr)
+def _warn(note: str) -> None:
+    print(f"chaincp: warning: {note}", file=sys.stderr)
 
 
 def _fmt(value) -> str:
@@ -347,41 +330,32 @@ def _meta(cfg: RunConfig) -> list[tuple[str, str]]:
     return pairs
 
 
-def _run_force_sweep(cfg: RunConfig):
-    columns = ("J", "delta", "R", "energy", "force", "abs_force")
+def _sweep_grid(cfg: RunConfig):
+    """Leading columns, ``(J, delta)`` series and ``R`` range of a force sweep."""
+    if cfg.mode == "hopping-sweep":
+        series = [(float(j), cfg.delta) for j in np.linspace(cfg.jmin, cfg.jmax, cfg.jsteps)]
+        return ("J",), series, cfg.R, cfg.R
+    if cfg.mode == "detuning-sweep":
+        series = [(cfg.J, float(d)) for d in np.linspace(cfg.dmin, cfg.dmax, cfg.dsteps)]
+        return ("delta",), series, cfg.R, cfg.R
     if cfg.delta_values is not None:
         series = [(cfg.J, d) for d in cfg.delta_values]
     else:
         series = [(j, cfg.delta) for j in (cfg.j_values or (cfg.J,))]
+    return ("J", "delta"), series, cfg.rmin, cfg.rmax
+
+
+def _run_sweep(cfg: RunConfig):
+    lead, series, rmin, rmax = _sweep_grid(cfg)
     rows = []
     for j, d in series:
-        sys_ = _system(cfg, delta=d, J=j, R=cfg.rmin)
-        _check_regime(sys_)
-        for rec in force_curve(sys_, cfg.rmin, cfg.rmax).records:
-            rows.append((float(j), float(d), rec.R, rec.energy, rec.force, abs(rec.force)))
-    return columns, rows, 0
-
-
-def _run_hopping_sweep(cfg: RunConfig):
-    columns = ("J", "R", "energy", "force", "abs_force")
-    rows = []
-    for j in np.linspace(cfg.jmin, cfg.jmax, cfg.jsteps):
-        sys_ = _system(cfg, J=float(j))
-        _check_regime(sys_)
-        for rec in force_curve(sys_, cfg.R, cfg.R).records:
-            rows.append((float(j), rec.R, rec.energy, rec.force, abs(rec.force)))
-    return columns, rows, 0
-
-
-def _run_detuning_sweep(cfg: RunConfig):
-    columns = ("delta", "R", "energy", "force", "abs_force")
-    rows = []
-    for d in np.linspace(cfg.dmin, cfg.dmax, cfg.dsteps):
-        sys_ = _system(cfg, delta=float(d))
-        _check_regime(sys_)
-        for rec in force_curve(sys_, cfg.R, cfg.R).records:
-            rows.append((float(d), rec.R, rec.energy, rec.force, abs(rec.force)))
-    return columns, rows, 0
+        sys_ = _system(cfg, J=j, delta=d)
+        for note in require_valid_regime(sys_.chain, sys_.impurities).warnings:
+            _warn(note)
+        point = {"J": float(j), "delta": float(d)}
+        for rec in force_curve(sys_, rmin, rmax).records:
+            rows.append((*(point[c] for c in lead), rec.R, rec.energy, rec.force, abs(rec.force)))
+    return lead + ("R", "energy", "force", "abs_force"), rows, 0
 
 
 def _run_decay_profile(cfg: RunConfig):
@@ -394,7 +368,7 @@ def _run_decay_profile(cfg: RunConfig):
     rows = []
     for a in np.linspace(cfg.amin, cfg.amax, cfg.asteps):
         j_a = float(a) * cfg.delta / 2.0
-        sys_ = _system(cfg, J=j_a, R=1)
+        sys_ = _system(cfg, J=j_a)
         prof = decay_profile(sys_)
         rows.append((float(a), j_a, prof.gamma, prof.rc, prof.amplitude))
     return columns, rows, 0
@@ -404,21 +378,20 @@ def _run_thermal_sweep(cfg: RunConfig):
     columns = ("T", "N", "R", "energy", "force")
     rows = []
     for n in cfg.n_values or (cfg.N,):
-        sys_ = _system(cfg, N=int(n), R=cfg.rmin)
-        _check_regime(sys_)
+        sys_ = _system(cfg, N=int(n))
+        for note in require_valid_regime(sys_.chain, sys_.impurities).warnings:
+            _warn(note)
         for temp in cfg.temperatures:
             for r in range(cfg.rmin, cfg.rmax + 1):
                 rows.append((float(temp), int(n),  r,
                              thermal_energy(sys_, temp, r), thermal_force(sys_, temp, r)))
     # |f_T| should not grow with temperature; report any surprise.
-    by_nr: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    by_nr: dict[tuple[int, int], list[TemperatureForce]] = {}
     for temp, n, r, _, force in rows:
-        by_nr.setdefault((n, r), []).append((temp, force))
+        by_nr.setdefault((n, r), []).append(TemperatureForce(T=temp, force=force))
     for (n, r), seq in sorted(by_nr.items()):
-        for (t1, f1), (t2, f2) in zip(seq, seq[1:]):
-            if abs(f2) > abs(f1) + 1e-15:
-                print(f"chaincp: warning: |f_T| grew with T at N={n}, R={r}: "
-                      f"{abs(f1):.6g} (T={t1:g}) -> {abs(f2):.6g} (T={t2:g})", file=sys.stderr)
+        for note in _growth_violations(seq):
+            _warn(f"at N={n}, R={r}: {note}")
     return columns, rows, 0
 
 
@@ -430,8 +403,12 @@ def _run_oracle_check(cfg: RunConfig):
             f"oracle-check needs rmax <= N//4 to keep ring images out of the "
             f"diagonalisation estimate; got rmax={cfg.rmax}, N={cfg.N}"
         )
-    sys_ = _system(cfg, R=cfg.rmin)
-    _check_regime(sys_)
+    sys_ = _system(cfg)
+    for note in require_valid_regime(sys_.chain, sys_.impurities).warnings:
+        _warn(note)
+    if sys_.lam == 0.0:
+        raise InvalidRegime("oracle-check needs lambda != 0; for lambda = 0 the "
+                            "interaction is identically zero")
     rows = []
     all_ok = True
     for r in range(cfg.rmin, cfg.rmax + 1):
@@ -457,9 +434,9 @@ def _run_dispersion_dump(cfg: RunConfig):
 
 
 _RUNNERS = {
-    "force-sweep": _run_force_sweep,
-    "hopping-sweep": _run_hopping_sweep,
-    "detuning-sweep": _run_detuning_sweep,
+    "force-sweep": _run_sweep,
+    "hopping-sweep": _run_sweep,
+    "detuning-sweep": _run_sweep,
     "decay-profile": _run_decay_profile,
     "thermal-sweep": _run_thermal_sweep,
     "oracle-check": _run_oracle_check,

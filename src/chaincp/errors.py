@@ -18,10 +18,6 @@ class InvalidRegime(RegimeViolation):
     """The requested quantity is undefined for these parameters."""
 
 
-class DimensionError(ValueError):
-    """A separation or index does not fit on the chain."""
-
-
 class ConvergenceError(RuntimeError):
     """A numerical routine failed to reach its target accuracy."""
 

@@ -10,7 +10,7 @@ is 1, so impurity separations are positive integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,42 +68,41 @@ class ChainParams:
 class ImpurityConfig:
     """Two impurity levels side-coupled to chain sites ``0`` and ``R``.
 
+    The separation ``R`` is not part of the configuration; every function
+    that needs it takes it as an argument.
+
     Parameters
     ----------
     eps1, eps2 : float
         Impurity level energies.
     lambda0, lambda_r : float
         Tunnelling amplitudes between each impurity and its chain site.
-    R : int
-        Separation between the attachment sites, ``R >= 1``.
     """
 
     eps1: float
     eps2: float
     lambda0: float
     lambda_r: float
-    R: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.R, int):
-            raise TypeError(f"separation must be an integer, got {self.R!r}")
-        if self.R < 1:
-            raise ValueError(f"separation must be >= 1, got R={self.R}")
 
 
 @dataclass(frozen=True)
 class SymmetricSystem:
-    """Identical impurities (``eps0``, ``lam``) a distance ``R`` apart.
+    """Identical impurities (``eps0``, ``lam``) side-coupled to one chain.
 
-    The closed-form results below the band are controlled by two derived
+    The closed-form results below the band are controlled by three derived
     quantities, computed on construction:
 
-    * ``delta = eps0 - omega``, the detuning from the band centre, and
-    * ``a = 2 J / delta``, the band parameter.
+    * ``delta = eps0 - omega``, the detuning from the band centre,
+    * ``a = 2 J / delta``, the band parameter, and
+    * ``q = (sqrt(1 - a^2) - 1) / a``, the decay ratio per site, evaluated as
+      ``-a / (sqrt(1 - a^2) + 1)`` so that ``a -> 0`` loses no precision to
+      cancellation; the flat-band value is exactly ``0.0``.
 
     Both impurity levels must sit strictly below the band, which for this
     configuration means ``delta < 0`` and ``a`` in ``(-1, 0]``; anything
-    else raises :class:`~chaincp.errors.BandEdgeError`.
+    else raises :class:`~chaincp.errors.BandEdgeError`.  The separation is
+    not part of the system: every function that needs one takes it as an
+    argument.
 
     Parameters
     ----------
@@ -112,32 +111,27 @@ class SymmetricSystem:
         Common impurity level.
     lam : float
         Common tunnelling amplitude.
-    R : int
-        Separation, ``1 <= R <= chain.N``.
     """
 
     chain: ChainParams
     eps0: float
     lam: float
-    R: int
     delta: float = field(init=False)
     a: float = field(init=False)
+    q: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.R, int):
-            raise TypeError(f"separation must be an integer, got {self.R!r}")
-        if not 1 <= self.R <= self.chain.N:
-            raise ValueError(
-                f"separation must satisfy 1 <= R <= N={self.chain.N}, got R={self.R}"
-            )
         delta = self.eps0 - self.chain.omega
-        if self.eps0 >= self.chain.band_bottom:
+        # A level a few ulp below the band bottom can still round |a| up to 1.
+        a = 2.0 * self.chain.J / delta if self.eps0 < self.chain.band_bottom else -math.inf
+        if not -1.0 < a:
             raise BandEdgeError(
                 f"impurity level eps0={self.eps0} is not below the band bottom "
                 f"{self.chain.band_bottom}; closed forms require delta < 0 and |a| < 1"
             )
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "a", 2.0 * self.chain.J / delta)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "q", -a / (math.sqrt(1.0 - a * a) + 1.0))
 
     @classmethod
     def from_detuning(
@@ -145,25 +139,28 @@ class SymmetricSystem:
         delta: float,
         J: float,
         lam: float,
-        R: int,
         N: int,
         eps0: float = 1.0,
     ) -> "SymmetricSystem":
         """Build a system from the detuning instead of the band centre."""
         chain = ChainParams(omega=eps0 - delta, J=J, N=N)
-        return cls(chain=chain, eps0=eps0, lam=lam, R=R)
+        return cls(chain=chain, eps0=eps0, lam=lam)
 
     @property
     def impurities(self) -> ImpurityConfig:
         """The equivalent two-impurity configuration."""
-        return ImpurityConfig(
-            eps1=self.eps0, eps2=self.eps0,
-            lambda0=self.lam, lambda_r=self.lam, R=self.R,
-        )
+        return ImpurityConfig(eps1=self.eps0, eps2=self.eps0,
+                              lambda0=self.lam, lambda_r=self.lam)
 
-    def at_separation(self, R: int) -> "SymmetricSystem":
-        """The same system with the impurities placed ``R`` sites apart."""
-        return self if R == self.R else replace(self, R=R)
+
+def _check_separation(R: int, upper: int | None = None, lower: int = 1) -> None:
+    """Raise unless the separation ``R`` is an integer in ``lower .. upper``."""
+    if not isinstance(R, int):
+        raise TypeError(f"separation must be an integer, got {R!r}")
+    if R < lower:
+        raise ValueError(f"separation must be >= {lower}, got R={R}")
+    if upper is not None and R > upper:
+        raise ValueError(f"separation must satisfy {lower} <= R <= {upper}, got R={R}")
 
 
 def dispersion(chain: ChainParams, k) -> np.ndarray | float:
@@ -185,8 +182,6 @@ class RegimeReport:
     ----------
     below_band : bool
         Both impurity levels sit strictly below the band bottom.
-    separation_ok : bool
-        The attachment sites both fit on the chain.
     coupling_ratio : float
         ``max(|lambda0|, |lambda_r|)`` over the smaller impurity-band gap;
         infinite when a level is not below the band.
@@ -197,14 +192,13 @@ class RegimeReport:
     """
 
     below_band: bool
-    separation_ok: bool
     coupling_ratio: float
     weak_coupling: bool
     warnings: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return self.below_band and self.separation_ok and self.weak_coupling
+        return self.below_band and self.weak_coupling
 
 
 def validate_regime(chain: ChainParams, imps: ImpurityConfig) -> RegimeReport:
@@ -220,7 +214,6 @@ def validate_regime(chain: ChainParams, imps: ImpurityConfig) -> RegimeReport:
     coupling = max(abs(imps.lambda0), abs(imps.lambda_r))
     ratio = coupling / gap if below_band else math.inf
     weak = ratio <= WEAK_COUPLING_FAIL
-    separation_ok = imps.R <= chain.N
 
     warnings: list[str] = []
     if not below_band:
@@ -233,12 +226,9 @@ def validate_regime(chain: ChainParams, imps: ImpurityConfig) -> RegimeReport:
             f"coupling ratio {ratio:.3g} exceeds {WEAK_COUPLING_WARN}; "
             "second-order results may drift beyond the percent level"
         )
-    if not separation_ok:
-        warnings.append(f"separation R={imps.R} exceeds the chain half-length N={chain.N}")
 
     return RegimeReport(
         below_band=below_band,
-        separation_ok=separation_ok,
         coupling_ratio=ratio,
         weak_coupling=weak,
         warnings=tuple(warnings),
@@ -246,7 +236,11 @@ def validate_regime(chain: ChainParams, imps: ImpurityConfig) -> RegimeReport:
 
 
 def require_valid_regime(chain: ChainParams, imps: ImpurityConfig) -> RegimeReport:
-    """Run :func:`validate_regime` and raise on hard failure."""
+    """Run :func:`validate_regime` and raise :class:`RegimeViolation` unless it is ok.
+
+    This is the package's one regime gate.  The returned report still
+    carries the soft warnings for the caller to show.
+    """
     report = validate_regime(chain, imps)
     if not report.ok:
         raise RegimeViolation(

@@ -43,8 +43,7 @@ from mpmath import mp
 
 from .casimir import cp_energy
 from .errors import ConvergenceError, InvalidRegime, NonConvergence
-from .lattice import SymmetricSystem, brillouin_modes, dispersion
-from .perturbation import geometric_ratio
+from .lattice import SymmetricSystem, _check_separation, brillouin_modes, dispersion
 
 __all__ = [
     "cp_energy_ed",
@@ -137,19 +136,13 @@ def cp_energy_ed(sys: SymmetricSystem, R: int, r_ref: int | None = None) -> floa
         Reference separation, ``R < r_ref <= N``.
     """
     n_half = sys.chain.N
-    if not 1 <= R <= n_half // 4:
-        raise ValueError(
-            f"separation R={R} outside 1..N//4 (N={n_half}); beyond that the "
-            "periodic image at 2N+1-2R contaminates the estimate"
-        )
+    _check_separation(R, n_half // 4)
     if r_ref is None:
         r_ref = n_half // 2
-    if not R < r_ref <= n_half:
-        raise ValueError(f"reference separation must satisfy R < r_ref <= N, got {r_ref}")
+    _check_separation(r_ref, n_half, lower=R + 1)
 
     gap = sys.chain.band_bottom - sys.eps0
-    q = geometric_ratio(sys.a)
-    systematic = (sys.lam / gap) ** 2 + q ** (2 * n_half + 1 - 2 * R)
+    systematic = (sys.lam / gap) ** 2 + sys.q ** (2 * n_half + 1 - 2 * R)
     if systematic > 0.05:
         warnings.warn(
             f"ED estimate carries ~{systematic:.1%} systematic error "
@@ -199,8 +192,7 @@ def cp_energy_quadrature(
     if sys.a == 0.0:
         raise InvalidRegime("quadrature needs a dispersive band (J > 0); "
                             "for J = 0 the interaction is identically zero")
-    if not isinstance(R, int) or R < 0:
-        raise ValueError(f"separation must be a non-negative integer, got {R!r}")
+    _check_separation(R, lower=0)
 
     with mp.workdps(dps):
         delta = mp.mpf(sys.delta)

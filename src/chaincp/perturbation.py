@@ -38,8 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeViolation
-from .lattice import ChainParams, ImpurityConfig, SymmetricSystem, brillouin_modes, dispersion
+from .lattice import (
+    ChainParams,
+    ImpurityConfig,
+    SymmetricSystem,
+    _check_separation,
+    brillouin_modes,
+    dispersion,
+    require_valid_regime,
+)
 
 __all__ = [
     "EffectiveCoefficients",
@@ -48,7 +55,6 @@ __all__ = [
     "band_energies",
     "symmetric_spectrum_ksum",
     "symmetric_spectrum_closed",
-    "geometric_ratio",
 ]
 
 
@@ -72,11 +78,6 @@ class EffectiveCoefficients:
     hop12: complex
     band_shift: np.ndarray
 
-    @property
-    def hop21(self) -> complex:
-        """Hermitian partner of ``hop12``."""
-        return self.hop12.conjugate()
-
 
 @dataclass(frozen=True)
 class SymmetricSpectrum:
@@ -91,24 +92,19 @@ class SymmetricSpectrum:
     band: np.ndarray
 
 
-def _require_below_band(chain: ChainParams, *levels: float) -> None:
-    for eps in levels:
-        if chain.band_bottom <= eps <= chain.band_top:
-            raise RegimeViolation(
-                f"impurity level {eps} lies inside the band "
-                f"[{chain.band_bottom}, {chain.band_top}]; the second-order "
-                "energy denominators vanish"
-            )
-
-
-def effective_coefficients(chain: ChainParams, imps: ImpurityConfig) -> EffectiveCoefficients:
+def effective_coefficients(
+    chain: ChainParams, imps: ImpurityConfig, R: int
+) -> EffectiveCoefficients:
     """Level shifts, mediated hopping, and band back-action for two impurities.
 
     Parameters
     ----------
     chain : ChainParams
     imps : ImpurityConfig
-        Levels may differ; both must lie outside the band.
+        Levels may differ; the configuration must pass
+        :func:`~chaincp.lattice.require_valid_regime`.
+    R : int
+        Separation between the attachment sites, ``R >= 1``.
 
     Returns
     -------
@@ -117,9 +113,10 @@ def effective_coefficients(chain: ChainParams, imps: ImpurityConfig) -> Effectiv
     Raises
     ------
     RegimeViolation
-        If either impurity level falls inside the band.
+        If a level is not below the band or the coupling is too strong.
     """
-    _require_below_band(chain, imps.eps1, imps.eps2)
+    _check_separation(R)
+    require_valid_regime(chain, imps)
     modes = brillouin_modes(chain)
     energies = dispersion(chain, modes)
     ns = chain.num_sites
@@ -134,7 +131,7 @@ def effective_coefficients(chain: ChainParams, imps: ImpurityConfig) -> Effectiv
 
     g12 = imps.lambda0 * imps.lambda_r / ns
     mixed = 0.5 * g12 * (inv1 + inv2)
-    phase = modes * imps.R
+    phase = modes * R
     hop12 = complex(
         math.fsum(mixed * np.cos(phase)),
         math.fsum(-(mixed * np.sin(phase))),
@@ -158,14 +155,15 @@ def band_energies(sys: SymmetricSystem) -> np.ndarray:
     return np.column_stack((modes, shifted))
 
 
-def symmetric_spectrum_ksum(sys: SymmetricSystem) -> SymmetricSpectrum:
-    """Doublet and band energies as explicit sums over the ring modes.
+def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> SymmetricSpectrum:
+    """Doublet and band energies at separation ``R``, ``1 <= R <= N``, as mode sums.
 
     The doublet follows from diagonalising the effective two-level problem;
     since the levels are identical the eigenvectors are the even and odd
     combinations and the splitting is twice the mediated hopping.  This is
     the finite-``N`` reference that the closed forms approximate.
     """
+    _check_separation(R, sys.chain.N)
     modes = brillouin_modes(sys.chain)
     energies = dispersion(sys.chain, modes)
     gsq = sys.lam ** 2 / sys.chain.num_sites
@@ -174,7 +172,7 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem) -> SymmetricSpectrum:
     # The odd-in-k part of exp(-ikR) sums to zero because the modes come in
     # +-k pairs, so only the cosine survives.
     common = gsq * inv
-    cos_r = np.cos(modes * sys.R)
+    cos_r = np.cos(modes * R)
     e_plus = sys.eps0 + math.fsum(common * (1.0 + cos_r))
     e_minus = sys.eps0 + math.fsum(common * (1.0 - cos_r))
 
@@ -182,26 +180,17 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem) -> SymmetricSpectrum:
     return SymmetricSpectrum(e_plus=e_plus, e_minus=e_minus, band=band)
 
 
-def geometric_ratio(a: float) -> float:
-    """Decay ratio ``q = (sqrt(1 - a^2) - 1) / a`` for ``a`` in ``(-1, 0]``.
-
-    Evaluated as ``-a / (sqrt(1 - a^2) + 1)`` so that ``a -> 0`` loses no
-    precision to cancellation; the limit value is exactly ``0.0``.
-    """
-    if not -1.0 < a <= 0.0:
-        raise ValueError(f"band parameter must lie in (-1, 0], got a={a}")
-    return -a / (math.sqrt(1.0 - a * a) + 1.0)
-
-
-def symmetric_spectrum_closed(sys: SymmetricSystem) -> tuple[float, float]:
+def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, float]:
     """Closed-form doublet energies ``(E_plus, E_minus)`` in the large-``N`` limit.
 
-    ``E_plus`` (even combination) is the lower level for ``delta < 0``.
+    Evaluated at separation ``R``, ``1 <= R <= N``.  ``E_plus`` (even
+    combination) is the lower level for ``delta < 0``.
     At ``a = 0`` the band is flat, ``q = 0``, and the doublet is degenerate
     at ``eps0 + lam**2 / delta``.
     """
+    _check_separation(R, sys.chain.N)
     a = sys.a
     root = math.sqrt(1.0 - a * a)
     base = sys.lam ** 2 / (sys.delta * root)
-    q_r = geometric_ratio(a) ** sys.R
+    q_r = sys.q ** R
     return (sys.eps0 + base * (1.0 + q_r), sys.eps0 + base * (1.0 - q_r))

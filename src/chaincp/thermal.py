@@ -78,7 +78,7 @@ class ThermalEnsemble:
         )
 
 
-def thermal_ensemble(sys: SymmetricSystem, T: float, R: int | None = None) -> ThermalEnsemble:
+def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     """Populations of the doublet and band levels at temperature ``T``.
 
     Parameters
@@ -87,15 +87,14 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int | None = None) -> Th
     T : float
         Temperature in the same units as the energies, ``T >= 0``
         (``math.inf`` is allowed and gives uniform weights).
-    R : int, optional
-        Separation to evaluate at; defaults to ``sys.R``.
+    R : int
+        Separation to evaluate at, ``1 <= R <= N``.
     """
     if T < 0:
         raise ValueError(f"temperature must be non-negative, got T={T}")
-    sys_r = sys.at_separation(sys.R if R is None else R)
 
-    e_plus, e_minus = symmetric_spectrum_closed(sys_r)
-    spectrum = SymmetricSpectrum(e_plus=e_plus, e_minus=e_minus, band=band_energies(sys_r))
+    e_plus, e_minus = symmetric_spectrum_closed(sys, R)
+    spectrum = SymmetricSpectrum(e_plus=e_plus, e_minus=e_minus, band=band_energies(sys))
     energies = np.concatenate(([e_plus, e_minus], spectrum.band[:, 1]))
     e_min = float(energies.min())
 
@@ -116,19 +115,18 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int | None = None) -> Th
     return ThermalEnsemble(beta=beta, spectrum=spectrum, z=z, weights=weights)
 
 
-def thermal_energy(sys: SymmetricSystem, T: float, R: int | None = None) -> float:
-    """Ensemble average energy; reduces to ``e_plus`` exactly at ``T = 0``."""
+def thermal_energy(sys: SymmetricSystem, T: float, R: int) -> float:
+    """Ensemble average energy at separation ``R``; exactly ``e_plus`` at ``T = 0``."""
     ens = thermal_ensemble(sys, T, R)
     return math.fsum(ens.weights * ens.energies)
 
 
-def thermal_force(sys: SymmetricSystem, T: float, R: int | None = None) -> float:
+def thermal_force(sys: SymmetricSystem, T: float, R: int) -> float:
     """Thermal force ``-(E_T(R + 1) - E_T(R))``.
 
-    Needs room for the difference: ``R + 1`` must still fit on the chain.
+    Needs room for the difference: ``1 <= R`` and ``R + 1 <= N``.
     """
-    r0 = sys.R if R is None else R
-    return -(thermal_energy(sys, T, r0 + 1) - thermal_energy(sys, T, r0))
+    return -(thermal_energy(sys, T, R + 1) - thermal_energy(sys, T, R))
 
 
 class TemperatureForce(NamedTuple):
@@ -152,6 +150,19 @@ class TemperatureSweep:
     violations: tuple[str, ...]
 
 
+def _growth_violations(records) -> tuple[str, ...]:
+    """Adjacent records of an ascending-``T`` sweep where ``|f_T|`` grew.
+
+    Growth within ``1e-15`` absolute counts as numerical noise.
+    """
+    return tuple(
+        f"|f_T| grew from {abs(prev.force):.6g} at T={prev.T:g} "
+        f"to {abs(cur.force):.6g} at T={cur.T:g}"
+        for prev, cur in zip(records, records[1:])
+        if abs(cur.force) > abs(prev.force) + 1e-15
+    )
+
+
 def force_vs_temperature(sys: SymmetricSystem, R: int, temperatures) -> TemperatureSweep:
     """Sweep the thermal force over an ascending temperature grid.
 
@@ -170,12 +181,5 @@ def force_vs_temperature(sys: SymmetricSystem, R: int, temperatures) -> Temperat
         raise ValueError("temperatures must be sorted ascending")
 
     records = tuple(TemperatureForce(T=t, force=thermal_force(sys, t, R)) for t in temps)
-
-    violations: list[str] = []
-    for prev, cur in zip(records, records[1:]):
-        if abs(cur.force) > abs(prev.force) + 1e-15:
-            violations.append(
-                f"|f_T| grew from {abs(prev.force):.6g} at T={prev.T:g} "
-                f"to {abs(cur.force):.6g} at T={cur.T:g}"
-            )
-    return TemperatureSweep(system=sys, R=R, records=records, violations=tuple(violations))
+    return TemperatureSweep(system=sys, R=R, records=records,
+                            violations=_growth_violations(records))

@@ -7,15 +7,16 @@ chains only.
 
 import numpy as np
 
-from chaincp.lattice import ChainParams, ImpurityConfig, SymmetricSystem
+from chaincp.lattice import ChainParams, ImpurityConfig, SymmetricSystem, _check_separation
 
 
-def dense_hamiltonian(chain: ChainParams, imps: ImpurityConfig) -> np.ndarray:
+def dense_hamiltonian(chain: ChainParams, imps: ImpurityConfig, R: int) -> np.ndarray:
     """The ring plus two side-coupled impurities, as a dense symmetric matrix.
 
     Basis order is ``(imp1, imp2, site -N, ..., site N)``; impurity 1 attaches
-    to site 0 and impurity 2 to site ``R``.
+    to site 0 and impurity 2 to site ``R``, ``1 <= R <= N``.
     """
+    _check_separation(R, chain.N)
     n_sites = chain.num_sites
     h = np.zeros((n_sites + 2, n_sites + 2))
     h[0, 0] = imps.eps1
@@ -29,13 +30,13 @@ def dense_hamiltonian(chain: ChainParams, imps: ImpurityConfig) -> np.ndarray:
 
     site0 = 2 + chain.N
     h[0, site0] = h[site0, 0] = imps.lambda0
-    h[1, site0 + imps.R] = h[site0 + imps.R, 1] = imps.lambda_r
+    h[1, site0 + R] = h[site0 + R, 1] = imps.lambda_r
     return h
 
 
 def symmetric_hamiltonian(sys: SymmetricSystem, R: int) -> np.ndarray:
     """:func:`dense_hamiltonian` for identical impurities ``R`` sites apart."""
-    return dense_hamiltonian(sys.chain, sys.at_separation(R).impurities)
+    return dense_hamiltonian(sys.chain, sys.impurities, R)
 
 
 def dense_ground_energy(sys: SymmetricSystem, R: int) -> float:

@@ -25,8 +25,8 @@ from chaincp.perturbation import symmetric_spectrum_closed, symmetric_spectrum_k
 from chaincp.thermal import thermal_force
 
 
-def system(delta=-1.0, J=0.3, lam=0.01, R=1, N=200):
-    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, R=R, N=N)
+def system(delta=-1.0, J=0.3, lam=0.01, N=200):
+    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, N=N)
 
 
 def report(tag, ok, detail):
@@ -50,9 +50,9 @@ def test_02_closed_form_matches_finite_ksum_at_large_n():
     worst = 0.0
     for j in (0.3, 0.4):
         for r in (1, 2, 5):
-            sys_ = system(J=j, R=r, N=2000)
-            e_plus, e_minus = symmetric_spectrum_closed(sys_)
-            spectrum = symmetric_spectrum_ksum(sys_)
+            sys_ = system(J=j, N=2000)
+            e_plus, e_minus = symmetric_spectrum_closed(sys_, r)
+            spectrum = symmetric_spectrum_ksum(sys_, r)
             worst = max(worst,
                         abs(spectrum.e_plus - e_plus) / abs(e_plus),
                         abs(spectrum.e_minus - e_minus) / abs(e_minus))
@@ -120,7 +120,7 @@ def test_07_thermal_force_limits_and_ordering():
     # kT = 1e-6 stays 13.8 e-foldings below that splitting out to R = 5 at
     # these parameters; past there the splitting sinks under kT and the
     # static force genuinely stops being the limit
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, R=1, N=100)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=100)
     worst = max(
         abs(thermal_force(sys_, 1e-6, r) - ecp_force(sys_, r)) / abs(ecp_force(sys_, r))
         for r in range(1, 6)
@@ -129,7 +129,7 @@ def test_07_thermal_force_limits_and_ordering():
 
     ordered = True
     for n in (100, 200, 400):
-        sys_n = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, R=1, N=n)
+        sys_n = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=n)
         for r in range(1, 9):
             f0 = abs(thermal_force(sys_n, 0.0, r))
             f1 = abs(thermal_force(sys_n, 0.1, r))
@@ -146,7 +146,7 @@ def test_08_degenerate_limits_are_exact():
                and decay_profile(flat).gamma == math.inf)
 
     decoupled = system(lam=0.0, N=50)
-    energies = np.linalg.eigvalsh(dense_hamiltonian(decoupled.chain, decoupled.impurities))
+    energies = np.linalg.eigvalsh(dense_hamiltonian(decoupled.chain, decoupled.impurities, 1))
     ring = np.sort(decoupled.chain.omega
                    - 2.0 * decoupled.chain.J
                    * np.cos(2.0 * np.pi * np.arange(-50, 51) / 101))

@@ -15,8 +15,8 @@ from chaincp.errors import InvalidRegime
 from chaincp.lattice import SymmetricSystem
 
 
-def fig_system(delta=-1.0, J=0.3, lam=0.01, R=1, N=200):
-    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, R=R, N=N)
+def fig_system(delta=-1.0, J=0.3, lam=0.01, N=200):
+    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, N=N)
 
 
 def test_cp_energy_frozen_values():
@@ -73,11 +73,10 @@ def test_separation_validation():
 def test_force_curve_matches_pointwise():
     sys_ = fig_system(J=0.4)
     curve = force_curve(sys_, 2, 8)
-    assert curve.separations() == list(range(2, 9))
+    assert [rec.R for rec in curve.records] == list(range(2, 9))
     for rec in curve.records:
         assert rec.energy == cp_energy(sys_, rec.R)
         assert rec.force == ecp_force(sys_, rec.R)
-    assert curve.forces() == [rec.force for rec in curve.records]
 
 
 def test_force_curve_range_validation():

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from chaincp.casimir import cp_energy, ecp_force
-from chaincp.cli import ConfigError, PRESETS, load_config, main
+from chaincp.cli import _KEYS, ConfigError, PRESETS, load_config, main
 from chaincp.lattice import SymmetricSystem
 
 
@@ -136,7 +136,7 @@ def test_force_sweep_rows_round_trip_exactly(tmp_path):
     for row in rows:
         j, delta = float(row[0]), float(row[1])
         r = int(row[2])
-        sys_ = SymmetricSystem.from_detuning(delta=delta, J=j, lam=0.01, R=1, N=200)
+        sys_ = SymmetricSystem.from_detuning(delta=delta, J=j, lam=0.01, N=200)
         # %.17g survives the float -> text -> float trip bit for bit
         assert float(row[3]) == cp_energy(sys_, r)
         assert float(row[4]) == ecp_force(sys_, r)
@@ -151,7 +151,7 @@ def test_json_round_trip(tmp_path):
     assert doc["meta"]["preset"] == "fig2"
     assert len(doc["rows"]) == 20
     first = doc["rows"][0]
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=1, N=200)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=200)
     assert first[3] == cp_energy(sys_, 1)
     assert first[4] == ecp_force(sys_, 1)
 
@@ -226,6 +226,39 @@ def test_exit_code_3_outside_the_regime():
     assert run_cli(["--mode", "force-sweep", "--lambda", "0.3"]) == 3
     # impurity level inside the band
     assert run_cli(["--mode", "force-sweep", "--delta", "-0.5"]) == 3
+
+
+def test_oracle_check_without_coupling_is_a_regime_violation(tmp_path, capsys):
+    # every closed-form value is 0, so there is no relative error to report
+    assert run_cli(["--mode", "oracle-check", "--lambda", "0",
+                    "--output", str(tmp_path / "oracle.csv")]) == 3
+    assert "interaction is identically zero" in capsys.readouterr().err
+
+
+FLOAT_KEYS = [key for key, (kind, _) in _KEYS.items() if kind in (float, (float,))]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_nan_is_a_config_error_for_every_float_key(key, tmp_path):
+    value = "0,nan,0.1" if key == "temperatures" else "nan"
+    flag = "--" + key.replace("_", "-")
+    assert run_cli(["--mode", "force-sweep", flag, value,
+                    "--output", str(tmp_path / "out.csv")]) == 2
+
+
+def test_nan_in_a_config_file_is_a_config_error(tmp_path):
+    conf = tmp_path / "nan.conf"
+    conf.write_text("mode = force-sweep\nJ = NaN\n")
+    with pytest.raises(ConfigError, match="NaN"):
+        load_config(["--config", str(conf)])
+
+
+def test_infinite_temperature_is_accepted(tmp_path):
+    out = tmp_path / "hot.csv"
+    assert run_cli(["--mode", "thermal-sweep", "--N", "20", "--rmax", "2",
+                    "--temperatures", "0,inf", "--output", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert [row[0] for row in rows][-1] == "inf"
 
 
 def test_exit_code_4_when_refinement_is_starved(tmp_path):

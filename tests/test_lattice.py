@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chaincp
 from chaincp.errors import BandEdgeError, RegimeViolation
 from chaincp.lattice import (
     ChainParams,
@@ -14,6 +17,7 @@ from chaincp.lattice import (
     require_valid_regime,
     validate_regime,
 )
+from chaincp.perturbation import symmetric_spectrum_closed
 
 
 def test_chain_band_edges():
@@ -56,28 +60,22 @@ def test_dispersion_scalar_and_array_agree():
     assert dispersion(chain, np.pi) == pytest.approx(chain.band_top, rel=1e-15)
 
 
-def test_impurity_config_checks_separation():
-    with pytest.raises(ValueError):
-        ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.01, lambda_r=0.01, R=0)
-    with pytest.raises(TypeError):
-        ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.01, lambda_r=0.01, R=1.5)
-
-
 def test_symmetric_system_derived_quantities():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=2, N=50)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=50)
     assert sys_.delta == -1.0
     assert sys_.a == pytest.approx(-0.6, rel=1e-15)
+    assert sys_.q == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert sys_.chain.omega == 2.0
     assert sys_.eps0 == 1.0
     imps = sys_.impurities
     assert imps.eps1 == imps.eps2 == 1.0
     assert imps.lambda0 == imps.lambda_r == 0.01
-    assert imps.R == 2
 
 
 def test_symmetric_system_flat_band_is_allowed():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.0, lam=0.01, R=1, N=10)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.0, lam=0.01, N=10)
     assert sys_.a == 0.0
+    assert sys_.q == 0.0
 
 
 @pytest.mark.parametrize("delta,J", [
@@ -87,35 +85,48 @@ def test_symmetric_system_flat_band_is_allowed():
 ])
 def test_symmetric_system_rejects_levels_not_below_band(delta, J):
     with pytest.raises(BandEdgeError):
-        SymmetricSystem.from_detuning(delta=delta, J=J, lam=0.01, R=1, N=10)
+        SymmetricSystem.from_detuning(delta=delta, J=J, lam=0.01, N=10)
+
+
+def test_symmetric_system_rejects_a_rounded_onto_the_band_edge():
+    # one ulp below the band bottom, yet 2 J / delta rounds to exactly -1
+    chain = ChainParams(omega=1.0, J=0.25, N=10)
+    eps0 = math.nextafter(chain.band_bottom, -math.inf)
+    assert eps0 < chain.band_bottom and 2 * chain.J / (eps0 - chain.omega) == -1.0
+    with pytest.raises(BandEdgeError):
+        SymmetricSystem(chain=chain, eps0=eps0, lam=0.01)
+
+
+def test_band_edge_error_is_raised_only_by_the_system():
+    raises = [
+        path.name
+        for path in sorted(Path(chaincp.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and "BandEdgeError" in ast.unparse(node)
+    ]
+    assert raises == ["lattice.py"]
 
 
 def test_symmetric_system_separation_bounds():
-    with pytest.raises(ValueError):
-        SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=11, N=10)
-    with pytest.raises(ValueError):
-        SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=0, N=10)
+    # the system carries no separation; each function checks the one it is given
     with pytest.raises(TypeError):
-        SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=1.0, N=10)
-
-
-def test_at_separation_rebuilds_the_derived_fields():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=1, N=50)
-    moved = sys_.at_separation(7)
-    assert moved.R == 7
-    assert moved.chain == sys_.chain
-    assert moved.a == sys_.a
-    assert sys_.at_separation(1) is sys_
+        SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=1, N=10)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=10)
+    symmetric_spectrum_closed(sys_, 10)
     with pytest.raises(ValueError):
-        sys_.at_separation(51)
+        symmetric_spectrum_closed(sys_, 11)
+    with pytest.raises(ValueError):
+        symmetric_spectrum_closed(sys_, 0)
+    with pytest.raises(TypeError):
+        symmetric_spectrum_closed(sys_, 1.0)
 
 
 def test_validate_regime_weak_coupling_passes():
     chain = ChainParams(omega=2.0, J=0.3, N=50)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.01, lambda_r=0.01, R=5)
+    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.01, lambda_r=0.01)
     report = validate_regime(chain, imps)
     assert report.ok
-    assert report.below_band and report.separation_ok and report.weak_coupling
+    assert report.below_band and report.weak_coupling
     # gap is 0.4, so the ratio is 0.025
     assert report.coupling_ratio == pytest.approx(0.025, rel=1e-12)
     assert report.warnings == ()
@@ -123,7 +134,7 @@ def test_validate_regime_weak_coupling_passes():
 
 def test_validate_regime_warns_in_the_grey_zone():
     chain = ChainParams(omega=2.0, J=0.3, N=50)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.08, lambda_r=0.08, R=5)
+    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.08, lambda_r=0.08)
     report = validate_regime(chain, imps)  # ratio 0.2
     assert report.ok
     assert len(report.warnings) == 1
@@ -132,7 +143,7 @@ def test_validate_regime_warns_in_the_grey_zone():
 
 def test_validate_regime_fails_for_strong_coupling():
     chain = ChainParams(omega=2.0, J=0.3, N=50)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.3, lambda_r=0.01, R=5)
+    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.3, lambda_r=0.01)
     report = validate_regime(chain, imps)  # ratio 0.75
     assert not report.ok
     assert not report.weak_coupling
@@ -142,16 +153,8 @@ def test_validate_regime_fails_for_strong_coupling():
 
 def test_validate_regime_flags_levels_in_the_band():
     chain = ChainParams(omega=2.0, J=0.3, N=50)
-    imps = ImpurityConfig(eps1=1.8, eps2=1.0, lambda0=0.01, lambda_r=0.01, R=5)
+    imps = ImpurityConfig(eps1=1.8, eps2=1.0, lambda0=0.01, lambda_r=0.01)
     report = validate_regime(chain, imps)
     assert not report.below_band
     assert report.coupling_ratio == math.inf
-    assert not report.ok
-
-
-def test_validate_regime_flags_oversized_separation():
-    chain = ChainParams(omega=2.0, J=0.3, N=5)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.01, lambda_r=0.01, R=9)
-    report = validate_regime(chain, imps)
-    assert not report.separation_ok
     assert not report.ok

@@ -18,22 +18,22 @@ from chaincp.lattice import ChainParams, ImpurityConfig, SymmetricSystem, brillo
 from chaincp.oracle import _ground_energy, cp_energy_ed, cp_energy_quadrature
 
 
-def fig_system(delta=-1.0, J=0.3, lam=0.01, R=1, N=200):
-    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, R=R, N=N)
+def fig_system(delta=-1.0, J=0.3, lam=0.01, N=200):
+    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, N=N)
 
 
 def test_matrix_shape_and_symmetry():
     chain = ChainParams(omega=2.0, J=0.3, N=6)
-    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02, R=3)
-    h = dense_hamiltonian(chain, imps)
+    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02)
+    h = dense_hamiltonian(chain, imps, 3)
     assert h.shape == (15, 15)
     assert np.array_equal(h, h.T)
 
 
 def test_matrix_entries():
     chain = ChainParams(omega=2.0, J=0.3, N=4)
-    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02, R=2)
-    h = dense_hamiltonian(chain, imps)
+    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02)
+    h = dense_hamiltonian(chain, imps, 2)
     site0 = 2 + 4
     assert h[0, 0] == 0.9 and h[1, 1] == 1.1
     assert h[0, site0] == 0.01          # impurity 1 onto site 0
@@ -51,8 +51,8 @@ def test_matrix_entries():
 
 def test_decoupled_impurities_leave_the_chain_spectrum_alone():
     chain = ChainParams(omega=2.0, J=0.3, N=25)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.0, lambda_r=0.0, R=5)
-    energies = np.linalg.eigvalsh(dense_hamiltonian(chain, imps))
+    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.0, lambda_r=0.0)
+    energies = np.linalg.eigvalsh(dense_hamiltonian(chain, imps, 5))
     ring = np.sort(dispersion(chain, brillouin_modes(chain)))
     expected = np.sort(np.concatenate(([1.0, 1.0], ring)))
     assert_allclose(energies, expected, atol=1e-12)
@@ -61,28 +61,30 @@ def test_decoupled_impurities_leave_the_chain_spectrum_alone():
 def test_three_site_ring_eigenvalues():
     # N = 1: ring eigenvalues are omega - 2J and a double omega + J
     chain = ChainParams(omega=2.0, J=0.3, N=1)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.0, lambda_r=0.0, R=1)
-    energies = np.linalg.eigvalsh(dense_hamiltonian(chain, imps))
+    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.0, lambda_r=0.0)
+    energies = np.linalg.eigvalsh(dense_hamiltonian(chain, imps, 1))
     assert_allclose(energies, [1.0, 1.0, 1.4, 2.3, 2.3], atol=1e-13)
 
 
 def test_diagonalisation_is_deterministic():
     # the reference energy is solved once per system object; a fresh but
     # equal system, solved from scratch, must give the same bits
-    values = [cp_energy_ed(fig_system(N=40, R=r), r) for r in (1, 2, 3)]
-    again = [cp_energy_ed(fig_system(N=40, R=1), r) for r in (1, 2, 3)]
+    sys_ = fig_system(N=40)
+    values = [cp_energy_ed(sys_, r) for r in (1, 2, 3)]
+    del sys_  # equal systems share the cache, so let this one's entry go
+    again = [cp_energy_ed(fig_system(N=40), r) for r in (1, 2, 3)]
     assert values == again
 
 
 def test_exactly_two_levels_bind_below_the_band():
-    sys_ = fig_system(N=40, R=4)
+    sys_ = fig_system(N=40)
     energies = np.linalg.eigvalsh(symmetric_hamiltonian(sys_, 4))
     below = energies < sys_.chain.band_bottom
     assert below.sum() == 2
 
 
 def test_ground_state_lives_on_the_even_combination():
-    sys_ = fig_system(N=60, R=2)
+    sys_ = fig_system(N=60)
     energies, vectors = np.linalg.eigh(symmetric_hamiltonian(sys_, 2))
     assert abs(vectors[0, 0] + vectors[1, 0]) / math.sqrt(2.0) > 0.999
     assert energies[1] - energies[0] > 0.0
@@ -145,7 +147,7 @@ def test_ed_energy_matches_closed_form():
 def test_ed_systematics_shrink_with_chain_length():
     # the N-dependent part of the estimate is the ring image, geometric in
     # N; past that it settles onto its (N-independent) fourth-order floor
-    values = [cp_energy_ed(fig_system(N=n, R=2), 2) for n in (8, 16, 32, 64)]
+    values = [cp_energy_ed(fig_system(N=n), 2) for n in (8, 16, 32, 64)]
     drifts = [abs(v2 - v1) for v1, v2 in zip(values, values[1:])]
     assert drifts[0] > drifts[1] > drifts[2]
     assert drifts[2] < 1e-10

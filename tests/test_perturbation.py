@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chaincp.errors import RegimeViolation
+from chaincp.errors import BandEdgeError, RegimeViolation
 from chaincp.lattice import ChainParams, ImpurityConfig, SymmetricSystem
 from chaincp.perturbation import (
     band_energies,
     effective_coefficients,
-    geometric_ratio,
     symmetric_spectrum_closed,
     symmetric_spectrum_ksum,
 )
 
 
-def brute_coefficients(chain, imps):
+def brute_coefficients(chain, imps, R):
     """Direct complex-sum evaluation of the second-order coefficients.
 
     Plain Python floats and cmath, no shared code with the implementation
@@ -33,7 +32,7 @@ def brute_coefficients(chain, imps):
         energy = chain.omega - 2.0 * chain.J * math.cos(k)
         shift1 += g1 * g1 / (imps.eps1 - energy)
         shift2 += g2 * g2 / (imps.eps2 - energy)
-        hop12 += (g1 * g2 * cmath.exp(-1j * k * imps.R) / 2.0
+        hop12 += (g1 * g2 * cmath.exp(-1j * k * R) / 2.0
                   * (1.0 / (imps.eps1 - energy) + 1.0 / (imps.eps2 - energy)))
         band.append(g1 * g1 / (energy - imps.eps1) + g2 * g2 / (energy - imps.eps2))
     return shift1, shift2, hop12, np.array(band)
@@ -42,9 +41,9 @@ def brute_coefficients(chain, imps):
 @pytest.mark.parametrize("R", [1, 2, 5])
 def test_effective_coefficients_match_direct_sum(R):
     chain = ChainParams(omega=2.0, J=0.3, N=25)
-    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02, R=R)
-    coeff = effective_coefficients(chain, imps)
-    shift1, shift2, hop12, band = brute_coefficients(chain, imps)
+    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02)
+    coeff = effective_coefficients(chain, imps, R)
+    shift1, shift2, hop12, band = brute_coefficients(chain, imps, R)
     assert coeff.shift1 == pytest.approx(shift1, rel=1e-13)
     assert coeff.shift2 == pytest.approx(shift2, rel=1e-13)
     assert coeff.hop12.real == pytest.approx(hop12.real, rel=1e-13)
@@ -55,25 +54,18 @@ def test_effective_coefficients_match_direct_sum(R):
 def test_effective_coefficients_frozen_value():
     # independently computed with a 70-digit reference sum
     chain = ChainParams(omega=2.0, J=0.3, N=7)
-    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02, R=2)
-    coeff = effective_coefficients(chain, imps)
+    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02)
+    coeff = effective_coefficients(chain, imps, 2)
     assert coeff.hop12.real == pytest.approx(-3.1300802834094054e-05, rel=1e-12)
     # the odd-in-k part cancels pairwise across +-k
     assert abs(coeff.hop12.imag) < 1e-18
 
 
-def test_hop21_is_the_conjugate():
-    chain = ChainParams(omega=2.0, J=0.4, N=12)
-    imps = ImpurityConfig(eps1=0.8, eps2=1.05, lambda0=0.015, lambda_r=0.01, R=3)
-    coeff = effective_coefficients(chain, imps)
-    assert coeff.hop21 == coeff.hop12.conjugate()
-
-
 def test_level_shifts_are_negative_below_band():
     # every denominator eps - Omega_k is negative there
     chain = ChainParams(omega=2.0, J=0.3, N=20)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.01, lambda_r=0.01, R=1)
-    coeff = effective_coefficients(chain, imps)
+    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.01, lambda_r=0.01)
+    coeff = effective_coefficients(chain, imps, 1)
     assert coeff.shift1 < 0 and coeff.shift2 < 0
     # and the band is pushed up in compensation
     assert np.all(coeff.band_shift > 0)
@@ -81,23 +73,37 @@ def test_level_shifts_are_negative_below_band():
 
 def test_effective_coefficients_reject_levels_in_band():
     chain = ChainParams(omega=2.0, J=0.3, N=20)
-    imps = ImpurityConfig(eps1=1.7, eps2=1.0, lambda0=0.01, lambda_r=0.01, R=1)
+    imps = ImpurityConfig(eps1=1.7, eps2=1.0, lambda0=0.01, lambda_r=0.01)
     with pytest.raises(RegimeViolation):
-        effective_coefficients(chain, imps)
+        effective_coefficients(chain, imps, 1)
+
+
+def test_effective_coefficients_check_separation():
+    chain = ChainParams(omega=2.0, J=0.3, N=20)
+    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.01, lambda_r=0.01)
+    with pytest.raises(ValueError):
+        effective_coefficients(chain, imps, 0)
+    with pytest.raises(TypeError):
+        effective_coefficients(chain, imps, 1.5)
+
+
+def with_band_parameter(a):
+    """A system whose band parameter ``2 J / delta`` is ``a``, at ``delta = -1``."""
+    return SymmetricSystem.from_detuning(delta=-1.0, J=-a / 2.0, lam=0.01, N=10)
 
 
 def test_geometric_ratio_values():
-    assert geometric_ratio(0.0) == 0.0
-    assert geometric_ratio(-0.6) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert with_band_parameter(0.0).q == 0.0
+    assert with_band_parameter(-0.6).q == pytest.approx(1.0 / 3.0, rel=1e-15)
     # matches the textbook form where that form is well conditioned
     for a in (-0.9, -0.5, -0.2):
         naive = (math.sqrt(1.0 - a * a) - 1.0) / a
-        assert geometric_ratio(a) == pytest.approx(naive, rel=1e-14)
+        assert with_band_parameter(a).q == pytest.approx(naive, rel=1e-14)
 
 
 def test_geometric_ratio_stays_in_unit_interval():
     grid = np.linspace(-0.999, 0.0, 200)
-    values = [geometric_ratio(float(a)) for a in grid]
+    values = [with_band_parameter(float(a)).q for a in grid]
     assert all(0.0 <= q < 1.0 for q in values)
     # q grows with |a|
     assert all(q1 > q2 for q1, q2 in zip(values, values[1:]) if q2 != 0.0)
@@ -105,35 +111,38 @@ def test_geometric_ratio_stays_in_unit_interval():
 
 @pytest.mark.parametrize("a", [0.5, -1.0, -1.5])
 def test_geometric_ratio_domain(a):
-    with pytest.raises(ValueError):
-        geometric_ratio(a)
+    # q exists only for a in (-1, 0]: a level at or inside the band, or a
+    # detuning above the band centre, leaves no system to take it from
+    J = 0.3
+    with pytest.raises(BandEdgeError):
+        SymmetricSystem.from_detuning(delta=2.0 * J / a, J=J, lam=0.01, N=10)
 
 
 def test_closed_spectrum_frozen_values():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=1, N=200)
-    e_plus, e_minus = symmetric_spectrum_closed(sys_)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=200)
+    e_plus, e_minus = symmetric_spectrum_closed(sys_, 1)
     assert e_plus == pytest.approx(0.9998333333333333, rel=1e-14)
     assert e_minus == pytest.approx(0.9999166666666667, rel=1e-14)
     assert e_plus < e_minus
 
 
 def test_closed_spectrum_flat_band_degenerate():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.0, lam=0.01, R=3, N=10)
-    e_plus, e_minus = symmetric_spectrum_closed(sys_)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.0, lam=0.01, N=10)
+    e_plus, e_minus = symmetric_spectrum_closed(sys_, 3)
     assert e_plus == e_minus == pytest.approx(1.0 - 1e-4, rel=1e-15)
 
 
 def test_closed_spectrum_degenerate_at_large_separation():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=40, N=100)
-    e_plus, e_minus = symmetric_spectrum_closed(sys_)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=100)
+    e_plus, e_minus = symmetric_spectrum_closed(sys_, 40)
     assert abs(e_plus - e_minus) < 1e-15
 
 
 def test_ksum_spectrum_matches_two_level_diagonalisation():
     # the doublet from the k-sums must equal eps0 + shift +- |hop12|
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=2, N=60)
-    spectrum = symmetric_spectrum_ksum(sys_)
-    coeff = effective_coefficients(sys_.chain, sys_.impurities)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=60)
+    spectrum = symmetric_spectrum_ksum(sys_, 2)
+    coeff = effective_coefficients(sys_.chain, sys_.impurities, 2)
     centre = sys_.eps0 + coeff.shift1
     split = abs(coeff.hop12)
     assert spectrum.e_plus == pytest.approx(centre - split, rel=1e-13)
@@ -142,8 +151,8 @@ def test_ksum_spectrum_matches_two_level_diagonalisation():
 
 
 def test_ksum_band_matches_band_energies_helper():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.4, lam=0.01, R=1, N=30)
-    spectrum = symmetric_spectrum_ksum(sys_)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.4, lam=0.01, N=30)
+    spectrum = symmetric_spectrum_ksum(sys_, 1)
     assert np.array_equal(spectrum.band, band_energies(sys_))
 
 
@@ -152,17 +161,17 @@ def test_ksum_converges_to_closed_form():
     # past N ~ 10 the images drop below double precision, hence tiny chains
     errors = []
     for n in (2, 4, 8):
-        sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=2, N=n)
-        e_plus, _ = symmetric_spectrum_closed(sys_)
-        ksum = symmetric_spectrum_ksum(sys_)
+        sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=n)
+        e_plus, _ = symmetric_spectrum_closed(sys_, 2)
+        ksum = symmetric_spectrum_ksum(sys_, 2)
         errors.append(abs(ksum.e_plus - e_plus))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 1e-10
 
 
 def test_ksum_large_chain_agrees_with_closed_form():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.4, lam=0.01, R=3, N=2000)
-    e_plus, e_minus = symmetric_spectrum_closed(sys_)
-    spectrum = symmetric_spectrum_ksum(sys_)
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.4, lam=0.01, N=2000)
+    e_plus, e_minus = symmetric_spectrum_closed(sys_, 3)
+    spectrum = symmetric_spectrum_ksum(sys_, 3)
     assert spectrum.e_plus == pytest.approx(e_plus, rel=1e-10)
     assert spectrum.e_minus == pytest.approx(e_minus, rel=1e-10)

@@ -7,6 +7,8 @@ from chaincp.casimir import ecp_force
 from chaincp.lattice import SymmetricSystem
 from chaincp.perturbation import symmetric_spectrum_closed
 from chaincp.thermal import (
+    TemperatureForce,
+    _growth_violations,
     force_vs_temperature,
     thermal_energy,
     thermal_ensemble,
@@ -14,14 +16,14 @@ from chaincp.thermal import (
 )
 
 
-def fig_system(delta=-1.0, J=0.3, lam=0.1, R=1, N=100):
+def fig_system(delta=-1.0, J=0.3, lam=0.1, N=100):
     """Thermal-figure parameters: stronger coupling, modest chain."""
-    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, R=R, N=N)
+    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, N=N)
 
 
 def brute_average(sys_, T, R):
     """Plain-float Boltzmann average over the explicit level list."""
-    e_plus, e_minus = symmetric_spectrum_closed(sys_.at_separation(R))
+    e_plus, e_minus = symmetric_spectrum_closed(sys_, R)
     levels = [e_plus, e_minus]
     ns = sys_.chain.num_sites
     gsq = sys_.lam ** 2 / ns
@@ -36,8 +38,8 @@ def brute_average(sys_, T, R):
 
 def test_zero_temperature_recovers_the_ground_level():
     sys_ = fig_system(N=60)
-    e_plus, _ = symmetric_spectrum_closed(sys_)
-    assert thermal_energy(sys_, 0.0) == e_plus
+    e_plus, _ = symmetric_spectrum_closed(sys_, 1)
+    assert thermal_energy(sys_, 0.0, 1) == e_plus
 
 
 def test_zero_temperature_force_matches_the_ground_state_force():
@@ -49,12 +51,12 @@ def test_zero_temperature_force_matches_the_ground_state_force():
 
 def test_infinite_temperature_is_the_uniform_average():
     sys_ = fig_system(N=40)
-    ens = thermal_ensemble(sys_, math.inf)
+    ens = thermal_ensemble(sys_, math.inf, 1)
     expected = np.full(ens.energies.size, 1.0 / ens.energies.size)
     assert np.allclose(ens.weights, expected, rtol=0, atol=1e-15)
     assert ens.z == pytest.approx(ens.energies.size, rel=1e-12)
     mean = math.fsum(ens.energies) / ens.energies.size
-    assert thermal_energy(sys_, math.inf) == pytest.approx(mean, rel=1e-12)
+    assert thermal_energy(sys_, math.inf, 1) == pytest.approx(mean, rel=1e-12)
 
 
 def test_infinite_temperature_force_vanishes():
@@ -71,38 +73,38 @@ def test_thermal_energy_matches_direct_average(T):
 def test_weights_are_a_distribution():
     sys_ = fig_system(N=50)
     for temp in (0.0, 0.01, 0.3, 5.0, math.inf):
-        ens = thermal_ensemble(sys_, temp)
+        ens = thermal_ensemble(sys_, temp, 1)
         assert np.all(ens.weights >= 0.0)
         assert math.fsum(ens.weights) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_zero_temperature_weights_concentrate():
-    ens = thermal_ensemble(fig_system(N=30), 0.0)
+    ens = thermal_ensemble(fig_system(N=30), 0.0, 1)
     assert ens.weights[0] == 1.0
     assert np.all(ens.weights[1:] == 0.0)
 
 
 def test_flat_band_doublet_shares_weight_at_zero_temperature():
     # J = 0 leaves the doublet exactly degenerate
-    ens = thermal_ensemble(fig_system(J=0.0, N=30), 0.0)
+    ens = thermal_ensemble(fig_system(J=0.0, N=30), 0.0, 1)
     assert ens.weights[0] == ens.weights[1] == 0.5
 
 
 def test_spectrum_ordering():
-    ens = thermal_ensemble(fig_system(N=50), 0.2)
+    ens = thermal_ensemble(fig_system(N=50), 0.2, 1)
     energies = ens.energies
     assert energies[0] < energies[1] < energies[2:].min()
 
 
 def test_negative_temperature_rejected():
     with pytest.raises(ValueError):
-        thermal_ensemble(fig_system(), -0.1)
+        thermal_ensemble(fig_system(), -0.1, 1)
 
 
 def test_ground_population_falls_with_temperature():
     sys_ = fig_system(N=50)
     temps = np.geomspace(1e-3, 1.0, 15)
-    populations = [thermal_ensemble(sys_, float(t)).weights[0] for t in temps]
+    populations = [thermal_ensemble(sys_, float(t), 1).weights[0] for t in temps]
     assert all(p2 < p1 for p1, p2 in zip(populations, populations[1:]))
 
 
@@ -114,7 +116,7 @@ def test_odd_doublet_share_grows_with_temperature():
     temps = np.geomspace(1e-3, 1.0, 15)
     shares = []
     for t in temps:
-        w = thermal_ensemble(sys_, float(t)).weights
+        w = thermal_ensemble(sys_, float(t), 1).weights
         shares.append(w[1] / (w[0] + w[1]))
     assert all(s2 > s1 for s1, s2 in zip(shares, shares[1:]))
 
@@ -153,6 +155,17 @@ def test_force_vs_temperature_sweep():
     for rec in sweep.records:
         assert rec.force == thermal_force(sys_, rec.T, 2)
     assert sweep.violations == ()
+
+
+def test_growth_checker_flags_each_rise_beyond_noise():
+    records = [TemperatureForce(0.0, -1e-3), TemperatureForce(0.1, -2e-3),
+               TemperatureForce(0.2, -2e-3 - 5e-16), TemperatureForce(1.0, 3e-3)]
+    found = _growth_violations(records)
+    # 1e-3 -> 2e-3 and 2e-3 -> 3e-3 grew; the 5e-16 step is noise
+    assert len(found) == 2
+    assert "at T=0 " in found[0] and "at T=0.1" in found[0]
+    assert "at T=0.2 " in found[1] and "at T=1" in found[1]
+    assert _growth_violations(records[:1]) == ()
 
 
 def test_force_vs_temperature_validates_the_grid():
