@@ -27,19 +27,23 @@ is evidence rather than tautology.
                   \\frac{e^{-i k R}}{\\delta + 2 J \\cos k}\\, dk
 
   by the periodic trapezoid rule, which converges geometrically for this
-  analytic integrand.  The integral is a difference of quantities nine or
-  more orders apart at large ``R``, far below the float64 noise floor, so
-  the accumulation runs in arbitrary precision (mpmath) and only the final
-  value is rounded.
+  analytic integrand.  The denominator does not depend on ``R``, so one grid
+  serves a whole range of separations: each node pays for ``cos k``,
+  ``sin k`` and one division, and the phases ``cos kR``, ``sin kR`` follow
+  from the Chebyshev recurrence ``x_{R+1} = 2 cos k x_R - x_{R-1}``.  The
+  integral is a difference of quantities nine or more orders apart at large
+  ``R``, far below the float64 noise floor, so the accumulation runs in
+  arbitrary precision (mpmath), with enough digits for the ``-R log10 q``
+  that cancel, and only the final values are rounded.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 import weakref
 
 import numpy as np
-from mpmath import mp
 
 from .casimir import cp_energy
 from .errors import ConvergenceError, InvalidRegime, NonConvergence
@@ -155,53 +159,85 @@ def cp_energy_ed(sys: SymmetricSystem, R: int, r_ref: int | None = None) -> floa
 
 def cp_energy_quadrature(
     sys: SymmetricSystem,
-    R: int,
+    R: int | range,
     rel_tol: float = 1e-13,
     max_points: int = 2 ** 22,
     dps: int = 40,
-) -> float:
+) -> float | tuple[float, ...]:
     """Interaction energy from the momentum integral, in arbitrary precision.
 
-    The periodic trapezoid rule is spectrally accurate here; the number of
-    points doubles from 64 until two successive estimates agree to
-    ``rel_tol``.  Each doubling adds only the new midpoints to the running
-    sums, and every node of the full ``[-pi, pi)`` grid is evaluated.  The
-    imaginary part must cancel by the k -> -k symmetry of the grid; a
-    residual above 1e-12 relative raises
+    One periodic trapezoid grid serves every separation asked for.  Each
+    node costs one division by ``delta + 2 J cos k`` and the trig calls for
+    ``cos k``, ``sin k`` and, when ``rmin > 1``, the phase ``rmin k``; the
+    phases ``cos kR`` and ``sin kR`` for ``R = rmin .. rmax`` follow from
+    the Chebyshev recurrence ``x_{R+1} = 2 cos k x_R - x_{R-1}``, and each
+    separation keeps its own real and imaginary running sums.  The number of points doubles from 64,
+    adding only the new midpoints, until every separation has two successive
+    estimates that agree to ``rel_tol``; a separation's value is the first
+    estimate that does, so a sweep returns the same floats as one call per
+    separation.  The imaginary part must cancel by the k -> -k symmetry of
+    the grid; a residual above 1e-12 relative at any separation raises
     :class:`~chaincp.errors.ConvergenceError`.
+
+    The answer at ``R`` is of order ``q**R`` while the integrand is of order
+    one, so the sum cancels about ``-R log10 q`` digits.  The accumulation
+    runs at ``dps + max(0, ceil(-rmax log10 q) - 5)`` digits: the default
+    40 digits absorb the first five lost, and a tiny hopping (``q`` of
+    1e-5 at ``J = 1e-5``) gets the digits its smallest answer needs
+    instead of refining forever.  ``q`` sets the precision only; the value
+    comes from the integral alone.
 
     Parameters
     ----------
     sys : SymmetricSystem
         Requires a dispersive band, ``a`` in ``(-1, 0)``.
-    R : int
-        Separation, ``R >= 0``; ``R = 0`` gives the single-level shift scale.
+    R : int or range
+        Separation ``R >= 0`` (``R = 0`` gives the single-level shift
+        scale), or a non-empty range of them with step 1.
     rel_tol : float
         Relative agreement between successive refinements.
     max_points : int
         Point budget; exceeding it raises
-        :class:`~chaincp.errors.NonConvergence`.
+        :class:`~chaincp.errors.NonConvergence`, naming the separations
+        still unconverged.
     dps : int
-        Working decimal precision for the accumulation.
+        Working decimal precision for the accumulation, before the
+        allowance for cancellation above.
 
     Returns
     -------
-    float
-        The integral times ``lam**2``, rounded once at the end.
+    float or tuple of float
+        The integral times ``lam**2``, rounded once at the end; a tuple in
+        the order of ``R`` when ``R`` is a range.
     """
+    # imported on first use: nothing else needs mpmath, ~30 ms of `import chaincp`
+    from mpmath import mp
+
     if sys.a == 0.0:
         raise InvalidRegime("quadrature needs a dispersive band (J > 0); "
                             "for J = 0 the interaction is identically zero")
-    _check_separation(R, lower=0)
+    if isinstance(R, range):
+        if R.step != 1 or not R:
+            raise ValueError(f"separations must be a non-empty range with step 1, got {R!r}")
+        _check_separation(R.start, lower=0)
+        seps = R
+    else:
+        _check_separation(R, lower=0)
+        seps = range(R, R + 1)
+    rmin, rmax = seps[0], seps[-1]
+    # q underflows to 0.0 only below the smallest subnormal
+    lost = math.ceil(-rmax * math.log10(max(sys.q, math.ulp(0.0))))
 
-    with mp.workdps(dps):
+    with mp.workdps(dps + max(0, lost - 5)):
         delta = mp.mpf(sys.delta)
         two_j = mp.mpf(2.0 * sys.chain.J)
         lam_sq = mp.mpf(sys.lam) ** 2
 
-        prev = None
-        acc_re = mp.mpf(0)
-        acc_im = mp.mpf(0)
+        n_seps = len(seps)
+        acc_re = [mp.mpf(0)] * n_seps
+        acc_im = [mp.mpf(0)] * n_seps
+        prev: list = [None] * n_seps
+        values: list = [None] * n_seps
         m_points = 64
         # the nodes not yet in the sums are first + j * step, j < count
         step = 2 * mp.pi / m_points
@@ -209,25 +245,51 @@ def cp_energy_quadrature(
         while m_points <= max_points:
             for j in range(count):
                 k = first + j * step
-                den = delta + two_j * mp.cos(k)
-                acc_re += mp.cos(k * R) / den
-                acc_im -= mp.sin(k * R) / den
-            value = lam_sq * acc_re / m_points
-            imag = lam_sq * acc_im / m_points
-            if prev is not None and abs(value - prev) <= rel_tol * abs(value):
-                if abs(imag) > 1e-12 * max(1.0, abs(value)):
-                    raise ConvergenceError(
-                        f"odd part failed to cancel at R={R}: {mp.nstr(imag, 6)} "
-                        f"with {m_points} points"
-                    )
-                return float(value)
-            prev = value
+                cos_k = mp.cos(k)
+                inv_den = 1 / (delta + two_j * cos_k)
+                if rmin == 0:
+                    c, s = mp.mpf(1), mp.mpf(0)
+                elif rmin == 1:
+                    c, s = cos_k, mp.sin(k)
+                else:
+                    c, s = mp.cos(k * rmin), mp.sin(k * rmin)
+                if n_seps > 1:
+                    sin_k = s if rmin == 1 else mp.sin(k)
+                    # the phase one step back, (rmin - 1) k, seeds the recurrence
+                    c_prev = (c * cos_k + s * sin_k) * inv_den
+                    s_prev = (s * cos_k - c * sin_k) * inv_den
+                    two_cos = 2 * cos_k
+                # the recurrence is linear, so it can carry the summands
+                # cos(Rk) / den and sin(Rk) / den themselves
+                c, s = c * inv_den, s * inv_den
+                for i in range(n_seps):
+                    acc_re[i] += c
+                    acc_im[i] -= s
+                    if i + 1 < n_seps:
+                        c, c_prev = two_cos * c - c_prev, c
+                        s, s_prev = two_cos * s - s_prev, s
+            for i, r in enumerate(seps):
+                if values[i] is not None:
+                    continue
+                value = lam_sq * acc_re[i] / m_points
+                if prev[i] is not None and abs(value - prev[i]) <= rel_tol * abs(value):
+                    imag = lam_sq * acc_im[i] / m_points
+                    if abs(imag) > 1e-12 * max(1.0, abs(value)):
+                        raise ConvergenceError(
+                            f"odd part failed to cancel at R={r}: {mp.nstr(imag, 6)} "
+                            f"with {m_points} points"
+                        )
+                    values[i] = float(value)
+                prev[i] = value
+            if None not in values:
+                return tuple(values) if isinstance(R, range) else values[0]
             # doubling the grid adds one node halfway between each pair of current ones
             step = 2 * mp.pi / m_points
             first, count = -mp.pi + step / 2, m_points
             m_points *= 2
 
+    missing = ", ".join(str(r) for r, value in zip(seps, values) if value is None)
     raise NonConvergence(
-        f"trapezoid refinement reached {max_points} points at R={R} without "
+        f"trapezoid refinement reached {max_points} points at R={missing} without "
         f"two estimates agreeing to {rel_tol}"
     )

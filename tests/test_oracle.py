@@ -1,5 +1,10 @@
 import ast
+import csv
 import math
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +25,11 @@ from chaincp.oracle import _ground_energy, cp_energy_ed, cp_energy_quadrature
 
 def fig_system(delta=-1.0, J=0.3, lam=0.01, N=200):
     return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, N=N)
+
+
+def table_rows(path):
+    return list(csv.DictReader(line for line in path.read_text().splitlines()
+                               if not line.startswith("#")))
 
 
 def test_matrix_shape_and_symmetry():
@@ -238,6 +248,99 @@ def test_quadrature_odd_part_residual_is_a_convergence_error(monkeypatch, tmp_pa
     code = cli_main(["--mode", "oracle-check", "--N", "40", "--rmax", "2",
                      "--output", str(tmp_path / "oracle.csv")])
     assert code == 4
+
+
+@pytest.mark.parametrize("J,separations", [(0.3, range(0, 21)), (0.495, range(1, 21)),
+                                           (1e-5, range(1, 11))],
+                         ids=["a=-0.6", "a=-0.99", "J=1e-5"])
+def test_quadrature_sweep_gives_the_floats_of_single_calls(J, separations):
+    sys_ = fig_system(J=J)
+    assert cp_energy_quadrature(sys_, separations) == tuple(
+        cp_energy_quadrature(sys_, r) for r in separations)
+
+
+def test_quadrature_sweep_keeps_each_separations_first_converged_estimate():
+    # at a loose tolerance small R settle grids before R = 20 does, on an
+    # estimate that later refinements would still move in its last bits
+    sys_ = fig_system(J=0.495)
+    sweep = cp_energy_quadrature(sys_, range(1, 21), rel_tol=1e-6)
+    assert sweep == tuple(cp_energy_quadrature(sys_, r, rel_tol=1e-6) for r in range(1, 21))
+
+
+def test_quadrature_keeps_its_digits_at_tiny_hopping():
+    # q ~ 1e-5, so E_cp(10) ~ 1e-54 sits 50 digits below the integrand
+    sys_ = fig_system(J=1e-5)
+    for r, value in zip(range(6, 11), cp_energy_quadrature(sys_, range(6, 11))):
+        assert value == pytest.approx(cp_energy(sys_, r), rel=1e-12)
+
+
+def test_quadrature_sweep_names_the_separations_left_unconverged():
+    # on a = -0.6 the 128-point grid settles R <= 18 only
+    with pytest.raises(NonConvergence, match=r"at R=19, 20 without"):
+        cp_energy_quadrature(fig_system(J=0.3), range(1, 21), max_points=128)
+
+
+def test_quadrature_rejects_ranges_it_cannot_sweep():
+    sys_ = fig_system()
+    for bad in (range(3, 3), range(1, 9, 2), range(-1, 3)):
+        with pytest.raises(ValueError):
+            cp_energy_quadrature(sys_, bad)
+    with pytest.raises(TypeError):
+        cp_energy_quadrature(sys_, 1.0)
+
+
+def test_oracle_check_makes_at_most_five_trig_calls_per_node(monkeypatch, tmp_path):
+    # R = 1..10 on a = -0.6 settles on the 128-point grid; one quadrature
+    # call per separation used to cost 3 per node per R, 3840 in all
+    calls = []
+    for name in ("cos", "sin"):
+        real = getattr(mp, name)
+        monkeypatch.setattr(mp, name, lambda x, real=real: calls.append(x) or real(x))
+    code = cli_main(["--mode", "oracle-check", "--N", "40", "--rmax", "10",
+                     "--output", str(tmp_path / "oracle.csv")])
+    monkeypatch.undo()
+    assert code == 0
+    assert 0 < len(calls) <= 5 * 128
+
+
+def test_oracle_check_at_tiny_hopping_finishes_with_the_quadrature_ok(tmp_path):
+    # E_cp of 1e-19 .. 1e-54 lies below the float64 difference the ED
+    # estimate is made of, so its column fails and the run exits 4, fast
+    out = tmp_path / "oracle.csv"
+    start = time.perf_counter()
+    code = cli_main(["--mode", "oracle-check", "--J", "1e-5", "--N", "40", "--rmax", "10",
+                     "--output", str(out)])
+    assert time.perf_counter() - start < 5.0
+    assert code == 4
+    rows = table_rows(out)
+    assert len(rows) == 10
+    assert all(row["quad_ok"] == "1" for row in rows)
+    assert any(row["ed_ok"] == "0" for row in rows)
+
+
+def test_oracle_check_survives_a_closed_form_that_underflows(tmp_path):
+    # from R = 64 on, E_cp ~ 1e-4 * 1e-5**R is below the smallest subnormal:
+    # closed form and quadrature both give 0.0, which is a match, not a
+    # division by zero
+    out = tmp_path / "oracle.csv"
+    code = cli_main(["--mode", "oracle-check", "--J", "1e-5", "--N", "264", "--rmax", "66",
+                     "--output", str(out)])
+    assert code == 4
+    rows = table_rows(out)
+    assert [float(row["closed"]) for row in rows[-3:]] == [0.0, 0.0, 0.0]
+    assert all(row["quad_ok"] == "1" for row in rows)
+
+
+def test_importing_the_package_leaves_mpmath_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(chaincp.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chaincp; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_package_has_no_assert_statements():
