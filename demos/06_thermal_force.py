@@ -11,7 +11,7 @@ offer more band states and drain the doublet faster at the same T.
 
 import math
 
-from chaincp import SymmetricSystem, ecp_force, thermal_ensemble, thermal_force
+from chaincp import SymmetricSystem, ecp_force, thermal_ensemble, thermal_force, thermal_table
 
 
 def main():
@@ -30,12 +30,12 @@ def main():
         print("\nN = {}".format(n))
         print(header)
         sys_n = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=n)
+        # one table: the band once, then one ensemble per (T, R)
+        temps = (0.0, 0.1, 1.0)
+        force = {(row.T, row.R): row.force for row in thermal_table(sys_n, temps, 1, 8)}
         for r in range(1, 9):
             print("  {:2d}   {: .6e}   {: .6e}   {: .6e}".format(
-                r,
-                thermal_force(sys_n, 0.0, r),
-                thermal_force(sys_n, 0.1, r),
-                thermal_force(sys_n, 1.0, r)))
+                r, *(force[t, r] for t in temps)))
 
     cold = thermal_force(sys_, 1e-9, 3)
     static = ecp_force(sys_, 3)

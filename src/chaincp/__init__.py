@@ -50,10 +50,12 @@ from .thermal import (
     TemperatureForce,
     TemperatureSweep,
     ThermalEnsemble,
+    ThermalRow,
     force_vs_temperature,
     thermal_energy,
     thermal_ensemble,
     thermal_force,
+    thermal_table,
 )
 
 __all__ = [
@@ -71,8 +73,8 @@ __all__ = [
     # oracle
     "cp_energy_ed", "cp_energy_quadrature",
     # thermal
-    "ThermalEnsemble", "TemperatureForce", "TemperatureSweep",
-    "thermal_ensemble", "thermal_energy", "thermal_force",
+    "ThermalEnsemble", "ThermalRow", "TemperatureForce", "TemperatureSweep",
+    "thermal_ensemble", "thermal_table", "thermal_energy", "thermal_force",
     "force_vs_temperature",
     # errors
     "RegimeViolation", "BandEdgeError", "InvalidRegime",

@@ -27,7 +27,7 @@ from .casimir import cp_energy, decay_profile, force_curve
 from .errors import ConvergenceError, InvalidRegime, RegimeViolation
 from .lattice import SymmetricSystem, brillouin_modes, dispersion, require_valid_regime
 from .oracle import cp_energy_ed, cp_energy_quadrature
-from .thermal import TemperatureForce, _growth_violations, thermal_energy, thermal_force
+from .thermal import ThermalRow, _growth_violations, thermal_table
 
 MODES = (
     "force-sweep",
@@ -377,18 +377,15 @@ def _run_decay_profile(cfg: RunConfig):
 def _run_thermal_sweep(cfg: RunConfig):
     columns = ("T", "N", "R", "energy", "force")
     rows = []
+    by_nr: dict[tuple[int, int], list[ThermalRow]] = {}
     for n in cfg.n_values or (cfg.N,):
         sys_ = _system(cfg, N=int(n))
         for note in require_valid_regime(sys_.chain, sys_.impurities).warnings:
             _warn(note)
-        for temp in cfg.temperatures:
-            for r in range(cfg.rmin, cfg.rmax + 1):
-                rows.append((float(temp), int(n),  r,
-                             thermal_energy(sys_, temp, r), thermal_force(sys_, temp, r)))
+        for row in thermal_table(sys_, cfg.temperatures, cfg.rmin, cfg.rmax):
+            rows.append((row.T, int(n), row.R, row.energy, row.force))
+            by_nr.setdefault((int(n), row.R), []).append(row)
     # |f_T| should not grow with temperature; report any surprise.
-    by_nr: dict[tuple[int, int], list[TemperatureForce]] = {}
-    for temp, n, r, _, force in rows:
-        by_nr.setdefault((n, r), []).append(TemperatureForce(T=temp, force=force))
     for (n, r), seq in sorted(by_nr.items()):
         for note in _growth_violations(seq):
             _warn(f"at N={n}, R={r}: {note}")

@@ -20,6 +20,13 @@ partner (killing the splitting the force lives on) and then into the band,
 so ``|f_T|`` falls with temperature and the band states' lack of ``R``
 dependence makes the infinite-temperature force vanish.
 
+Every energy and force comes from one table, :func:`thermal_table`.  The
+band does not depend on ``R``, so the table builds it once per system, then
+one ensemble per ``(T, R)`` for ``R = rmin .. rmax + 1``, and reads each
+force off two neighbouring energies.  :func:`thermal_energy`,
+:func:`thermal_force`, :func:`force_vs_temperature` and the CLI's
+``thermal-sweep`` all go through it or through its one-ensemble kernel.
+
 Weights are always computed from energies shifted by the spectrum minimum,
 so they are safe at any temperature; only the literal partition function
 ``z`` can under- or overflow, and it is stored for inspection rather than
@@ -34,18 +41,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import SymmetricSystem
+from .lattice import SymmetricSystem, _check_separation
 from .perturbation import SymmetricSpectrum, band_energies, symmetric_spectrum_closed
 
 __all__ = [
     "ThermalEnsemble",
+    "ThermalRow",
     "TemperatureForce",
     "TemperatureSweep",
     "thermal_ensemble",
+    "thermal_table",
     "thermal_energy",
     "thermal_force",
     "force_vs_temperature",
 ]
+
+#: How far the cancellation in ``E_T(R) - E_T(R + 1)`` can move a force, in
+#: units of the larger energy: a few ulp in each of the two terms.
+CANCEL_EPS = 4 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -78,6 +91,43 @@ class ThermalEnsemble:
         )
 
 
+class ThermalRow(NamedTuple):
+    """One row of :func:`thermal_table`: ``E_T(R)`` and ``f_T(R)``."""
+
+    T: float
+    R: int
+    energy: float
+    force: float
+
+
+def _boltzmann(energies: np.ndarray, T: float) -> tuple[np.ndarray, float]:
+    """Normalised weights over ``energies`` at ``T``, and the literal partition sum."""
+    # ``not T >= 0`` so that NaN is refused too; ``math.inf`` stays legal
+    if not T >= 0:
+        raise ValueError(f"temperature must be non-negative, got T={T}")
+    e_min = float(energies.min())
+    if T == 0:
+        # Limit distribution: all weight on the ground level, split evenly
+        # across an exact degeneracy (the flat-band case).
+        ground = energies == e_min
+        weights = ground / ground.sum()
+        z = 0.0 if e_min > 0 else (math.inf if e_min < 0 else float(ground.sum()))
+    else:
+        beta = 1.0 / T
+        shifted = np.exp(-beta * (energies - e_min))
+        norm = math.fsum(shifted.tolist())
+        weights = shifted / norm
+        z = float(np.exp(np.float64(-beta * e_min))) * norm
+    return weights, z
+
+
+def _ensemble_energy(sys: SymmetricSystem, band: np.ndarray, T: float, R: int) -> float:
+    """``E_T(R)`` over the closed-form doublet at ``R`` and the shifted ``band`` levels."""
+    energies = np.concatenate((symmetric_spectrum_closed(sys, R), band))
+    weights, _ = _boltzmann(energies, T)
+    return math.fsum((weights * energies).tolist())
+
+
 def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     """Populations of the doublet and band levels at temperature ``T``.
 
@@ -90,35 +140,49 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     R : int
         Separation to evaluate at, ``1 <= R <= N``.
     """
-    if T < 0:
-        raise ValueError(f"temperature must be non-negative, got T={T}")
-
     e_plus, e_minus = symmetric_spectrum_closed(sys, R)
     spectrum = SymmetricSpectrum(e_plus=e_plus, e_minus=e_minus, band=band_energies(sys))
-    energies = np.concatenate(([e_plus, e_minus], spectrum.band[:, 1]))
-    e_min = float(energies.min())
-
-    if T == 0:
-        # Limit distribution: all weight on the ground level, split evenly
-        # across an exact degeneracy (the flat-band case).
-        ground = energies == e_min
-        weights = ground / ground.sum()
-        beta = math.inf
-        z = 0.0 if e_min > 0 else (math.inf if e_min < 0 else float(ground.sum()))
-    else:
-        beta = 1.0 / T
-        shifted = np.exp(-beta * (energies - e_min))
-        norm = math.fsum(shifted)
-        weights = shifted / norm
-        z = float(np.exp(np.float64(-beta * e_min))) * norm
-
+    weights, z = _boltzmann(np.concatenate(((e_plus, e_minus), spectrum.band[:, 1])), T)
+    beta = math.inf if T == 0 else 1.0 / T
     return ThermalEnsemble(beta=beta, spectrum=spectrum, z=z, weights=weights)
+
+
+def thermal_table(sys: SymmetricSystem, temperatures, rmin: int, rmax: int
+                  ) -> tuple[ThermalRow, ...]:
+    """Thermal energy and force for every temperature and ``R = rmin .. rmax``.
+
+    The band is built once; each ``(T, R)`` ensemble for ``R = rmin ..
+    rmax + 1`` is built once and serves as the energy of row ``R`` and as
+    the far end of the force of row ``R - 1``.  Rows run over ``R`` within
+    each temperature, in the order the temperatures are given.
+
+    Parameters
+    ----------
+    sys : SymmetricSystem
+    temperatures : sequence of float
+        Each ``T >= 0``; ``math.inf`` is allowed.
+    rmin, rmax : int
+        Separations, ``1 <= rmin <= rmax`` and ``rmax + 1 <= N``.
+    """
+    temps = [float(t) for t in temperatures]
+    _check_separation(rmin)
+    if rmax < rmin:
+        raise ValueError(f"rmax={rmax} is below rmin={rmin}")
+    _check_separation(rmax + 1, sys.chain.N)
+
+    band = band_energies(sys)[:, 1]
+    separations = range(rmin, rmax + 2)
+    rows = []
+    for t in temps:
+        energies = [_ensemble_energy(sys, band, t, r) for r in separations]
+        rows.extend(ThermalRow(T=t, R=r, energy=e, force=-(e_next - e))
+                    for r, e, e_next in zip(separations, energies, energies[1:]))
+    return tuple(rows)
 
 
 def thermal_energy(sys: SymmetricSystem, T: float, R: int) -> float:
     """Ensemble average energy at separation ``R``; exactly ``e_plus`` at ``T = 0``."""
-    ens = thermal_ensemble(sys, T, R)
-    return math.fsum(ens.weights * ens.energies)
+    return _ensemble_energy(sys, band_energies(sys)[:, 1], T, R)
 
 
 def thermal_force(sys: SymmetricSystem, T: float, R: int) -> float:
@@ -126,7 +190,7 @@ def thermal_force(sys: SymmetricSystem, T: float, R: int) -> float:
 
     Needs room for the difference: ``1 <= R`` and ``R + 1 <= N``.
     """
-    return -(thermal_energy(sys, T, R + 1) - thermal_energy(sys, T, R))
+    return thermal_table(sys, (T,), R, R)[0].force
 
 
 class TemperatureForce(NamedTuple):
@@ -150,16 +214,21 @@ class TemperatureSweep:
     violations: tuple[str, ...]
 
 
-def _growth_violations(records) -> tuple[str, ...]:
-    """Adjacent records of an ascending-``T`` sweep where ``|f_T|`` grew.
+def _growth_violations(rows) -> tuple[str, ...]:
+    """Adjacent rows of an ascending-``T`` sweep at one ``R`` where ``|f_T|`` grew.
 
-    Growth within ``1e-15`` absolute counts as numerical noise.
+    Growth within :data:`CANCEL_EPS` times the largest energy that either
+    force is a difference of (``E_T(R)``, and ``E_T(R + 1) = E_T(R) - f_T(R)``)
+    counts as numerical noise: the cancellation alone can move a force that far.
     """
+    def noise(row):
+        return CANCEL_EPS * max(abs(row.energy), abs(row.energy - row.force))
+
     return tuple(
         f"|f_T| grew from {abs(prev.force):.6g} at T={prev.T:g} "
         f"to {abs(cur.force):.6g} at T={cur.T:g}"
-        for prev, cur in zip(records, records[1:])
-        if abs(cur.force) > abs(prev.force) + 1e-15
+        for prev, cur in zip(rows, rows[1:])
+        if abs(cur.force) > abs(prev.force) + max(noise(prev), noise(cur))
     )
 
 
@@ -175,11 +244,10 @@ def force_vs_temperature(sys: SymmetricSystem, R: int, temperatures) -> Temperat
         Non-negative, sorted ascending.
     """
     temps = [float(t) for t in temperatures]
-    if any(t < 0 for t in temps):
-        raise ValueError("temperatures must be non-negative")
     if temps != sorted(temps):
         raise ValueError("temperatures must be sorted ascending")
 
-    records = tuple(TemperatureForce(T=t, force=thermal_force(sys, t, R)) for t in temps)
+    rows = thermal_table(sys, temps, R, R)
+    records = tuple(TemperatureForce(T=row.T, force=row.force) for row in rows)
     return TemperatureSweep(system=sys, R=R, records=records,
-                            violations=_growth_violations(records))
+                            violations=_growth_violations(rows))

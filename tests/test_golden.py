@@ -22,6 +22,9 @@ TABLES = {
     "fig3.csv": ["--preset", "fig3"],
     "fig4.csv": ["--preset", "fig4"],
     "fig5.csv": ["--preset", "fig5"],
+    # large N and R, where the T = 0 cancellation magnifies any last-bit drift
+    "thermal-large.csv": ["--preset", "fig5", "--n-values", "1000,4000",
+                          "--temperatures", "0,0.01,1", "--rmax", "30"],
     "hopping-sweep.csv": ["--mode", "hopping-sweep"],
     "detuning-sweep.csv": ["--mode", "detuning-sweep"],
     "decay-profile.csv": ["--mode", "decay-profile"],

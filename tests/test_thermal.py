@@ -1,18 +1,22 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from chaincp import thermal
 from chaincp.casimir import ecp_force
+from chaincp.cli import main
 from chaincp.lattice import SymmetricSystem
 from chaincp.perturbation import symmetric_spectrum_closed
 from chaincp.thermal import (
-    TemperatureForce,
+    ThermalRow,
     _growth_violations,
     force_vs_temperature,
     thermal_energy,
     thermal_ensemble,
     thermal_force,
+    thermal_table,
 )
 
 
@@ -157,15 +161,31 @@ def test_force_vs_temperature_sweep():
     assert sweep.violations == ()
 
 
+def rows_at(energy, forces, temps=(0.0, 0.1, 0.2, 1.0)):
+    """Thermal rows at one separation, all with the same energy."""
+    return [ThermalRow(T=t, R=1, energy=energy, force=f) for t, f in zip(temps, forces)]
+
+
 def test_growth_checker_flags_each_rise_beyond_noise():
-    records = [TemperatureForce(0.0, -1e-3), TemperatureForce(0.1, -2e-3),
-               TemperatureForce(0.2, -2e-3 - 5e-16), TemperatureForce(1.0, 3e-3)]
+    records = rows_at(1.0, (-1e-3, -2e-3, -2e-3 - 5e-16, 3e-3))
     found = _growth_violations(records)
     # 1e-3 -> 2e-3 and 2e-3 -> 3e-3 grew; the 5e-16 step is noise
     assert len(found) == 2
     assert "at T=0 " in found[0] and "at T=0.1" in found[0]
     assert "at T=0.2 " in found[1] and "at T=1" in found[1]
     assert _growth_violations(records[:1]) == ()
+
+
+@pytest.mark.parametrize("scale,grows", [(1e3, False), (1e-3, True)])
+def test_growth_noise_scales_with_the_energies(scale, grows):
+    # A force is a difference of two energies of size `scale`, so only
+    # growth beyond a few ulp of `scale` is real.  An absolute 1e-15 would
+    # flag the 1e-13 step at scale 1e3 (noise: 4 eps * 1e3 ~ 9e-13) and miss
+    # the 1e-16 step at scale 1e-3 (real: 4 eps * 1e-3 ~ 9e-19).
+    step = 1e-13 if scale > 1 else 1e-16
+    force = -1e-3 * scale
+    found = _growth_violations(rows_at(scale, (force, force - step), temps=(0.0, 0.1)))
+    assert len(found) == (1 if grows else 0)
 
 
 def test_force_vs_temperature_validates_the_grid():
@@ -185,3 +205,77 @@ def test_band_dilution_weakens_the_warm_force():
     assert abs(f_large) < abs(f_small)
     assert thermal_force(fig_system(N=100), 0.0, 1) == \
         pytest.approx(thermal_force(fig_system(N=400), 0.0, 1), rel=1e-12)
+
+
+def test_table_rows_match_the_single_point_functions_bit_for_bit():
+    sys_ = fig_system(N=40)
+    temps = (0.0, 0.05, 1.0, math.inf)
+    rows = thermal_table(sys_, temps, 2, 6)
+    assert [(row.T, row.R) for row in rows] == [(t, r) for t in temps for r in range(2, 7)]
+    for row in rows:
+        assert row.energy == thermal_energy(sys_, row.T, row.R)
+        assert row.force == thermal_force(sys_, row.T, row.R)
+        assert row.force == -(thermal_energy(sys_, row.T, row.R + 1) - row.energy)
+
+
+def test_table_checks_its_grid():
+    sys_ = fig_system(N=10)
+    with pytest.raises(ValueError, match="R <= 10, got R=11"):
+        thermal_table(sys_, (0.0,), 1, 10)
+    with pytest.raises(ValueError, match="below rmin"):
+        thermal_table(sys_, (0.0,), 3, 2)
+    with pytest.raises(ValueError):
+        thermal_table(sys_, (0.0,), 0, 2)
+    with pytest.raises(ValueError, match="non-negative"):
+        thermal_table(sys_, (0.0, -1.0), 1, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: thermal_energy(s, math.nan, 1),
+    lambda s: thermal_force(s, math.nan, 1),
+    lambda s: thermal_ensemble(s, math.nan, 1),
+    lambda s: thermal_table(s, (0.0, math.nan), 1, 2),
+    lambda s: force_vs_temperature(s, 1, [0.0, math.nan, 0.1]),
+], ids=["energy", "force", "ensemble", "table", "sweep"])
+def test_nan_temperature_is_refused(call):
+    with pytest.raises(ValueError, match="non-negative"):
+        call(fig_system(N=20))
+
+
+def test_infinite_temperature_stays_legal_in_the_table():
+    sys_ = fig_system(N=20)
+    (row,) = thermal_table(sys_, (math.inf,), 2, 2)
+    assert row.force == thermal_force(sys_, math.inf, 2)
+    assert abs(row.force) < 1e-12
+
+
+def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch):
+    bands, spectra = Counter(), Counter()
+
+    def counting(counter, fn):
+        def wrapper(sys_, *args):
+            counter[sys_.chain.N] += 1
+            return fn(sys_, *args)
+        return wrapper
+
+    monkeypatch.setattr(thermal, "band_energies", counting(bands, thermal.band_energies))
+    monkeypatch.setattr(thermal, "symmetric_spectrum_closed",
+                        counting(spectra, thermal.symmetric_spectrum_closed))
+    out = tmp_path / "thermal.csv"
+    assert main(["--mode", "thermal-sweep", "--n-values", "50,100", "--lambda", "0.1",
+                 "--temperatures", "0,0.1,1", "--rmin", "1", "--rmax", "8",
+                 "--output", str(out)]) == 0
+    # one band per chain; one ensemble per (T, R) for R = 1..9
+    assert bands == {50: 1, 100: 1}
+    assert spectra == {50: 3 * 9, 100: 3 * 9}
+
+    # the library sweep reads the same table: the same floats, bit for bit
+    lines = [line.split(",") for line in out.read_text().splitlines()
+             if not line.startswith("#")][1:]
+    for n in (50, 100):
+        sys_ = fig_system(N=n)
+        for r in (1, 5, 8):
+            cli = [(float(t), float(force)) for t, nn, rr, _, force in lines
+                   if int(nn) == n and int(rr) == r]
+            sweep = force_vs_temperature(sys_, r, (0.0, 0.1, 1.0))
+            assert [tuple(rec) for rec in sweep.records] == cli
