@@ -34,9 +34,9 @@ def main():
         sys_.eps0, chain.band_bottom - sys_.eps0))
     print("band parameter a = 2J/delta = {:.3f}".format(sys_.a))
 
-    report = validate_regime(chain, sys_.impurities)
+    report = validate_regime(sys_)
     print("coupling/gap ratio = {:.4f} (weak-coupling ok: {})".format(
-        report.coupling_ratio, report.ok))
+        report.coupling_ratio, report.weak_coupling))
 
     print("\ndispersion samples:")
     modes = brillouin_modes(chain)

@@ -9,74 +9,21 @@ ring (a secular-equation root) and an arbitrary-precision momentum
 integral, and extends them to finite temperature.
 """
 
+from . import casimir, errors, lattice, oracle, perturbation, thermal
 from ._version import __version__
-from .casimir import (
-    DecayProfile,
-    ForceCurve,
-    ForceRecord,
-    continuum_decay_constant,
-    cp_energy,
-    cp_energy_continuum,
-    decay_profile,
-    ecp_force,
-    force_curve,
-)
-from .errors import (
-    BandEdgeError,
-    ConvergenceError,
-    InvalidRegime,
-    NonConvergence,
-    RegimeViolation,
-)
-from .lattice import (
-    ChainParams,
-    ImpurityConfig,
-    RegimeReport,
-    SymmetricSystem,
-    brillouin_modes,
-    dispersion,
-    validate_regime,
-)
-from .oracle import cp_energy_ed, cp_energy_quadrature
-from .perturbation import (
-    EffectiveCoefficients,
-    SymmetricSpectrum,
-    band_energies,
-    effective_coefficients,
-    symmetric_spectrum_closed,
-    symmetric_spectrum_ksum,
-)
-from .thermal import (
-    TemperatureForce,
-    TemperatureSweep,
-    ThermalEnsemble,
-    ThermalRow,
-    force_vs_temperature,
-    thermal_energy,
-    thermal_ensemble,
-    thermal_force,
-    thermal_table,
-)
+from .casimir import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .lattice import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .perturbation import *  # noqa: F403
+from .thermal import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    # lattice
-    "ChainParams", "ImpurityConfig", "SymmetricSystem", "RegimeReport",
-    "dispersion", "brillouin_modes", "validate_regime",
-    # perturbation
-    "EffectiveCoefficients", "SymmetricSpectrum", "effective_coefficients",
-    "band_energies", "symmetric_spectrum_ksum", "symmetric_spectrum_closed",
-    # casimir
-    "ForceRecord", "ForceCurve", "DecayProfile", "cp_energy", "ecp_force",
-    "force_curve", "decay_profile", "continuum_decay_constant",
-    "cp_energy_continuum",
-    # oracle
-    "cp_energy_ed", "cp_energy_quadrature",
-    # thermal
-    "ThermalEnsemble", "ThermalRow", "TemperatureForce", "TemperatureSweep",
-    "thermal_ensemble", "thermal_table", "thermal_energy", "thermal_force",
-    "force_vs_temperature",
-    # errors
-    "RegimeViolation", "BandEdgeError", "InvalidRegime",
-    "ConvergenceError", "NonConvergence",
+    *lattice.__all__,
+    *perturbation.__all__,
+    *casimir.__all__,
+    *oracle.__all__,
+    *thermal.__all__,
+    *errors.__all__,
 ]

@@ -19,15 +19,13 @@ the discrete difference
 pointing towards smaller separations.  Since ``q`` in ``[0, 1)``, both decay
 exponentially with rate ``Gamma = ln(1/q)`` per site.
 
-Near the band edge (``a -> -1``) the lattice scale drops out and a
-continuum description applies, with
+Near the band edge (``a -> -1``) the lattice scale drops out: ``Gamma``
+tends to the continuum decay constant
 
-.. math::
+.. math:: b = \\sqrt{\\frac{\\omega - 2J - \\epsilon_0}{J}},
 
-    E_{cp}(R) \\approx -\\frac{\\lambda^2}{2 J b}\\, e^{-b R},
-    \\qquad b = \\sqrt{\\frac{\\omega - 2J - \\epsilon_0}{J}},
-
-valid while the edge distance ``(omega - 2J - eps0) / (4J)`` stays small.
+and the two agree while the edge distance ``(omega - 2J - eps0) / (4J)``
+stays small.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ __all__ = [
     "force_curve",
     "decay_profile",
     "continuum_decay_constant",
-    "cp_energy_continuum",
 ]
 
 
@@ -156,16 +153,3 @@ def continuum_decay_constant(sys: SymmetricSystem) -> float:
     if sys.chain.J == 0.0:
         raise InvalidRegime("continuum approximation needs J > 0")
     return math.sqrt((sys.chain.band_bottom - sys.eps0) / sys.chain.J)
-
-
-def cp_energy_continuum(sys: SymmetricSystem, R: int) -> float:
-    """Continuum (near-edge) approximation ``-(lam**2 / (2 J b)) exp(-b R)``.
-
-    A useful stand-in for :func:`cp_energy` only close to the band edge,
-    roughly ``(omega - 2J - eps0) / (4J) < 0.06``; further below the band
-    the lattice decay rate and the continuum ``b`` part ways at the several
-    percent level.
-    """
-    _check_separation(R)
-    b = continuum_decay_constant(sys)
-    return -(sys.lam ** 2 / (2.0 * sys.chain.J * b)) * math.exp(-b * R)

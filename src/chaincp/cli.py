@@ -282,6 +282,14 @@ def _system(cfg: RunConfig, **overrides) -> SymmetricSystem:
     return SymmetricSystem.from_detuning(**{**params, **overrides})
 
 
+def _gated_system(cfg: RunConfig, **overrides) -> SymmetricSystem:
+    """:func:`_system` passed through the regime gate, its warnings printed."""
+    sys_ = _system(cfg, **overrides)
+    for note in require_valid_regime(sys_).warnings:
+        _warn(note)
+    return sys_
+
+
 def _warn(note: str) -> None:
     print(f"chaincp: warning: {note}", file=sys.stderr)
 
@@ -349,9 +357,7 @@ def _run_sweep(cfg: RunConfig):
     lead, series, rmin, rmax = _sweep_grid(cfg)
     rows = []
     for j, d in series:
-        sys_ = _system(cfg, J=j, delta=d)
-        for note in require_valid_regime(sys_.chain, sys_.impurities).warnings:
-            _warn(note)
+        sys_ = _gated_system(cfg, J=j, delta=d)
         point = {"J": float(j), "delta": float(d)}
         for rec in force_curve(sys_, rmin, rmax).records:
             rows.append((*(point[c] for c in lead), rec.R, rec.energy, rec.force, abs(rec.force)))
@@ -379,13 +385,12 @@ def _run_thermal_sweep(cfg: RunConfig):
     rows = []
     by_nr: dict[tuple[int, int], list[ThermalRow]] = {}
     for n in cfg.n_values or (cfg.N,):
-        sys_ = _system(cfg, N=int(n))
-        for note in require_valid_regime(sys_.chain, sys_.impurities).warnings:
-            _warn(note)
+        sys_ = _gated_system(cfg, N=int(n))
         for row in thermal_table(sys_, cfg.temperatures, cfg.rmin, cfg.rmax):
             rows.append((row.T, int(n), row.R, row.energy, row.force))
             by_nr.setdefault((int(n), row.R), []).append(row)
-    # |f_T| should not grow with temperature; report any surprise.
+    # |f_T| falls with temperature once T exceeds the doublet splitting at R;
+    # below that it can grow, so any growth is reported, not refused.
     for (n, r), seq in sorted(by_nr.items()):
         for note in _growth_violations(seq):
             _warn(f"at N={n}, R={r}: {note}")
@@ -407,9 +412,7 @@ def _run_oracle_check(cfg: RunConfig):
             f"oracle-check needs rmax <= N//4 to keep ring images out of the "
             f"diagonalisation estimate; got rmax={cfg.rmax}, N={cfg.N}"
         )
-    sys_ = _system(cfg)
-    for note in require_valid_regime(sys_.chain, sys_.impurities).warnings:
-        _warn(note)
+    sys_ = _gated_system(cfg)
     if sys_.lam == 0.0:
         raise InvalidRegime("oracle-check needs lambda != 0; for lambda = 0 the "
                             "interaction is identically zero")

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "RegimeViolation",
+    "BandEdgeError",
+    "InvalidRegime",
+    "ConvergenceError",
+    "NonConvergence",
+]
+
 
 class RegimeViolation(ValueError):
     """Parameters leave the below-band, weak-coupling regime.

@@ -16,6 +16,15 @@ import numpy as np
 
 from .errors import BandEdgeError, RegimeViolation
 
+__all__ = [
+    "ChainParams",
+    "SymmetricSystem",
+    "RegimeReport",
+    "dispersion",
+    "brillouin_modes",
+    "validate_regime",
+]
+
 #: Coupling-to-gap ratio above which second-order results start to drift
 #: at the percent level; ``validate_regime`` records a warning.
 WEAK_COUPLING_WARN = 0.1
@@ -62,27 +71,6 @@ class ChainParams:
     @property
     def band_top(self) -> float:
         return self.omega + 2.0 * self.J
-
-
-@dataclass(frozen=True)
-class ImpurityConfig:
-    """Two impurity levels side-coupled to chain sites ``0`` and ``R``.
-
-    The separation ``R`` is not part of the configuration; every function
-    that needs it takes it as an argument.
-
-    Parameters
-    ----------
-    eps1, eps2 : float
-        Impurity level energies.
-    lambda0, lambda_r : float
-        Tunnelling amplitudes between each impurity and its chain site.
-    """
-
-    eps1: float
-    eps2: float
-    lambda0: float
-    lambda_r: float
 
 
 @dataclass(frozen=True)
@@ -146,12 +134,6 @@ class SymmetricSystem:
         chain = ChainParams(omega=eps0 - delta, J=J, N=N)
         return cls(chain=chain, eps0=eps0, lam=lam)
 
-    @property
-    def impurities(self) -> ImpurityConfig:
-        """The equivalent two-impurity configuration."""
-        return ImpurityConfig(eps1=self.eps0, eps2=self.eps0,
-                              lambda0=self.lam, lambda_r=self.lam)
-
 
 def _check_separation(R: int, upper: int | None = None, lower: int = 1) -> None:
     """Raise unless the separation ``R`` is an integer in ``lower .. upper``."""
@@ -180,72 +162,49 @@ class RegimeReport:
 
     Attributes
     ----------
-    below_band : bool
-        Both impurity levels sit strictly below the band bottom.
     coupling_ratio : float
-        ``max(|lambda0|, |lambda_r|)`` over the smaller impurity-band gap;
-        infinite when a level is not below the band.
+        ``|lam|`` over the gap ``band_bottom - eps0``.
     weak_coupling : bool
         The ratio stays at or below the hard threshold.
     warnings : tuple of str
         Soft findings (ratio above the warning threshold, for instance).
     """
 
-    below_band: bool
     coupling_ratio: float
     weak_coupling: bool
     warnings: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return self.below_band and self.weak_coupling
 
-
-def validate_regime(chain: ChainParams, imps: ImpurityConfig) -> RegimeReport:
-    """Check that the second-order treatment applies to this configuration.
+def validate_regime(sys: SymmetricSystem) -> RegimeReport:
+    """Check that the second-order treatment applies to this system.
 
     The expansion parameter is the coupling over the distance from the
-    nearest impurity level to the band bottom.  Errors enter at second
-    order in that ratio, so 0.1 keeps them near the percent level; beyond
-    0.5 the expansion has no business converging.
+    impurity level to the band bottom, which the system guarantees is
+    positive.  Errors enter at second order in that ratio, so 0.1 keeps
+    them near the percent level; beyond 0.5 the expansion has no business
+    converging.
     """
-    gap = chain.band_bottom - max(imps.eps1, imps.eps2)
-    below_band = gap > 0.0
-    coupling = max(abs(imps.lambda0), abs(imps.lambda_r))
-    ratio = coupling / gap if below_band else math.inf
-    weak = ratio <= WEAK_COUPLING_FAIL
-
+    ratio = abs(sys.lam) / (sys.chain.band_bottom - sys.eps0)
     warnings: list[str] = []
-    if not below_band:
-        warnings.append(
-            f"impurity level max(eps1, eps2)={max(imps.eps1, imps.eps2)} is not "
-            f"below the band bottom {chain.band_bottom}"
-        )
-    elif WEAK_COUPLING_WARN < ratio <= WEAK_COUPLING_FAIL:
+    if WEAK_COUPLING_WARN < ratio <= WEAK_COUPLING_FAIL:
         warnings.append(
             f"coupling ratio {ratio:.3g} exceeds {WEAK_COUPLING_WARN}; "
             "second-order results may drift beyond the percent level"
         )
-
-    return RegimeReport(
-        below_band=below_band,
-        coupling_ratio=ratio,
-        weak_coupling=weak,
-        warnings=tuple(warnings),
-    )
+    return RegimeReport(coupling_ratio=ratio, weak_coupling=ratio <= WEAK_COUPLING_FAIL,
+                        warnings=tuple(warnings))
 
 
-def require_valid_regime(chain: ChainParams, imps: ImpurityConfig) -> RegimeReport:
-    """Run :func:`validate_regime` and raise :class:`RegimeViolation` unless it is ok.
+def require_valid_regime(sys: SymmetricSystem) -> RegimeReport:
+    """Raise :class:`RegimeViolation` unless :func:`validate_regime` finds the coupling weak.
 
     This is the package's one regime gate.  The returned report still
     carries the soft warnings for the caller to show.
     """
-    report = validate_regime(chain, imps)
-    if not report.ok:
+    report = validate_regime(sys)
+    if not report.weak_coupling:
         raise RegimeViolation(
-            "configuration outside the validity regime: "
-            + "; ".join(report.warnings or ("coupling too strong",))
-            + f" (coupling ratio {report.coupling_ratio:.3g})"
+            "configuration outside the validity regime: coupling too strong"
+            f" (coupling ratio {report.coupling_ratio:.3g})"
         )
     return report

@@ -54,7 +54,7 @@ __all__ = [
     "cp_energy_quadrature",
 ]
 
-#: Reference ground energies ``{r_ref: E0}`` per system, kept only while the
+#: Reference ground energy ``E0(N // 2)`` per system, kept only while the
 #: system object lives, so a sweep over ``R`` on one system solves its
 #: reference once and nothing carries over to the next system built.
 _REFERENCE_ENERGIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -104,14 +104,7 @@ def _ground_energy(sys: SymmetricSystem, R: int) -> float:
     return lo if -f_lo <= f_hi else hi
 
 
-def _reference_energy(sys: SymmetricSystem, r_ref: int) -> float:
-    by_ref = _REFERENCE_ENERGIES.setdefault(sys, {})
-    if r_ref not in by_ref:
-        by_ref[r_ref] = _ground_energy(sys, r_ref)
-    return by_ref[r_ref]
-
-
-def cp_energy_ed(sys: SymmetricSystem, R: int, r_ref: int | None = None) -> float:
+def cp_energy_ed(sys: SymmetricSystem, R: int) -> float:
     """Interaction energy at separation ``R`` from the exact ground energy.
 
     The ground energy is the root of the secular equation on the finite ring
@@ -122,7 +115,7 @@ def cp_energy_ed(sys: SymmetricSystem, R: int, r_ref: int | None = None) -> floa
 
     ``E0(R) - E0(r_ref) + E_cp(r_ref)``
 
-    with ``r_ref = N // 2`` by default, where the closed-form remainder is
+    with ``r_ref = N // 2``, where the closed-form remainder is
     below double precision.  Cancelling the reference this way also removes
     the separation-independent fourth-order shift.  ``E0(r_ref)`` is solved
     once per system object and reused across calls.
@@ -136,14 +129,10 @@ def cp_energy_ed(sys: SymmetricSystem, R: int, r_ref: int | None = None) -> floa
     sys : SymmetricSystem
     R : int
         Separation, ``1 <= R <= N // 4``.
-    r_ref : int, optional
-        Reference separation, ``R < r_ref <= N``.
     """
     n_half = sys.chain.N
     _check_separation(R, n_half // 4)
-    if r_ref is None:
-        r_ref = n_half // 2
-    _check_separation(r_ref, n_half, lower=R + 1)
+    r_ref = n_half // 2
 
     gap = sys.chain.band_bottom - sys.eps0
     systematic = (sys.lam / gap) ** 2 + sys.q ** (2 * n_half + 1 - 2 * R)
@@ -154,7 +143,10 @@ def cp_energy_ed(sys: SymmetricSystem, R: int, r_ref: int | None = None) -> floa
             stacklevel=2,
         )
 
-    return _ground_energy(sys, R) - _reference_energy(sys, r_ref) + cp_energy(sys, r_ref)
+    ground = _ground_energy(sys, R)
+    if sys not in _REFERENCE_ENERGIES:
+        _REFERENCE_ENERGIES[sys] = _ground_energy(sys, r_ref)
+    return ground - _REFERENCE_ENERGIES[sys] + cp_energy(sys, r_ref)
 
 
 def cp_energy_quadrature(
@@ -162,7 +154,6 @@ def cp_energy_quadrature(
     R: int | range,
     rel_tol: float = 1e-13,
     max_points: int = 2 ** 22,
-    dps: int = 40,
 ) -> float | tuple[float, ...]:
     """Interaction energy from the momentum integral, in arbitrary precision.
 
@@ -181,8 +172,8 @@ def cp_energy_quadrature(
 
     The answer at ``R`` is of order ``q**R`` while the integrand is of order
     one, so the sum cancels about ``-R log10 q`` digits.  The accumulation
-    runs at ``dps + max(0, ceil(-rmax log10 q) - 5)`` digits: the default
-    40 digits absorb the first five lost, and a tiny hopping (``q`` of
+    runs at ``40 + max(0, ceil(-rmax log10 q) - 5)`` digits: 40 digits
+    absorb the first five lost, and a tiny hopping (``q`` of
     1e-5 at ``J = 1e-5``) gets the digits its smallest answer needs
     instead of refining forever.  ``q`` sets the precision only; the value
     comes from the integral alone.
@@ -200,9 +191,6 @@ def cp_energy_quadrature(
         Point budget; exceeding it raises
         :class:`~chaincp.errors.NonConvergence`, naming the separations
         still unconverged.
-    dps : int
-        Working decimal precision for the accumulation, before the
-        allowance for cancellation above.
 
     Returns
     -------
@@ -228,7 +216,7 @@ def cp_energy_quadrature(
     # q underflows to 0.0 only below the smallest subnormal
     lost = math.ceil(-rmax * math.log10(max(sys.q, math.ulp(0.0))))
 
-    with mp.workdps(dps + max(0, lost - 5)):
+    with mp.workdps(40 + max(0, lost - 5)):
         delta = mp.mpf(sys.delta)
         two_j = mp.mpf(2.0 * sys.chain.J)
         lam_sq = mp.mpf(sys.lam) ** 2

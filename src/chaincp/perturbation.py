@@ -1,24 +1,16 @@
-"""Second-order effective couplings and the two-impurity spectrum.
+"""Second-order doublet and band energies for two identical impurities.
 
 Integrating out the band to second order in the tunnelling leaves an
-effective two-level problem for the impurities: each level is shifted by
+effective two-level problem for the impurities.  With
+``g = lam / sqrt(2N + 1)``, each level is shifted by
+``sum_k g^2 / (eps0 - Omega_k)`` and the band mediates a hopping
+``t_12 = sum_k g^2 e^{-ikR} / (eps0 - Omega_k)`` between them, which is real
+because the modes come in ``+-k`` pairs.  Each band mode picks up the
+back-action shift ``2 g^2 / (Omega_k - eps0)``.
 
-.. math:: \\sum_k \\frac{g_i^2}{\\epsilon_i - \\Omega_k},
-
-and the band mediates a hopping between them,
-
-.. math::
-
-    t_{12} = \\sum_k \\frac{g_1 g_2\\, e^{-i k R}}{2}
-             \\Big(\\frac{1}{\\epsilon_1 - \\Omega_k}
-                 + \\frac{1}{\\epsilon_2 - \\Omega_k}\\Big),
-
-with ``g_i = lambda_i / sqrt(2N + 1)``.  Each band mode picks up the
-back-action shift ``g_1^2/(Omega_k - eps1) + g_2^2/(Omega_k - eps2)``.
-
-For identical impurities the effective doublet diagonalises to
-``E_pm = eps0 + shift +- |t_12|`` and the momentum sums collapse, in the
-large-``N`` limit, to closed forms in the band parameter ``a = 2J/delta``:
+The effective doublet diagonalises to ``E_pm = eps0 + shift +- t_12``, and
+the momentum sums collapse, in the large-``N`` limit, to closed forms in
+the band parameter ``a = 2J/delta``:
 
 .. math::
 
@@ -38,45 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    ChainParams,
-    ImpurityConfig,
-    SymmetricSystem,
-    _check_separation,
-    brillouin_modes,
-    dispersion,
-    require_valid_regime,
-)
+from .lattice import SymmetricSystem, _check_separation, brillouin_modes, dispersion
 
 __all__ = [
-    "EffectiveCoefficients",
     "SymmetricSpectrum",
-    "effective_coefficients",
     "band_energies",
     "symmetric_spectrum_ksum",
     "symmetric_spectrum_closed",
 ]
-
-
-@dataclass(frozen=True)
-class EffectiveCoefficients:
-    """Coefficients of the effective Hamiltonian after the band is traced out.
-
-    Attributes
-    ----------
-    shift1, shift2 : float
-        Second-order corrections to the impurity levels.
-    hop12 : complex
-        Band-mediated hopping from impurity 2 to impurity 1.
-    band_shift : numpy.ndarray
-        Per-mode back-action on the band energies, aligned with
-        :func:`~chaincp.lattice.brillouin_modes`.
-    """
-
-    shift1: float
-    shift2: float
-    hop12: complex
-    band_shift: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,57 +51,6 @@ class SymmetricSpectrum:
     e_plus: float
     e_minus: float
     band: np.ndarray
-
-
-def effective_coefficients(
-    chain: ChainParams, imps: ImpurityConfig, R: int
-) -> EffectiveCoefficients:
-    """Level shifts, mediated hopping, and band back-action for two impurities.
-
-    Parameters
-    ----------
-    chain : ChainParams
-    imps : ImpurityConfig
-        Levels may differ; the configuration must pass
-        :func:`~chaincp.lattice.require_valid_regime`.
-    R : int
-        Separation between the attachment sites, ``R >= 1``.
-
-    Returns
-    -------
-    EffectiveCoefficients
-
-    Raises
-    ------
-    RegimeViolation
-        If a level is not below the band or the coupling is too strong.
-    """
-    _check_separation(R)
-    require_valid_regime(chain, imps)
-    modes = brillouin_modes(chain)
-    energies = dispersion(chain, modes)
-    ns = chain.num_sites
-
-    g1sq = imps.lambda0 ** 2 / ns
-    g2sq = imps.lambda_r ** 2 / ns
-    inv1 = 1.0 / (imps.eps1 - energies)
-    inv2 = 1.0 / (imps.eps2 - energies)
-
-    shift1 = math.fsum(g1sq * inv1)
-    shift2 = math.fsum(g2sq * inv2)
-
-    g12 = imps.lambda0 * imps.lambda_r / ns
-    mixed = 0.5 * g12 * (inv1 + inv2)
-    phase = modes * R
-    hop12 = complex(
-        math.fsum(mixed * np.cos(phase)),
-        math.fsum(-(mixed * np.sin(phase))),
-    )
-
-    band_shift = -(g1sq * inv1 + g2sq * inv2)
-    return EffectiveCoefficients(
-        shift1=shift1, shift2=shift2, hop12=hop12, band_shift=band_shift,
-    )
 
 
 def band_energies(sys: SymmetricSystem) -> np.ndarray:

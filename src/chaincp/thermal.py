@@ -16,21 +16,23 @@ same discrete difference used at zero temperature,
 .. math:: f_T(R) = -\\big(E_T(R + 1) - E_T(R)\\big).
 
 Raising ``T`` moves weight from the even doublet state first onto its odd
-partner (killing the splitting the force lives on) and then into the band,
-so ``|f_T|`` falls with temperature and the band states' lack of ``R``
-dependence makes the infinite-temperature force vanish.
+partner and then into the band, and the band states' lack of ``R``
+dependence makes the infinite-temperature force vanish.  ``|f_T(R)|``
+falls with temperature once ``T`` exceeds the doublet splitting at ``R``.
+Below that it can rise: the doublet at ``R + 1`` is split less, so its odd
+level fills first and ``E_T(R + 1)`` climbs away from ``E_T(R)``.  fig5 at
+``N = 100`` gives ``|f_T(1)|`` = 0.002778, 0.002938, 0.003078 and 0.001450
+at ``T`` = 0, 0.001, 0.003 and 0.01.
 
 Every energy and force comes from one table, :func:`thermal_table`.  The
 band does not depend on ``R``, so the table builds it once per system, then
 one ensemble per ``(T, R)`` for ``R = rmin .. rmax + 1``, and reads each
 force off two neighbouring energies.  :func:`thermal_energy`,
-:func:`thermal_force`, :func:`force_vs_temperature` and the CLI's
-``thermal-sweep`` all go through it or through its one-ensemble kernel.
+:func:`thermal_force` and the CLI's ``thermal-sweep`` all go through it or
+through its one-ensemble kernel.
 
 Weights are always computed from energies shifted by the spectrum minimum,
-so they are safe at any temperature; only the literal partition function
-``z`` can under- or overflow, and it is stored for inspection rather than
-used internally.
+so they are safe at any temperature.
 """
 
 from __future__ import annotations
@@ -47,13 +49,10 @@ from .perturbation import SymmetricSpectrum, band_energies, symmetric_spectrum_c
 __all__ = [
     "ThermalEnsemble",
     "ThermalRow",
-    "TemperatureForce",
-    "TemperatureSweep",
     "thermal_ensemble",
     "thermal_table",
     "thermal_energy",
     "thermal_force",
-    "force_vs_temperature",
 ]
 
 #: How far the cancellation in ``E_T(R) - E_T(R + 1)`` can move a force, in
@@ -67,20 +66,13 @@ class ThermalEnsemble:
 
     Attributes
     ----------
-    beta : float
-        Inverse temperature; ``inf`` at ``T = 0`` and ``0.0`` at ``T = inf``.
     spectrum : SymmetricSpectrum
         Doublet (closed form) plus the ``2N + 1`` shifted band modes.
-    z : float
-        Literal partition sum.  May underflow to ``0.0`` (tiny ``T``) or
-        overflow; the normalised ``weights`` do not suffer from this.
     weights : numpy.ndarray
         Normalised populations aligned with :attr:`energies`.
     """
 
-    beta: float
     spectrum: SymmetricSpectrum
-    z: float
     weights: np.ndarray
 
     @property
@@ -100,8 +92,8 @@ class ThermalRow(NamedTuple):
     force: float
 
 
-def _boltzmann(energies: np.ndarray, T: float) -> tuple[np.ndarray, float]:
-    """Normalised weights over ``energies`` at ``T``, and the literal partition sum."""
+def _boltzmann(energies: np.ndarray, T: float) -> np.ndarray:
+    """Normalised weights over ``energies`` at ``T``."""
     # ``not T >= 0`` so that NaN is refused too; ``math.inf`` stays legal
     if not T >= 0:
         raise ValueError(f"temperature must be non-negative, got T={T}")
@@ -110,21 +102,16 @@ def _boltzmann(energies: np.ndarray, T: float) -> tuple[np.ndarray, float]:
         # Limit distribution: all weight on the ground level, split evenly
         # across an exact degeneracy (the flat-band case).
         ground = energies == e_min
-        weights = ground / ground.sum()
-        z = 0.0 if e_min > 0 else (math.inf if e_min < 0 else float(ground.sum()))
-    else:
-        beta = 1.0 / T
-        shifted = np.exp(-beta * (energies - e_min))
-        norm = math.fsum(shifted.tolist())
-        weights = shifted / norm
-        z = float(np.exp(np.float64(-beta * e_min))) * norm
-    return weights, z
+        return ground / ground.sum()
+    beta = 1.0 / T
+    shifted = np.exp(-beta * (energies - e_min))
+    return shifted / math.fsum(shifted.tolist())
 
 
 def _ensemble_energy(sys: SymmetricSystem, band: np.ndarray, T: float, R: int) -> float:
     """``E_T(R)`` over the closed-form doublet at ``R`` and the shifted ``band`` levels."""
     energies = np.concatenate((symmetric_spectrum_closed(sys, R), band))
-    weights, _ = _boltzmann(energies, T)
+    weights = _boltzmann(energies, T)
     return math.fsum((weights * energies).tolist())
 
 
@@ -142,9 +129,8 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     """
     e_plus, e_minus = symmetric_spectrum_closed(sys, R)
     spectrum = SymmetricSpectrum(e_plus=e_plus, e_minus=e_minus, band=band_energies(sys))
-    weights, z = _boltzmann(np.concatenate(((e_plus, e_minus), spectrum.band[:, 1])), T)
-    beta = math.inf if T == 0 else 1.0 / T
-    return ThermalEnsemble(beta=beta, spectrum=spectrum, z=z, weights=weights)
+    weights = _boltzmann(np.concatenate(((e_plus, e_minus), spectrum.band[:, 1])), T)
+    return ThermalEnsemble(spectrum=spectrum, weights=weights)
 
 
 def thermal_table(sys: SymmetricSystem, temperatures, rmin: int, rmax: int
@@ -193,27 +179,6 @@ def thermal_force(sys: SymmetricSystem, T: float, R: int) -> float:
     return thermal_table(sys, (T,), R, R)[0].force
 
 
-class TemperatureForce(NamedTuple):
-    T: float
-    force: float
-
-
-@dataclass(frozen=True)
-class TemperatureSweep:
-    """Thermal force over a temperature grid, with monotonicity findings.
-
-    ``violations`` lists every adjacent pair where ``|f_T|`` grew with
-    temperature beyond numerical noise.  Expected to be empty in the valid
-    regime; it is returned rather than asserted so a caller can decide what
-    to do about a surprise.
-    """
-
-    system: SymmetricSystem
-    R: int
-    records: tuple[TemperatureForce, ...]
-    violations: tuple[str, ...]
-
-
 def _growth_violations(rows) -> tuple[str, ...]:
     """Adjacent rows of an ascending-``T`` sweep at one ``R`` where ``|f_T|`` grew.
 
@@ -230,24 +195,3 @@ def _growth_violations(rows) -> tuple[str, ...]:
         for prev, cur in zip(rows, rows[1:])
         if abs(cur.force) > abs(prev.force) + max(noise(prev), noise(cur))
     )
-
-
-def force_vs_temperature(sys: SymmetricSystem, R: int, temperatures) -> TemperatureSweep:
-    """Sweep the thermal force over an ascending temperature grid.
-
-    Parameters
-    ----------
-    sys : SymmetricSystem
-    R : int
-        Separation, with ``R + 1`` on the chain.
-    temperatures : sequence of float
-        Non-negative, sorted ascending.
-    """
-    temps = [float(t) for t in temperatures]
-    if temps != sorted(temps):
-        raise ValueError("temperatures must be sorted ascending")
-
-    rows = thermal_table(sys, temps, R, R)
-    records = tuple(TemperatureForce(T=row.T, force=row.force) for row in rows)
-    return TemperatureSweep(system=sys, R=R, records=records,
-                            violations=_growth_violations(rows))

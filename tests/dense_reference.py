@@ -7,20 +7,23 @@ chains only.
 
 import numpy as np
 
-from chaincp.lattice import ChainParams, ImpurityConfig, SymmetricSystem, _check_separation
+from chaincp.lattice import ChainParams, SymmetricSystem, _check_separation
 
 
-def dense_hamiltonian(chain: ChainParams, imps: ImpurityConfig, R: int) -> np.ndarray:
+def dense_hamiltonian(chain: ChainParams, eps1: float, eps2: float,
+                      lambda0: float, lambda_r: float, R: int) -> np.ndarray:
     """The ring plus two side-coupled impurities, as a dense symmetric matrix.
 
-    Basis order is ``(imp1, imp2, site -N, ..., site N)``; impurity 1 attaches
-    to site 0 and impurity 2 to site ``R``, ``1 <= R <= N``.
+    Impurity 1 has level ``eps1`` and couples with ``lambda0`` to site 0;
+    impurity 2 has level ``eps2`` and couples with ``lambda_r`` to site
+    ``R``, ``1 <= R <= N``.  Basis order is ``(imp1, imp2, site -N, ...,
+    site N)``.
     """
     _check_separation(R, chain.N)
     n_sites = chain.num_sites
     h = np.zeros((n_sites + 2, n_sites + 2))
-    h[0, 0] = imps.eps1
-    h[1, 1] = imps.eps2
+    h[0, 0] = eps1
+    h[1, 1] = eps2
 
     ring = np.arange(2, n_sites + 2)  # chain site j sits at row 2 + (j + N)
     h[ring, ring] = chain.omega
@@ -29,14 +32,14 @@ def dense_hamiltonian(chain: ChainParams, imps: ImpurityConfig, R: int) -> np.nd
     h[right, ring] = -chain.J
 
     site0 = 2 + chain.N
-    h[0, site0] = h[site0, 0] = imps.lambda0
-    h[1, site0 + R] = h[site0 + R, 1] = imps.lambda_r
+    h[0, site0] = h[site0, 0] = lambda0
+    h[1, site0 + R] = h[site0 + R, 1] = lambda_r
     return h
 
 
 def symmetric_hamiltonian(sys: SymmetricSystem, R: int) -> np.ndarray:
     """:func:`dense_hamiltonian` for identical impurities ``R`` sites apart."""
-    return dense_hamiltonian(sys.chain, sys.impurities, R)
+    return dense_hamiltonian(sys.chain, sys.eps0, sys.eps0, sys.lam, sys.lam, R)
 
 
 def dense_ground_energy(sys: SymmetricSystem, R: int) -> float:

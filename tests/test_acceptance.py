@@ -10,7 +10,7 @@ import json
 import math
 
 import numpy as np
-from dense_reference import dense_hamiltonian, symmetric_hamiltonian
+from dense_reference import symmetric_hamiltonian
 
 from chaincp.casimir import (
     continuum_decay_constant,
@@ -146,7 +146,7 @@ def test_08_degenerate_limits_are_exact():
                and decay_profile(flat).gamma == math.inf)
 
     decoupled = system(lam=0.0, N=50)
-    energies = np.linalg.eigvalsh(dense_hamiltonian(decoupled.chain, decoupled.impurities, 1))
+    energies = np.linalg.eigvalsh(symmetric_hamiltonian(decoupled, 1))
     ring = np.sort(decoupled.chain.omega
                    - 2.0 * decoupled.chain.J
                    * np.cos(2.0 * np.pi * np.arange(-50, 51) / 101))

@@ -6,7 +6,6 @@ import pytest
 from chaincp.casimir import (
     continuum_decay_constant,
     cp_energy,
-    cp_energy_continuum,
     decay_profile,
     ecp_force,
     force_curve,
@@ -149,16 +148,16 @@ def test_continuum_decay_constant_frozen_value():
 def test_continuum_needs_a_dispersive_band():
     with pytest.raises(InvalidRegime):
         continuum_decay_constant(fig_system(J=0.0))
-    with pytest.raises(InvalidRegime):
-        cp_energy_continuum(fig_system(J=0.0), 1)
 
 
 def test_continuum_tracks_the_lattice_result_near_the_edge():
-    # a = -0.9 is close enough to the band edge for percent-level agreement
+    # a = -0.9 is close enough to the band edge for the continuum law
+    # -(lam^2 / (2 J b)) exp(-b R) to follow the lattice energy
     sys_ = fig_system(J=0.45)
+    b = continuum_decay_constant(sys_)
     for r in (1, 2, 4):
         exact = cp_energy(sys_, r)
-        approx = cp_energy_continuum(sys_, r)
+        approx = -(sys_.lam ** 2 / (2.0 * sys_.chain.J * b)) * math.exp(-b * r)
         assert approx == pytest.approx(exact, rel=0.1)
     # deep below the band it parts ways with the true decay rate
     far = fig_system(J=0.3)

@@ -1,6 +1,7 @@
-"""Every script under ``demos/`` runs to completion against the package."""
+"""Every script under ``demos/`` and every README code block runs against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,12 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run_in_order():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,6 @@ import chaincp
 from chaincp.errors import BandEdgeError, RegimeViolation
 from chaincp.lattice import (
     ChainParams,
-    ImpurityConfig,
     SymmetricSystem,
     brillouin_modes,
     dispersion,
@@ -67,9 +68,7 @@ def test_symmetric_system_derived_quantities():
     assert sys_.q == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert sys_.chain.omega == 2.0
     assert sys_.eps0 == 1.0
-    imps = sys_.impurities
-    assert imps.eps1 == imps.eps2 == 1.0
-    assert imps.lambda0 == imps.lambda_r == 0.01
+    assert sys_.lam == 0.01
 
 
 def test_symmetric_system_flat_band_is_allowed():
@@ -107,6 +106,20 @@ def test_band_edge_error_is_raised_only_by_the_system():
     assert raises == ["lattice.py"]
 
 
+def test_public_surface_is_the_union_of_the_submodules_all():
+    # every public module lists its names once, and the package re-exports
+    # exactly those; the CLI is reached through its entry point, not imported
+    modules = [importlib.import_module(f"chaincp.{info.name}")
+               for info in pkgutil.iter_modules(chaincp.__path__)
+               if not info.name.startswith("_") and info.name != "cli"]
+    expected = {"__version__"}.union(*(module.__all__ for module in modules))
+    assert len(chaincp.__all__) == len(set(chaincp.__all__))
+    assert set(chaincp.__all__) == expected
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(chaincp, name) is getattr(module, name)
+
+
 def test_symmetric_system_separation_bounds():
     # the system carries no separation; each function checks the one it is given
     with pytest.raises(TypeError):
@@ -121,40 +134,30 @@ def test_symmetric_system_separation_bounds():
         symmetric_spectrum_closed(sys_, 1.0)
 
 
+def regime_system(lam):
+    """Level 1.0 under a band whose bottom is 1.4: the gap is 0.4."""
+    return SymmetricSystem(chain=ChainParams(omega=2.0, J=0.3, N=50), eps0=1.0, lam=lam)
+
+
 def test_validate_regime_weak_coupling_passes():
-    chain = ChainParams(omega=2.0, J=0.3, N=50)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.01, lambda_r=0.01)
-    report = validate_regime(chain, imps)
-    assert report.ok
-    assert report.below_band and report.weak_coupling
+    report = validate_regime(regime_system(0.01))
+    assert report.weak_coupling
     # gap is 0.4, so the ratio is 0.025
     assert report.coupling_ratio == pytest.approx(0.025, rel=1e-12)
     assert report.warnings == ()
 
 
 def test_validate_regime_warns_in_the_grey_zone():
-    chain = ChainParams(omega=2.0, J=0.3, N=50)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.08, lambda_r=0.08)
-    report = validate_regime(chain, imps)  # ratio 0.2
-    assert report.ok
+    report = validate_regime(regime_system(0.08))  # ratio 0.2
+    assert report.weak_coupling
     assert len(report.warnings) == 1
     assert "coupling ratio" in report.warnings[0]
 
 
 def test_validate_regime_fails_for_strong_coupling():
-    chain = ChainParams(omega=2.0, J=0.3, N=50)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.3, lambda_r=0.01)
-    report = validate_regime(chain, imps)  # ratio 0.75
-    assert not report.ok
+    sys_ = regime_system(-0.3)  # ratio 0.75; the sign of lam does not matter
+    report = validate_regime(sys_)
+    assert report.coupling_ratio == pytest.approx(0.75, rel=1e-12)
     assert not report.weak_coupling
-    with pytest.raises(RegimeViolation):
-        require_valid_regime(chain, imps)
-
-
-def test_validate_regime_flags_levels_in_the_band():
-    chain = ChainParams(omega=2.0, J=0.3, N=50)
-    imps = ImpurityConfig(eps1=1.8, eps2=1.0, lambda0=0.01, lambda_r=0.01)
-    report = validate_regime(chain, imps)
-    assert not report.below_band
-    assert report.coupling_ratio == math.inf
-    assert not report.ok
+    with pytest.raises(RegimeViolation, match="coupling too strong"):
+        require_valid_regime(sys_)

@@ -19,7 +19,7 @@ from chaincp.casimir import cp_energy
 from chaincp.cli import ED_TOL
 from chaincp.cli import main as cli_main
 from chaincp.errors import ConvergenceError, InvalidRegime, NonConvergence
-from chaincp.lattice import ChainParams, ImpurityConfig, SymmetricSystem, brillouin_modes, dispersion
+from chaincp.lattice import ChainParams, SymmetricSystem, brillouin_modes, dispersion
 from chaincp.oracle import _ground_energy, cp_energy_ed, cp_energy_quadrature
 
 
@@ -34,16 +34,14 @@ def table_rows(path):
 
 def test_matrix_shape_and_symmetry():
     chain = ChainParams(omega=2.0, J=0.3, N=6)
-    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02)
-    h = dense_hamiltonian(chain, imps, 3)
+    h = dense_hamiltonian(chain, 0.9, 1.1, 0.01, 0.02, 3)
     assert h.shape == (15, 15)
     assert np.array_equal(h, h.T)
 
 
 def test_matrix_entries():
     chain = ChainParams(omega=2.0, J=0.3, N=4)
-    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02)
-    h = dense_hamiltonian(chain, imps, 2)
+    h = dense_hamiltonian(chain, 0.9, 1.1, 0.01, 0.02, 2)
     site0 = 2 + 4
     assert h[0, 0] == 0.9 and h[1, 1] == 1.1
     assert h[0, site0] == 0.01          # impurity 1 onto site 0
@@ -61,8 +59,7 @@ def test_matrix_entries():
 
 def test_decoupled_impurities_leave_the_chain_spectrum_alone():
     chain = ChainParams(omega=2.0, J=0.3, N=25)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.0, lambda_r=0.0)
-    energies = np.linalg.eigvalsh(dense_hamiltonian(chain, imps, 5))
+    energies = np.linalg.eigvalsh(dense_hamiltonian(chain, 1.0, 1.0, 0.0, 0.0, 5))
     ring = np.sort(dispersion(chain, brillouin_modes(chain)))
     expected = np.sort(np.concatenate(([1.0, 1.0], ring)))
     assert_allclose(energies, expected, atol=1e-12)
@@ -71,8 +68,7 @@ def test_decoupled_impurities_leave_the_chain_spectrum_alone():
 def test_three_site_ring_eigenvalues():
     # N = 1: ring eigenvalues are omega - 2J and a double omega + J
     chain = ChainParams(omega=2.0, J=0.3, N=1)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.0, lambda_r=0.0)
-    energies = np.linalg.eigvalsh(dense_hamiltonian(chain, imps, 1))
+    energies = np.linalg.eigvalsh(dense_hamiltonian(chain, 1.0, 1.0, 0.0, 0.0, 1))
     assert_allclose(energies, [1.0, 1.0, 1.4, 2.3, 2.3], atol=1e-13)
 
 
@@ -167,8 +163,6 @@ def test_ed_separation_cap():
     sys_ = fig_system(N=40)
     with pytest.raises(ValueError):
         cp_energy_ed(sys_, 11)  # N // 4 = 10
-    with pytest.raises(ValueError):
-        cp_energy_ed(sys_, 2, r_ref=2)
 
 
 def test_ed_scaling_is_quadratic_up_to_fourth_order():

@@ -5,86 +5,46 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chaincp.errors import BandEdgeError, RegimeViolation
-from chaincp.lattice import ChainParams, ImpurityConfig, SymmetricSystem
+from chaincp.errors import BandEdgeError
+from chaincp.lattice import SymmetricSystem, brillouin_modes, dispersion
 from chaincp.perturbation import (
     band_energies,
-    effective_coefficients,
     symmetric_spectrum_closed,
     symmetric_spectrum_ksum,
 )
 
 
-def brute_coefficients(chain, imps, R):
+def brute_coefficients(sys_, R):
     """Direct complex-sum evaluation of the second-order coefficients.
 
-    Plain Python floats and cmath, no shared code with the implementation
-    under test beyond the parameter objects.
+    Returns the level shift, the band-mediated hopping and the per-mode band
+    back-action.  Plain Python floats and cmath, no shared code with the
+    implementation under test beyond the system object.
     """
+    chain = sys_.chain
     ns = 2 * chain.N + 1
-    shift1 = shift2 = 0.0
+    shift = 0.0
     hop12 = 0.0 + 0.0j
     band = []
-    g1 = imps.lambda0 / math.sqrt(ns)
-    g2 = imps.lambda_r / math.sqrt(ns)
+    g = sys_.lam / math.sqrt(ns)
     for n in range(-chain.N, chain.N + 1):
         k = 2.0 * math.pi * n / ns
         energy = chain.omega - 2.0 * chain.J * math.cos(k)
-        shift1 += g1 * g1 / (imps.eps1 - energy)
-        shift2 += g2 * g2 / (imps.eps2 - energy)
-        hop12 += (g1 * g2 * cmath.exp(-1j * k * R) / 2.0
-                  * (1.0 / (imps.eps1 - energy) + 1.0 / (imps.eps2 - energy)))
-        band.append(g1 * g1 / (energy - imps.eps1) + g2 * g2 / (energy - imps.eps2))
-    return shift1, shift2, hop12, np.array(band)
-
-
-@pytest.mark.parametrize("R", [1, 2, 5])
-def test_effective_coefficients_match_direct_sum(R):
-    chain = ChainParams(omega=2.0, J=0.3, N=25)
-    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02)
-    coeff = effective_coefficients(chain, imps, R)
-    shift1, shift2, hop12, band = brute_coefficients(chain, imps, R)
-    assert coeff.shift1 == pytest.approx(shift1, rel=1e-13)
-    assert coeff.shift2 == pytest.approx(shift2, rel=1e-13)
-    assert coeff.hop12.real == pytest.approx(hop12.real, rel=1e-13)
-    assert abs(coeff.hop12.imag - hop12.imag) < 1e-20
-    assert_allclose(coeff.band_shift, band, rtol=1e-13)
-
-
-def test_effective_coefficients_frozen_value():
-    # independently computed with a 70-digit reference sum
-    chain = ChainParams(omega=2.0, J=0.3, N=7)
-    imps = ImpurityConfig(eps1=0.9, eps2=1.1, lambda0=0.01, lambda_r=0.02)
-    coeff = effective_coefficients(chain, imps, 2)
-    assert coeff.hop12.real == pytest.approx(-3.1300802834094054e-05, rel=1e-12)
-    # the odd-in-k part cancels pairwise across +-k
-    assert abs(coeff.hop12.imag) < 1e-18
+        shift += g * g / (sys_.eps0 - energy)
+        hop12 += g * g * cmath.exp(-1j * k * R) / (sys_.eps0 - energy)
+        band.append(2.0 * g * g / (energy - sys_.eps0))
+    return shift, hop12, np.array(band)
 
 
 def test_level_shifts_are_negative_below_band():
-    # every denominator eps - Omega_k is negative there
-    chain = ChainParams(omega=2.0, J=0.3, N=20)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.01, lambda_r=0.01)
-    coeff = effective_coefficients(chain, imps, 1)
-    assert coeff.shift1 < 0 and coeff.shift2 < 0
+    # every denominator eps0 - Omega_k is negative there, so both doublet
+    # levels sit below the bare level
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=20)
+    spectrum = symmetric_spectrum_ksum(sys_, 1)
+    assert spectrum.e_plus < sys_.eps0 and spectrum.e_minus < sys_.eps0
     # and the band is pushed up in compensation
-    assert np.all(coeff.band_shift > 0)
-
-
-def test_effective_coefficients_reject_levels_in_band():
-    chain = ChainParams(omega=2.0, J=0.3, N=20)
-    imps = ImpurityConfig(eps1=1.7, eps2=1.0, lambda0=0.01, lambda_r=0.01)
-    with pytest.raises(RegimeViolation):
-        effective_coefficients(chain, imps, 1)
-
-
-def test_effective_coefficients_check_separation():
-    chain = ChainParams(omega=2.0, J=0.3, N=20)
-    imps = ImpurityConfig(eps1=1.0, eps2=1.0, lambda0=0.01, lambda_r=0.01)
-    with pytest.raises(ValueError):
-        effective_coefficients(chain, imps, 0)
-    with pytest.raises(TypeError):
-        effective_coefficients(chain, imps, 1.5)
+    bare = dispersion(sys_.chain, brillouin_modes(sys_.chain))
+    assert np.all(band_energies(sys_)[:, 1] > bare)
 
 
 def with_band_parameter(a):
@@ -139,14 +99,20 @@ def test_closed_spectrum_degenerate_at_large_separation():
 
 
 def test_ksum_spectrum_matches_two_level_diagonalisation():
-    # the doublet from the k-sums must equal eps0 + shift +- |hop12|
+    # the doublet from the k-sums must equal eps0 + shift +- |hop12|, and the
+    # band the bare modes plus their back-action, against the direct sums
     sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=60)
-    spectrum = symmetric_spectrum_ksum(sys_, 2)
-    coeff = effective_coefficients(sys_.chain, sys_.impurities, 2)
-    centre = sys_.eps0 + coeff.shift1
-    split = abs(coeff.hop12)
-    assert spectrum.e_plus == pytest.approx(centre - split, rel=1e-13)
-    assert spectrum.e_minus == pytest.approx(centre + split, rel=1e-13)
+    bare = dispersion(sys_.chain, brillouin_modes(sys_.chain))
+    for R in (1, 2, 5):
+        spectrum = symmetric_spectrum_ksum(sys_, R)
+        shift, hop12, band_shift = brute_coefficients(sys_, R)
+        centre = sys_.eps0 + shift
+        split = abs(hop12)
+        assert spectrum.e_plus == pytest.approx(centre - split, rel=1e-13)
+        assert spectrum.e_minus == pytest.approx(centre + split, rel=1e-13)
+        # the odd-in-k part cancels pairwise across +-k
+        assert abs(hop12.imag) < 1e-20
+        assert_allclose(spectrum.band[:, 1], bare + band_shift, rtol=1e-13)
     assert spectrum.band.shape == (sys_.chain.num_sites, 2)
 
 

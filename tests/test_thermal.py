@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaincp
 from chaincp import thermal
 from chaincp.casimir import ecp_force
 from chaincp.cli import main
@@ -12,7 +18,6 @@ from chaincp.perturbation import symmetric_spectrum_closed
 from chaincp.thermal import (
     ThermalRow,
     _growth_violations,
-    force_vs_temperature,
     thermal_energy,
     thermal_ensemble,
     thermal_force,
@@ -58,7 +63,6 @@ def test_infinite_temperature_is_the_uniform_average():
     ens = thermal_ensemble(sys_, math.inf, 1)
     expected = np.full(ens.energies.size, 1.0 / ens.energies.size)
     assert np.allclose(ens.weights, expected, rtol=0, atol=1e-15)
-    assert ens.z == pytest.approx(ens.energies.size, rel=1e-12)
     mean = math.fsum(ens.energies) / ens.energies.size
     assert thermal_energy(sys_, math.inf, 1) == pytest.approx(mean, rel=1e-12)
 
@@ -153,12 +157,49 @@ def test_decoupled_impurities_feel_no_thermal_force():
 
 
 def test_force_vs_temperature_sweep():
+    # a temperature sweep at one R is the table over the one-R range
     sys_ = fig_system(N=100)
-    sweep = force_vs_temperature(sys_, 2, (0.0, 0.1, 1.0))
-    assert [rec.T for rec in sweep.records] == [0.0, 0.1, 1.0]
-    for rec in sweep.records:
-        assert rec.force == thermal_force(sys_, rec.T, 2)
-    assert sweep.violations == ()
+    rows = thermal_table(sys_, (0.0, 0.1, 1.0), 2, 2)
+    assert [row.T for row in rows] == [0.0, 0.1, 1.0]
+    for row in rows:
+        assert row.force == thermal_force(sys_, row.T, 2)
+    assert _growth_violations(rows) == ()
+
+
+def test_force_can_grow_below_the_doublet_splitting():
+    # fig5 at N = 100: the doublet at R = 2 is split less than at R = 1, so
+    # its odd level fills first and |f_T(1)| rises until T passes the splitting
+    rows = thermal_table(fig_system(N=100), (0.0, 0.001, 0.003, 0.01), 1, 1)
+    forces = [abs(row.force) for row in rows]
+    assert forces == pytest.approx([0.002778, 0.002938, 0.003078, 0.001450], abs=5e-7)
+    found = _growth_violations(rows)
+    assert len(found) == 2
+    assert "at T=0 " in found[0] and "at T=0.001" in found[0]
+    assert "at T=0.001 " in found[1] and "at T=0.003" in found[1]
+
+
+def test_tiny_temperature_below_zero_energy_raises_no_warning():
+    # a level below zero at T = 1e-300: exp(-E_min / T) is far beyond float
+    # range, and nothing may compute it
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=50, eps0=-1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = thermal_table(sys_, (0.0, 1e-300, 1e-3), 1, 5)
+    assert all(math.isfinite(row.energy) and math.isfinite(row.force) for row in rows)
+
+
+def test_thermal_sweep_survives_python_warnings_as_errors(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(chaincp.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "chaincp.cli", "--mode", "thermal-sweep",
+         "--eps0", "-1", "--temperatures", "0,1e-300,1e-3", "--N", "50", "--rmax", "5",
+         "--lambda", "0.1", "-o", "-"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def rows_at(energy, forces, temps=(0.0, 0.1, 0.2, 1.0)):
@@ -188,12 +229,15 @@ def test_growth_noise_scales_with_the_energies(scale, grows):
     assert len(found) == (1 if grows else 0)
 
 
-def test_force_vs_temperature_validates_the_grid():
-    sys_ = fig_system()
+def test_force_vs_temperature_validates_the_grid(tmp_path):
+    # the CLI refuses an unsorted or negative grid; the table refuses a
+    # negative temperature on its own
+    out = str(tmp_path / "thermal.csv")
+    for temps in ("0.1,0", "-0.1,0.2"):
+        assert main(["--mode", "thermal-sweep", "--N", "20", "--rmax", "2",
+                     f"--temperatures={temps}", "--output", out]) == 2
     with pytest.raises(ValueError):
-        force_vs_temperature(sys_, 1, (0.1, 0.0))
-    with pytest.raises(ValueError):
-        force_vs_temperature(sys_, 1, (-0.1, 0.2))
+        thermal_table(fig_system(), (-0.1, 0.2), 1, 1)
 
 
 def test_band_dilution_weakens_the_warm_force():
@@ -235,7 +279,7 @@ def test_table_checks_its_grid():
     lambda s: thermal_force(s, math.nan, 1),
     lambda s: thermal_ensemble(s, math.nan, 1),
     lambda s: thermal_table(s, (0.0, math.nan), 1, 2),
-    lambda s: force_vs_temperature(s, 1, [0.0, math.nan, 0.1]),
+    lambda s: _growth_violations(thermal_table(s, [0.0, math.nan, 0.1], 1, 1)),
 ], ids=["energy", "force", "ensemble", "table", "sweep"])
 def test_nan_temperature_is_refused(call):
     with pytest.raises(ValueError, match="non-negative"):
@@ -269,7 +313,7 @@ def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch)
     assert bands == {50: 1, 100: 1}
     assert spectra == {50: 3 * 9, 100: 3 * 9}
 
-    # the library sweep reads the same table: the same floats, bit for bit
+    # the library table at one R gives the same floats, bit for bit
     lines = [line.split(",") for line in out.read_text().splitlines()
              if not line.startswith("#")][1:]
     for n in (50, 100):
@@ -277,5 +321,5 @@ def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch)
         for r in (1, 5, 8):
             cli = [(float(t), float(force)) for t, nn, rr, _, force in lines
                    if int(nn) == n and int(rr) == r]
-            sweep = force_vs_temperature(sys_, r, (0.0, 0.1, 1.0))
-            assert [tuple(rec) for rec in sweep.records] == cli
+            rows = thermal_table(sys_, (0.0, 0.1, 1.0), r, r)
+            assert [(row.T, row.force) for row in rows] == cli
