@@ -15,11 +15,10 @@ def main():
     print("force vs separation at delta = -1, lambda = 0.01\n")
     for J in (0.3, 0.4):
         sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=J, lam=0.01, N=200)
-        curve = force_curve(sys_, 1, 10)
         print("J = {:.2f}  (a = {:+.2f})".format(J, sys_.a))
         print("   R      E_cp(R)         f(R)          |f| ratio")
         prev = None
-        for rec in curve.records:
+        for rec in force_curve(sys_, 1, 10):
             ratio = "" if prev is None else "{:.4f}".format(abs(rec.force) / abs(prev))
             print("  {:2d}   {: .6e}   {: .6e}   {}".format(
                 rec.R, rec.energy, rec.force, ratio))

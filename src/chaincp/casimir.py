@@ -39,7 +39,6 @@ from .lattice import SymmetricSystem, _check_separation
 
 __all__ = [
     "ForceRecord",
-    "ForceCurve",
     "DecayProfile",
     "cp_energy",
     "ecp_force",
@@ -50,17 +49,11 @@ __all__ = [
 
 
 class ForceRecord(NamedTuple):
+    """One row of :func:`force_curve`: ``E_cp(R)`` and ``f(R)``."""
+
     R: int
     energy: float
     force: float
-
-
-@dataclass(frozen=True)
-class ForceCurve:
-    """Energy and force tabulated over a range of separations."""
-
-    system: SymmetricSystem
-    records: tuple[ForceRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -109,19 +102,18 @@ def ecp_force(sys: SymmetricSystem, R: int) -> float:
     return -(cp_energy(sys, R + 1) - cp_energy(sys, R))
 
 
-def force_curve(sys: SymmetricSystem, rmin: int, rmax: int) -> ForceCurve:
-    """Tabulate energy and force for ``R = rmin .. rmax``.
+def force_curve(sys: SymmetricSystem, rmin: int, rmax: int) -> tuple[ForceRecord, ...]:
+    """Energy and force rows for ``R = rmin .. rmax``.
 
     The force at ``rmax`` uses the energy at ``rmax + 1``, so the range must
     satisfy ``1 <= rmin <= rmax <= chain.N - 1``.
     """
     _check_separation(rmin, rmax)
     _check_separation(rmax, sys.chain.N - 1)
-    records = tuple(
+    return tuple(
         ForceRecord(R=r, energy=cp_energy(sys, r), force=ecp_force(sys, r))
         for r in range(rmin, rmax + 1)
     )
-    return ForceCurve(system=sys, records=records)
 
 
 def decay_profile(sys: SymmetricSystem) -> DecayProfile:

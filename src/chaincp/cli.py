@@ -27,7 +27,7 @@ from .casimir import cp_energy, decay_profile, force_curve
 from .errors import ConvergenceError, InvalidRegime, RegimeViolation
 from .lattice import SymmetricSystem, brillouin_modes, dispersion, require_valid_regime
 from .oracle import cp_energy_ed, cp_energy_quadrature
-from .thermal import ThermalRow, _growth_violations, thermal_table
+from .thermal import CANCEL_EPS, ThermalRow, _growth_violations, thermal_table
 
 MODES = (
     "force-sweep",
@@ -239,10 +239,12 @@ def load_config(argv: list[str] | None = None) -> RunConfig:
         if scalar in flag_keys and series not in flag_keys:
             merged[series] = None
 
-    # omega is an alternative way to state the detuning.
+    # omega is an alternative way to state the detuning; eps0 - omega is
+    # exact only to a few ulp of the largest magnitude involved.
     if merged["omega"] is not None:
         implied = merged["eps0"] - merged["omega"]
-        if "delta" in sources and abs(implied - merged["delta"]) > 1e-12:
+        scale = max(abs(merged["eps0"]), abs(merged["omega"]), abs(merged["delta"]))
+        if "delta" in sources and abs(implied - merged["delta"]) > CANCEL_EPS * scale:
             raise ConfigError(
                 f"omega={merged['omega']} implies delta={implied}, "
                 f"which contradicts delta={merged['delta']}"
@@ -359,7 +361,7 @@ def _run_sweep(cfg: RunConfig):
     for j, d in series:
         sys_ = _gated_system(cfg, J=j, delta=d)
         point = {"J": float(j), "delta": float(d)}
-        for rec in force_curve(sys_, rmin, rmax).records:
+        for rec in force_curve(sys_, rmin, rmax):
             rows.append((*(point[c] for c in lead), rec.R, rec.energy, rec.force, abs(rec.force)))
     return lead + ("R", "energy", "force", "abs_force"), rows, 0
 
@@ -418,11 +420,11 @@ def _run_oracle_check(cfg: RunConfig):
                             "interaction is identically zero")
     separations = range(cfg.rmin, cfg.rmax + 1)
     quads = cp_energy_quadrature(sys_, separations, max_points=cfg.max_points)
+    eds = cp_energy_ed(sys_, separations)
     rows = []
     all_ok = True
-    for r, quad in zip(separations, quads):
+    for r, quad, ed in zip(separations, quads, eds):
         closed = cp_energy(sys_, r)
-        ed = cp_energy_ed(sys_, r)
         quad_rel = _relative_error(quad, closed)
         ed_rel = _relative_error(ed, closed)
         quad_ok = quad_rel < QUAD_TOL

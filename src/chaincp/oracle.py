@@ -1,9 +1,11 @@
 """Independent checks: a secular equation on the finite ring, and mpmath quadrature.
 
-Nothing here reuses the closed forms (beyond an additive reference constant
-that is zero to machine precision).  The point is to have two estimates of
-the same interaction energy whose error budgets are unrelated, so agreement
-is evidence rather than tautology.
+Nothing here reuses the closed forms, except the ED oracle's additive
+reference constant ``E_cp(N // 2)``: 4.7e-100 at ``N = 400``, but -3.6e-14 at
+``N = 40``, 1.7e-5 of ``E_cp(10)`` in the golden ``oracle-check`` table
+(ROADMAP item 3 removes it).  The point is to have two estimates of the same
+interaction energy whose error budgets are unrelated, so agreement is
+evidence rather than tautology.
 
 * :func:`cp_energy_ed` takes the exact ground energy of the single-electron
   Hamiltonian on the ring of ``M = 2N + 1`` sites.  The impurities touch the
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import math
 import warnings
-import weakref
 
 import numpy as np
 
@@ -54,10 +55,20 @@ __all__ = [
     "cp_energy_quadrature",
 ]
 
-#: Reference ground energy ``E0(N // 2)`` per system, kept only while the
-#: system object lives, so a sweep over ``R`` on one system solves its
-#: reference once and nothing carries over to the next system built.
-_REFERENCE_ENERGIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+def _separations(R: int | range, lower: int, upper: int | None = None) -> range:
+    """``R`` as a range of separations, each in ``lower .. upper``.
+
+    ``R`` is one separation or a non-empty range of them with step 1.
+    """
+    if not isinstance(R, range):
+        _check_separation(R, upper, lower)
+        return range(R, R + 1)
+    if R.step != 1 or not R:
+        raise ValueError(f"separations must be a non-empty range with step 1, got {R!r}")
+    _check_separation(R[0], upper, lower)
+    _check_separation(R[-1], upper, lower)
+    return R
 
 
 def _ground_energy(sys: SymmetricSystem, R: int) -> float:
@@ -104,7 +115,7 @@ def _ground_energy(sys: SymmetricSystem, R: int) -> float:
     return lo if -f_lo <= f_hi else hi
 
 
-def cp_energy_ed(sys: SymmetricSystem, R: int) -> float:
+def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, ...]:
     """Interaction energy at separation ``R`` from the exact ground energy.
 
     The ground energy is the root of the secular equation on the finite ring
@@ -115,10 +126,12 @@ def cp_energy_ed(sys: SymmetricSystem, R: int) -> float:
 
     ``E0(R) - E0(r_ref) + E_cp(r_ref)``
 
-    with ``r_ref = N // 2``, where the closed-form remainder is
-    below double precision.  Cancelling the reference this way also removes
+    with ``r_ref = N // 2``.  The closed-form remainder ``E_cp(r_ref)`` is
+    4.7e-100 at ``N = 400`` but -3.6e-14 at ``N = 40``, 1.7e-5 of
+    ``E_cp(10)``, so on short rings the estimate still leans on the closed
+    form (ROADMAP item 3).  Cancelling the reference this way also removes
     the separation-independent fourth-order shift.  ``E0(r_ref)`` is solved
-    once per system object and reused across calls.
+    once per call, so a range of separations shares it.
 
     Residual systematics are fourth order in ``lam / gap`` plus the ring
     image at separation ``2N + 1 - 2R``; a ``UserWarning`` fires when their
@@ -127,26 +140,32 @@ def cp_energy_ed(sys: SymmetricSystem, R: int) -> float:
     Parameters
     ----------
     sys : SymmetricSystem
-    R : int
-        Separation, ``1 <= R <= N // 4``.
+    R : int or range
+        Separation ``1 <= R <= N // 4``, or a non-empty range of them with
+        step 1.
+
+    Returns
+    -------
+    float or tuple of float
+        A tuple in the order of ``R`` when ``R`` is a range.
     """
     n_half = sys.chain.N
-    _check_separation(R, n_half // 4)
+    seps = _separations(R, 1, n_half // 4)
     r_ref = n_half // 2
 
     gap = sys.chain.band_bottom - sys.eps0
-    systematic = (sys.lam / gap) ** 2 + sys.q ** (2 * n_half + 1 - 2 * R)
-    if systematic > 0.05:
-        warnings.warn(
-            f"ED estimate carries ~{systematic:.1%} systematic error "
-            f"(fourth-order coupling and ring image) at R={R}, N={n_half}",
-            stacklevel=2,
-        )
+    for r in seps:
+        systematic = (sys.lam / gap) ** 2 + sys.q ** (2 * n_half + 1 - 2 * r)
+        if systematic > 0.05:
+            warnings.warn(
+                f"ED estimate carries ~{systematic:.1%} systematic error "
+                f"(fourth-order coupling and ring image) at R={r}, N={n_half}",
+                stacklevel=2,
+            )
 
-    ground = _ground_energy(sys, R)
-    if sys not in _REFERENCE_ENERGIES:
-        _REFERENCE_ENERGIES[sys] = _ground_energy(sys, r_ref)
-    return ground - _REFERENCE_ENERGIES[sys] + cp_energy(sys, r_ref)
+    reference = _ground_energy(sys, r_ref)
+    values = tuple(_ground_energy(sys, r) - reference + cp_energy(sys, r_ref) for r in seps)
+    return values if isinstance(R, range) else values[0]
 
 
 def cp_energy_quadrature(
@@ -167,7 +186,7 @@ def cp_energy_quadrature(
     estimates that agree to ``rel_tol``; a separation's value is the first
     estimate that does, so a sweep returns the same floats as one call per
     separation.  The imaginary part must cancel by the k -> -k symmetry of
-    the grid; a residual above 1e-12 relative at any separation raises
+    the grid; a residual above 1e-12 of the value at any separation raises
     :class:`~chaincp.errors.ConvergenceError`.
 
     The answer at ``R`` is of order ``q**R`` while the integrand is of order
@@ -204,14 +223,7 @@ def cp_energy_quadrature(
     if sys.a == 0.0:
         raise InvalidRegime("quadrature needs a dispersive band (J > 0); "
                             "for J = 0 the interaction is identically zero")
-    if isinstance(R, range):
-        if R.step != 1 or not R:
-            raise ValueError(f"separations must be a non-empty range with step 1, got {R!r}")
-        _check_separation(R.start, lower=0)
-        seps = R
-    else:
-        _check_separation(R, lower=0)
-        seps = range(R, R + 1)
+    seps = _separations(R, 0)
     rmin, rmax = seps[0], seps[-1]
     # q underflows to 0.0 only below the smallest subnormal
     lost = math.ceil(-rmax * math.log10(max(sys.q, math.ulp(0.0))))
@@ -262,7 +274,7 @@ def cp_energy_quadrature(
                 value = lam_sq * acc_re[i] / m_points
                 if prev[i] is not None and abs(value - prev[i]) <= rel_tol * abs(value):
                     imag = lam_sq * acc_im[i] / m_points
-                    if abs(imag) > 1e-12 * max(1.0, abs(value)):
+                    if abs(imag) > 1e-12 * abs(value):
                         raise ConvergenceError(
                             f"odd part failed to cancel at R={r}: {mp.nstr(imag, 6)} "
                             f"with {m_points} points"

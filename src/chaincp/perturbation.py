@@ -86,8 +86,7 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> SymmetricSpectrum:
     e_plus = sys.eps0 + math.fsum(common * (1.0 + cos_r))
     e_minus = sys.eps0 + math.fsum(common * (1.0 - cos_r))
 
-    band = np.column_stack((modes, energies + 2.0 * gsq / (energies - sys.eps0)))
-    return SymmetricSpectrum(e_plus=e_plus, e_minus=e_minus, band=band)
+    return SymmetricSpectrum(e_plus=e_plus, e_minus=e_minus, band=band_energies(sys))
 
 
 def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, float]:

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import SymmetricSystem, _check_separation
-from .perturbation import SymmetricSpectrum, band_energies, symmetric_spectrum_closed
+from .perturbation import band_energies, symmetric_spectrum_closed
 
 __all__ = [
     "ThermalEnsemble",
@@ -55,8 +55,9 @@ __all__ = [
     "thermal_force",
 ]
 
-#: How far the cancellation in ``E_T(R) - E_T(R + 1)`` can move a force, in
-#: units of the larger energy: a few ulp in each of the two terms.
+#: How far rounding can move a difference of two floats, in units of the
+#: larger: a few ulp in each of the two terms.  It bounds the cancellation in
+#: the force ``E_T(R) - E_T(R + 1)`` and the CLI's omega/delta agreement.
 CANCEL_EPS = 4 * math.ulp(1.0)
 
 
@@ -66,21 +67,15 @@ class ThermalEnsemble:
 
     Attributes
     ----------
-    spectrum : SymmetricSpectrum
-        Doublet (closed form) plus the ``2N + 1`` shifted band modes.
+    energies : numpy.ndarray
+        All ``2N + 3`` levels: the closed-form ``e_plus`` and ``e_minus``,
+        then the ``2N + 1`` shifted band modes.
     weights : numpy.ndarray
         Normalised populations aligned with :attr:`energies`.
     """
 
-    spectrum: SymmetricSpectrum
+    energies: np.ndarray
     weights: np.ndarray
-
-    @property
-    def energies(self) -> np.ndarray:
-        """All ``2N + 3`` levels: ``e_plus``, ``e_minus``, then the band."""
-        return np.concatenate(
-            ([self.spectrum.e_plus, self.spectrum.e_minus], self.spectrum.band[:, 1])
-        )
 
 
 class ThermalRow(NamedTuple):
@@ -108,11 +103,16 @@ def _boltzmann(energies: np.ndarray, T: float) -> np.ndarray:
     return shifted / math.fsum(shifted.tolist())
 
 
-def _ensemble_energy(sys: SymmetricSystem, band: np.ndarray, T: float, R: int) -> float:
-    """``E_T(R)`` over the closed-form doublet at ``R`` and the shifted ``band`` levels."""
+def _ensemble(sys: SymmetricSystem, band: np.ndarray, T: float, R: int) -> ThermalEnsemble:
+    """The closed-form doublet at ``R`` and the shifted ``band`` levels, weighted at ``T``."""
     energies = np.concatenate((symmetric_spectrum_closed(sys, R), band))
-    weights = _boltzmann(energies, T)
-    return math.fsum((weights * energies).tolist())
+    return ThermalEnsemble(energies=energies, weights=_boltzmann(energies, T))
+
+
+def _ensemble_energy(sys: SymmetricSystem, band: np.ndarray, T: float, R: int) -> float:
+    """``E_T(R)``, the Boltzmann average over :func:`_ensemble`."""
+    ens = _ensemble(sys, band, T, R)
+    return math.fsum((ens.weights * ens.energies).tolist())
 
 
 def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
@@ -127,10 +127,7 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     R : int
         Separation to evaluate at, ``1 <= R <= N``.
     """
-    e_plus, e_minus = symmetric_spectrum_closed(sys, R)
-    spectrum = SymmetricSpectrum(e_plus=e_plus, e_minus=e_minus, band=band_energies(sys))
-    weights = _boltzmann(np.concatenate(((e_plus, e_minus), spectrum.band[:, 1])), T)
-    return ThermalEnsemble(spectrum=spectrum, weights=weights)
+    return _ensemble(sys, band_energies(sys)[:, 1], T, R)
 
 
 def thermal_table(sys: SymmetricSystem, temperatures, rmin: int, rmax: int

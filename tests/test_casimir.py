@@ -71,9 +71,9 @@ def test_separation_validation():
 
 def test_force_curve_matches_pointwise():
     sys_ = fig_system(J=0.4)
-    curve = force_curve(sys_, 2, 8)
-    assert [rec.R for rec in curve.records] == list(range(2, 9))
-    for rec in curve.records:
+    rows = force_curve(sys_, 2, 8)
+    assert [rec.R for rec in rows] == list(range(2, 9))
+    for rec in rows:
         assert rec.energy == cp_energy(sys_, rec.R)
         assert rec.force == ecp_force(sys_, rec.R)
 

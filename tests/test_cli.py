@@ -115,6 +115,20 @@ def test_omega_is_an_alias_for_the_detuning():
         load_config(["--mode", "force-sweep", "--omega", "1.8", "--delta", "-1.0"])
 
 
+def test_omega_consistency_forgives_input_rounding_at_large_magnitude():
+    # eps0 - omega misses -1.3 by 1.1e-9 here, which is input rounding only
+    cfg = load_config(["--mode", "force-sweep", "--eps0", "12345678.9",
+                       "--omega", "12345680.2", "--delta=-1.3"])
+    assert cfg.delta == pytest.approx(-1.3, rel=1e-8)
+
+
+def test_omega_consistency_catches_contradictions_at_small_magnitude():
+    # off by a factor of 2, however small the numbers
+    with pytest.raises(ConfigError, match="contradicts"):
+        load_config(["--mode", "force-sweep", "--eps0", "1e-15",
+                     "--omega", "2e-15", "--delta=-2e-15"])
+
+
 # ---------------------------------------------------------------- running
 
 

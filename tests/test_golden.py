@@ -1,9 +1,10 @@
 """Byte-for-byte regression of the CLI tables and exit codes.
 
-Every file under ``golden/`` is the table the CLI wrote for the arguments
+Every table under ``golden/`` is the one the CLI wrote for the arguments
 listed here, so a refactor that promises the same results must reproduce each
-one exactly.  After a deliberate change of output, regenerate them from the
-root of the checkout with::
+one exactly; ``golden/demos/`` holds each demo's stdout, which
+``test_demos.py`` compares.  After a deliberate change of output, regenerate
+them all from the root of the checkout with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -59,7 +60,12 @@ def test_exit_code(args, code, tmp_path):
 
 
 if __name__ == "__main__":
+    from test_demos import DEMOS, GOLDEN_DEMOS, demo_stdout
+
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in TABLES.items():
         if main(argv + ["--output", str(GOLDEN / name)]) != 0:
             raise SystemExit(f"chaincp {' '.join(argv)} failed")
+    GOLDEN_DEMOS.mkdir(exist_ok=True)
+    for demo in DEMOS:
+        (GOLDEN_DEMOS / f"{demo.stem}.txt").write_text(demo_stdout(demo), encoding="utf-8")

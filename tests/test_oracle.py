@@ -73,11 +73,9 @@ def test_three_site_ring_eigenvalues():
 
 
 def test_diagonalisation_is_deterministic():
-    # the reference energy is solved once per system object; a fresh but
-    # equal system, solved from scratch, must give the same bits
+    # a fresh but equal system, solved from scratch, must give the same bits
     sys_ = fig_system(N=40)
     values = [cp_energy_ed(sys_, r) for r in (1, 2, 3)]
-    del sys_  # equal systems share the cache, so let this one's entry go
     again = [cp_energy_ed(fig_system(N=40), r) for r in (1, 2, 3)]
     assert values == again
 
@@ -113,7 +111,7 @@ def test_ed_bracket_failure_is_a_convergence_error():
         cp_energy_ed(fig_system(lam=math.nan, N=40), 1)
 
 
-def test_reference_energy_is_solved_once_per_system(monkeypatch):
+def test_reference_energy_is_solved_once_per_call(monkeypatch):
     solved = []
 
     def counting(sys_, r):
@@ -121,10 +119,35 @@ def test_reference_energy_is_solved_once_per_system(monkeypatch):
         return _ground_energy(sys_, r)
 
     monkeypatch.setattr(oracle, "_ground_energy", counting)
-    sys_ = fig_system(N=48)
-    for r in range(1, 6):
-        cp_energy_ed(sys_, r)
-    assert solved == [1, 24, 2, 3, 4, 5]
+    cp_energy_ed(fig_system(N=48), range(1, 6))
+    assert solved == [24, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("N", [40, 400, 20000])
+def test_ed_sweep_gives_the_floats_of_single_calls(N):
+    sys_ = fig_system(N=N)
+    assert cp_energy_ed(sys_, range(1, 6)) == tuple(cp_energy_ed(sys_, r) for r in range(1, 6))
+
+
+def test_ed_rejects_ranges_it_cannot_sweep():
+    sys_ = fig_system(N=40)
+    for bad in (range(3, 3), range(1, 9, 2), range(-1, 3), range(0, 3), range(1, 12)):
+        with pytest.raises(ValueError):
+            cp_energy_ed(sys_, bad)
+    with pytest.raises(TypeError):
+        cp_energy_ed(sys_, 1.0)
+
+
+def test_ed_sweep_warns_for_each_separation():
+    # lam / gap = 0.25 puts every separation over the 5% systematic bound
+    sys_ = fig_system(lam=0.1, N=80)
+    with pytest.warns(UserWarning) as swept:
+        cp_energy_ed(sys_, range(1, 4))
+    with pytest.warns(UserWarning) as single:
+        for r in range(1, 4):
+            cp_energy_ed(sys_, r)
+    assert len(swept) == 3
+    assert [str(w.message) for w in swept] == [str(w.message) for w in single]
 
 
 def test_ed_reaches_chains_too_large_for_a_dense_matrix():
@@ -242,6 +265,15 @@ def test_quadrature_odd_part_residual_is_a_convergence_error(monkeypatch, tmp_pa
     code = cli_main(["--mode", "oracle-check", "--N", "40", "--rmax", "2",
                      "--output", str(tmp_path / "oracle.csv")])
     assert code == 4
+
+
+def test_quadrature_odd_part_check_is_relative_to_the_value(monkeypatch):
+    # E_cp(10) ~ 1e-54 at J = 1e-5: an imaginary residual of 1e-34 is tiny in
+    # absolute terms but 1e20 times the value
+    real_sin = mp.sin
+    monkeypatch.setattr(mp, "sin", lambda x: real_sin(x) + mp.mpf(1e-30))
+    with pytest.raises(ConvergenceError, match="odd part"):
+        cp_energy_quadrature(fig_system(J=1e-5), 10)
 
 
 @pytest.mark.parametrize("J,separations", [(0.3, range(0, 21)), (0.495, range(1, 21)),

@@ -67,6 +67,13 @@ def test_infinite_temperature_is_the_uniform_average():
     assert thermal_energy(sys_, math.inf, 1) == pytest.approx(mean, rel=1e-12)
 
 
+@pytest.mark.parametrize("T", [0.0, 0.1, math.inf])
+def test_ensemble_average_is_the_thermal_energy(T):
+    sys_ = fig_system(N=40)
+    ens = thermal_ensemble(sys_, T, 2)
+    assert math.fsum((ens.weights * ens.energies).tolist()) == thermal_energy(sys_, T, 2)
+
+
 def test_infinite_temperature_force_vanishes():
     sys_ = fig_system(N=60)
     assert abs(thermal_force(sys_, math.inf, 2)) < 1e-12
