@@ -30,6 +30,13 @@ TABLES = {
     "detuning-sweep.csv": ["--mode", "detuning-sweep"],
     "decay-profile.csv": ["--mode", "decay-profile"],
     "oracle-check.csv": ["--mode", "oracle-check", "--N", "40", "--rmax", "10"],
+    # the only JSON table with bool cells
+    "oracle-check.json": ["--mode", "oracle-check", "--N", "40", "--rmax", "10",
+                          "--format", "json"],
+    # a delta_values series in the header
+    "delta-values.csv": ["--mode", "force-sweep", "--delta-values=-1.5,-2", "--rmax", "5"],
+    # file-sourced overrides, with omega resolving the detuning through a file
+    "hopping-file.csv": ["--config", str(GOLDEN / "hopping-file.conf")],
     "dispersion-dump.csv": ["--mode", "dispersion-dump", "--N", "5"],
 }
 
