@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,18 +28,6 @@ from .errors import ConvergenceError, InvalidRegime, RegimeViolation
 from .lattice import SymmetricSystem, brillouin_modes, dispersion, require_valid_regime
 from .oracle import cp_energy_ed, cp_energy_quadrature
 from .thermal import CANCEL_EPS, ThermalRow, _growth_violations, thermal_table
-
-MODES = (
-    "force-sweep",
-    "hopping-sweep",
-    "detuning-sweep",
-    "decay-profile",
-    "thermal-sweep",
-    "oracle-check",
-    "dispersion-dump",
-)
-
-FORMATS = ("csv", "json")
 
 #: Environment variable consulted for the default output directory; it has
 #: no other effect, and an explicit --output always wins.
@@ -88,9 +76,6 @@ _KEYS: dict[str, tuple] = {
     "j_values": ((float,), None), "delta_values": ((float,), None),
     "n_values": ((int,), None),
 }
-
-#: RunConfig fields spelled differently from their key.
-_FIELDS = {"format": "fmt", "lambda": "lam"}
 
 
 def _coerce(key: str, raw) -> object:
@@ -142,43 +127,6 @@ def _parse_config_file(path: str) -> dict[str, object]:
     return values
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved parameters for one CLI run."""
-
-    mode: str
-    fmt: str
-    output: str | None
-    preset: str | None
-    eps0: float
-    delta: float
-    J: float
-    lam: float
-    N: int
-    R: int
-    rmin: int
-    rmax: int
-    temperatures: tuple[float, ...]
-    n_values: tuple[int, ...] | None
-    j_values: tuple[float, ...] | None
-    delta_values: tuple[float, ...] | None
-    amin: float
-    amax: float
-    asteps: int
-    jmin: float
-    jmax: float
-    jsteps: int
-    dmin: float
-    dmax: float
-    dsteps: int
-    max_points: int
-    sources: tuple[tuple[str, str], ...]
-
-    @property
-    def omega(self) -> float:
-        return self.eps0 - self.delta
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaincp",
@@ -201,8 +149,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(argv: list[str] | None = None) -> RunConfig:
-    """Resolve defaults, preset, config file, and flags into a RunConfig.
+def load_config(argv: list[str] | None = None) -> MappingProxyType:
+    """Resolve defaults, preset, config file, and flags into one read-only mapping.
+
+    The mapping holds every ``_KEYS`` key under its own name (``"lambda"``,
+    ``"format"``), with ``"omega"`` recomputed as ``eps0 - delta``; plus
+    ``"preset"`` (the preset's name or ``None``) and ``"sources"``, the
+    sorted ``(key, "preset" | "file" | "flag")`` pairs of every key a
+    preset, the file or a flag set.
 
     Raises
     ------
@@ -251,13 +205,14 @@ def load_config(argv: list[str] | None = None) -> RunConfig:
             )
         merged["delta"] = implied
         sources["delta"] = sources.get("omega", "flag")
+    merged["omega"] = merged["eps0"] - merged["delta"]
 
     if merged["mode"] is None:
         raise ConfigError("no mode: pass --mode or a --preset that sets one")
     if merged["mode"] not in MODES:
         raise ConfigError(f"unknown mode {merged['mode']!r}; choose from {', '.join(MODES)}")
     if merged["format"] not in FORMATS:
-        raise ConfigError(f"unknown format {merged['format']!r}; choose csv or json")
+        raise ConfigError(f"unknown format {merged['format']!r}; choose {' or '.join(FORMATS)}")
 
     for key, low in (("N", 1), ("R", 1), ("rmin", 1), ("max_points", 64),
                      ("asteps", 2), ("jsteps", 2), ("dsteps", 2)):
@@ -271,20 +226,18 @@ def load_config(argv: list[str] | None = None) -> RunConfig:
     if list(temps) != sorted(temps):
         raise ConfigError("temperatures must be sorted ascending")
 
-    return RunConfig(
-        preset=args.preset,
-        sources=tuple(sorted(sources.items())),
-        **{_FIELDS.get(key, key): merged[key] for key in _KEYS if key != "omega"},
-    )
+    return MappingProxyType({**merged, "preset": args.preset,
+                             "sources": tuple(sorted(sources.items()))})
 
 
-def _system(cfg: RunConfig, **overrides) -> SymmetricSystem:
+def _system(cfg: MappingProxyType, **overrides) -> SymmetricSystem:
     """The configured system, with ``delta``, ``J`` or ``N`` overridden."""
-    params = {"delta": cfg.delta, "J": cfg.J, "lam": cfg.lam, "N": cfg.N, "eps0": cfg.eps0}
+    params = {"delta": cfg["delta"], "J": cfg["J"], "lam": cfg["lambda"], "N": cfg["N"],
+              "eps0": cfg["eps0"]}
     return SymmetricSystem.from_detuning(**{**params, **overrides})
 
 
-def _gated_system(cfg: RunConfig, **overrides) -> SymmetricSystem:
+def _gated_system(cfg: MappingProxyType, **overrides) -> SymmetricSystem:
     """:func:`_system` passed through the regime gate, its warnings printed."""
     sys_ = _system(cfg, **overrides)
     for note in require_valid_regime(sys_).warnings:
@@ -297,6 +250,8 @@ def _warn(note: str) -> None:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -306,56 +261,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _meta(cfg: RunConfig) -> list[tuple[str, str]]:
-    pairs = [
-        ("generator", f"chaincp {__version__}"),
-        ("mode", cfg.mode),
-        ("preset", cfg.preset or "none"),
-        ("eps0", _fmt(cfg.eps0)),
-        ("delta", _fmt(cfg.delta)),
-        ("omega", _fmt(cfg.omega)),
-        ("J", _fmt(cfg.J)),
-        ("lambda", _fmt(cfg.lam)),
-        ("N", _fmt(cfg.N)),
-        ("R", _fmt(cfg.R)),
-        ("rmin", _fmt(cfg.rmin)),
-        ("rmax", _fmt(cfg.rmax)),
-        ("temperatures", ",".join(_fmt(t) for t in cfg.temperatures)),
-    ]
-    for key in ("n_values", "j_values", "delta_values"):
-        values = getattr(cfg, key)
-        if values is not None:
-            pairs.append((key, ",".join(_fmt(v) for v in values)))
-    if cfg.mode == "decay-profile":
-        pairs += [("amin", _fmt(cfg.amin)), ("amax", _fmt(cfg.amax)), ("asteps", _fmt(cfg.asteps))]
-    if cfg.mode == "hopping-sweep":
-        pairs += [("jmin", _fmt(cfg.jmin)), ("jmax", _fmt(cfg.jmax)), ("jsteps", _fmt(cfg.jsteps))]
-    if cfg.mode == "detuning-sweep":
-        pairs += [("dmin", _fmt(cfg.dmin)), ("dmax", _fmt(cfg.dmax)), ("dsteps", _fmt(cfg.dsteps))]
-    if cfg.mode == "oracle-check":
-        pairs += [("quad_tol", _fmt(QUAD_TOL)), ("ed_tol", _fmt(ED_TOL)),
-                  ("max_points", _fmt(cfg.max_points))]
-    overrides = " ".join(f"{k}<-{v}" for k, v in cfg.sources)
+#: Header keys in their order; the series are skipped when unset.
+_META_KEYS = ("eps0", "delta", "omega", "J", "lambda", "N", "R", "rmin", "rmax",
+              "temperatures", "n_values", "j_values", "delta_values")
+
+#: Header keys only one mode reads, after the common ones.
+_MODE_META_KEYS = {
+    "decay-profile": ("amin", "amax", "asteps"),
+    "hopping-sweep": ("jmin", "jmax", "jsteps"),
+    "detuning-sweep": ("dmin", "dmax", "dsteps"),
+    "oracle-check": ("quad_tol", "ed_tol", "max_points"),
+}
+
+
+def _meta(cfg: MappingProxyType) -> list[tuple[str, str]]:
+    values = {**cfg, "quad_tol": QUAD_TOL, "ed_tol": ED_TOL}
+    pairs = [("generator", f"chaincp {__version__}"), ("mode", cfg["mode"]),
+             ("preset", cfg["preset"] or "none")]
+    pairs += [(key, _fmt(values[key]))
+              for key in _META_KEYS + _MODE_META_KEYS.get(cfg["mode"], ())
+              if values[key] is not None]
+    overrides = " ".join(f"{k}<-{v}" for k, v in cfg["sources"])
     pairs.append(("overrides", overrides or "none"))
     return pairs
 
 
-def _sweep_grid(cfg: RunConfig):
+def _sweep_grid(cfg: MappingProxyType):
     """Leading columns, ``(J, delta)`` series and ``R`` range of a force sweep."""
-    if cfg.mode == "hopping-sweep":
-        series = [(float(j), cfg.delta) for j in np.linspace(cfg.jmin, cfg.jmax, cfg.jsteps)]
-        return ("J",), series, cfg.R, cfg.R
-    if cfg.mode == "detuning-sweep":
-        series = [(cfg.J, float(d)) for d in np.linspace(cfg.dmin, cfg.dmax, cfg.dsteps)]
-        return ("delta",), series, cfg.R, cfg.R
-    if cfg.delta_values is not None:
-        series = [(cfg.J, d) for d in cfg.delta_values]
+    if cfg["mode"] == "hopping-sweep":
+        grid = np.linspace(cfg["jmin"], cfg["jmax"], cfg["jsteps"])
+        series = [(float(j), cfg["delta"]) for j in grid]
+        return ("J",), series, cfg["R"], cfg["R"]
+    if cfg["mode"] == "detuning-sweep":
+        grid = np.linspace(cfg["dmin"], cfg["dmax"], cfg["dsteps"])
+        series = [(cfg["J"], float(d)) for d in grid]
+        return ("delta",), series, cfg["R"], cfg["R"]
+    if cfg["delta_values"] is not None:
+        series = [(cfg["J"], d) for d in cfg["delta_values"]]
     else:
-        series = [(j, cfg.delta) for j in (cfg.j_values or (cfg.J,))]
-    return ("J", "delta"), series, cfg.rmin, cfg.rmax
+        series = [(j, cfg["delta"]) for j in (cfg["j_values"] or (cfg["J"],))]
+    return ("J", "delta"), series, cfg["rmin"], cfg["rmax"]
 
 
-def _run_sweep(cfg: RunConfig):
+def _run_sweep(cfg: MappingProxyType):
     lead, series, rmin, rmax = _sweep_grid(cfg)
     rows = []
     for j, d in series:
@@ -366,29 +314,29 @@ def _run_sweep(cfg: RunConfig):
     return lead + ("R", "energy", "force", "abs_force"), rows, 0
 
 
-def _run_decay_profile(cfg: RunConfig):
+def _run_decay_profile(cfg: MappingProxyType):
     # Decay rate and range depend only on the band parameter, not on the
     # coupling, so this mode skips the weak-coupling gate; near the band
     # edge the amplitude column is the only thing to take with salt.
     columns = ("a", "J", "gamma", "rc", "amplitude")
-    if not -1.0 < cfg.amin <= cfg.amax <= 0.0:
-        raise ConfigError(f"need -1 < amin <= amax <= 0, got [{cfg.amin}, {cfg.amax}]")
+    if not -1.0 < cfg["amin"] <= cfg["amax"] <= 0.0:
+        raise ConfigError(f"need -1 < amin <= amax <= 0, got [{cfg['amin']}, {cfg['amax']}]")
     rows = []
-    for a in np.linspace(cfg.amin, cfg.amax, cfg.asteps):
-        j_a = float(a) * cfg.delta / 2.0
+    for a in np.linspace(cfg["amin"], cfg["amax"], cfg["asteps"]):
+        j_a = float(a) * cfg["delta"] / 2.0
         sys_ = _system(cfg, J=j_a)
         prof = decay_profile(sys_)
         rows.append((float(a), j_a, prof.gamma, prof.rc, prof.amplitude))
     return columns, rows, 0
 
 
-def _run_thermal_sweep(cfg: RunConfig):
+def _run_thermal_sweep(cfg: MappingProxyType):
     columns = ("T", "N", "R", "energy", "force")
     rows = []
     by_nr: dict[tuple[int, int], list[ThermalRow]] = {}
-    for n in cfg.n_values or (cfg.N,):
+    for n in cfg["n_values"] or (cfg["N"],):
         sys_ = _gated_system(cfg, N=int(n))
-        for row in thermal_table(sys_, cfg.temperatures, cfg.rmin, cfg.rmax):
+        for row in thermal_table(sys_, cfg["temperatures"], cfg["rmin"], cfg["rmax"]):
             rows.append((row.T, int(n), row.R, row.energy, row.force))
             by_nr.setdefault((int(n), row.R), []).append(row)
     # |f_T| falls with temperature once T exceeds the doublet splitting at R;
@@ -406,20 +354,20 @@ def _relative_error(value: float, closed: float) -> float:
     return abs(value - closed) / abs(closed)
 
 
-def _run_oracle_check(cfg: RunConfig):
+def _run_oracle_check(cfg: MappingProxyType):
     columns = ("R", "closed", "quadrature", "quad_rel_err", "quad_ok",
                "ed", "ed_rel_err", "ed_ok")
-    if cfg.rmax > cfg.N // 4:
+    if cfg["rmax"] > cfg["N"] // 4:
         raise ConfigError(
             f"oracle-check needs rmax <= N//4 to keep ring images out of the "
-            f"diagonalisation estimate; got rmax={cfg.rmax}, N={cfg.N}"
+            f"diagonalisation estimate; got rmax={cfg['rmax']}, N={cfg['N']}"
         )
     sys_ = _gated_system(cfg)
     if sys_.lam == 0.0:
         raise InvalidRegime("oracle-check needs lambda != 0; for lambda = 0 the "
                             "interaction is identically zero")
-    separations = range(cfg.rmin, cfg.rmax + 1)
-    quads = cp_energy_quadrature(sys_, separations, max_points=cfg.max_points)
+    separations = range(cfg["rmin"], cfg["rmax"] + 1)
+    quads = cp_energy_quadrature(sys_, separations, max_points=cfg["max_points"])
     eds = cp_energy_ed(sys_, separations)
     rows = []
     all_ok = True
@@ -434,7 +382,7 @@ def _run_oracle_check(cfg: RunConfig):
     return columns, rows, 0 if all_ok else 4
 
 
-def _run_dispersion_dump(cfg: RunConfig):
+def _run_dispersion_dump(cfg: MappingProxyType):
     columns = ("k", "energy")
     chain = _system(cfg).chain
     modes = brillouin_modes(chain)
@@ -443,6 +391,7 @@ def _run_dispersion_dump(cfg: RunConfig):
     return columns, rows, 0
 
 
+#: Every mode and its runner; ``--mode`` offers them in this order.
 _RUNNERS = {
     "force-sweep": _run_sweep,
     "hopping-sweep": _run_sweep,
@@ -472,17 +421,24 @@ def _render_json(meta, columns, rows) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _output_path(cfg: RunConfig) -> str:
-    if cfg.output is not None:
-        return cfg.output
+#: Every output format and its renderer.
+_RENDERERS = {"csv": _render_csv, "json": _render_json}
+
+MODES = tuple(_RUNNERS)
+FORMATS = tuple(_RENDERERS)
+
+
+def _output_path(cfg: MappingProxyType) -> str:
+    if cfg["output"] is not None:
+        return cfg["output"]
     outdir = os.environ.get(OUTDIR_ENV, ".")
-    return os.path.join(outdir, f"{cfg.preset or cfg.mode}.{cfg.fmt}")
+    return os.path.join(outdir, f"{cfg['preset'] or cfg['mode']}.{cfg['format']}")
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: MappingProxyType) -> int:
     """Execute one resolved configuration; returns the exit code."""
-    columns, rows, code = _RUNNERS[cfg.mode](cfg)
-    text = (_render_csv if cfg.fmt == "csv" else _render_json)(_meta(cfg), columns, rows)
+    columns, rows, code = _RUNNERS[cfg["mode"]](cfg)
+    text = _RENDERERS[cfg["format"]](_meta(cfg), columns, rows)
     path = _output_path(cfg)
     if path == "-":
         sys.stdout.write(text)

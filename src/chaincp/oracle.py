@@ -55,6 +55,9 @@ __all__ = [
     "cp_energy_quadrature",
 ]
 
+#: Relative agreement between successive quadrature refinements.
+REFINEMENT_TOL = 1e-13
+
 
 def _separations(R: int | range, lower: int, upper: int | None = None) -> range:
     """``R`` as a range of separations, each in ``lower .. upper``.
@@ -171,7 +174,6 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
 def cp_energy_quadrature(
     sys: SymmetricSystem,
     R: int | range,
-    rel_tol: float = 1e-13,
     max_points: int = 2 ** 22,
 ) -> float | tuple[float, ...]:
     """Interaction energy from the momentum integral, in arbitrary precision.
@@ -181,11 +183,11 @@ def cp_energy_quadrature(
     ``cos k``, ``sin k`` and, when ``rmin > 1``, the phase ``rmin k``; the
     phases ``cos kR`` and ``sin kR`` for ``R = rmin .. rmax`` follow from
     the Chebyshev recurrence ``x_{R+1} = 2 cos k x_R - x_{R-1}``, and each
-    separation keeps its own real and imaginary running sums.  The number of points doubles from 64,
-    adding only the new midpoints, until every separation has two successive
-    estimates that agree to ``rel_tol``; a separation's value is the first
-    estimate that does, so a sweep returns the same floats as one call per
-    separation.  The imaginary part must cancel by the k -> -k symmetry of
+    separation keeps its own real and imaginary running sums.  The number of
+    points doubles from 64, adding only the new midpoints, until every
+    separation has two successive estimates that agree to
+    :data:`REFINEMENT_TOL`; a separation's value is the first estimate that
+    does, so a sweep returns the same floats as one call per separation.  The imaginary part must cancel by the k -> -k symmetry of
     the grid; a residual above 1e-12 of the value at any separation raises
     :class:`~chaincp.errors.ConvergenceError`.
 
@@ -204,8 +206,6 @@ def cp_energy_quadrature(
     R : int or range
         Separation ``R >= 0`` (``R = 0`` gives the single-level shift
         scale), or a non-empty range of them with step 1.
-    rel_tol : float
-        Relative agreement between successive refinements.
     max_points : int
         Point budget; exceeding it raises
         :class:`~chaincp.errors.NonConvergence`, naming the separations
@@ -272,7 +272,7 @@ def cp_energy_quadrature(
                 if values[i] is not None:
                     continue
                 value = lam_sq * acc_re[i] / m_points
-                if prev[i] is not None and abs(value - prev[i]) <= rel_tol * abs(value):
+                if prev[i] is not None and abs(value - prev[i]) <= REFINEMENT_TOL * abs(value):
                     imag = lam_sq * acc_im[i] / m_points
                     if abs(imag) > 1e-12 * abs(value):
                         raise ConvergenceError(
@@ -291,5 +291,5 @@ def cp_energy_quadrature(
     missing = ", ".join(str(r) for r, value in zip(seps, values) if value is None)
     raise NonConvergence(
         f"trapezoid refinement reached {max_points} points at R={missing} without "
-        f"two estimates agreeing to {rel_tol}"
+        f"two estimates agreeing to {REFINEMENT_TOL}"
     )

@@ -44,8 +44,7 @@ __all__ = [
 class SymmetricSpectrum:
     """Second-order spectrum of the symmetric two-impurity problem.
 
-    ``band`` is a ``(2N + 1, 2)`` array; column 0 holds the mode momentum,
-    column 1 the shifted band energy.
+    ``band`` holds the ``2N + 1`` shifted band energies, in mode order.
     """
 
     e_plus: float
@@ -54,15 +53,11 @@ class SymmetricSpectrum:
 
 
 def band_energies(sys: SymmetricSystem) -> np.ndarray:
-    """Shifted band energies ``Omega_k + 2 g^2 / (Omega_k - eps0)``.
-
-    Returns a ``(2N + 1, 2)`` array of (momentum, energy) rows.
-    """
+    """Shifted band energies ``Omega_k + 2 g^2 / (Omega_k - eps0)``, one per ring mode."""
     modes = brillouin_modes(sys.chain)
     energies = dispersion(sys.chain, modes)
     gsq = sys.lam ** 2 / sys.chain.num_sites
-    shifted = energies + 2.0 * gsq / (energies - sys.eps0)
-    return np.column_stack((modes, shifted))
+    return energies + 2.0 * gsq / (energies - sys.eps0)
 
 
 def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> SymmetricSpectrum:

@@ -93,9 +93,11 @@ def _boltzmann(energies: np.ndarray, T: float) -> np.ndarray:
     if not T >= 0:
         raise ValueError(f"temperature must be non-negative, got T={T}")
     e_min = float(energies.min())
-    if T == 0:
+    if T == 0 or 1.0 / T == math.inf:
         # Limit distribution: all weight on the ground level, split evenly
-        # across an exact degeneracy (the flat-band case).
+        # across an exact degeneracy (the flat-band case).  A subnormal T
+        # below ~5.6e-309 has beta = inf and takes it too, since
+        # inf * 0 at the ground level would be NaN.
         ground = energies == e_min
         return ground / ground.sum()
     beta = 1.0 / T
@@ -127,7 +129,7 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     R : int
         Separation to evaluate at, ``1 <= R <= N``.
     """
-    return _ensemble(sys, band_energies(sys)[:, 1], T, R)
+    return _ensemble(sys, band_energies(sys), T, R)
 
 
 def thermal_table(sys: SymmetricSystem, temperatures, rmin: int, rmax: int
@@ -153,7 +155,7 @@ def thermal_table(sys: SymmetricSystem, temperatures, rmin: int, rmax: int
         raise ValueError(f"rmax={rmax} is below rmin={rmin}")
     _check_separation(rmax + 1, sys.chain.N)
 
-    band = band_energies(sys)[:, 1]
+    band = band_energies(sys)
     separations = range(rmin, rmax + 2)
     rows = []
     for t in temps:
@@ -165,7 +167,7 @@ def thermal_table(sys: SymmetricSystem, temperatures, rmin: int, rmax: int
 
 def thermal_energy(sys: SymmetricSystem, T: float, R: int) -> float:
     """Ensemble average energy at separation ``R``; exactly ``e_plus`` at ``T = 0``."""
-    return _ensemble_energy(sys, band_energies(sys)[:, 1], T, R)
+    return _ensemble_energy(sys, band_energies(sys), T, R)
 
 
 def thermal_force(sys: SymmetricSystem, T: float, R: int) -> float:

@@ -1,12 +1,11 @@
 import json
-import math
 import subprocess
 import sys
 
 import pytest
 
 from chaincp.casimir import cp_energy, ecp_force
-from chaincp.cli import _KEYS, ConfigError, PRESETS, load_config, main
+from chaincp.cli import _KEYS, ConfigError, load_config, main
 from chaincp.lattice import SymmetricSystem
 
 
@@ -32,48 +31,58 @@ def read_csv(path):
 
 def test_defaults_resolve():
     cfg = load_config(["--mode", "force-sweep"])
-    assert cfg.mode == "force-sweep"
-    assert cfg.fmt == "csv"
-    assert cfg.eps0 == 1.0 and cfg.delta == -1.0
-    assert cfg.J == 0.3 and cfg.lam == 0.01
-    assert cfg.N == 200 and cfg.rmin == 1 and cfg.rmax == 10
-    assert cfg.omega == 2.0
+    assert cfg["mode"] == "force-sweep"
+    assert cfg["format"] == "csv"
+    assert cfg["eps0"] == 1.0 and cfg["delta"] == -1.0
+    assert cfg["J"] == 0.3 and cfg["lambda"] == 0.01
+    assert cfg["N"] == 200 and cfg["rmin"] == 1 and cfg["rmax"] == 10
+    assert cfg["omega"] == 2.0
 
 
 def test_preset_sets_everything():
     cfg = load_config(["--preset", "fig5"])
-    assert cfg.mode == "thermal-sweep"
-    assert cfg.lam == 0.1
-    assert cfg.temperatures == (0.0, 0.1, 1.0)
-    assert cfg.n_values == (100, 200, 400)
-    assert cfg.rmax == 8
+    assert cfg["mode"] == "thermal-sweep"
+    assert cfg["lambda"] == 0.1
+    assert cfg["temperatures"] == (0.0, 0.1, 1.0)
+    assert cfg["n_values"] == (100, 200, 400)
+    assert cfg["rmax"] == 8
 
 
 def test_flags_override_preset():
     cfg = load_config(["--preset", "fig2", "--rmax", "15", "--lambda", "0.02"])
-    assert cfg.rmax == 15
-    assert cfg.lam == 0.02
-    assert cfg.j_values == (0.3, 0.4)  # untouched preset series
+    assert cfg["rmax"] == 15
+    assert cfg["lambda"] == 0.02
+    assert cfg["j_values"] == (0.3, 0.4)  # untouched preset series
 
 
 def test_scalar_flag_supersedes_preset_series():
     cfg = load_config(["--preset", "fig2", "--J", "0.25"])
-    assert cfg.J == 0.25
-    assert cfg.j_values is None
+    assert cfg["J"] == 0.25
+    assert cfg["j_values"] is None
 
 
 def test_config_file_layering(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("# comment line\n\nmode = force-sweep\nJ = 0.35\nrmax = 12\n")
     cfg = load_config(["--config", str(conf)])
-    assert cfg.mode == "force-sweep"
-    assert cfg.J == 0.35
-    assert cfg.rmax == 12
+    assert cfg["mode"] == "force-sweep"
+    assert cfg["J"] == 0.35
+    assert cfg["rmax"] == 12
     # flags still win over the file
     cfg2 = load_config(["--config", str(conf), "--rmax", "6"])
-    assert cfg2.rmax == 6
-    assert dict(cfg2.sources)["rmax"] == "flag"
-    assert dict(cfg2.sources)["J"] == "file"
+    assert cfg2["rmax"] == 6
+    assert dict(cfg2["sources"])["rmax"] == "flag"
+    assert dict(cfg2["sources"])["J"] == "file"
+
+
+def test_a_key_declared_once_reaches_the_resolved_mapping(monkeypatch):
+    # _KEYS is the only declaration: a new key gets its flag and its entry
+    monkeypatch.setitem(_KEYS, "extra_steps", (int, 7))
+    cfg = load_config(["--mode", "force-sweep", "--extra-steps", "9"])
+    assert cfg["extra_steps"] == 9
+    assert set(_KEYS) | {"preset", "sources"} == set(cfg)
+    with pytest.raises(TypeError):
+        cfg["J"] = 0.1  # read-only
 
 
 def test_config_file_unknown_key_points_at_the_line(tmp_path):
@@ -107,10 +116,10 @@ def test_bad_values_are_config_errors():
 
 def test_omega_is_an_alias_for_the_detuning():
     cfg = load_config(["--mode", "force-sweep", "--omega", "1.8"])
-    assert cfg.delta == pytest.approx(-0.8)
+    assert cfg["delta"] == pytest.approx(-0.8)
     # consistent pair is accepted
     cfg2 = load_config(["--mode", "force-sweep", "--omega", "2.0", "--delta", "-1.0"])
-    assert cfg2.delta == -1.0
+    assert cfg2["delta"] == -1.0
     with pytest.raises(ConfigError, match="contradicts"):
         load_config(["--mode", "force-sweep", "--omega", "1.8", "--delta", "-1.0"])
 
@@ -119,7 +128,7 @@ def test_omega_consistency_forgives_input_rounding_at_large_magnitude():
     # eps0 - omega misses -1.3 by 1.1e-9 here, which is input rounding only
     cfg = load_config(["--mode", "force-sweep", "--eps0", "12345678.9",
                        "--omega", "12345680.2", "--delta=-1.3"])
-    assert cfg.delta == pytest.approx(-1.3, rel=1e-8)
+    assert cfg["delta"] == pytest.approx(-1.3, rel=1e-8)
 
 
 def test_omega_consistency_catches_contradictions_at_small_magnitude():

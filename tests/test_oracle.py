@@ -285,12 +285,13 @@ def test_quadrature_sweep_gives_the_floats_of_single_calls(J, separations):
         cp_energy_quadrature(sys_, r) for r in separations)
 
 
-def test_quadrature_sweep_keeps_each_separations_first_converged_estimate():
+def test_quadrature_sweep_keeps_each_separations_first_converged_estimate(monkeypatch):
     # at a loose tolerance small R settle grids before R = 20 does, on an
     # estimate that later refinements would still move in its last bits
+    monkeypatch.setattr(oracle, "REFINEMENT_TOL", 1e-6)
     sys_ = fig_system(J=0.495)
-    sweep = cp_energy_quadrature(sys_, range(1, 21), rel_tol=1e-6)
-    assert sweep == tuple(cp_energy_quadrature(sys_, r, rel_tol=1e-6) for r in range(1, 21))
+    sweep = cp_energy_quadrature(sys_, range(1, 21))
+    assert sweep == tuple(cp_energy_quadrature(sys_, r) for r in range(1, 21))
 
 
 def test_quadrature_keeps_its_digits_at_tiny_hopping():

@@ -195,18 +195,40 @@ def test_tiny_temperature_below_zero_energy_raises_no_warning():
     assert all(math.isfinite(row.energy) and math.isfinite(row.force) for row in rows)
 
 
-def test_thermal_sweep_survives_python_warnings_as_errors(tmp_path):
+def thermal_sweep_with_warnings_as_errors(*args):
+    """``chaincp --mode thermal-sweep`` under ``python -W error``, table to stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(chaincp.__file__).parents[1]), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-W", "error", "-m", "chaincp.cli", "--mode", "thermal-sweep",
-         "--eps0", "-1", "--temperatures", "0,1e-300,1e-3", "--N", "50", "--rmax", "5",
-         "--lambda", "0.1", "-o", "-"],
+         *args, "-o", "-"],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_thermal_sweep_survives_python_warnings_as_errors(tmp_path):
+    proc = thermal_sweep_with_warnings_as_errors(
+        "--eps0", "-1", "--temperatures", "0,1e-300,1e-3", "--N", "50", "--rmax", "5",
+        "--lambda", "0.1")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("T", [1e-310, 5e-324])
+def test_subnormal_temperature_is_the_zero_temperature_limit(T):
+    # 1 / T overflows to inf here, which is the T = 0 limit, not a NaN
+    sys_ = fig_system(N=20)
+    rows = thermal_table(sys_, (0.0, T), 1, 3)
+    ground, cold = rows[:3], rows[3:]
+    assert [(r.energy, r.force) for r in cold] == [(r.energy, r.force) for r in ground]
+
+
+def test_subnormal_temperatures_survive_python_warnings_as_errors():
+    proc = thermal_sweep_with_warnings_as_errors(
+        "--N", "20", "--rmax", "2", "--temperatures", "0,5e-324,1e-310")
+    assert proc.returncode == 0, proc.stderr
+    assert "nan" not in proc.stdout
 
 
 def rows_at(energy, forces, temps=(0.0, 0.1, 0.2, 1.0)):
