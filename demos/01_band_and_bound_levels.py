@@ -47,12 +47,11 @@ def main():
     R = 1
     print("\nbound doublet below the band (separation R = {}):".format(R))
     e_plus, e_minus = symmetric_spectrum_closed(sys_, R)
-    spectrum = symmetric_spectrum_ksum(sys_, R)
+    k_plus, k_minus = symmetric_spectrum_ksum(sys_, R)
     print("              closed form        finite k-sum")
-    print("  E+ (even)   {:.12f}   {:.12f}".format(e_plus, spectrum.e_plus))
-    print("  E- (odd)    {:.12f}   {:.12f}".format(e_minus, spectrum.e_minus))
-    print("  splitting   {:.3e}       {:.3e}".format(
-        e_minus - e_plus, spectrum.e_minus - spectrum.e_plus))
+    print("  E+ (even)   {:.12f}   {:.12f}".format(e_plus, k_plus))
+    print("  E- (odd)    {:.12f}   {:.12f}".format(e_minus, k_minus))
+    print("  splitting   {:.3e}       {:.3e}".format(e_minus - e_plus, k_minus - k_plus))
     print("\nboth levels sit below the band bottom {:.3f}; the even one is"
           " lower, and the splitting is the interaction energy scale."
           .format(chain.band_bottom))

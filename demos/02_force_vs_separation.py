@@ -18,7 +18,7 @@ def main():
         print("J = {:.2f}  (a = {:+.2f})".format(J, sys_.a))
         print("   R      E_cp(R)         f(R)          |f| ratio")
         prev = None
-        for rec in force_curve(sys_, 1, 10):
+        for rec in force_curve(sys_, range(1, 11)):
             ratio = "" if prev is None else "{:.4f}".format(abs(rec.force) / abs(prev))
             print("  {:2d}   {: .6e}   {: .6e}   {}".format(
                 rec.R, rec.energy, rec.force, ratio))

@@ -31,9 +31,9 @@ def main():
         print(header)
         sys_n = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=n)
         # one table: the band once, then one ensemble per (T, R)
-        temps = (0.0, 0.1, 1.0)
-        force = {(row.T, row.R): row.force for row in thermal_table(sys_n, temps, 1, 8)}
-        for r in range(1, 9):
+        temps, seps = (0.0, 0.1, 1.0), range(1, 9)
+        force = {(row.T, row.R): row.force for row in thermal_table(sys_n, temps, seps)}
+        for r in seps:
             print("  {:2d}   {: .6e}   {: .6e}   {: .6e}".format(
                 r, *(force[t, r] for t in temps)))
 

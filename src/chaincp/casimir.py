@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidRegime
-from .lattice import SymmetricSystem, _check_separation
+from .lattice import SymmetricSystem, _separations
 
 __all__ = [
     "ForceRecord",
@@ -92,7 +92,7 @@ def cp_energy(sys: SymmetricSystem, R: int) -> float:
         ``(lam**2 / delta) * q**R / sqrt(1 - a**2)``; exactly ``0.0`` for a
         flat band (``J = 0``).
     """
-    _check_separation(R)
+    _separations(R)
     a = sys.a
     return (sys.lam ** 2 / sys.delta) * sys.q ** R / math.sqrt(1.0 - a * a)
 
@@ -102,17 +102,16 @@ def ecp_force(sys: SymmetricSystem, R: int) -> float:
     return -(cp_energy(sys, R + 1) - cp_energy(sys, R))
 
 
-def force_curve(sys: SymmetricSystem, rmin: int, rmax: int) -> tuple[ForceRecord, ...]:
-    """Energy and force rows for ``R = rmin .. rmax``.
+def force_curve(sys: SymmetricSystem, R: range) -> tuple[ForceRecord, ...]:
+    """Energy and force rows for every separation in ``R``.
 
-    The force at ``rmax`` uses the energy at ``rmax + 1``, so the range must
-    satisfy ``1 <= rmin <= rmax <= chain.N - 1``.
+    ``R`` is a non-empty range with step 1.  The force at its last
+    separation uses the energy one site further, so every ``R`` must satisfy
+    ``1 <= R <= chain.N - 1``.
     """
-    _check_separation(rmin, rmax)
-    _check_separation(rmax, sys.chain.N - 1)
     return tuple(
         ForceRecord(R=r, energy=cp_energy(sys, r), force=ecp_force(sys, r))
-        for r in range(rmin, rmax + 1)
+        for r in _separations(R, upper=sys.chain.N - 1)
     )
 
 

@@ -26,7 +26,7 @@ from ._version import __version__
 from .casimir import cp_energy, decay_profile, force_curve
 from .errors import ConvergenceError, InvalidRegime, RegimeViolation
 from .lattice import SymmetricSystem, brillouin_modes, dispersion, require_valid_regime
-from .oracle import cp_energy_ed, cp_energy_quadrature
+from .oracle import MAX_POINTS, cp_energy_ed, cp_energy_quadrature
 from .thermal import CANCEL_EPS, ThermalRow, _growth_violations, thermal_table
 
 #: Environment variable consulted for the default output directory; it has
@@ -71,7 +71,6 @@ _KEYS: dict[str, tuple] = {
     "dmin": (float, -3.0), "dmax": (float, -0.7),
     "N": (int, 200), "R": (int, 1), "rmin": (int, 1), "rmax": (int, 10),
     "asteps": (int, 100), "jsteps": (int, 24), "dsteps": (int, 24),
-    "max_points": (int, 2 ** 22),
     "temperatures": ((float,), (0.0, 0.1, 1.0)),
     "j_values": ((float,), None), "delta_values": ((float,), None),
     "n_values": ((int,), None),
@@ -214,7 +213,7 @@ def load_config(argv: list[str] | None = None) -> MappingProxyType:
     if merged["format"] not in FORMATS:
         raise ConfigError(f"unknown format {merged['format']!r}; choose {' or '.join(FORMATS)}")
 
-    for key, low in (("N", 1), ("R", 1), ("rmin", 1), ("max_points", 64),
+    for key, low in (("N", 1), ("R", 1), ("rmin", 1),
                      ("asteps", 2), ("jsteps", 2), ("dsteps", 2)):
         if merged[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {merged[key]}")
@@ -252,12 +251,10 @@ def _warn(note: str) -> None:
 def _fmt(value) -> str:
     if isinstance(value, tuple):
         return ",".join(_fmt(v) for v in value)
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, float):
+        return format(value, ".17g")
     return str(value)
 
 
@@ -275,7 +272,7 @@ _MODE_META_KEYS = {
 
 
 def _meta(cfg: MappingProxyType) -> list[tuple[str, str]]:
-    values = {**cfg, "quad_tol": QUAD_TOL, "ed_tol": ED_TOL}
+    values = {**cfg, "quad_tol": QUAD_TOL, "ed_tol": ED_TOL, "max_points": MAX_POINTS}
     pairs = [("generator", f"chaincp {__version__}"), ("mode", cfg["mode"]),
              ("preset", cfg["preset"] or "none")]
     pairs += [(key, _fmt(values[key]))
@@ -287,29 +284,29 @@ def _meta(cfg: MappingProxyType) -> list[tuple[str, str]]:
 
 
 def _sweep_grid(cfg: MappingProxyType):
-    """Leading columns, ``(J, delta)`` series and ``R`` range of a force sweep."""
+    """Leading columns, ``(J, delta)`` series and separations of a force sweep."""
     if cfg["mode"] == "hopping-sweep":
         grid = np.linspace(cfg["jmin"], cfg["jmax"], cfg["jsteps"])
         series = [(float(j), cfg["delta"]) for j in grid]
-        return ("J",), series, cfg["R"], cfg["R"]
+        return ("J",), series, range(cfg["R"], cfg["R"] + 1)
     if cfg["mode"] == "detuning-sweep":
         grid = np.linspace(cfg["dmin"], cfg["dmax"], cfg["dsteps"])
         series = [(cfg["J"], float(d)) for d in grid]
-        return ("delta",), series, cfg["R"], cfg["R"]
+        return ("delta",), series, range(cfg["R"], cfg["R"] + 1)
     if cfg["delta_values"] is not None:
         series = [(cfg["J"], d) for d in cfg["delta_values"]]
     else:
         series = [(j, cfg["delta"]) for j in (cfg["j_values"] or (cfg["J"],))]
-    return ("J", "delta"), series, cfg["rmin"], cfg["rmax"]
+    return ("J", "delta"), series, range(cfg["rmin"], cfg["rmax"] + 1)
 
 
 def _run_sweep(cfg: MappingProxyType):
-    lead, series, rmin, rmax = _sweep_grid(cfg)
+    lead, series, separations = _sweep_grid(cfg)
     rows = []
     for j, d in series:
         sys_ = _gated_system(cfg, J=j, delta=d)
         point = {"J": float(j), "delta": float(d)}
-        for rec in force_curve(sys_, rmin, rmax):
+        for rec in force_curve(sys_, separations):
             rows.append((*(point[c] for c in lead), rec.R, rec.energy, rec.force, abs(rec.force)))
     return lead + ("R", "energy", "force", "abs_force"), rows, 0
 
@@ -334,9 +331,10 @@ def _run_thermal_sweep(cfg: MappingProxyType):
     columns = ("T", "N", "R", "energy", "force")
     rows = []
     by_nr: dict[tuple[int, int], list[ThermalRow]] = {}
+    separations = range(cfg["rmin"], cfg["rmax"] + 1)
     for n in cfg["n_values"] or (cfg["N"],):
         sys_ = _gated_system(cfg, N=int(n))
-        for row in thermal_table(sys_, cfg["temperatures"], cfg["rmin"], cfg["rmax"]):
+        for row in thermal_table(sys_, cfg["temperatures"], separations):
             rows.append((row.T, int(n), row.R, row.energy, row.force))
             by_nr.setdefault((int(n), row.R), []).append(row)
     # |f_T| falls with temperature once T exceeds the doublet splitting at R;
@@ -367,7 +365,7 @@ def _run_oracle_check(cfg: MappingProxyType):
         raise InvalidRegime("oracle-check needs lambda != 0; for lambda = 0 the "
                             "interaction is identically zero")
     separations = range(cfg["rmin"], cfg["rmax"] + 1)
-    quads = cp_energy_quadrature(sys_, separations, max_points=cfg["max_points"])
+    quads = cp_energy_quadrature(sys_, separations)
     eds = cp_energy_ed(sys_, separations)
     rows = []
     all_ok = True
@@ -411,14 +409,14 @@ def _render_csv(meta, columns, rows) -> str:
 
 
 def _render_json(meta, columns, rows) -> str:
+    # JSON has no inf or nan, so those cells are strings, spelled as in the CSV
     doc = {
         "meta": dict(meta),
         "columns": list(columns),
-        "rows": [[bool(c) if isinstance(c, (bool, np.bool_)) else
-                  int(c) if isinstance(c, (int, np.integer)) else float(c)
+        "rows": [[_fmt(c) if isinstance(c, float) and not math.isfinite(c) else c
                   for c in row] for row in rows],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 #: Every output format and its renderer.
@@ -454,14 +452,9 @@ def run(cfg: MappingProxyType) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = load_config(argv)
+        return run(load_config(argv))
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
-    except ConfigError as exc:
-        print(f"chaincp: config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
     except RegimeViolation as exc:
         print(f"chaincp: regime violation: {exc}", file=sys.stderr)
         return 3

@@ -135,14 +135,24 @@ class SymmetricSystem:
         return cls(chain=chain, eps0=eps0, lam=lam)
 
 
-def _check_separation(R: int, upper: int | None = None, lower: int = 1) -> None:
-    """Raise unless the separation ``R`` is an integer in ``lower .. upper``."""
-    if not isinstance(R, int):
-        raise TypeError(f"separation must be an integer, got {R!r}")
-    if R < lower:
-        raise ValueError(f"separation must be >= {lower}, got R={R}")
-    if upper is not None and R > upper:
-        raise ValueError(f"separation must satisfy {lower} <= R <= {upper}, got R={R}")
+def _separations(R: int | range, lower: int = 1, upper: int | None = None) -> range:
+    """``R`` as a checked range of separations, each in ``lower .. upper``.
+
+    ``R`` is one integer separation or a non-empty range of them with step 1;
+    a single separation comes back as ``range(R, R + 1)``.  This is the
+    package's one separation rule.
+    """
+    if not isinstance(R, range):
+        if not isinstance(R, int):
+            raise TypeError(f"separation must be an integer, got {R!r}")
+        R = range(R, R + 1)
+    if R.step != 1 or not R:
+        raise ValueError(f"separations must be a non-empty range with step 1, got {R!r}")
+    if R[0] < lower:
+        raise ValueError(f"separation must be >= {lower}, got R={R[0]}")
+    if upper is not None and R[-1] > upper:
+        raise ValueError(f"separation must satisfy {lower} <= R <= {upper}, got R={R[-1]}")
+    return R
 
 
 def dispersion(chain: ChainParams, k) -> np.ndarray | float:

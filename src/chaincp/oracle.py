@@ -48,7 +48,7 @@ import numpy as np
 
 from .casimir import cp_energy
 from .errors import ConvergenceError, InvalidRegime, NonConvergence
-from .lattice import SymmetricSystem, _check_separation, brillouin_modes, dispersion
+from .lattice import SymmetricSystem, _separations, brillouin_modes, dispersion
 
 __all__ = [
     "cp_energy_ed",
@@ -58,20 +58,9 @@ __all__ = [
 #: Relative agreement between successive quadrature refinements.
 REFINEMENT_TOL = 1e-13
 
-
-def _separations(R: int | range, lower: int, upper: int | None = None) -> range:
-    """``R`` as a range of separations, each in ``lower .. upper``.
-
-    ``R`` is one separation or a non-empty range of them with step 1.
-    """
-    if not isinstance(R, range):
-        _check_separation(R, upper, lower)
-        return range(R, R + 1)
-    if R.step != 1 or not R:
-        raise ValueError(f"separations must be a non-empty range with step 1, got {R!r}")
-    _check_separation(R[0], upper, lower)
-    _check_separation(R[-1], upper, lower)
-    return R
+#: Quadrature point budget; refining past it raises
+#: :class:`~chaincp.errors.NonConvergence`.
+MAX_POINTS = 2 ** 22
 
 
 def _ground_energy(sys: SymmetricSystem, R: int) -> float:
@@ -153,7 +142,7 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
         A tuple in the order of ``R`` when ``R`` is a range.
     """
     n_half = sys.chain.N
-    seps = _separations(R, 1, n_half // 4)
+    seps = _separations(R, upper=n_half // 4)
     r_ref = n_half // 2
 
     gap = sys.chain.band_bottom - sys.eps0
@@ -171,11 +160,7 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
     return values if isinstance(R, range) else values[0]
 
 
-def cp_energy_quadrature(
-    sys: SymmetricSystem,
-    R: int | range,
-    max_points: int = 2 ** 22,
-) -> float | tuple[float, ...]:
+def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[float, ...]:
     """Interaction energy from the momentum integral, in arbitrary precision.
 
     One periodic trapezoid grid serves every separation asked for.  Each
@@ -187,9 +172,12 @@ def cp_energy_quadrature(
     points doubles from 64, adding only the new midpoints, until every
     separation has two successive estimates that agree to
     :data:`REFINEMENT_TOL`; a separation's value is the first estimate that
-    does, so a sweep returns the same floats as one call per separation.  The imaginary part must cancel by the k -> -k symmetry of
-    the grid; a residual above 1e-12 of the value at any separation raises
-    :class:`~chaincp.errors.ConvergenceError`.
+    does, so a sweep returns the same floats as one call per separation.
+    Past :data:`MAX_POINTS` points it raises
+    :class:`~chaincp.errors.NonConvergence`, naming the separations still
+    unconverged.  The imaginary part must cancel by the ``k -> -k``
+    symmetry of the grid; a residual above 1e-12 of the value at any
+    separation raises :class:`~chaincp.errors.ConvergenceError`.
 
     The answer at ``R`` is of order ``q**R`` while the integrand is of order
     one, so the sum cancels about ``-R log10 q`` digits.  The accumulation
@@ -206,10 +194,6 @@ def cp_energy_quadrature(
     R : int or range
         Separation ``R >= 0`` (``R = 0`` gives the single-level shift
         scale), or a non-empty range of them with step 1.
-    max_points : int
-        Point budget; exceeding it raises
-        :class:`~chaincp.errors.NonConvergence`, naming the separations
-        still unconverged.
 
     Returns
     -------
@@ -223,7 +207,7 @@ def cp_energy_quadrature(
     if sys.a == 0.0:
         raise InvalidRegime("quadrature needs a dispersive band (J > 0); "
                             "for J = 0 the interaction is identically zero")
-    seps = _separations(R, 0)
+    seps = _separations(R, lower=0)
     rmin, rmax = seps[0], seps[-1]
     # q underflows to 0.0 only below the smallest subnormal
     lost = math.ceil(-rmax * math.log10(max(sys.q, math.ulp(0.0))))
@@ -242,7 +226,7 @@ def cp_energy_quadrature(
         # the nodes not yet in the sums are first + j * step, j < count
         step = 2 * mp.pi / m_points
         first, count = -mp.pi, m_points
-        while m_points <= max_points:
+        while m_points <= MAX_POINTS:
             for j in range(count):
                 k = first + j * step
                 cos_k = mp.cos(k)
@@ -290,6 +274,6 @@ def cp_energy_quadrature(
 
     missing = ", ".join(str(r) for r, value in zip(seps, values) if value is None)
     raise NonConvergence(
-        f"trapezoid refinement reached {max_points} points at R={missing} without "
+        f"trapezoid refinement reached {MAX_POINTS} points at R={missing} without "
         f"two estimates agreeing to {REFINEMENT_TOL}"
     )

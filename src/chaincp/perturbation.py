@@ -26,30 +26,16 @@ with exact summation (`math.fsum`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SymmetricSystem, _check_separation, brillouin_modes, dispersion
+from .lattice import SymmetricSystem, _separations, brillouin_modes, dispersion
 
 __all__ = [
-    "SymmetricSpectrum",
     "band_energies",
     "symmetric_spectrum_ksum",
     "symmetric_spectrum_closed",
 ]
-
-
-@dataclass(frozen=True)
-class SymmetricSpectrum:
-    """Second-order spectrum of the symmetric two-impurity problem.
-
-    ``band`` holds the ``2N + 1`` shifted band energies, in mode order.
-    """
-
-    e_plus: float
-    e_minus: float
-    band: np.ndarray
 
 
 def band_energies(sys: SymmetricSystem) -> np.ndarray:
@@ -60,15 +46,16 @@ def band_energies(sys: SymmetricSystem) -> np.ndarray:
     return energies + 2.0 * gsq / (energies - sys.eps0)
 
 
-def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> SymmetricSpectrum:
-    """Doublet and band energies at separation ``R``, ``1 <= R <= N``, as mode sums.
+def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]:
+    """Doublet energies ``(E_plus, E_minus)`` as mode sums, at ``1 <= R <= N``.
 
     The doublet follows from diagonalising the effective two-level problem;
     since the levels are identical the eigenvectors are the even and odd
     combinations and the splitting is twice the mediated hopping.  This is
-    the finite-``N`` reference that the closed forms approximate.
+    the finite-``N`` reference that the closed forms approximate; the band
+    it shifts is :func:`band_energies`.
     """
-    _check_separation(R, sys.chain.N)
+    _separations(R, upper=sys.chain.N)
     modes = brillouin_modes(sys.chain)
     energies = dispersion(sys.chain, modes)
     gsq = sys.lam ** 2 / sys.chain.num_sites
@@ -78,10 +65,8 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> SymmetricSpectrum:
     # +-k pairs, so only the cosine survives.
     common = gsq * inv
     cos_r = np.cos(modes * R)
-    e_plus = sys.eps0 + math.fsum(common * (1.0 + cos_r))
-    e_minus = sys.eps0 + math.fsum(common * (1.0 - cos_r))
-
-    return SymmetricSpectrum(e_plus=e_plus, e_minus=e_minus, band=band_energies(sys))
+    return (sys.eps0 + math.fsum(common * (1.0 + cos_r)),
+            sys.eps0 + math.fsum(common * (1.0 - cos_r)))
 
 
 def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, float]:
@@ -92,7 +77,7 @@ def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, floa
     At ``a = 0`` the band is flat, ``q = 0``, and the doublet is degenerate
     at ``eps0 + lam**2 / delta``.
     """
-    _check_separation(R, sys.chain.N)
+    _separations(R, upper=sys.chain.N)
     a = sys.a
     root = math.sqrt(1.0 - a * a)
     base = sys.lam ** 2 / (sys.delta * root)

@@ -26,8 +26,8 @@ at ``T`` = 0, 0.001, 0.003 and 0.01.
 
 Every energy and force comes from one table, :func:`thermal_table`.  The
 band does not depend on ``R``, so the table builds it once per system, then
-one ensemble per ``(T, R)`` for ``R = rmin .. rmax + 1``, and reads each
-force off two neighbouring energies.  :func:`thermal_energy`,
+one ensemble per ``(T, R)`` out to one site past its last separation, and
+reads each force off two neighbouring energies.  :func:`thermal_energy`,
 :func:`thermal_force` and the CLI's ``thermal-sweep`` all go through it or
 through its one-ensemble kernel.
 
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import SymmetricSystem, _check_separation
+from .lattice import SymmetricSystem, _separations
 from .perturbation import band_energies, symmetric_spectrum_closed
 
 __all__ = [
@@ -132,31 +132,28 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     return _ensemble(sys, band_energies(sys), T, R)
 
 
-def thermal_table(sys: SymmetricSystem, temperatures, rmin: int, rmax: int
-                  ) -> tuple[ThermalRow, ...]:
-    """Thermal energy and force for every temperature and ``R = rmin .. rmax``.
+def thermal_table(sys: SymmetricSystem, temperatures, R: range) -> tuple[ThermalRow, ...]:
+    """Thermal energy and force for every temperature and every separation in ``R``.
 
-    The band is built once; each ``(T, R)`` ensemble for ``R = rmin ..
-    rmax + 1`` is built once and serves as the energy of row ``R`` and as
-    the far end of the force of row ``R - 1``.  Rows run over ``R`` within
-    each temperature, in the order the temperatures are given.
+    The band is built once; each ``(T, R)`` ensemble, out to one site past
+    the last separation, is built once and serves as the energy of row ``R``
+    and as the far end of the force of row ``R - 1``.  Rows run over ``R``
+    within each temperature, in the order the temperatures are given.
 
     Parameters
     ----------
     sys : SymmetricSystem
     temperatures : sequence of float
         Each ``T >= 0``; ``math.inf`` is allowed.
-    rmin, rmax : int
-        Separations, ``1 <= rmin <= rmax`` and ``rmax + 1 <= N``.
+    R : range
+        Separations, a non-empty range with step 1, each
+        ``1 <= R <= N - 1`` (the force at ``R`` needs ``R + 1``).
     """
     temps = [float(t) for t in temperatures]
-    _check_separation(rmin)
-    if rmax < rmin:
-        raise ValueError(f"rmax={rmax} is below rmin={rmin}")
-    _check_separation(rmax + 1, sys.chain.N)
+    seps = _separations(R, upper=sys.chain.N - 1)
 
     band = band_energies(sys)
-    separations = range(rmin, rmax + 2)
+    separations = range(seps[0], seps[-1] + 2)
     rows = []
     for t in temps:
         energies = [_ensemble_energy(sys, band, t, r) for r in separations]
@@ -175,7 +172,7 @@ def thermal_force(sys: SymmetricSystem, T: float, R: int) -> float:
 
     Needs room for the difference: ``1 <= R`` and ``R + 1 <= N``.
     """
-    return thermal_table(sys, (T,), R, R)[0].force
+    return thermal_table(sys, (T,), _separations(R))[0].force
 
 
 def _growth_violations(rows) -> tuple[str, ...]:

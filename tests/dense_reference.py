@@ -7,7 +7,7 @@ chains only.
 
 import numpy as np
 
-from chaincp.lattice import ChainParams, SymmetricSystem, _check_separation
+from chaincp.lattice import ChainParams, SymmetricSystem, _separations
 
 
 def dense_hamiltonian(chain: ChainParams, eps1: float, eps2: float,
@@ -19,7 +19,7 @@ def dense_hamiltonian(chain: ChainParams, eps1: float, eps2: float,
     ``R``, ``1 <= R <= N``.  Basis order is ``(imp1, imp2, site -N, ...,
     site N)``.
     """
-    _check_separation(R, chain.N)
+    _separations(R, upper=chain.N)
     n_sites = chain.num_sites
     h = np.zeros((n_sites + 2, n_sites + 2))
     h[0, 0] = eps1

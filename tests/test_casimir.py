@@ -71,7 +71,7 @@ def test_separation_validation():
 
 def test_force_curve_matches_pointwise():
     sys_ = fig_system(J=0.4)
-    rows = force_curve(sys_, 2, 8)
+    rows = force_curve(sys_, range(2, 9))
     assert [rec.R for rec in rows] == list(range(2, 9))
     for rec in rows:
         assert rec.energy == cp_energy(sys_, rec.R)
@@ -81,11 +81,11 @@ def test_force_curve_matches_pointwise():
 def test_force_curve_range_validation():
     sys_ = fig_system(N=20)
     with pytest.raises(ValueError):
-        force_curve(sys_, 5, 3)
+        force_curve(sys_, range(5, 4))
     with pytest.raises(ValueError):
-        force_curve(sys_, 1, 20)  # force at 20 needs the energy at 21 > N
+        force_curve(sys_, range(1, 21))  # force at 20 needs the energy at 21 > N
     with pytest.raises(ValueError):
-        force_curve(sys_, 0, 5)
+        force_curve(sys_, range(0, 6))
 
 
 def test_decay_profile_reproduces_the_force():

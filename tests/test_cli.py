@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import chaincp.oracle
 from chaincp.casimir import cp_energy, ecp_force
 from chaincp.cli import _KEYS, ConfigError, load_config, main
 from chaincp.lattice import SymmetricSystem
@@ -179,6 +180,23 @@ def test_json_round_trip(tmp_path):
     assert first[4] == ecp_force(sys_, 1)
 
 
+def test_json_with_an_infinite_cell_is_strict_json(capsys):
+    # a = 0 is a flat band: gamma is inf, which JSON cannot spell as a number
+    argv = ["--mode", "decay-profile", "--amax", "0", "--asteps", "2", "-o", "-"]
+    assert run_cli(argv + ["--format", "json"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    gamma = doc["columns"].index("gamma")
+    assert doc["rows"][-1][gamma] == "inf"
+    assert isinstance(doc["rows"][0][gamma], float)
+    # the same spelling as the CSV cell
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split(",")[gamma] == "inf"
+
+
 def test_output_to_stdout(capsys):
     assert run_cli(["--mode", "dispersion-dump", "--N", "5", "--output", "-"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -284,10 +302,11 @@ def test_infinite_temperature_is_accepted(tmp_path):
     assert [row[0] for row in rows][-1] == "inf"
 
 
-def test_exit_code_4_when_refinement_is_starved(tmp_path):
+def test_exit_code_4_when_refinement_is_starved(tmp_path, monkeypatch):
+    monkeypatch.setattr(chaincp.oracle, "MAX_POINTS", 64)
     out = tmp_path / "never.csv"
     assert run_cli(["--mode", "oracle-check", "--N", "64", "--rmax", "2",
-                    "--max-points", "64", "--output", str(out)]) == 4
+                    "--output", str(out)]) == 4
 
 
 def test_console_script_entry_point(tmp_path):

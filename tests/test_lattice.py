@@ -9,16 +9,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 import chaincp
+from chaincp.casimir import force_curve
 from chaincp.errors import BandEdgeError, RegimeViolation
 from chaincp.lattice import (
     ChainParams,
     SymmetricSystem,
+    _separations,
     brillouin_modes,
     dispersion,
     require_valid_regime,
     validate_regime,
 )
+from chaincp.oracle import cp_energy_ed, cp_energy_quadrature
 from chaincp.perturbation import symmetric_spectrum_closed
+from chaincp.thermal import thermal_table
 
 
 def test_chain_band_edges():
@@ -132,6 +136,48 @@ def test_symmetric_system_separation_bounds():
         symmetric_spectrum_closed(sys_, 0)
     with pytest.raises(TypeError):
         symmetric_spectrum_closed(sys_, 1.0)
+
+
+def test_separations_turns_an_integer_into_a_one_point_range():
+    assert _separations(4) == range(4, 5)
+    assert _separations(0, lower=0) == range(0, 1)
+
+
+def test_separations_passes_a_valid_range_through():
+    seps = range(2, 9)
+    assert _separations(seps, upper=8) is seps
+
+
+def test_separations_refuses_a_non_integer():
+    with pytest.raises(TypeError, match="integer"):
+        _separations(2.0)
+
+
+@pytest.mark.parametrize("bad,match", [
+    (range(3, 3), "non-empty range with step 1"),
+    (range(1, 9, 2), "non-empty range with step 1"),
+    (range(0, 3), "separation must be >= 1, got R=0"),
+    (range(2, 12), "1 <= R <= 10, got R=11"),
+    (11, "1 <= R <= 10, got R=11"),
+])
+def test_separations_refuses_empty_strided_and_out_of_bounds_ranges(bad, match):
+    with pytest.raises(ValueError, match=match):
+        _separations(bad, upper=10)
+
+
+@pytest.mark.parametrize("sweep", [
+    force_curve,
+    lambda s, seps: thermal_table(s, (0.0,), seps),
+    cp_energy_ed,
+    cp_energy_quadrature,
+], ids=["force_curve", "thermal_table", "cp_energy_ed", "cp_energy_quadrature"])
+@pytest.mark.parametrize("bad", [range(3, 3), range(1, 9, 2)], ids=["empty", "step-2"])
+def test_every_sweep_refuses_a_bad_range_with_one_message(sweep, bad):
+    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=200)
+    message = f"separations must be a non-empty range with step 1, got {bad!r}"
+    with pytest.raises(ValueError) as exc:
+        sweep(sys_, bad)
+    assert str(exc.value) == message
 
 
 def regime_system(lam):

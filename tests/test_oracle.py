@@ -225,10 +225,11 @@ def test_quadrature_at_zero_separation_gives_the_shift_scale():
     assert cp_energy_quadrature(sys_, 0) == pytest.approx(expected, rel=1e-12)
 
 
-def test_quadrature_point_budget():
+def test_quadrature_point_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_POINTS", 64)
     sys_ = fig_system(J=0.3)
     with pytest.raises(NonConvergence):
-        cp_energy_quadrature(sys_, 1, max_points=64)
+        cp_energy_quadrature(sys_, 1)
 
 
 def test_quadrature_rejects_flat_band_and_bad_separation():
@@ -301,10 +302,11 @@ def test_quadrature_keeps_its_digits_at_tiny_hopping():
         assert value == pytest.approx(cp_energy(sys_, r), rel=1e-12)
 
 
-def test_quadrature_sweep_names_the_separations_left_unconverged():
+def test_quadrature_sweep_names_the_separations_left_unconverged(monkeypatch):
     # on a = -0.6 the 128-point grid settles R <= 18 only
+    monkeypatch.setattr(oracle, "MAX_POINTS", 128)
     with pytest.raises(NonConvergence, match=r"at R=19, 20 without"):
-        cp_energy_quadrature(fig_system(J=0.3), range(1, 21), max_points=128)
+        cp_energy_quadrature(fig_system(J=0.3), range(1, 21))
 
 
 def test_quadrature_rejects_ranges_it_cannot_sweep():

@@ -40,8 +40,8 @@ def test_level_shifts_are_negative_below_band():
     # every denominator eps0 - Omega_k is negative there, so both doublet
     # levels sit below the bare level
     sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=20)
-    spectrum = symmetric_spectrum_ksum(sys_, 1)
-    assert spectrum.e_plus < sys_.eps0 and spectrum.e_minus < sys_.eps0
+    e_plus, e_minus = symmetric_spectrum_ksum(sys_, 1)
+    assert e_plus < sys_.eps0 and e_minus < sys_.eps0
     # and the band is pushed up in compensation
     bare = dispersion(sys_.chain, brillouin_modes(sys_.chain))
     assert np.all(band_energies(sys_) > bare)
@@ -104,34 +104,28 @@ def test_effective_coefficients_match_direct_sum(R):
     # band-mediated hopping, band back-action) against the direct sums: the
     # doublet sits at eps0 + shift +- |hop12|, the band at bare + back-action
     sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=25)
-    spectrum = symmetric_spectrum_ksum(sys_, R)
+    e_plus, e_minus = symmetric_spectrum_ksum(sys_, R)
     shift, hop12, band_shift = brute_coefficients(sys_, R)
     centre = sys_.eps0 + shift
     split = abs(hop12)
-    assert spectrum.e_plus == pytest.approx(centre - split, rel=1e-13)
-    assert spectrum.e_minus == pytest.approx(centre + split, rel=1e-13)
+    assert e_plus == pytest.approx(centre - split, rel=1e-13)
+    assert e_minus == pytest.approx(centre + split, rel=1e-13)
     # the odd-in-k part cancels pairwise across +-k
     assert abs(hop12.imag) < 1e-20
     bare = dispersion(sys_.chain, brillouin_modes(sys_.chain))
-    assert_allclose(spectrum.band, bare + band_shift, rtol=1e-13)
+    assert_allclose(band_energies(sys_), bare + band_shift, rtol=1e-13)
 
 
 def test_ksum_spectrum_matches_two_level_diagonalisation():
     # the doublet from the k-sums must equal eps0 + shift +- |hop12|
     sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=60)
-    spectrum = symmetric_spectrum_ksum(sys_, 2)
+    e_plus, e_minus = symmetric_spectrum_ksum(sys_, 2)
     shift, hop12, _ = brute_coefficients(sys_, 2)
     centre = sys_.eps0 + shift
     split = abs(hop12)
-    assert spectrum.e_plus == pytest.approx(centre - split, rel=1e-13)
-    assert spectrum.e_minus == pytest.approx(centre + split, rel=1e-13)
-    assert spectrum.band.shape == (sys_.chain.num_sites,)
-
-
-def test_ksum_band_matches_band_energies_helper():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.4, lam=0.01, N=30)
-    spectrum = symmetric_spectrum_ksum(sys_, 1)
-    assert np.array_equal(spectrum.band, band_energies(sys_))
+    assert e_plus == pytest.approx(centre - split, rel=1e-13)
+    assert e_minus == pytest.approx(centre + split, rel=1e-13)
+    assert band_energies(sys_).shape == (sys_.chain.num_sites,)
 
 
 def test_ksum_converges_to_closed_form():
@@ -141,8 +135,8 @@ def test_ksum_converges_to_closed_form():
     for n in (2, 4, 8):
         sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=n)
         e_plus, _ = symmetric_spectrum_closed(sys_, 2)
-        ksum = symmetric_spectrum_ksum(sys_, 2)
-        errors.append(abs(ksum.e_plus - e_plus))
+        ksum_plus, _ = symmetric_spectrum_ksum(sys_, 2)
+        errors.append(abs(ksum_plus - e_plus))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 1e-10
 
@@ -150,6 +144,6 @@ def test_ksum_converges_to_closed_form():
 def test_ksum_large_chain_agrees_with_closed_form():
     sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.4, lam=0.01, N=2000)
     e_plus, e_minus = symmetric_spectrum_closed(sys_, 3)
-    spectrum = symmetric_spectrum_ksum(sys_, 3)
-    assert spectrum.e_plus == pytest.approx(e_plus, rel=1e-10)
-    assert spectrum.e_minus == pytest.approx(e_minus, rel=1e-10)
+    ksum_plus, ksum_minus = symmetric_spectrum_ksum(sys_, 3)
+    assert ksum_plus == pytest.approx(e_plus, rel=1e-10)
+    assert ksum_minus == pytest.approx(e_minus, rel=1e-10)

@@ -166,7 +166,7 @@ def test_decoupled_impurities_feel_no_thermal_force():
 def test_force_vs_temperature_sweep():
     # a temperature sweep at one R is the table over the one-R range
     sys_ = fig_system(N=100)
-    rows = thermal_table(sys_, (0.0, 0.1, 1.0), 2, 2)
+    rows = thermal_table(sys_, (0.0, 0.1, 1.0), range(2, 3))
     assert [row.T for row in rows] == [0.0, 0.1, 1.0]
     for row in rows:
         assert row.force == thermal_force(sys_, row.T, 2)
@@ -176,7 +176,7 @@ def test_force_vs_temperature_sweep():
 def test_force_can_grow_below_the_doublet_splitting():
     # fig5 at N = 100: the doublet at R = 2 is split less than at R = 1, so
     # its odd level fills first and |f_T(1)| rises until T passes the splitting
-    rows = thermal_table(fig_system(N=100), (0.0, 0.001, 0.003, 0.01), 1, 1)
+    rows = thermal_table(fig_system(N=100), (0.0, 0.001, 0.003, 0.01), range(1, 2))
     forces = [abs(row.force) for row in rows]
     assert forces == pytest.approx([0.002778, 0.002938, 0.003078, 0.001450], abs=5e-7)
     found = _growth_violations(rows)
@@ -191,7 +191,7 @@ def test_tiny_temperature_below_zero_energy_raises_no_warning():
     sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=50, eps0=-1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows = thermal_table(sys_, (0.0, 1e-300, 1e-3), 1, 5)
+        rows = thermal_table(sys_, (0.0, 1e-300, 1e-3), range(1, 6))
     assert all(math.isfinite(row.energy) and math.isfinite(row.force) for row in rows)
 
 
@@ -219,7 +219,7 @@ def test_thermal_sweep_survives_python_warnings_as_errors(tmp_path):
 def test_subnormal_temperature_is_the_zero_temperature_limit(T):
     # 1 / T overflows to inf here, which is the T = 0 limit, not a NaN
     sys_ = fig_system(N=20)
-    rows = thermal_table(sys_, (0.0, T), 1, 3)
+    rows = thermal_table(sys_, (0.0, T), range(1, 4))
     ground, cold = rows[:3], rows[3:]
     assert [(r.energy, r.force) for r in cold] == [(r.energy, r.force) for r in ground]
 
@@ -266,7 +266,7 @@ def test_force_vs_temperature_validates_the_grid(tmp_path):
         assert main(["--mode", "thermal-sweep", "--N", "20", "--rmax", "2",
                      f"--temperatures={temps}", "--output", out]) == 2
     with pytest.raises(ValueError):
-        thermal_table(fig_system(), (-0.1, 0.2), 1, 1)
+        thermal_table(fig_system(), (-0.1, 0.2), range(1, 2))
 
 
 def test_band_dilution_weakens_the_warm_force():
@@ -283,7 +283,7 @@ def test_band_dilution_weakens_the_warm_force():
 def test_table_rows_match_the_single_point_functions_bit_for_bit():
     sys_ = fig_system(N=40)
     temps = (0.0, 0.05, 1.0, math.inf)
-    rows = thermal_table(sys_, temps, 2, 6)
+    rows = thermal_table(sys_, temps, range(2, 7))
     assert [(row.T, row.R) for row in rows] == [(t, r) for t in temps for r in range(2, 7)]
     for row in rows:
         assert row.energy == thermal_energy(sys_, row.T, row.R)
@@ -293,22 +293,22 @@ def test_table_rows_match_the_single_point_functions_bit_for_bit():
 
 def test_table_checks_its_grid():
     sys_ = fig_system(N=10)
-    with pytest.raises(ValueError, match="R <= 10, got R=11"):
-        thermal_table(sys_, (0.0,), 1, 10)
-    with pytest.raises(ValueError, match="below rmin"):
-        thermal_table(sys_, (0.0,), 3, 2)
+    with pytest.raises(ValueError, match="R <= 9, got R=10"):
+        thermal_table(sys_, (0.0,), range(1, 11))
+    with pytest.raises(ValueError, match="non-empty range"):
+        thermal_table(sys_, (0.0,), range(3, 3))
     with pytest.raises(ValueError):
-        thermal_table(sys_, (0.0,), 0, 2)
+        thermal_table(sys_, (0.0,), range(0, 3))
     with pytest.raises(ValueError, match="non-negative"):
-        thermal_table(sys_, (0.0, -1.0), 1, 2)
+        thermal_table(sys_, (0.0, -1.0), range(1, 3))
 
 
 @pytest.mark.parametrize("call", [
     lambda s: thermal_energy(s, math.nan, 1),
     lambda s: thermal_force(s, math.nan, 1),
     lambda s: thermal_ensemble(s, math.nan, 1),
-    lambda s: thermal_table(s, (0.0, math.nan), 1, 2),
-    lambda s: _growth_violations(thermal_table(s, [0.0, math.nan, 0.1], 1, 1)),
+    lambda s: thermal_table(s, (0.0, math.nan), range(1, 3)),
+    lambda s: _growth_violations(thermal_table(s, [0.0, math.nan, 0.1], range(1, 2))),
 ], ids=["energy", "force", "ensemble", "table", "sweep"])
 def test_nan_temperature_is_refused(call):
     with pytest.raises(ValueError, match="non-negative"):
@@ -317,7 +317,7 @@ def test_nan_temperature_is_refused(call):
 
 def test_infinite_temperature_stays_legal_in_the_table():
     sys_ = fig_system(N=20)
-    (row,) = thermal_table(sys_, (math.inf,), 2, 2)
+    (row,) = thermal_table(sys_, (math.inf,), range(2, 3))
     assert row.force == thermal_force(sys_, math.inf, 2)
     assert abs(row.force) < 1e-12
 
@@ -350,5 +350,5 @@ def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch)
         for r in (1, 5, 8):
             cli = [(float(t), float(force)) for t, nn, rr, _, force in lines
                    if int(nn) == n and int(rr) == r]
-            rows = thermal_table(sys_, (0.0, 0.1, 1.0), r, r)
+            rows = thermal_table(sys_, (0.0, 0.1, 1.0), range(r, r + 1))
             assert [(row.T, row.force) for row in rows] == cli
