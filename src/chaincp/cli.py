@@ -155,7 +155,8 @@ def load_config(argv: list[str] | None = None) -> MappingProxyType:
     ``"format"``), with ``"omega"`` recomputed as ``eps0 - delta``; plus
     ``"preset"`` (the preset's name or ``None``) and ``"sources"``, the
     sorted ``(key, "preset" | "file" | "flag")`` pairs of every key a
-    preset, the file or a flag set.
+    preset, the file or a flag set, except ``output``: where a table goes
+    does not change its bytes.
 
     Raises
     ------
@@ -225,6 +226,7 @@ def load_config(argv: list[str] | None = None) -> MappingProxyType:
     if list(temps) != sorted(temps):
         raise ConfigError("temperatures must be sorted ascending")
 
+    sources.pop("output", None)
     return MappingProxyType({**merged, "preset": args.preset,
                              "sources": tuple(sorted(sources.items()))})
 

@@ -205,6 +205,19 @@ def test_output_to_stdout(capsys):
     assert len(data) == 1 + 11
 
 
+def test_output_destination_does_not_change_the_bytes(tmp_path, monkeypatch, capsys):
+    # the default path, stdout and an explicit path all get the same table
+    monkeypatch.setenv("CHAINCP_OUTDIR", str(tmp_path))
+    assert run_cli(["--preset", "fig2"]) == 0
+    default = (tmp_path / "fig2.csv").read_bytes()
+    capsys.readouterr()
+    assert run_cli(["--preset", "fig2", "-o", "-"]) == 0
+    streamed = capsys.readouterr().out.encode("ascii")
+    out = tmp_path / "named.csv"
+    assert run_cli(["--preset", "fig2", "--output", str(out)]) == 0
+    assert streamed == out.read_bytes() == default
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("CHAINCP_OUTDIR", str(tmp_path / "results"))
     assert run_cli(["--preset", "fig2"]) == 0
