@@ -7,6 +7,9 @@ the attachment sites.  The package evaluates the closed forms for this
 interaction, checks them against the exact ground energy of the finite
 ring (a secular-equation root) and an arbitrary-precision momentum
 integral, and extends them to finite temperature.
+
+numpy and mpmath load on the first call that needs them, never on
+``import chaincp``: the closed forms and their CLI modes use neither.
 """
 
 from . import casimir, errors, lattice, oracle, perturbation, thermal

@@ -20,8 +20,6 @@ import os
 import sys
 from types import MappingProxyType
 
-import numpy as np
-
 from ._version import __version__
 from .casimir import cp_energy, decay_profile, force_curve
 from .errors import ConvergenceError, InvalidRegime, RegimeViolation
@@ -126,6 +124,40 @@ def _parse_config_file(path: str) -> dict[str, object]:
     return values
 
 
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
+
+
+def _is_number_list(text: str) -> bool:
+    try:
+        for part in text.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each numeric flag and a negative value after it joined by ``=``.
+
+    argparse reads a token that starts with ``-`` as a flag unless it looks
+    like ``-1`` or ``-.5``, so ``--delta -5e-1`` or ``--delta-values -1.5,-2``
+    would lack a value.  Joined, they parse exactly as their ``=`` spelling;
+    a flag may be abbreviated, as argparse allows.  A value that is not a
+    number is left alone, and still exits 2.
+    """
+    numeric = [_flag(key) for key, (kind, _) in _KEYS.items() if kind is not str]
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (token.startswith("-") and _is_number_list(token) and len(prev) > 2
+                and "=" not in prev and any(flag.startswith(prev) for flag in numeric)):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaincp",
@@ -139,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output file, '-' for stdout (default <mode>.<format> "
                              f"in the current dir or ${OUTDIR_ENV})")
     for key, (kind, _) in _KEYS.items():
-        flag = f"--{key.replace('_', '-')}"
+        flag = _flag(key)
         if isinstance(kind, tuple):
             parser.add_argument(flag, dest=key, metavar="A,B,...", help=f"{key} (comma separated)")
         elif kind is not str:
@@ -164,7 +196,8 @@ def load_config(argv: list[str] | None = None) -> MappingProxyType:
         For unknown keys, malformed values, inconsistent or out-of-range
         parameters.
     """
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_negative_values(argv))
 
     merged = {key: default for key, (_, default) in _KEYS.items()}
     sources: dict[str, str] = {}
@@ -285,15 +318,30 @@ def _meta(cfg: MappingProxyType) -> list[tuple[str, str]]:
     return pairs
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``n >= 2`` evenly spaced points from ``lo`` to ``hi``, bit for bit as ``numpy.linspace``.
+
+    Point ``i`` is ``i * step + lo``, or ``i / (n - 1) * (hi - lo) + lo`` when
+    the step underflows to zero, and the last point is ``hi`` itself.
+    """
+    lo, hi = float(lo), float(hi)
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        return [i / div * delta + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
 def _sweep_grid(cfg: MappingProxyType):
     """Leading columns, ``(J, delta)`` series and separations of a force sweep."""
     if cfg["mode"] == "hopping-sweep":
-        grid = np.linspace(cfg["jmin"], cfg["jmax"], cfg["jsteps"])
-        series = [(float(j), cfg["delta"]) for j in grid]
+        grid = _linspace(cfg["jmin"], cfg["jmax"], cfg["jsteps"])
+        series = [(j, cfg["delta"]) for j in grid]
         return ("J",), series, range(cfg["R"], cfg["R"] + 1)
     if cfg["mode"] == "detuning-sweep":
-        grid = np.linspace(cfg["dmin"], cfg["dmax"], cfg["dsteps"])
-        series = [(cfg["J"], float(d)) for d in grid]
+        grid = _linspace(cfg["dmin"], cfg["dmax"], cfg["dsteps"])
+        series = [(cfg["J"], d) for d in grid]
         return ("delta",), series, range(cfg["R"], cfg["R"] + 1)
     if cfg["delta_values"] is not None:
         series = [(cfg["J"], d) for d in cfg["delta_values"]]
@@ -321,11 +369,11 @@ def _run_decay_profile(cfg: MappingProxyType):
     if not -1.0 < cfg["amin"] <= cfg["amax"] <= 0.0:
         raise ConfigError(f"need -1 < amin <= amax <= 0, got [{cfg['amin']}, {cfg['amax']}]")
     rows = []
-    for a in np.linspace(cfg["amin"], cfg["amax"], cfg["asteps"]):
-        j_a = float(a) * cfg["delta"] / 2.0
+    for a in _linspace(cfg["amin"], cfg["amax"], cfg["asteps"]):
+        j_a = a * cfg["delta"] / 2.0
         sys_ = _system(cfg, J=j_a)
         prof = decay_profile(sys_)
-        rows.append((float(a), j_a, prof.gamma, prof.rc, prof.amplitude))
+        rows.append((a, j_a, prof.gamma, prof.rc, prof.amplitude))
     return columns, rows, 0
 
 

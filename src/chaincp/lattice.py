@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BandEdgeError, RegimeViolation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ChainParams",
@@ -157,11 +159,15 @@ def _separations(R: int | range, lower: int = 1, upper: int | None = None) -> ra
 
 def dispersion(chain: ChainParams, k) -> np.ndarray | float:
     """Band energy ``omega - 2 J cos(k)`` for a mode or an array of modes."""
+    import numpy as np
+
     return chain.omega - 2.0 * chain.J * np.cos(k)
 
 
 def brillouin_modes(chain: ChainParams) -> np.ndarray:
     """Allowed momenta ``2 pi n / (2N + 1)`` for ``n = -N .. N``, in order."""
+    import numpy as np
+
     n = np.arange(-chain.N, chain.N + 1)
     return 2.0 * np.pi * n / chain.num_sites
 

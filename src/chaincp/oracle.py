@@ -44,8 +44,6 @@ from __future__ import annotations
 import math
 import warnings
 
-import numpy as np
-
 from .casimir import cp_energy
 from .errors import ConvergenceError, InvalidRegime, NonConvergence
 from .lattice import SymmetricSystem, _separations, brillouin_modes, dispersion
@@ -81,6 +79,8 @@ def _ground_energy(sys: SymmetricSystem, R: int) -> float:
     ConvergenceError
         If ``f`` does not change sign across that bracket.
     """
+    import numpy as np
+
     modes = brillouin_modes(sys.chain)
     band = dispersion(sys.chain, modes)
     weights = sys.lam ** 2 * (1.0 + np.cos(R * modes)) / sys.chain.num_sites
@@ -201,7 +201,7 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
         The integral times ``lam**2``, rounded once at the end; a tuple in
         the order of ``R`` when ``R`` is a range.
     """
-    # imported on first use: nothing else needs mpmath, ~30 ms of `import chaincp`
+    # the one mpmath user; imported here so that `import chaincp` never loads it
     from mpmath import mp
 
     if sys.a == 0.0:

@@ -26,10 +26,12 @@ with exact summation (`math.fsum`).
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .lattice import SymmetricSystem, _separations, brillouin_modes, dispersion
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "band_energies",
@@ -55,6 +57,8 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]
     the finite-``N`` reference that the closed forms approximate; the band
     it shifts is :func:`band_energies`.
     """
+    import numpy as np
+
     _separations(R, upper=sys.chain.N)
     modes = brillouin_modes(sys.chain)
     energies = dispersion(sys.chain, modes)

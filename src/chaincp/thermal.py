@@ -39,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .lattice import SymmetricSystem, _separations
 from .perturbation import band_energies, symmetric_spectrum_closed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ThermalEnsemble",
@@ -89,6 +90,8 @@ class ThermalRow(NamedTuple):
 
 def _boltzmann(energies: np.ndarray, T: float) -> np.ndarray:
     """Normalised weights over ``energies`` at ``T``."""
+    import numpy as np
+
     # ``not T >= 0`` so that NaN is refused too; ``math.inf`` stays legal
     if not T >= 0:
         raise ValueError(f"temperature must be non-negative, got T={T}")
@@ -107,6 +110,8 @@ def _boltzmann(energies: np.ndarray, T: float) -> np.ndarray:
 
 def _ensemble(sys: SymmetricSystem, band: np.ndarray, T: float, R: int) -> ThermalEnsemble:
     """The closed-form doublet at ``R`` and the shifted ``band`` levels, weighted at ``T``."""
+    import numpy as np
+
     energies = np.concatenate((symmetric_spectrum_closed(sys, R), band))
     return ThermalEnsemble(energies=energies, weights=_boltzmann(energies, T))
 

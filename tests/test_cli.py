@@ -1,12 +1,16 @@
 import json
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chaincp.oracle
 from chaincp.casimir import cp_energy, ecp_force
-from chaincp.cli import _KEYS, ConfigError, load_config, main
+from chaincp.cli import _KEYS, PRESETS, ConfigError, _linspace, load_config, main
 from chaincp.lattice import SymmetricSystem
 
 
@@ -113,6 +117,37 @@ def test_bad_values_are_config_errors():
         load_config(["--mode", "force-sweep", "--temperatures", "1,0.1"])
     with pytest.raises(ConfigError):
         load_config([])  # no mode anywhere
+
+
+#: ``(argv, flag-value pairs, exit code)``: every numeric key whose value
+#: argparse would otherwise take for a flag, spelled ``-5e-1`` or ``-1.5,-2``.
+NEGATIVE_VALUES = [
+    (["--mode", "force-sweep", "--J", "0.2", "--rmax", "2"], [("--delta", "-5e-1")], 0),
+    (["--mode", "force-sweep", "--rmax", "2"], [("--eps0", "-2e0"), ("--omega", "-1e0")], 0),
+    (["--mode", "force-sweep", "--rmax", "2"], [("--lambda", "-1e-2")], 0),
+    (["--mode", "decay-profile", "--asteps", "5"], [("--amin", "-9e-1"), ("--amax", "-1e-1")], 0),
+    (["--mode", "detuning-sweep", "--dsteps", "4"], [("--dmin", "-2.5e0"), ("--dmax", "-1e0")], 0),
+    (["--mode", "force-sweep", "--rmax", "5"], [("--delta-values", "-1.5,-2")], 0),
+    # still a number, so still refused by the same check as the = spelling
+    (["--mode", "force-sweep"], [("--delta", "-inf")], 0),
+    (["--mode", "force-sweep"], [("--delta", "-nan")], 2),
+    # not a number: argparse still finds no value
+    (["--mode", "force-sweep"], [("--delta", "-5e-1x")], 2),
+    (["--mode", "force-sweep"], [("--delta-values", "-1.5,-two")], 2),
+]
+
+
+@pytest.mark.parametrize("argv,pairs,code", NEGATIVE_VALUES,
+                         ids=[" ".join(f"{f} {v}" for f, v in p) for _, p, _ in NEGATIVE_VALUES])
+def test_a_negative_value_after_a_space_reads_as_after_an_equals_sign(argv, pairs, code, capsys):
+    def written(tokens):
+        status = run_cli(argv + tokens + ["--output", "-"])
+        return status, capsys.readouterr().out
+
+    spaced = written([token for pair in pairs for token in pair])
+    joined = written([f"{flag}={value}" for flag, value in pairs])
+    assert spaced == joined
+    assert spaced[0] == code
 
 
 def test_omega_is_an_alias_for_the_detuning():
@@ -313,6 +348,79 @@ def test_infinite_temperature_is_accepted(tmp_path):
                     "--temperatures", "0,inf", "--output", str(out)]) == 0
     _, _, rows = read_csv(out)
     assert [row[0] for row in rows][-1] == "inf"
+
+
+def _numpy_loaded(argv, tmp_path) -> bool:
+    """Whether a fresh ``chaincp`` process loads numpy to run ``argv``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(chaincp.__file__).parents[1]), env.get("PYTHONPATH")]))
+    code = ("import sys; from chaincp.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--output", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = proc.stdout.split()
+    assert status == "0", proc.stderr
+    return loaded == "True"
+
+
+def test_closed_form_modes_never_load_numpy(tmp_path):
+    for argv in (["--preset", "fig2"], ["--preset", "fig3"], ["--preset", "fig4"],
+                 ["--mode", "hopping-sweep"], ["--mode", "detuning-sweep"]):
+        assert not _numpy_loaded(argv, tmp_path), argv
+    # the guard is not vacuous: array modes do load it
+    for argv in (["--preset", "fig5", "--n-values", "20"],
+                 ["--mode", "oracle-check", "--N", "40", "--rmax", "2"]):
+        assert _numpy_loaded(argv, tmp_path), argv
+
+
+def _hex(points):
+    return [float(x).hex() for x in points]
+
+
+def test_linspace_matches_numpy_on_the_cli_grids():
+    grids = [(_KEYS[lo][1], _KEYS[hi][1], _KEYS[n][1])
+             for lo, hi, n in (("jmin", "jmax", "jsteps"), ("dmin", "dmax", "dsteps"),
+                               ("amin", "amax", "asteps"))]
+    fig4 = PRESETS["fig4"]
+    grids.append((fig4["amin"], fig4["amax"], fig4["asteps"]))
+    for lo, hi, n in grids:
+        assert _hex(_linspace(lo, hi, n)) == _hex(np.linspace(lo, hi, n))
+
+
+@pytest.mark.parametrize("lo,hi,n", [
+    (-0.5, -0.5, 5),                  # a step of 0: amin == amax
+    (0.48, 0.02, 24),                 # reversed bounds
+    (0.0, -0.0, 3), (-0.0, 0.0, 3), (-0.0, -0.0, 4), (-0.0, 1.0, 2),
+    (0.0, 5e-324, 3),                 # subnormal: the step underflows to 0
+    (-5e-324, 5e-324, 7), (2.2250738585072014e-308, 0.0, 9), (-1e-310, -3e-310, 5),
+    (-1.0, -1.0 + 2.0 ** -52, 11),    # a step below one ulp of the bounds
+])
+def test_linspace_matches_numpy_at_the_edges(lo, hi, n):
+    assert _hex(_linspace(lo, hi, n)) == _hex(np.linspace(lo, hi, n))
+
+
+@pytest.mark.parametrize("lo,hi,n", [(-1e308, 1e308, 5), (1e308, -1e308, 2)])
+def test_linspace_matches_numpy_when_the_span_overflows(lo, hi, n):
+    # hi - lo is inf, so the first point is 0 * inf + lo = nan, as in numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.linspace(lo, hi, n)
+    assert _hex(_linspace(lo, hi, n)) == _hex(expected)
+
+
+def test_linspace_matches_numpy_on_random_grids():
+    rng = random.Random(20140222)
+
+    def bound():
+        return rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 10.0) * 10.0 ** rng.randint(-12, 12)
+
+    for _ in range(1000):
+        lo, hi = bound(), bound()
+        if rng.random() < 0.1:
+            hi = lo
+        n = rng.randint(2, 300)
+        assert _hex(_linspace(lo, hi, n)) == _hex(np.linspace(lo, hi, n)), (lo, hi, n)
 
 
 def test_exit_code_4_when_refinement_is_starved(tmp_path, monkeypatch):

@@ -60,6 +60,13 @@ def test_table_is_byte_identical(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_a_negative_series_needs_no_equals_sign(tmp_path):
+    out = tmp_path / "delta-values.csv"
+    argv = ["--mode", "force-sweep", "--delta-values", "-1.5,-2", "--rmax", "5"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "delta-values.csv").read_bytes()
+
+
 @pytest.mark.parametrize("args,code", EXIT_CODES, ids=[args for args, _ in EXIT_CODES])
 def test_exit_code(args, code, tmp_path):
     argv = ["--mode"] + args.split() + ["--output", str(tmp_path / "out.csv")]
