@@ -23,15 +23,14 @@ from chaincp import (
 
 
 def main():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=200)
-    chain = sys_.chain
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=200)
 
     print("chain: omega = {:.3f}, J = {:.3f}, {} sites".format(
-        chain.omega, chain.J, chain.num_sites))
+        sys_.omega, sys_.J, sys_.num_sites))
     print("band: [{:.3f}, {:.3f}], width {:.3f}".format(
-        chain.band_bottom, chain.band_top, 4 * chain.J))
+        sys_.band_bottom, sys_.band_top, 4 * sys_.J))
     print("impurity level eps0 = {:.3f}, gap to band bottom = {:.3f}".format(
-        sys_.eps0, chain.band_bottom - sys_.eps0))
+        sys_.eps0, sys_.gap))
     print("band parameter a = 2J/delta = {:.3f}".format(sys_.a))
 
     report = validate_regime(sys_)
@@ -39,10 +38,10 @@ def main():
         report.coupling_ratio, report.weak_coupling))
 
     print("\ndispersion samples:")
-    modes = brillouin_modes(chain)
+    modes = brillouin_modes(sys_)
     for idx in np.linspace(0, modes.size - 1, 7).astype(int):
         k = modes[idx]
-        print("  k = {:+.4f}   Omega_k = {:.6f}".format(k, dispersion(chain, float(k))))
+        print("  k = {:+.4f}   Omega_k = {:.6f}".format(k, dispersion(sys_, float(k))))
 
     R = 1
     print("\nbound doublet below the band (separation R = {}):".format(R))
@@ -54,7 +53,7 @@ def main():
     print("  splitting   {:.3e}       {:.3e}".format(e_minus - e_plus, k_minus - k_plus))
     print("\nboth levels sit below the band bottom {:.3f}; the even one is"
           " lower, and the splitting is the interaction energy scale."
-          .format(chain.band_bottom))
+          .format(sys_.band_bottom))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from chaincp import SymmetricSystem, force_curve
 def main():
     print("force vs separation at delta = -1, lambda = 0.01\n")
     for J in (0.3, 0.4):
-        sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=J, lam=0.01, N=200)
+        sys_ = SymmetricSystem(delta=-1.0, J=J, lam=0.01, N=200)
         print("J = {:.2f}  (a = {:+.2f})".format(J, sys_.a))
         print("   R      E_cp(R)         f(R)          |f| ratio")
         prev = None

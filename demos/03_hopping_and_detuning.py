@@ -17,13 +17,13 @@ def main():
     print("force at R = 1 while the hopping grows (delta = -1, lambda = 0.01)")
     print("    J        a         f(1)")
     for J in np.linspace(0.05, 0.45, 9):
-        sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=float(J), lam=0.01, N=200)
+        sys_ = SymmetricSystem(delta=-1.0, J=float(J), lam=0.01, N=200)
         print("  {:.3f}   {:+.3f}   {: .6e}".format(J, sys_.a, ecp_force(sys_, 1)))
 
     print("\nforce at R = 1 while the level sinks (J = 0.6, lambda = 0.01)")
     print("   delta      a         f(1)")
     for delta in (-1.5, -2.0, -2.5, -3.0, -4.0):
-        sys_ = SymmetricSystem.from_detuning(delta=delta, J=0.6, lam=0.01, N=200)
+        sys_ = SymmetricSystem(delta=delta, J=0.6, lam=0.01, N=200)
         print("  {:+.2f}    {:+.3f}   {: .6e}".format(delta, sys_.a, ecp_force(sys_, 1)))
 
     print("\nsame physics both ways: what matters is how close the level sits")

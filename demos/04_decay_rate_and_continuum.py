@@ -18,7 +18,7 @@ def main():
     print("     a        J       Gamma        b       rel gap     Rc")
     for a in np.linspace(-0.98, -0.30, 9):
         J = -float(a) / 2.0
-        sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=J, lam=0.01, N=200)
+        sys_ = SymmetricSystem(delta=-1.0, J=J, lam=0.01, N=200)
         prof = decay_profile(sys_)
         b = continuum_decay_constant(sys_)
         gap = abs(b - prof.gamma) / prof.gamma
@@ -31,7 +31,7 @@ def main():
 
     print("\ninteraction range near the edge:")
     for a in (-0.9, -0.99, -0.999):
-        sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=-a / 2.0, lam=0.001, N=200)
+        sys_ = SymmetricSystem(delta=-1.0, J=-a / 2.0, lam=0.001, N=200)
         print("  a = {:+.3f}: Rc = {:8.2f} sites".format(a, decay_profile(sys_).rc))
 
 

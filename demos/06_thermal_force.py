@@ -15,7 +15,7 @@ from chaincp import SymmetricSystem, ecp_force, thermal_ensemble, thermal_force,
 
 
 def main():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=100)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.1, N=100)
 
     print("where the electron sits (N = 100, R = 1):")
     print("    T       even      odd       band")
@@ -29,7 +29,7 @@ def main():
     for n in (100, 400):
         print("\nN = {}".format(n))
         print(header)
-        sys_n = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=n)
+        sys_n = SymmetricSystem(delta=-1.0, J=0.3, lam=0.1, N=n)
         # one table: the band once, then one ensemble per (T, R)
         temps, seps = (0.0, 0.1, 1.0), range(1, 9)
         force = {(row.T, row.R): row.force for row in thermal_table(sys_n, temps, seps)}

@@ -107,11 +107,11 @@ def force_curve(sys: SymmetricSystem, R: range) -> tuple[ForceRecord, ...]:
 
     ``R`` is a non-empty range with step 1.  The force at its last
     separation uses the energy one site further, so every ``R`` must satisfy
-    ``1 <= R <= chain.N - 1``.
+    ``1 <= R <= N - 1``.
     """
     return tuple(
         ForceRecord(R=r, energy=cp_energy(sys, r), force=ecp_force(sys, r))
-        for r in _separations(R, upper=sys.chain.N - 1)
+        for r in _separations(R, upper=sys.N - 1)
     )
 
 
@@ -141,6 +141,6 @@ def continuum_decay_constant(sys: SymmetricSystem) -> float:
     InvalidRegime
         For a flat band (``J = 0``); there is no continuum limit to speak of.
     """
-    if sys.chain.J == 0.0:
+    if sys.J == 0.0:
         raise InvalidRegime("continuum approximation needs J > 0")
-    return math.sqrt((sys.chain.band_bottom - sys.eps0) / sys.chain.J)
+    return math.sqrt(sys.gap / sys.J)

@@ -268,7 +268,7 @@ def _system(cfg: MappingProxyType, **overrides) -> SymmetricSystem:
     """The configured system, with ``delta``, ``J`` or ``N`` overridden."""
     params = {"delta": cfg["delta"], "J": cfg["J"], "lam": cfg["lambda"], "N": cfg["N"],
               "eps0": cfg["eps0"]}
-    return SymmetricSystem.from_detuning(**{**params, **overrides})
+    return SymmetricSystem(**{**params, **overrides})
 
 
 def _gated_system(cfg: MappingProxyType, **overrides) -> SymmetricSystem:
@@ -333,15 +333,22 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [i * step + lo for i in range(div)] + [hi]
 
 
+def _grid(cfg: MappingProxyType, prefix: str) -> list[float]:
+    """The ``<prefix>min .. <prefix>max`` grid of ``<prefix>steps`` points, each finite."""
+    keys = (f"{prefix}min", f"{prefix}max", f"{prefix}steps")
+    grid = _linspace(*(cfg[key] for key in keys))
+    if not all(math.isfinite(x) for x in grid):
+        raise ConfigError(f"{', '.join(keys)} give a grid point that is not finite")
+    return grid
+
+
 def _sweep_grid(cfg: MappingProxyType):
     """Leading columns, ``(J, delta)`` series and separations of a force sweep."""
     if cfg["mode"] == "hopping-sweep":
-        grid = _linspace(cfg["jmin"], cfg["jmax"], cfg["jsteps"])
-        series = [(j, cfg["delta"]) for j in grid]
+        series = [(j, cfg["delta"]) for j in _grid(cfg, "j")]
         return ("J",), series, range(cfg["R"], cfg["R"] + 1)
     if cfg["mode"] == "detuning-sweep":
-        grid = _linspace(cfg["dmin"], cfg["dmax"], cfg["dsteps"])
-        series = [(cfg["J"], d) for d in grid]
+        series = [(cfg["J"], d) for d in _grid(cfg, "d")]
         return ("delta",), series, range(cfg["R"], cfg["R"] + 1)
     if cfg["delta_values"] is not None:
         series = [(cfg["J"], d) for d in cfg["delta_values"]]
@@ -369,7 +376,7 @@ def _run_decay_profile(cfg: MappingProxyType):
     if not -1.0 < cfg["amin"] <= cfg["amax"] <= 0.0:
         raise ConfigError(f"need -1 < amin <= amax <= 0, got [{cfg['amin']}, {cfg['amax']}]")
     rows = []
-    for a in _linspace(cfg["amin"], cfg["amax"], cfg["asteps"]):
+    for a in _grid(cfg, "a"):
         j_a = a * cfg["delta"] / 2.0
         sys_ = _system(cfg, J=j_a)
         prof = decay_profile(sys_)
@@ -432,9 +439,9 @@ def _run_oracle_check(cfg: MappingProxyType):
 
 def _run_dispersion_dump(cfg: MappingProxyType):
     columns = ("k", "energy")
-    chain = _system(cfg).chain
-    modes = brillouin_modes(chain)
-    energies = dispersion(chain, modes)
+    sys_ = _system(cfg)
+    modes = brillouin_modes(sys_)
+    energies = dispersion(sys_, modes)
     rows = [(float(k), float(e)) for k, e in zip(modes, energies)]
     return columns, rows, 0
 

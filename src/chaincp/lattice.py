@@ -19,7 +19,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "ChainParams",
     "SymmetricSystem",
     "RegimeReport",
     "dispersion",
@@ -37,22 +36,48 @@ WEAK_COUPLING_FAIL = 0.5
 
 
 @dataclass(frozen=True)
-class ChainParams:
-    """Periodic tight-binding chain with ``2 N + 1`` sites.
+class SymmetricSystem:
+    """Identical impurities (``eps0``, ``lam``) side-coupled to one ring.
+
+    The ring has ``2 N + 1`` sites with site energy ``omega`` and hopping
+    ``J``.  The system keeps the detuning ``delta`` exactly as given and
+    derives the rest once, on construction:
+
+    * ``omega = eps0 - delta``, the band centre,
+    * ``a = 2 J / delta``, the band parameter, and
+    * ``q = (sqrt(1 - a^2) - 1) / a``, the decay ratio per site, evaluated as
+      ``-a / (sqrt(1 - a^2) + 1)`` so that ``a -> 0`` loses no precision to
+      cancellation; the flat-band value is exactly ``0.0``.
+
+    The closed forms read only ``delta``, ``J`` and ``lam``, never ``eps0``.
+    Both impurity levels must sit strictly below the band, which for this
+    configuration means ``delta < 0`` and ``a`` in ``(-1, 0]``; anything
+    else raises :class:`~chaincp.errors.BandEdgeError`.  Every parameter,
+    ``omega`` and both band edges must be finite.  The separation is not part
+    of the system: every function that needs one takes it as an argument.
 
     Parameters
     ----------
-    omega : float
-        On-site energy of every chain site.
+    delta : float
+        Detuning ``eps0 - omega`` of the impurity level from the band centre.
     J : float
         Nearest-neighbour hopping amplitude, ``J >= 0``.
+    lam : float
+        Common tunnelling amplitude.
     N : int
-        Half-length; sites carry indices ``-N .. N``.
+        Half-length; ring sites carry indices ``-N .. N``.
+    eps0 : float
+        Common impurity level.
     """
 
-    omega: float
+    delta: float
     J: float
+    lam: float
     N: int
+    eps0: float = 1.0
+    omega: float = field(init=False)
+    a: float = field(init=False)
+    q: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.N, int):
@@ -61,6 +86,19 @@ class ChainParams:
             raise ValueError(f"chain needs N >= 1, got N={self.N}")
         if self.J < 0:
             raise ValueError(f"hopping must be non-negative, got J={self.J}")
+        object.__setattr__(self, "omega", self.eps0 - self.delta)
+        for name in ("eps0", "delta", "J", "lam", "omega", "band_bottom", "band_top"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # A level a few ulp below the band bottom can still round |a| up to 1.
+        a = 2.0 * self.J / self.delta if self.eps0 < self.band_bottom else -math.inf
+        if not -1.0 < a:
+            raise BandEdgeError(
+                f"impurity level eps0={self.eps0} is not below the band bottom "
+                f"{self.band_bottom}; closed forms require delta < 0 and |a| < 1"
+            )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "q", -a / (math.sqrt(1.0 - a * a) + 1.0))
 
     @property
     def num_sites(self) -> int:
@@ -74,67 +112,10 @@ class ChainParams:
     def band_top(self) -> float:
         return self.omega + 2.0 * self.J
 
-
-@dataclass(frozen=True)
-class SymmetricSystem:
-    """Identical impurities (``eps0``, ``lam``) side-coupled to one chain.
-
-    The closed-form results below the band are controlled by three derived
-    quantities, computed on construction:
-
-    * ``delta = eps0 - omega``, the detuning from the band centre,
-    * ``a = 2 J / delta``, the band parameter, and
-    * ``q = (sqrt(1 - a^2) - 1) / a``, the decay ratio per site, evaluated as
-      ``-a / (sqrt(1 - a^2) + 1)`` so that ``a -> 0`` loses no precision to
-      cancellation; the flat-band value is exactly ``0.0``.
-
-    Both impurity levels must sit strictly below the band, which for this
-    configuration means ``delta < 0`` and ``a`` in ``(-1, 0]``; anything
-    else raises :class:`~chaincp.errors.BandEdgeError`.  The separation is
-    not part of the system: every function that needs one takes it as an
-    argument.
-
-    Parameters
-    ----------
-    chain : ChainParams
-    eps0 : float
-        Common impurity level.
-    lam : float
-        Common tunnelling amplitude.
-    """
-
-    chain: ChainParams
-    eps0: float
-    lam: float
-    delta: float = field(init=False)
-    a: float = field(init=False)
-    q: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        delta = self.eps0 - self.chain.omega
-        # A level a few ulp below the band bottom can still round |a| up to 1.
-        a = 2.0 * self.chain.J / delta if self.eps0 < self.chain.band_bottom else -math.inf
-        if not -1.0 < a:
-            raise BandEdgeError(
-                f"impurity level eps0={self.eps0} is not below the band bottom "
-                f"{self.chain.band_bottom}; closed forms require delta < 0 and |a| < 1"
-            )
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "q", -a / (math.sqrt(1.0 - a * a) + 1.0))
-
-    @classmethod
-    def from_detuning(
-        cls,
-        delta: float,
-        J: float,
-        lam: float,
-        N: int,
-        eps0: float = 1.0,
-    ) -> "SymmetricSystem":
-        """Build a system from the detuning instead of the band centre."""
-        chain = ChainParams(omega=eps0 - delta, J=J, N=N)
-        return cls(chain=chain, eps0=eps0, lam=lam)
+    @property
+    def gap(self) -> float:
+        """Distance ``band_bottom - eps0`` from the impurity level down to the band."""
+        return self.band_bottom - self.eps0
 
 
 def _separations(R: int | range, lower: int = 1, upper: int | None = None) -> range:
@@ -157,19 +138,19 @@ def _separations(R: int | range, lower: int = 1, upper: int | None = None) -> ra
     return R
 
 
-def dispersion(chain: ChainParams, k) -> np.ndarray | float:
+def dispersion(sys: SymmetricSystem, k) -> np.ndarray | float:
     """Band energy ``omega - 2 J cos(k)`` for a mode or an array of modes."""
     import numpy as np
 
-    return chain.omega - 2.0 * chain.J * np.cos(k)
+    return sys.omega - 2.0 * sys.J * np.cos(k)
 
 
-def brillouin_modes(chain: ChainParams) -> np.ndarray:
+def brillouin_modes(sys: SymmetricSystem) -> np.ndarray:
     """Allowed momenta ``2 pi n / (2N + 1)`` for ``n = -N .. N``, in order."""
     import numpy as np
 
-    n = np.arange(-chain.N, chain.N + 1)
-    return 2.0 * np.pi * n / chain.num_sites
+    n = np.arange(-sys.N, sys.N + 1)
+    return 2.0 * np.pi * n / sys.num_sites
 
 
 @dataclass(frozen=True)
@@ -200,7 +181,7 @@ def validate_regime(sys: SymmetricSystem) -> RegimeReport:
     them near the percent level; beyond 0.5 the expansion has no business
     converging.
     """
-    ratio = abs(sys.lam) / (sys.chain.band_bottom - sys.eps0)
+    ratio = abs(sys.lam) / sys.gap
     warnings: list[str] = []
     if WEAK_COUPLING_WARN < ratio <= WEAK_COUPLING_FAIL:
         warnings.append(

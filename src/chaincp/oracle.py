@@ -81,9 +81,9 @@ def _ground_energy(sys: SymmetricSystem, R: int) -> float:
     """
     import numpy as np
 
-    modes = brillouin_modes(sys.chain)
-    band = dispersion(sys.chain, modes)
-    weights = sys.lam ** 2 * (1.0 + np.cos(R * modes)) / sys.chain.num_sites
+    modes = brillouin_modes(sys)
+    band = dispersion(sys, modes)
+    weights = sys.lam ** 2 * (1.0 + np.cos(R * modes)) / sys.num_sites
 
     def secular(e: float) -> float:
         return e - sys.eps0 - float(np.sum(weights / (e - band)))
@@ -93,7 +93,7 @@ def _ground_energy(sys: SymmetricSystem, R: int) -> float:
     if not f_lo <= 0.0 <= f_hi:
         raise ConvergenceError(
             f"secular equation does not change sign on [{lo!r}, {hi!r}] "
-            f"(f = {f_lo!r}, {f_hi!r}) at R={R}, N={sys.chain.N}"
+            f"(f = {f_lo!r}, {f_hi!r}) at R={R}, N={sys.N}"
         )
     while True:
         mid = 0.5 * (lo + hi)
@@ -141,13 +141,12 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
     float or tuple of float
         A tuple in the order of ``R`` when ``R`` is a range.
     """
-    n_half = sys.chain.N
+    n_half = sys.N
     seps = _separations(R, upper=n_half // 4)
     r_ref = n_half // 2
 
-    gap = sys.chain.band_bottom - sys.eps0
     for r in seps:
-        systematic = (sys.lam / gap) ** 2 + sys.q ** (2 * n_half + 1 - 2 * r)
+        systematic = (sys.lam / sys.gap) ** 2 + sys.q ** (2 * n_half + 1 - 2 * r)
         if systematic > 0.05:
             warnings.warn(
                 f"ED estimate carries ~{systematic:.1%} systematic error "
@@ -214,7 +213,7 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
 
     with mp.workdps(40 + max(0, lost - 5)):
         delta = mp.mpf(sys.delta)
-        two_j = mp.mpf(2.0 * sys.chain.J)
+        two_j = mp.mpf(2.0 * sys.J)
         lam_sq = mp.mpf(sys.lam) ** 2
 
         n_seps = len(seps)

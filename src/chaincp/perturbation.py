@@ -42,9 +42,9 @@ __all__ = [
 
 def band_energies(sys: SymmetricSystem) -> np.ndarray:
     """Shifted band energies ``Omega_k + 2 g^2 / (Omega_k - eps0)``, one per ring mode."""
-    modes = brillouin_modes(sys.chain)
-    energies = dispersion(sys.chain, modes)
-    gsq = sys.lam ** 2 / sys.chain.num_sites
+    modes = brillouin_modes(sys)
+    energies = dispersion(sys, modes)
+    gsq = sys.lam ** 2 / sys.num_sites
     return energies + 2.0 * gsq / (energies - sys.eps0)
 
 
@@ -59,10 +59,10 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]
     """
     import numpy as np
 
-    _separations(R, upper=sys.chain.N)
-    modes = brillouin_modes(sys.chain)
-    energies = dispersion(sys.chain, modes)
-    gsq = sys.lam ** 2 / sys.chain.num_sites
+    _separations(R, upper=sys.N)
+    modes = brillouin_modes(sys)
+    energies = dispersion(sys, modes)
+    gsq = sys.lam ** 2 / sys.num_sites
     inv = 1.0 / (sys.eps0 - energies)
 
     # The odd-in-k part of exp(-ikR) sums to zero because the modes come in
@@ -81,7 +81,7 @@ def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, floa
     At ``a = 0`` the band is flat, ``q = 0``, and the doublet is degenerate
     at ``eps0 + lam**2 / delta``.
     """
-    _separations(R, upper=sys.chain.N)
+    _separations(R, upper=sys.N)
     a = sys.a
     root = math.sqrt(1.0 - a * a)
     base = sys.lam ** 2 / (sys.delta * root)

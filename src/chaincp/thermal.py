@@ -155,7 +155,7 @@ def thermal_table(sys: SymmetricSystem, temperatures, R: range) -> tuple[Thermal
         ``1 <= R <= N - 1`` (the force at ``R`` needs ``R + 1``).
     """
     temps = [float(t) for t in temperatures]
-    seps = _separations(R, upper=sys.chain.N - 1)
+    seps = _separations(R, upper=sys.N - 1)
 
     band = band_energies(sys)
     separations = range(seps[0], seps[-1] + 2)

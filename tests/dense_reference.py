@@ -7,31 +7,31 @@ chains only.
 
 import numpy as np
 
-from chaincp.lattice import ChainParams, SymmetricSystem, _separations
+from chaincp.lattice import SymmetricSystem, _separations
 
 
-def dense_hamiltonian(chain: ChainParams, eps1: float, eps2: float,
+def dense_hamiltonian(ring: SymmetricSystem, eps1: float, eps2: float,
                       lambda0: float, lambda_r: float, R: int) -> np.ndarray:
     """The ring plus two side-coupled impurities, as a dense symmetric matrix.
 
-    Impurity 1 has level ``eps1`` and couples with ``lambda0`` to site 0;
+    Only the ring of ``ring`` (``omega``, ``J``, ``N``) enters.  Impurity 1 has level ``eps1`` and couples with ``lambda0`` to site 0;
     impurity 2 has level ``eps2`` and couples with ``lambda_r`` to site
     ``R``, ``1 <= R <= N``.  Basis order is ``(imp1, imp2, site -N, ...,
     site N)``.
     """
-    _separations(R, upper=chain.N)
-    n_sites = chain.num_sites
+    _separations(R, upper=ring.N)
+    n_sites = ring.num_sites
     h = np.zeros((n_sites + 2, n_sites + 2))
     h[0, 0] = eps1
     h[1, 1] = eps2
 
-    ring = np.arange(2, n_sites + 2)  # chain site j sits at row 2 + (j + N)
-    h[ring, ring] = chain.omega
-    right = np.roll(ring, -1)  # includes the periodic bond between sites N and -N
-    h[ring, right] = -chain.J
-    h[right, ring] = -chain.J
+    sites = np.arange(2, n_sites + 2)  # chain site j sits at row 2 + (j + N)
+    h[sites, sites] = ring.omega
+    right = np.roll(sites, -1)  # includes the periodic bond between sites N and -N
+    h[sites, right] = -ring.J
+    h[right, sites] = -ring.J
 
-    site0 = 2 + chain.N
+    site0 = 2 + ring.N
     h[0, site0] = h[site0, 0] = lambda0
     h[1, site0 + R] = h[site0 + R, 1] = lambda_r
     return h
@@ -39,7 +39,7 @@ def dense_hamiltonian(chain: ChainParams, eps1: float, eps2: float,
 
 def symmetric_hamiltonian(sys: SymmetricSystem, R: int) -> np.ndarray:
     """:func:`dense_hamiltonian` for identical impurities ``R`` sites apart."""
-    return dense_hamiltonian(sys.chain, sys.eps0, sys.eps0, sys.lam, sys.lam, R)
+    return dense_hamiltonian(sys, sys.eps0, sys.eps0, sys.lam, sys.lam, R)
 
 
 def dense_ground_energy(sys: SymmetricSystem, R: int) -> float:

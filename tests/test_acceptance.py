@@ -26,7 +26,7 @@ from chaincp.thermal import thermal_force
 
 
 def system(delta=-1.0, J=0.3, lam=0.01, N=200):
-    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, N=N)
+    return SymmetricSystem(delta=delta, J=J, lam=lam, N=N)
 
 
 def report(tag, ok, detail):
@@ -120,7 +120,7 @@ def test_07_thermal_force_limits_and_ordering():
     # kT = 1e-6 stays 13.8 e-foldings below that splitting out to R = 5 at
     # these parameters; past there the splitting sinks under kT and the
     # static force genuinely stops being the limit
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=100)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.1, N=100)
     worst = max(
         abs(thermal_force(sys_, 1e-6, r) - ecp_force(sys_, r)) / abs(ecp_force(sys_, r))
         for r in range(1, 6)
@@ -129,7 +129,7 @@ def test_07_thermal_force_limits_and_ordering():
 
     ordered = True
     for n in (100, 200, 400):
-        sys_n = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=n)
+        sys_n = SymmetricSystem(delta=-1.0, J=0.3, lam=0.1, N=n)
         for r in range(1, 9):
             f0 = abs(thermal_force(sys_n, 0.0, r))
             f1 = abs(thermal_force(sys_n, 0.1, r))
@@ -147,8 +147,8 @@ def test_08_degenerate_limits_are_exact():
 
     decoupled = system(lam=0.0, N=50)
     energies = np.linalg.eigvalsh(symmetric_hamiltonian(decoupled, 1))
-    ring = np.sort(decoupled.chain.omega
-                   - 2.0 * decoupled.chain.J
+    ring = np.sort(decoupled.omega
+                   - 2.0 * decoupled.J
                    * np.cos(2.0 * np.pi * np.arange(-50, 51) / 101))
     expected = np.sort(np.concatenate(([1.0, 1.0], ring)))
     decoupling_dev = float(np.max(np.abs(energies - expected)))

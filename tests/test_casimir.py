@@ -15,7 +15,7 @@ from chaincp.lattice import SymmetricSystem
 
 
 def fig_system(delta=-1.0, J=0.3, lam=0.01, N=200):
-    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, N=N)
+    return SymmetricSystem(delta=delta, J=J, lam=lam, N=N)
 
 
 def test_cp_energy_frozen_values():
@@ -157,10 +157,31 @@ def test_continuum_tracks_the_lattice_result_near_the_edge():
     b = continuum_decay_constant(sys_)
     for r in (1, 2, 4):
         exact = cp_energy(sys_, r)
-        approx = -(sys_.lam ** 2 / (2.0 * sys_.chain.J * b)) * math.exp(-b * r)
+        approx = -(sys_.lam ** 2 / (2.0 * sys_.J * b)) * math.exp(-b * r)
         assert approx == pytest.approx(exact, rel=0.1)
     # deep below the band it parts ways with the true decay rate
     far = fig_system(J=0.3)
     b_far = continuum_decay_constant(far)
     gamma_far = decay_profile(far).gamma
     assert abs(b_far - gamma_far) / gamma_far > 0.04
+
+
+#: Default detuning-sweep points whose ``eps0 - (eps0 - delta)`` round trip at
+#: ``eps0 = 1`` does not give ``delta`` back.
+UNROUNDTRIPPED = [-1.9000000000000001, -1.8, -1.5000000000000002,
+                  -1.4000000000000001, -1.3, -1.0000000000000002]
+
+
+@pytest.mark.parametrize("delta", UNROUNDTRIPPED)
+def test_closed_forms_do_not_depend_on_where_zero_is(delta):
+    # only delta, J and lam enter the closed forms, so moving the impurity
+    # level and the band together must not move a single bit
+    def closed_forms(eps0):
+        sys_ = SymmetricSystem(delta=delta, J=0.3, lam=0.01, N=200, eps0=eps0)
+        assert sys_.delta == delta
+        return ([cp_energy(sys_, r) for r in range(1, 11)],
+                force_curve(sys_, range(1, 11)), decay_profile(sys_))
+
+    at_one = closed_forms(1.0)
+    assert closed_forms(0.0) == at_one
+    assert closed_forms(1e6) == at_one

@@ -129,7 +129,7 @@ NEGATIVE_VALUES = [
     (["--mode", "detuning-sweep", "--dsteps", "4"], [("--dmin", "-2.5e0"), ("--dmax", "-1e0")], 0),
     (["--mode", "force-sweep", "--rmax", "5"], [("--delta-values", "-1.5,-2")], 0),
     # still a number, so still refused by the same check as the = spelling
-    (["--mode", "force-sweep"], [("--delta", "-inf")], 0),
+    (["--mode", "force-sweep"], [("--delta", "-inf")], 2),
     (["--mode", "force-sweep"], [("--delta", "-nan")], 2),
     # not a number: argparse still finds no value
     (["--mode", "force-sweep"], [("--delta", "-5e-1x")], 2),
@@ -148,6 +148,36 @@ def test_a_negative_value_after_a_space_reads_as_after_an_equals_sign(argv, pair
     joined = written([f"{flag}={value}" for flag, value in pairs])
     assert spaced == joined
     assert spaced[0] == code
+
+
+#: A detuning far below 1 in magnitude, where ``1 - (1 - delta)`` keeps only
+#: seven of its digits.
+TINY_DETUNING = ["--mode", "force-sweep", "--delta=-1e-10", "--J", "3e-11",
+                 "--lambda", "1e-13", "--rmax", "3"]
+
+
+def energy_and_force_cells(argv, path):
+    assert run_cli(argv + ["--output", str(path)]) == 0
+    _, columns, rows = read_csv(path)
+    return [(row[columns.index("energy")], row[columns.index("force")]) for row in rows]
+
+
+def test_a_tiny_detuning_keeps_every_digit(tmp_path):
+    from mpmath import mp
+
+    cells = energy_and_force_cells(TINY_DETUNING, tmp_path / "out.csv")
+    with mp.workdps(60):
+        delta, lam = mp.mpf(-1e-10), mp.mpf(1e-13)
+        a = 2 * mp.mpf(3e-11) / delta
+        q = (mp.sqrt(1 - a * a) - 1) / a
+        for r, (energy, _) in enumerate(cells, 1):
+            exact = lam ** 2 / delta * q ** r / mp.sqrt(1 - a * a)
+            assert abs(float(energy) - exact) <= 1e-14 * abs(exact)
+
+
+def test_a_tiny_detuning_gives_the_same_cells_at_any_eps0(tmp_path):
+    at_one = energy_and_force_cells(TINY_DETUNING + ["--eps0", "1"], tmp_path / "one.csv")
+    assert energy_and_force_cells(TINY_DETUNING + ["--eps0", "0"], tmp_path / "zero.csv") == at_one
 
 
 def test_omega_is_an_alias_for_the_detuning():
@@ -195,7 +225,7 @@ def test_force_sweep_rows_round_trip_exactly(tmp_path):
     for row in rows:
         j, delta = float(row[0]), float(row[1])
         r = int(row[2])
-        sys_ = SymmetricSystem.from_detuning(delta=delta, J=j, lam=0.01, N=200)
+        sys_ = SymmetricSystem(delta=delta, J=j, lam=0.01, N=200)
         # %.17g survives the float -> text -> float trip bit for bit
         assert float(row[3]) == cp_energy(sys_, r)
         assert float(row[4]) == ecp_force(sys_, r)
@@ -210,7 +240,7 @@ def test_json_round_trip(tmp_path):
     assert doc["meta"]["preset"] == "fig2"
     assert len(doc["rows"]) == 20
     first = doc["rows"][0]
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=200)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=200)
     assert first[3] == cp_energy(sys_, 1)
     assert first[4] == ecp_force(sys_, 1)
 

@@ -50,6 +50,10 @@ EXIT_CODES = [
     ("dispersion-dump --N 3 --delta 0.5", 3),
     ("detuning-sweep --dmax -0.5", 3),
     ("hopping-sweep --R 199 --lambda 0.3", 3),
+    # non-finite grid points and system parameters are configuration errors
+    ("hopping-sweep --jmin inf", 2),
+    ("detuning-sweep --dmin=-1e308 --dmax 1e308", 2),
+    ("thermal-sweep --delta=-inf --N 5 --rmax 2", 2),
 ]
 
 
@@ -65,6 +69,21 @@ def test_a_negative_series_needs_no_equals_sign(tmp_path):
     argv = ["--mode", "force-sweep", "--delta-values", "-1.5,-2", "--rmax", "5"]
     assert main(argv + ["--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "delta-values.csv").read_bytes()
+
+
+def test_the_round_trip_table_differs_only_in_its_six_unrounded_rows():
+    # detuning-sweep.csv as computed at delta = 1 - (1 - delta): six of its
+    # deltas came back one ulp off, and only their rows move, by a few ulp
+    old, new = ((GOLDEN / name).read_text(encoding="ascii").splitlines()
+                for name in ("detuning-sweep-roundtrip.csv", "detuning-sweep.csv"))
+    assert len(old) == len(new)
+    moved = [(o.split(","), n.split(",")) for o, n in zip(old, new) if o != n]
+    assert [n[0] for _, n in moved] == ["-1.9000000000000001", "-1.8", "-1.5000000000000002",
+                                        "-1.4000000000000001", "-1.3", "-1.0000000000000002"]
+    for o, n in moved:
+        assert o[:2] == n[:2]
+        for a, b in zip(map(float, o[2:]), map(float, n[2:])):
+            assert abs(a - b) <= 1e-13 * abs(b)
 
 
 @pytest.mark.parametrize("args,code", EXIT_CODES, ids=[args for args, _ in EXIT_CODES])

@@ -12,7 +12,6 @@ import chaincp
 from chaincp.casimir import force_curve
 from chaincp.errors import BandEdgeError, RegimeViolation
 from chaincp.lattice import (
-    ChainParams,
     SymmetricSystem,
     _separations,
     brillouin_modes,
@@ -25,28 +24,44 @@ from chaincp.perturbation import symmetric_spectrum_closed
 from chaincp.thermal import thermal_table
 
 
+def ring(N, J=0.3):
+    """Level 1.0 under a band centred on 2.0."""
+    return SymmetricSystem(delta=-1.0, J=J, lam=0.01, N=N)
+
+
 def test_chain_band_edges():
-    chain = ChainParams(omega=2.0, J=0.3, N=10)
-    assert chain.num_sites == 21
-    assert chain.band_bottom == pytest.approx(1.4)
-    assert chain.band_top == pytest.approx(2.6)
+    sys_ = ring(10)
+    assert sys_.num_sites == 21
+    assert sys_.band_bottom == pytest.approx(1.4)
+    assert sys_.band_top == pytest.approx(2.6)
+    assert sys_.gap == sys_.band_bottom - sys_.eps0
 
 
-@pytest.mark.parametrize("bad", [{"omega": 2.0, "J": -0.1, "N": 5},
-                                 {"omega": 2.0, "J": 0.3, "N": 0}])
+@pytest.mark.parametrize("bad", [{"J": -0.1, "N": 5}, {"J": 0.3, "N": 0}])
 def test_chain_rejects_bad_parameters(bad):
     with pytest.raises(ValueError):
-        ChainParams(**bad)
+        SymmetricSystem(delta=-1.0, lam=0.01, **bad)
 
 
 def test_chain_rejects_non_integer_length():
     with pytest.raises(TypeError):
-        ChainParams(omega=2.0, J=0.3, N=5.0)
+        ring(5.0)
+
+
+@pytest.mark.parametrize("params", [
+    {"delta": -math.inf}, {"delta": math.nan}, {"J": math.inf}, {"J": math.nan},
+    {"lam": math.inf}, {"lam": math.nan}, {"eps0": math.inf}, {"eps0": -math.inf},
+    {"eps0": math.nan},
+    # finite inputs whose band centre or band top overflows
+    {"eps0": 1e308, "delta": -1e308}, {"eps0": 1e308, "delta": -7e307, "J": 2e307},
+], ids=repr)
+def test_system_refuses_non_finite_parameters(params):
+    with pytest.raises(ValueError, match="must be finite"):
+        SymmetricSystem(**{"delta": -1.0, "J": 0.3, "lam": 0.01, "N": 5, **params})
 
 
 def test_brillouin_modes_cover_the_zone():
-    chain = ChainParams(omega=2.0, J=0.3, N=6)
-    modes = brillouin_modes(chain)
+    modes = brillouin_modes(ring(6))
     assert modes.shape == (13,)
     assert modes[6] == 0.0
     # modes come in exact +-k pairs and stay inside (-pi, pi)
@@ -57,26 +72,26 @@ def test_brillouin_modes_cover_the_zone():
 
 
 def test_dispersion_scalar_and_array_agree():
-    chain = ChainParams(omega=2.0, J=0.3, N=8)
-    modes = brillouin_modes(chain)
-    scalar = [dispersion(chain, float(k)) for k in modes]
-    assert_allclose(dispersion(chain, modes), scalar, rtol=1e-15)
-    assert dispersion(chain, 0.0) == chain.band_bottom
-    assert dispersion(chain, np.pi) == pytest.approx(chain.band_top, rel=1e-15)
+    sys_ = ring(8)
+    modes = brillouin_modes(sys_)
+    scalar = [dispersion(sys_, float(k)) for k in modes]
+    assert_allclose(dispersion(sys_, modes), scalar, rtol=1e-15)
+    assert dispersion(sys_, 0.0) == sys_.band_bottom
+    assert dispersion(sys_, np.pi) == pytest.approx(sys_.band_top, rel=1e-15)
 
 
 def test_symmetric_system_derived_quantities():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=50)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=50)
     assert sys_.delta == -1.0
     assert sys_.a == pytest.approx(-0.6, rel=1e-15)
     assert sys_.q == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert sys_.chain.omega == 2.0
+    assert sys_.omega == 2.0
     assert sys_.eps0 == 1.0
     assert sys_.lam == 0.01
 
 
 def test_symmetric_system_flat_band_is_allowed():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.0, lam=0.01, N=10)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.0, lam=0.01, N=10)
     assert sys_.a == 0.0
     assert sys_.q == 0.0
 
@@ -88,16 +103,16 @@ def test_symmetric_system_flat_band_is_allowed():
 ])
 def test_symmetric_system_rejects_levels_not_below_band(delta, J):
     with pytest.raises(BandEdgeError):
-        SymmetricSystem.from_detuning(delta=delta, J=J, lam=0.01, N=10)
+        SymmetricSystem(delta=delta, J=J, lam=0.01, N=10)
 
 
 def test_symmetric_system_rejects_a_rounded_onto_the_band_edge():
-    # one ulp below the band bottom, yet 2 J / delta rounds to exactly -1
-    chain = ChainParams(omega=1.0, J=0.25, N=10)
-    eps0 = math.nextafter(chain.band_bottom, -math.inf)
-    assert eps0 < chain.band_bottom and 2 * chain.J / (eps0 - chain.omega) == -1.0
+    # the band bottom (0.91 + 0.5) - 0.5 rounds to one ulp above the level,
+    # yet 2 J / delta is exactly -1
+    eps0, delta, J = 0.91, -0.5, 0.25
+    assert eps0 < (eps0 - delta) - 2 * J and 2 * J / delta == -1.0
     with pytest.raises(BandEdgeError):
-        SymmetricSystem(chain=chain, eps0=eps0, lam=0.01)
+        SymmetricSystem(delta=delta, J=J, lam=0.01, N=10, eps0=eps0)
 
 
 def test_band_edge_error_is_raised_only_by_the_system():
@@ -127,8 +142,8 @@ def test_public_surface_is_the_union_of_the_submodules_all():
 def test_symmetric_system_separation_bounds():
     # the system carries no separation; each function checks the one it is given
     with pytest.raises(TypeError):
-        SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, R=1, N=10)
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=10)
+        SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, R=1, N=10)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=10)
     symmetric_spectrum_closed(sys_, 10)
     with pytest.raises(ValueError):
         symmetric_spectrum_closed(sys_, 11)
@@ -173,7 +188,7 @@ def test_separations_refuses_empty_strided_and_out_of_bounds_ranges(bad, match):
 ], ids=["force_curve", "thermal_table", "cp_energy_ed", "cp_energy_quadrature"])
 @pytest.mark.parametrize("bad", [range(3, 3), range(1, 9, 2)], ids=["empty", "step-2"])
 def test_every_sweep_refuses_a_bad_range_with_one_message(sweep, bad):
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=200)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=200)
     message = f"separations must be a non-empty range with step 1, got {bad!r}"
     with pytest.raises(ValueError) as exc:
         sweep(sys_, bad)
@@ -182,7 +197,7 @@ def test_every_sweep_refuses_a_bad_range_with_one_message(sweep, bad):
 
 def regime_system(lam):
     """Level 1.0 under a band whose bottom is 1.4: the gap is 0.4."""
-    return SymmetricSystem(chain=ChainParams(omega=2.0, J=0.3, N=50), eps0=1.0, lam=lam)
+    return SymmetricSystem(delta=-1.0, J=0.3, lam=lam, N=50)
 
 
 def test_validate_regime_weak_coupling_passes():

@@ -19,12 +19,12 @@ from chaincp.casimir import cp_energy
 from chaincp.cli import ED_TOL
 from chaincp.cli import main as cli_main
 from chaincp.errors import ConvergenceError, InvalidRegime, NonConvergence
-from chaincp.lattice import ChainParams, SymmetricSystem, brillouin_modes, dispersion
+from chaincp.lattice import SymmetricSystem, brillouin_modes, dispersion
 from chaincp.oracle import _ground_energy, cp_energy_ed, cp_energy_quadrature
 
 
 def fig_system(delta=-1.0, J=0.3, lam=0.01, N=200):
-    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, N=N)
+    return SymmetricSystem(delta=delta, J=J, lam=lam, N=N)
 
 
 def table_rows(path):
@@ -32,16 +32,19 @@ def table_rows(path):
                                if not line.startswith("#")))
 
 
+def ring(N):
+    """A ring with site energy 2.0 and hopping 0.3; its impurity is not used."""
+    return SymmetricSystem(delta=-1.0, J=0.3, lam=0.0, N=N)
+
+
 def test_matrix_shape_and_symmetry():
-    chain = ChainParams(omega=2.0, J=0.3, N=6)
-    h = dense_hamiltonian(chain, 0.9, 1.1, 0.01, 0.02, 3)
+    h = dense_hamiltonian(ring(6), 0.9, 1.1, 0.01, 0.02, 3)
     assert h.shape == (15, 15)
     assert np.array_equal(h, h.T)
 
 
 def test_matrix_entries():
-    chain = ChainParams(omega=2.0, J=0.3, N=4)
-    h = dense_hamiltonian(chain, 0.9, 1.1, 0.01, 0.02, 2)
+    h = dense_hamiltonian(ring(4), 0.9, 1.1, 0.01, 0.02, 2)
     site0 = 2 + 4
     assert h[0, 0] == 0.9 and h[1, 1] == 1.1
     assert h[0, site0] == 0.01          # impurity 1 onto site 0
@@ -58,17 +61,16 @@ def test_matrix_entries():
 
 
 def test_decoupled_impurities_leave_the_chain_spectrum_alone():
-    chain = ChainParams(omega=2.0, J=0.3, N=25)
+    chain = ring(25)
     energies = np.linalg.eigvalsh(dense_hamiltonian(chain, 1.0, 1.0, 0.0, 0.0, 5))
-    ring = np.sort(dispersion(chain, brillouin_modes(chain)))
-    expected = np.sort(np.concatenate(([1.0, 1.0], ring)))
+    band = np.sort(dispersion(chain, brillouin_modes(chain)))
+    expected = np.sort(np.concatenate(([1.0, 1.0], band)))
     assert_allclose(energies, expected, atol=1e-12)
 
 
 def test_three_site_ring_eigenvalues():
     # N = 1: ring eigenvalues are omega - 2J and a double omega + J
-    chain = ChainParams(omega=2.0, J=0.3, N=1)
-    energies = np.linalg.eigvalsh(dense_hamiltonian(chain, 1.0, 1.0, 0.0, 0.0, 1))
+    energies = np.linalg.eigvalsh(dense_hamiltonian(ring(1), 1.0, 1.0, 0.0, 0.0, 1))
     assert_allclose(energies, [1.0, 1.0, 1.4, 2.3, 2.3], atol=1e-13)
 
 
@@ -83,7 +85,7 @@ def test_diagonalisation_is_deterministic():
 def test_exactly_two_levels_bind_below_the_band():
     sys_ = fig_system(N=40)
     energies = np.linalg.eigvalsh(symmetric_hamiltonian(sys_, 4))
-    below = energies < sys_.chain.band_bottom
+    below = energies < sys_.band_bottom
     assert below.sum() == 2
 
 
@@ -107,8 +109,12 @@ def test_secular_ground_energy_matches_dense_eigvalsh(J, lam):
 
 
 def test_ed_bracket_failure_is_a_convergence_error():
+    # the constructor refuses a NaN coupling, so plant one past it to reach
+    # the solver's own bracket check
+    sys_ = fig_system(N=40)
+    object.__setattr__(sys_, "lam", math.nan)
     with pytest.raises(ConvergenceError, match="does not change sign"):
-        cp_energy_ed(fig_system(lam=math.nan, N=40), 1)
+        cp_energy_ed(sys_, 1)
 
 
 def test_reference_energy_is_solved_once_per_call(monkeypatch):
@@ -254,7 +260,7 @@ def test_quadrature_refinement_evaluates_each_node_once(monkeypatch):
     with mp.workdps(40):
         nodes = [-mp.pi + j * 2 * mp.pi / 128 for j in range(128)]
         direct = mp.mpf(sys_.lam) ** 2 / 128 * mp.fsum(
-            mp.cos(k) / (sys_.delta + 2 * sys_.chain.J * mp.cos(k)) for k in nodes)
+            mp.cos(k) / (sys_.delta + 2 * sys_.J * mp.cos(k)) for k in nodes)
     assert value == pytest.approx(float(direct), rel=1e-15)
 
 

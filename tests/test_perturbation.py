@@ -21,15 +21,14 @@ def brute_coefficients(sys_, R):
     back-action.  Plain Python floats and cmath, no shared code with the
     implementation under test beyond the system object.
     """
-    chain = sys_.chain
-    ns = 2 * chain.N + 1
+    ns = 2 * sys_.N + 1
     shift = 0.0
     hop12 = 0.0 + 0.0j
     band = []
     g = sys_.lam / math.sqrt(ns)
-    for n in range(-chain.N, chain.N + 1):
+    for n in range(-sys_.N, sys_.N + 1):
         k = 2.0 * math.pi * n / ns
-        energy = chain.omega - 2.0 * chain.J * math.cos(k)
+        energy = sys_.omega - 2.0 * sys_.J * math.cos(k)
         shift += g * g / (sys_.eps0 - energy)
         hop12 += g * g * cmath.exp(-1j * k * R) / (sys_.eps0 - energy)
         band.append(2.0 * g * g / (energy - sys_.eps0))
@@ -39,17 +38,17 @@ def brute_coefficients(sys_, R):
 def test_level_shifts_are_negative_below_band():
     # every denominator eps0 - Omega_k is negative there, so both doublet
     # levels sit below the bare level
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=20)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=20)
     e_plus, e_minus = symmetric_spectrum_ksum(sys_, 1)
     assert e_plus < sys_.eps0 and e_minus < sys_.eps0
     # and the band is pushed up in compensation
-    bare = dispersion(sys_.chain, brillouin_modes(sys_.chain))
+    bare = dispersion(sys_, brillouin_modes(sys_))
     assert np.all(band_energies(sys_) > bare)
 
 
 def with_band_parameter(a):
     """A system whose band parameter ``2 J / delta`` is ``a``, at ``delta = -1``."""
-    return SymmetricSystem.from_detuning(delta=-1.0, J=-a / 2.0, lam=0.01, N=10)
+    return SymmetricSystem(delta=-1.0, J=-a / 2.0, lam=0.01, N=10)
 
 
 def test_geometric_ratio_values():
@@ -75,11 +74,11 @@ def test_geometric_ratio_domain(a):
     # detuning above the band centre, leaves no system to take it from
     J = 0.3
     with pytest.raises(BandEdgeError):
-        SymmetricSystem.from_detuning(delta=2.0 * J / a, J=J, lam=0.01, N=10)
+        SymmetricSystem(delta=2.0 * J / a, J=J, lam=0.01, N=10)
 
 
 def test_closed_spectrum_frozen_values():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=200)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=200)
     e_plus, e_minus = symmetric_spectrum_closed(sys_, 1)
     assert e_plus == pytest.approx(0.9998333333333333, rel=1e-14)
     assert e_minus == pytest.approx(0.9999166666666667, rel=1e-14)
@@ -87,13 +86,13 @@ def test_closed_spectrum_frozen_values():
 
 
 def test_closed_spectrum_flat_band_degenerate():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.0, lam=0.01, N=10)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.0, lam=0.01, N=10)
     e_plus, e_minus = symmetric_spectrum_closed(sys_, 3)
     assert e_plus == e_minus == pytest.approx(1.0 - 1e-4, rel=1e-15)
 
 
 def test_closed_spectrum_degenerate_at_large_separation():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=100)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=100)
     e_plus, e_minus = symmetric_spectrum_closed(sys_, 40)
     assert abs(e_plus - e_minus) < 1e-15
 
@@ -103,7 +102,7 @@ def test_effective_coefficients_match_direct_sum(R):
     # the second-order coefficients behind the k-sum spectrum (level shift,
     # band-mediated hopping, band back-action) against the direct sums: the
     # doublet sits at eps0 + shift +- |hop12|, the band at bare + back-action
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=25)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=25)
     e_plus, e_minus = symmetric_spectrum_ksum(sys_, R)
     shift, hop12, band_shift = brute_coefficients(sys_, R)
     centre = sys_.eps0 + shift
@@ -112,20 +111,20 @@ def test_effective_coefficients_match_direct_sum(R):
     assert e_minus == pytest.approx(centre + split, rel=1e-13)
     # the odd-in-k part cancels pairwise across +-k
     assert abs(hop12.imag) < 1e-20
-    bare = dispersion(sys_.chain, brillouin_modes(sys_.chain))
+    bare = dispersion(sys_, brillouin_modes(sys_))
     assert_allclose(band_energies(sys_), bare + band_shift, rtol=1e-13)
 
 
 def test_ksum_spectrum_matches_two_level_diagonalisation():
     # the doublet from the k-sums must equal eps0 + shift +- |hop12|
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=60)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=60)
     e_plus, e_minus = symmetric_spectrum_ksum(sys_, 2)
     shift, hop12, _ = brute_coefficients(sys_, 2)
     centre = sys_.eps0 + shift
     split = abs(hop12)
     assert e_plus == pytest.approx(centre - split, rel=1e-13)
     assert e_minus == pytest.approx(centre + split, rel=1e-13)
-    assert band_energies(sys_).shape == (sys_.chain.num_sites,)
+    assert band_energies(sys_).shape == (sys_.num_sites,)
 
 
 def test_ksum_converges_to_closed_form():
@@ -133,7 +132,7 @@ def test_ksum_converges_to_closed_form():
     # past N ~ 10 the images drop below double precision, hence tiny chains
     errors = []
     for n in (2, 4, 8):
-        sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.01, N=n)
+        sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=n)
         e_plus, _ = symmetric_spectrum_closed(sys_, 2)
         ksum_plus, _ = symmetric_spectrum_ksum(sys_, 2)
         errors.append(abs(ksum_plus - e_plus))
@@ -142,7 +141,7 @@ def test_ksum_converges_to_closed_form():
 
 
 def test_ksum_large_chain_agrees_with_closed_form():
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.4, lam=0.01, N=2000)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.4, lam=0.01, N=2000)
     e_plus, e_minus = symmetric_spectrum_closed(sys_, 3)
     ksum_plus, ksum_minus = symmetric_spectrum_ksum(sys_, 3)
     assert ksum_plus == pytest.approx(e_plus, rel=1e-10)

@@ -27,17 +27,17 @@ from chaincp.thermal import (
 
 def fig_system(delta=-1.0, J=0.3, lam=0.1, N=100):
     """Thermal-figure parameters: stronger coupling, modest chain."""
-    return SymmetricSystem.from_detuning(delta=delta, J=J, lam=lam, N=N)
+    return SymmetricSystem(delta=delta, J=J, lam=lam, N=N)
 
 
 def brute_average(sys_, T, R):
     """Plain-float Boltzmann average over the explicit level list."""
     e_plus, e_minus = symmetric_spectrum_closed(sys_, R)
     levels = [e_plus, e_minus]
-    ns = sys_.chain.num_sites
+    ns = sys_.num_sites
     gsq = sys_.lam ** 2 / ns
-    for n in range(-sys_.chain.N, sys_.chain.N + 1):
-        energy = sys_.chain.omega - 2.0 * sys_.chain.J * math.cos(2.0 * math.pi * n / ns)
+    for n in range(-sys_.N, sys_.N + 1):
+        energy = sys_.omega - 2.0 * sys_.J * math.cos(2.0 * math.pi * n / ns)
         levels.append(energy + 2.0 * gsq / (energy - sys_.eps0))
     beta = 1.0 / T
     weights = [math.exp(-beta * e) for e in levels]
@@ -188,7 +188,7 @@ def test_force_can_grow_below_the_doublet_splitting():
 def test_tiny_temperature_below_zero_energy_raises_no_warning():
     # a level below zero at T = 1e-300: exp(-E_min / T) is far beyond float
     # range, and nothing may compute it
-    sys_ = SymmetricSystem.from_detuning(delta=-1.0, J=0.3, lam=0.1, N=50, eps0=-1.0)
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.1, N=50, eps0=-1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = thermal_table(sys_, (0.0, 1e-300, 1e-3), range(1, 6))
@@ -327,7 +327,7 @@ def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch)
 
     def counting(counter, fn):
         def wrapper(sys_, *args):
-            counter[sys_.chain.N] += 1
+            counter[sys_.N] += 1
             return fn(sys_, *args)
         return wrapper
 
