@@ -26,17 +26,19 @@ evidence rather than tautology.
 
       E_{cp}(R) = \\frac{\\lambda^2}{2\\pi}
                   \\int_{-\\pi}^{\\pi}
-                  \\frac{e^{-i k R}}{\\delta + 2 J \\cos k}\\, dk
+                  \\frac{\\cos kR}{\\delta + 2 J \\cos k}\\, dk
 
   by the periodic trapezoid rule, which converges geometrically for this
-  analytic integrand.  The denominator does not depend on ``R``, so one grid
-  serves a whole range of separations: each node pays for ``cos k``,
-  ``sin k`` and one division, and the phases ``cos kR``, ``sin kR`` follow
-  from the Chebyshev recurrence ``x_{R+1} = 2 cos k x_R - x_{R-1}``.  The
-  integral is a difference of quantities nine or more orders apart at large
-  ``R``, far below the float64 noise floor, so the accumulation runs in
-  arbitrary precision (mpmath), with enough digits for the ``-R log10 q``
-  that cancel, and only the final values are rounded.
+  analytic integrand.  The integrand is even in ``k``, so the grid is folded
+  onto ``[0, pi]``: the nodes 0 and ``pi`` weigh 1 and every other node 2.
+  The denominator does not depend on ``R``, so one grid serves a whole range
+  of separations: each node pays for ``cos k`` and one division, and the
+  phases ``cos kR`` follow from the Chebyshev recurrence
+  ``c_{R+1} = 2 cos k c_R - c_{R-1}``, checked once per refinement against a
+  direct ``cos(rmax k)``.  The integral is a difference of quantities nine
+  or more orders apart at large ``R``, far below the float64 noise floor, so
+  the accumulation runs in arbitrary precision (mpmath), with enough digits
+  for the ``-R log10 q`` that cancel, and only the final values are rounded.
 """
 
 from __future__ import annotations
@@ -162,21 +164,24 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
 def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[float, ...]:
     """Interaction energy from the momentum integral, in arbitrary precision.
 
-    One periodic trapezoid grid serves every separation asked for.  Each
-    node costs one division by ``delta + 2 J cos k`` and the trig calls for
-    ``cos k``, ``sin k`` and, when ``rmin > 1``, the phase ``rmin k``; the
-    phases ``cos kR`` and ``sin kR`` for ``R = rmin .. rmax`` follow from
-    the Chebyshev recurrence ``x_{R+1} = 2 cos k x_R - x_{R-1}``, and each
-    separation keeps its own real and imaginary running sums.  The number of
-    points doubles from 64, adding only the new midpoints, until every
-    separation has two successive estimates that agree to
-    :data:`REFINEMENT_TOL`; a separation's value is the first estimate that
-    does, so a sweep returns the same floats as one call per separation.
-    Past :data:`MAX_POINTS` points it raises
-    :class:`~chaincp.errors.NonConvergence`, naming the separations still
-    unconverged.  The imaginary part must cancel by the ``k -> -k``
-    symmetry of the grid; a residual above 1e-12 of the value at any
-    separation raises :class:`~chaincp.errors.ConvergenceError`.
+    One periodic trapezoid grid serves every separation asked for.  The
+    integrand is even, so the grid is walked on ``[0, pi]`` only: the nodes 0
+    and ``pi`` weigh 1, every other node and every refinement midpoint 2.
+    Each node costs one division by ``delta + 2 J cos k`` and the trig calls
+    for ``cos k`` and, when ``rmin > 1``, the seeds ``cos(rmin k)`` and
+    ``cos((rmin - 1) k)``; the phases ``cos kR`` for ``R = rmin .. rmax``
+    follow from the Chebyshev recurrence ``c_{R+1} = 2 cos k c_R - c_{R-1}``,
+    and each separation keeps its own running sum.  The number of points
+    doubles from 64, adding only the new midpoints, until every separation
+    has two successive estimates that agree to :data:`REFINEMENT_TOL`; a
+    separation's value is the first estimate that does, so a sweep returns
+    the same floats as one call per separation.  Past :data:`MAX_POINTS`
+    points it raises :class:`~chaincp.errors.NonConvergence`, naming the
+    separations still unconverged.  Once per refinement level the recurred
+    summand at ``rmax`` is compared with a direct ``cos(rmax k)`` at that
+    level's last node; if the gap times the point count exceeds 1e-12 of
+    that separation's running sum, it raises
+    :class:`~chaincp.errors.ConvergenceError`.
 
     The answer at ``R`` is of order ``q**R`` while the integrand is of order
     one, so the sum cancels about ``-R log10 q`` digits.  The accumulation
@@ -217,58 +222,54 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
         lam_sq = mp.mpf(sys.lam) ** 2
 
         n_seps = len(seps)
-        acc_re = [mp.mpf(0)] * n_seps
-        acc_im = [mp.mpf(0)] * n_seps
+        acc = [mp.mpf(0)] * n_seps
         prev: list = [None] * n_seps
         values: list = [None] * n_seps
         m_points = 64
-        # the nodes not yet in the sums are first + j * step, j < count
+        # k and -k carry the same summand, so only the grid's nodes in [0, pi]
+        # are walked: 0 and pi weigh 1, every other node 2.  The nodes not yet
+        # in the sums are first + j * step, j < count; the j in ends weigh 1
         step = 2 * mp.pi / m_points
-        first, count = -mp.pi, m_points
+        first, count, ends = mp.mpf(0), m_points // 2 + 1, (0, m_points // 2)
         while m_points <= MAX_POINTS:
             for j in range(count):
                 k = first + j * step
                 cos_k = mp.cos(k)
-                inv_den = 1 / (delta + two_j * cos_k)
+                # the recurrence is linear, so it can carry the weighted
+                # summands cos(Rk) / den themselves
+                inv_den = (1 if j in ends else 2) / (delta + two_j * cos_k)
                 if rmin == 0:
-                    c, s = mp.mpf(1), mp.mpf(0)
+                    c, c_prev = inv_den, cos_k * inv_den
                 elif rmin == 1:
-                    c, s = cos_k, mp.sin(k)
+                    c, c_prev = cos_k * inv_den, inv_den
                 else:
-                    c, s = mp.cos(k * rmin), mp.sin(k * rmin)
-                if n_seps > 1:
-                    sin_k = s if rmin == 1 else mp.sin(k)
-                    # the phase one step back, (rmin - 1) k, seeds the recurrence
-                    c_prev = (c * cos_k + s * sin_k) * inv_den
-                    s_prev = (s * cos_k - c * sin_k) * inv_den
-                    two_cos = 2 * cos_k
-                # the recurrence is linear, so it can carry the summands
-                # cos(Rk) / den and sin(Rk) / den themselves
-                c, s = c * inv_den, s * inv_den
+                    c = mp.cos(k * rmin) * inv_den
+                    if n_seps > 1:
+                        c_prev = mp.cos(k * (rmin - 1)) * inv_den
+                two_cos = 2 * cos_k
                 for i in range(n_seps):
-                    acc_re[i] += c
-                    acc_im[i] -= s
+                    acc[i] += c
                     if i + 1 < n_seps:
                         c, c_prev = two_cos * c - c_prev, c
-                        s, s_prev = two_cos * s - s_prev, s
-            for i, r in enumerate(seps):
+            # c is the level's last summand at rmax, recurred from the seeds
+            drift = abs(c - mp.cos(k * rmax) * inv_den)
+            if drift * m_points > 1e-12 * abs(acc[-1]):
+                raise ConvergenceError(
+                    f"cosine recurrence drifted at R={rmax}: {mp.nstr(drift, 6)} "
+                    f"at k={mp.nstr(k, 6)} with {m_points} points"
+                )
+            for i in range(n_seps):
                 if values[i] is not None:
                     continue
-                value = lam_sq * acc_re[i] / m_points
+                value = lam_sq * acc[i] / m_points
                 if prev[i] is not None and abs(value - prev[i]) <= REFINEMENT_TOL * abs(value):
-                    imag = lam_sq * acc_im[i] / m_points
-                    if abs(imag) > 1e-12 * abs(value):
-                        raise ConvergenceError(
-                            f"odd part failed to cancel at R={r}: {mp.nstr(imag, 6)} "
-                            f"with {m_points} points"
-                        )
                     values[i] = float(value)
                 prev[i] = value
             if None not in values:
                 return tuple(values) if isinstance(R, range) else values[0]
             # doubling the grid adds one node halfway between each pair of current ones
             step = 2 * mp.pi / m_points
-            first, count = -mp.pi + step / 2, m_points
+            first, count, ends = step / 2, m_points // 2, ()
             m_points *= 2
 
     missing = ", ".join(str(r) for r, value in zip(seps, values) if value is None)

@@ -246,17 +246,20 @@ def test_quadrature_rejects_flat_band_and_bad_separation():
 
 
 def test_quadrature_refinement_evaluates_each_node_once(monkeypatch):
-    # a = -0.6, R = 1 converges on the 128-point grid: its 64 midpoints are
-    # added to the 64 nodes already summed, and the odd part still sees
-    # every node of [-pi, pi)
+    # a = -0.6, R = 1 converges on the 128-point grid.  Folded onto [0, pi],
+    # its 64-point level has 33 nodes and the refinement adds 32 midpoints;
+    # each level also makes one drift check, so mp.cos runs 33 + 32 + 2 times
     sys_ = fig_system(J=0.3)
-    sin_calls = []
-    real_sin = mp.sin
-    monkeypatch.setattr(mp, "sin", lambda x: sin_calls.append(x) or real_sin(x))
+    calls = {"cos": [], "sin": []}
+    for name, seen in calls.items():
+        real = getattr(mp, name)
+        monkeypatch.setattr(mp, name, lambda x, real=real, seen=seen: seen.append(x) or real(x))
     value = cp_energy_quadrature(sys_, 1)
     monkeypatch.undo()
-    assert len(sin_calls) == 128
+    assert len(calls["cos"]) == 67
+    assert calls["sin"] == []
 
+    # the fold must give the sum over every node of [-pi, pi)
     with mp.workdps(40):
         nodes = [-mp.pi + j * 2 * mp.pi / 128 for j in range(128)]
         direct = mp.mpf(sys_.lam) ** 2 / 128 * mp.fsum(
@@ -264,23 +267,25 @@ def test_quadrature_refinement_evaluates_each_node_once(monkeypatch):
     assert value == pytest.approx(float(direct), rel=1e-15)
 
 
-def test_quadrature_odd_part_residual_is_a_convergence_error(monkeypatch, tmp_path):
-    # a sine that no longer cancels between k and -k leaves an imaginary part
-    monkeypatch.setattr(mp, "sin", lambda x: mp.mpf(1))
-    with pytest.raises(ConvergenceError, match="odd part"):
-        cp_energy_quadrature(fig_system(), 1)
+def test_quadrature_recurrence_drift_is_a_convergence_error(monkeypatch, tmp_path):
+    # every node lies in [0, pi], so only the drift check's direct cos(rmax k)
+    # reaches past 4; a cosine that is wrong there no longer matches the recurrence
+    real_cos = mp.cos
+    monkeypatch.setattr(mp, "cos", lambda x: real_cos(x) + (x > 4) * mp.mpf("1e-3"))
+    with pytest.raises(ConvergenceError, match="cosine recurrence drifted"):
+        cp_energy_quadrature(fig_system(), range(1, 3))
     code = cli_main(["--mode", "oracle-check", "--N", "40", "--rmax", "2",
                      "--output", str(tmp_path / "oracle.csv")])
     assert code == 4
 
 
-def test_quadrature_odd_part_check_is_relative_to_the_value(monkeypatch):
-    # E_cp(10) ~ 1e-54 at J = 1e-5: an imaginary residual of 1e-34 is tiny in
-    # absolute terms but 1e20 times the value
-    real_sin = mp.sin
-    monkeypatch.setattr(mp, "sin", lambda x: real_sin(x) + mp.mpf(1e-30))
-    with pytest.raises(ConvergenceError, match="odd part"):
-        cp_energy_quadrature(fig_system(J=1e-5), 10)
+def test_quadrature_drift_check_is_relative_to_the_value(monkeypatch):
+    # E_cp(10) ~ 1e-54 at J = 1e-5: the recurrence turns a 1e-30 error in
+    # cos k into a drift that is tiny in absolute terms but 1e20 times the value
+    real_cos = mp.cos
+    monkeypatch.setattr(mp, "cos", lambda x: real_cos(x) + mp.mpf(1e-30))
+    with pytest.raises(ConvergenceError, match="cosine recurrence drifted"):
+        cp_energy_quadrature(fig_system(J=1e-5), range(1, 11))
 
 
 @pytest.mark.parametrize("J,separations", [(0.3, range(0, 21)), (0.495, range(1, 21)),
@@ -325,8 +330,9 @@ def test_quadrature_rejects_ranges_it_cannot_sweep():
 
 
 def test_oracle_check_makes_at_most_five_trig_calls_per_node(monkeypatch, tmp_path):
-    # R = 1..10 on a = -0.6 settles on the 128-point grid; one quadrature
-    # call per separation used to cost 3 per node per R, 3840 in all
+    # R = 1..10 on a = -0.6 settles on the 128-point grid: 65 nodes of [0, pi]
+    # and one drift check per level; one quadrature call per separation used
+    # to cost 3 per node per R, 3840 in all
     calls = []
     for name in ("cos", "sin"):
         real = getattr(mp, name)
@@ -335,7 +341,7 @@ def test_oracle_check_makes_at_most_five_trig_calls_per_node(monkeypatch, tmp_pa
                      "--output", str(tmp_path / "oracle.csv")])
     monkeypatch.undo()
     assert code == 0
-    assert 0 < len(calls) <= 5 * 128
+    assert len(calls) == 67
 
 
 def test_oracle_check_at_tiny_hopping_finishes_with_the_quadrature_ok(tmp_path):
