@@ -14,12 +14,15 @@ evidence rather than tautology.
 
   .. math::
 
-      f(E) = E - \\epsilon_0 - \\frac{\\lambda^2}{M}
-             \\sum_k \\frac{1 + \\cos kR}{E - \\Omega_k} = 0
+      f(x) = x - \\frac{\\lambda^2}{M}
+             \\sum_k \\frac{1 + \\cos kR}{x + \\delta + 2 J \\cos k} = 0
 
   over the ``M`` ring modes: a finite sum, exact in the coupling and in
-  ``N``, with no dense matrix.  Its systematic errors are fourth order in the
-  coupling plus a ring-image term, both of which it knows how to estimate.
+  ``N``, with no dense matrix.  It is solved for the offset ``x = E - eps0``
+  from the bare level, and the band enters as the offsets
+  ``Omega_k - eps0 = -(delta + 2 J cos k)``, so no digit of the root depends
+  on where zero is.  Its systematic errors are fourth order in the coupling
+  plus a ring-image term, both of which it knows how to estimate.
 * :func:`cp_energy_quadrature` evaluates the ``N -> inf`` momentum integral
 
   .. math::
@@ -48,7 +51,7 @@ import warnings
 
 from .casimir import cp_energy
 from .errors import ConvergenceError, InvalidRegime, NonConvergence
-from .lattice import SymmetricSystem, _separations, brillouin_modes, dispersion
+from .lattice import SymmetricSystem, _separations, brillouin_modes
 
 __all__ = [
     "cp_energy_ed",
@@ -64,16 +67,17 @@ MAX_POINTS = 2 ** 22
 
 
 def _ground_energy(sys: SymmetricSystem, R: int) -> float:
-    """Lowest eigenvalue of the ring plus both impurities, ``R`` sites apart.
+    """Lowest eigenvalue of the ring plus both impurities, ``R`` sites apart,
+    as its offset ``x = E0 - eps0`` from the bare level.
 
     This is the root of the even-channel secular equation ``f`` (see the
     module docstring).  Below the band every term of the mode sum is
     negative, so ``f`` rises strictly there, and it has exactly one root
-    below ``band_bottom``; the odd channel's root lies above it, because the
-    ring propagator between sites 0 and ``R`` is negative below the band.
-    The root lies in ``[eps0 - 2|lam|, eps0]``: ``f(eps0) >= 0`` term by term,
-    and the weights ``(1 + cos kR) / M`` sum to 1, so at ``eps0 - 2|lam|`` the
-    sum term is at most ``|lam| / 2``.  Bisection runs down to adjacent floats
+    below the band; the odd channel's root lies above it, because the ring
+    propagator between sites 0 and ``R`` is negative below the band.  The
+    root lies in ``[-2|lam|, 0]``: ``f(0) >= 0`` term by term, and the weights
+    ``(1 + cos kR) / M`` sum to 1, so at ``-2|lam|`` the sum term is at most
+    ``|lam| / 2``.  Bisection runs down to adjacent floats
     and returns the end with the smaller residual.
 
     Raises
@@ -84,13 +88,14 @@ def _ground_energy(sys: SymmetricSystem, R: int) -> float:
     import numpy as np
 
     modes = brillouin_modes(sys)
-    band = dispersion(sys, modes)
+    # the band as offsets Omega_k - eps0
+    band = -(sys.delta + 2.0 * sys.J * np.cos(modes))
     weights = sys.lam ** 2 * (1.0 + np.cos(R * modes)) / sys.num_sites
 
-    def secular(e: float) -> float:
-        return e - sys.eps0 - float(np.sum(weights / (e - band)))
+    def secular(x: float) -> float:
+        return x - float(np.sum(weights / (x - band)))
 
-    lo, hi = sys.eps0 - 2.0 * abs(sys.lam), sys.eps0
+    lo, hi = -2.0 * abs(sys.lam), 0.0
     f_lo, f_hi = secular(lo), secular(hi)
     if not f_lo <= 0.0 <= f_hi:
         raise ConvergenceError(
@@ -113,18 +118,19 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
     """Interaction energy at separation ``R`` from the exact ground energy.
 
     The ground energy is the root of the secular equation on the finite ring
-    (see the module docstring), exact in the coupling.  It contains large
-    separation-independent pieces (the bare level and the single-impurity
-    shift), so the estimate is the difference against a far-apart reference
-    where the interaction has died off:
+    (see the module docstring), exact in the coupling, solved as its offset
+    ``x = E0 - eps0`` from the bare level.  The offset still contains the
+    separation-independent single-impurity shift, so the estimate is the
+    difference against a far-apart reference where the interaction has died
+    off:
 
-    ``E0(R) - E0(r_ref) + E_cp(r_ref)``
+    ``x(R) - x(r_ref) + E_cp(r_ref)``
 
     with ``r_ref = N // 2``.  The closed-form remainder ``E_cp(r_ref)`` is
     4.7e-100 at ``N = 400`` but -3.6e-14 at ``N = 40``, 1.7e-5 of
     ``E_cp(10)``, so on short rings the estimate still leans on the closed
     form (ROADMAP item 3).  Cancelling the reference this way also removes
-    the separation-independent fourth-order shift.  ``E0(r_ref)`` is solved
+    the separation-independent fourth-order shift.  ``x(r_ref)`` is solved
     once per call, so a range of separations shares it.
 
     Residual systematics are fourth order in ``lam / gap`` plus the ring

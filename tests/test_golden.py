@@ -54,6 +54,10 @@ EXIT_CODES = [
     ("hopping-sweep --jmin inf", 2),
     ("detuning-sweep --dmin=-1e308 --dmax 1e308", 2),
     ("thermal-sweep --delta=-inf --N 5 --rmax 2", 2),
+    # the ED secular equation runs in offsets from eps0: neither its bracket
+    # nor its digits depend on where zero is
+    ("oracle-check --N 40 --lambda 1e-3 --eps0 1e14", 0),
+    ("oracle-check --delta=-1e-10 --J 3e-11 --lambda 1e-13 --rmax 3 --N 40", 0),
 ]
 
 
@@ -84,6 +88,37 @@ def test_the_round_trip_table_differs_only_in_its_six_unrounded_rows():
         assert o[:2] == n[:2]
         for a, b in zip(map(float, o[2:]), map(float, n[2:])):
             assert abs(a - b) <= 1e-13 * abs(b)
+
+
+def test_the_absolute_energy_table_differs_only_in_its_ed_cells():
+    # oracle-check.csv as computed when the ED differenced absolute ground
+    # energies of order eps0 = 1: each ed cell carried ~1e-16 of absolute
+    # rounding, up to 1e-7 of E_cp(10) ~ 2e-9 (the largest move is 9.9e-9)
+    old, new = ((GOLDEN / name).read_text(encoding="ascii").splitlines()
+                for name in ("oracle-check-absolute.csv", "oracle-check.csv"))
+    assert len(old) == len(new)
+    header = new.index("R,closed,quadrature,quad_rel_err,quad_ok,ed,ed_rel_err,ed_ok")
+    assert old[:header + 1] == new[:header + 1]
+    for o, n in zip(old[header + 1:], new[header + 1:]):
+        o, n = o.split(","), n.split(",")
+        assert o[:5] + o[7:] == n[:5] + n[7:]
+        assert abs(float(o[5]) - float(n[5])) <= 1e-7 * abs(float(n[5]))
+        # the relative error is a ratio, so the same tolerance bounds its move
+        assert abs(float(o[6]) - float(n[6])) <= 1e-7
+
+
+def test_oracle_check_rows_do_not_depend_on_where_zero_is(tmp_path):
+    def data_rows(eps0):
+        out = tmp_path / f"oracle-{eps0}.csv"
+        assert main(["--mode", "oracle-check", "--N", "40", "--rmax", "10", "--eps0", eps0,
+                     "--output", str(out)]) == 0
+        return [line for line in out.read_text(encoding="ascii").splitlines()
+                if not line.startswith("#")]
+
+    at_zero = data_rows("0")
+    assert len(at_zero) == 11
+    assert data_rows("1") == at_zero
+    assert data_rows("1e6") == at_zero
 
 
 @pytest.mark.parametrize("args,code", EXIT_CODES, ids=[args for args, _ in EXIT_CODES])
