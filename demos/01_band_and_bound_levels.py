@@ -45,8 +45,10 @@ def main():
 
     R = 1
     print("\nbound doublet below the band (separation R = {}):".format(R))
-    e_plus, e_minus = symmetric_spectrum_closed(sys_, R)
-    k_plus, k_minus = symmetric_spectrum_ksum(sys_, R)
+    # the spectra are offsets from the impurity level; add it back to print
+    # the absolute levels next to the band edges
+    e_plus, e_minus = (sys_.eps0 + e for e in symmetric_spectrum_closed(sys_, R))
+    k_plus, k_minus = (sys_.eps0 + e for e in symmetric_spectrum_ksum(sys_, R))
     print("              closed form        finite k-sum")
     print("  E+ (even)   {:.12f}   {:.12f}".format(e_plus, k_plus))
     print("  E- (odd)    {:.12f}   {:.12f}".format(e_minus, k_minus))

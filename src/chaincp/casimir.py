@@ -22,10 +22,10 @@ exponentially with rate ``Gamma = ln(1/q)`` per site.
 Near the band edge (``a -> -1``) the lattice scale drops out: ``Gamma``
 tends to the continuum decay constant
 
-.. math:: b = \\sqrt{\\frac{\\omega - 2J - \\epsilon_0}{J}},
+.. math:: b = \\sqrt{\\frac{-(\\delta + 2J)}{J}},
 
-and the two agree while the edge distance ``(omega - 2J - eps0) / (4J)``
-stays small.
+and the two agree while the edge distance ``gap / (4J)``, with the gap
+``-(delta + 2J)`` from the level up to the band bottom, stays small.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def decay_profile(sys: SymmetricSystem) -> DecayProfile:
 
 
 def continuum_decay_constant(sys: SymmetricSystem) -> float:
-    """Decay constant ``b = sqrt((omega - 2J - eps0) / J)`` of the continuum law.
+    """Decay constant ``b = sqrt(gap / J)`` of the continuum law, ``gap = -(delta + 2J)``.
 
     Raises
     ------

@@ -392,7 +392,8 @@ def _run_thermal_sweep(cfg: MappingProxyType):
     for n in cfg["n_values"] or (cfg["N"],):
         sys_ = _gated_system(cfg, N=int(n))
         for row in thermal_table(sys_, cfg["temperatures"], separations):
-            rows.append((row.T, int(n), row.R, row.energy, row.force))
+            # the one place a level measured from eps0 is printed as an absolute energy
+            rows.append((row.T, int(n), row.R, sys_.eps0 + row.energy, row.force))
             by_nr.setdefault((int(n), row.R), []).append(row)
     # |f_T| falls with temperature once T exceeds the doublet splitting at R;
     # below that it can grow, so any growth is reported, not refused.
@@ -518,7 +519,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"chaincp: convergence failure: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError) as exc:
+    # an N too large to allocate is a configuration error; numpy's message names the array
+    except (ConfigError, ValueError, MemoryError) as exc:
         print(f"chaincp: config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

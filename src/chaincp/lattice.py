@@ -3,8 +3,10 @@
 The conduction band is a tight-binding ring of ``2N + 1`` sites with site
 energy ``omega`` and nearest-neighbour hopping ``J``, so the single-particle
 dispersion is ``omega - 2 J cos(k)`` on the modes ``k_n = 2 pi n / (2N + 1)``.
-Energies are measured in units of the impurity level and the lattice constant
-is 1, so impurity separations are positive integers.
+Every level is measured from the impurity level ``eps0``, through this
+module's band offsets ``Omega_k - eps0 = -(delta + 2 J cos k)`` and ``gap``;
+only ``dispersion``, ``omega`` and the band edges are absolute.  The lattice
+constant is 1, so impurity separations are positive integers.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class SymmetricSystem:
 
     The closed forms read only ``delta``, ``J`` and ``lam``, never ``eps0``.
     Both impurity levels must sit strictly below the band, which for this
-    configuration means ``delta < 0`` and ``a`` in ``(-1, 0]``; anything
+    configuration means ``gap > 0`` and ``a`` in ``(-1, 0]``; anything
     else raises :class:`~chaincp.errors.BandEdgeError`.  Every parameter,
     ``omega`` and both band edges must be finite.  The separation is not part
     of the system: every function that needs one takes it as an argument.
@@ -91,7 +93,7 @@ class SymmetricSystem:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # A level a few ulp below the band bottom can still round |a| up to 1.
-        a = 2.0 * self.J / self.delta if self.eps0 < self.band_bottom else -math.inf
+        a = 2.0 * self.J / self.delta if self.gap > 0.0 else -math.inf
         if not -1.0 < a:
             raise BandEdgeError(
                 f"impurity level eps0={self.eps0} is not below the band bottom "
@@ -114,8 +116,8 @@ class SymmetricSystem:
 
     @property
     def gap(self) -> float:
-        """Distance ``band_bottom - eps0`` from the impurity level down to the band."""
-        return self.band_bottom - self.eps0
+        """Offset ``-(delta + 2 J)`` of the band bottom from the impurity level."""
+        return -(self.delta + 2.0 * self.J)
 
 
 def _separations(R: int | range, lower: int = 1, upper: int | None = None) -> range:
@@ -145,6 +147,13 @@ def dispersion(sys: SymmetricSystem, k) -> np.ndarray | float:
     return sys.omega - 2.0 * sys.J * np.cos(k)
 
 
+def _band_offsets(sys: SymmetricSystem, modes) -> np.ndarray:
+    """Band energies from the impurity level, ``Omega_k - eps0 = -(delta + 2 J cos k)``."""
+    import numpy as np
+
+    return -(sys.delta + 2.0 * sys.J * np.cos(modes))
+
+
 def brillouin_modes(sys: SymmetricSystem) -> np.ndarray:
     """Allowed momenta ``2 pi n / (2N + 1)`` for ``n = -N .. N``, in order."""
     import numpy as np
@@ -160,7 +169,7 @@ class RegimeReport:
     Attributes
     ----------
     coupling_ratio : float
-        ``|lam|`` over the gap ``band_bottom - eps0``.
+        ``|lam|`` over the gap ``-(delta + 2 J)``, the same at any ``eps0``.
     weak_coupling : bool
         The ratio stays at or below the hard threshold.
     warnings : tuple of str

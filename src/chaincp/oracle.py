@@ -1,11 +1,8 @@
 """Independent checks: a secular equation on the finite ring, and mpmath quadrature.
 
-Nothing here reuses the closed forms, except the ED oracle's additive
-reference constant ``E_cp(N // 2)``: 4.7e-100 at ``N = 400``, but -3.6e-14 at
-``N = 40``, 1.7e-5 of ``E_cp(10)`` in the golden ``oracle-check`` table
-(ROADMAP item 3 removes it).  The point is to have two estimates of the same
-interaction energy whose error budgets are unrelated, so agreement is
-evidence rather than tautology.
+Nothing here reuses the closed forms but the ED oracle's reference constant
+``E_cp(N // 2)`` (see :func:`cp_energy_ed`): the two estimates' error budgets
+are unrelated, so their agreement is evidence rather than tautology.
 
 * :func:`cp_energy_ed` takes the exact ground energy of the single-electron
   Hamiltonian on the ring of ``M = 2N + 1`` sites.  The impurities touch the
@@ -51,7 +48,7 @@ import warnings
 
 from .casimir import cp_energy
 from .errors import ConvergenceError, InvalidRegime, NonConvergence
-from .lattice import SymmetricSystem, _separations, brillouin_modes
+from .lattice import SymmetricSystem, _band_offsets, _separations, brillouin_modes
 
 __all__ = [
     "cp_energy_ed",
@@ -88,8 +85,7 @@ def _ground_energy(sys: SymmetricSystem, R: int) -> float:
     import numpy as np
 
     modes = brillouin_modes(sys)
-    # the band as offsets Omega_k - eps0
-    band = -(sys.delta + 2.0 * sys.J * np.cos(modes))
+    band = _band_offsets(sys, modes)
     weights = sys.lam ** 2 * (1.0 + np.cos(R * modes)) / sys.num_sites
 
     def secular(x: float) -> float:

@@ -8,19 +8,19 @@ effective two-level problem for the impurities.  With
 because the modes come in ``+-k`` pairs.  Each band mode picks up the
 back-action shift ``2 g^2 / (Omega_k - eps0)``.
 
-The effective doublet diagonalises to ``E_pm = eps0 + shift +- t_12``, and
+The effective doublet diagonalises to ``E_pm - eps0 = shift +- t_12``, and
 the momentum sums collapse, in the large-``N`` limit, to closed forms in
 the band parameter ``a = 2J/delta``:
 
 .. math::
 
-    E_\\pm = \\epsilon_0 + \\frac{\\lambda^2}{\\delta}
+    E_\\pm - \\epsilon_0 = \\frac{\\lambda^2}{\\delta}
              \\frac{1}{\\sqrt{1 - a^2}} \\left(1 \\pm q^R\\right),
     \\qquad
     q = \\frac{\\sqrt{1 - a^2} - 1}{a} \\in [0, 1).
 
-All finite sums run over the ``2N + 1`` ring modes and are accumulated
-with exact summation (`math.fsum`).
+Every function returns levels measured from ``eps0``.  All finite sums run
+over the ``2N + 1`` ring modes and are accumulated with exact summation.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .lattice import SymmetricSystem, _separations, brillouin_modes, dispersion
+from .lattice import SymmetricSystem, _band_offsets, _separations, brillouin_modes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,15 +41,13 @@ __all__ = [
 
 
 def band_energies(sys: SymmetricSystem) -> np.ndarray:
-    """Shifted band energies ``Omega_k + 2 g^2 / (Omega_k - eps0)``, one per ring mode."""
-    modes = brillouin_modes(sys)
-    energies = dispersion(sys, modes)
-    gsq = sys.lam ** 2 / sys.num_sites
-    return energies + 2.0 * gsq / (energies - sys.eps0)
+    """Shifted band levels ``Omega_k - eps0 + 2 g^2 / (Omega_k - eps0)``, one per ring mode."""
+    offsets = _band_offsets(sys, brillouin_modes(sys))
+    return offsets + 2.0 * (sys.lam ** 2 / sys.num_sites) / offsets
 
 
 def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]:
-    """Doublet energies ``(E_plus, E_minus)`` as mode sums, at ``1 <= R <= N``.
+    """Doublet levels ``(E_plus, E_minus)`` from ``eps0``, as mode sums, at ``1 <= R <= N``.
 
     The doublet follows from diagonalising the effective two-level problem;
     since the levels are identical the eigenvectors are the even and odd
@@ -61,29 +59,24 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]
 
     _separations(R, upper=sys.N)
     modes = brillouin_modes(sys)
-    energies = dispersion(sys, modes)
-    gsq = sys.lam ** 2 / sys.num_sites
-    inv = 1.0 / (sys.eps0 - energies)
-
     # The odd-in-k part of exp(-ikR) sums to zero because the modes come in
     # +-k pairs, so only the cosine survives.
-    common = gsq * inv
+    common = -(sys.lam ** 2 / sys.num_sites) / _band_offsets(sys, modes)
     cos_r = np.cos(modes * R)
-    return (sys.eps0 + math.fsum(common * (1.0 + cos_r)),
-            sys.eps0 + math.fsum(common * (1.0 - cos_r)))
+    return math.fsum(common * (1.0 + cos_r)), math.fsum(common * (1.0 - cos_r))
 
 
 def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, float]:
-    """Closed-form doublet energies ``(E_plus, E_minus)`` in the large-``N`` limit.
+    """Closed-form doublet levels ``(E_plus, E_minus)`` from ``eps0``, large-``N`` limit.
 
     Evaluated at separation ``R``, ``1 <= R <= N``.  ``E_plus`` (even
     combination) is the lower level for ``delta < 0``.
     At ``a = 0`` the band is flat, ``q = 0``, and the doublet is degenerate
-    at ``eps0 + lam**2 / delta``.
+    at ``lam**2 / delta``.
     """
     _separations(R, upper=sys.N)
     a = sys.a
     root = math.sqrt(1.0 - a * a)
     base = sys.lam ** 2 / (sys.delta * root)
     q_r = sys.q ** R
-    return (sys.eps0 + base * (1.0 + q_r), sys.eps0 + base * (1.0 - q_r))
+    return base * (1.0 + q_r), base * (1.0 - q_r)

@@ -10,8 +10,10 @@ a straight Boltzmann average over the ``2N + 3`` single-electron levels:
 
 with the doublet taken from the closed forms and the band from the shifted
 ring modes, so the temperature dependence is exactly the competition between
-the split doublet and the ``2N + 1`` band states.  The thermal force is the
-same discrete difference used at zero temperature,
+the split doublet and the ``2N + 1`` band states.  Every level is measured
+from ``eps0``, so the thermal force, the same discrete difference used at
+zero temperature, differences offsets of order ``lam^2 / |delta|`` at
+``T = 0`` rather than ``eps0``-sized energies,
 
 .. math:: f_T(R) = -\\big(E_T(R + 1) - E_T(R)\\big).
 
@@ -24,12 +26,9 @@ level fills first and ``E_T(R + 1)`` climbs away from ``E_T(R)``.  fig5 at
 ``N = 100`` gives ``|f_T(1)|`` = 0.002778, 0.002938, 0.003078 and 0.001450
 at ``T`` = 0, 0.001, 0.003 and 0.01.
 
-Every energy and force comes from one table, :func:`thermal_table`.  The
-band does not depend on ``R``, so the table builds it once per system, then
-one ensemble per ``(T, R)`` out to one site past its last separation, and
-reads each force off two neighbouring energies.  :func:`thermal_energy`,
-:func:`thermal_force` and the CLI's ``thermal-sweep`` all go through it or
-through its one-ensemble kernel.
+Every energy and force comes from one table, :func:`thermal_table`, which
+builds the band once per system; :func:`thermal_energy`, :func:`thermal_force`
+and the CLI's ``thermal-sweep`` all go through it or its one-ensemble kernel.
 
 Weights are always computed from energies shifted by the spectrum minimum,
 so they are safe at any temperature.
@@ -69,8 +68,8 @@ class ThermalEnsemble:
     Attributes
     ----------
     energies : numpy.ndarray
-        All ``2N + 3`` levels: the closed-form ``e_plus`` and ``e_minus``,
-        then the ``2N + 1`` shifted band modes.
+        All ``2N + 3`` levels, measured from ``eps0``: the closed-form
+        ``e_plus`` and ``e_minus``, then the ``2N + 1`` shifted band modes.
     weights : numpy.ndarray
         Normalised populations aligned with :attr:`energies`.
     """
@@ -168,7 +167,7 @@ def thermal_table(sys: SymmetricSystem, temperatures, R: range) -> tuple[Thermal
 
 
 def thermal_energy(sys: SymmetricSystem, T: float, R: int) -> float:
-    """Ensemble average energy at separation ``R``; exactly ``e_plus`` at ``T = 0``."""
+    """Ensemble average level from ``eps0`` at ``R``; exactly ``e_plus`` at ``T = 0``."""
     return _ensemble_energy(sys, band_energies(sys), T, R)
 
 

@@ -347,6 +347,20 @@ def test_exit_code_3_outside_the_regime():
     assert run_cli(["--mode", "force-sweep", "--delta", "-0.5"]) == 3
 
 
+def test_exit_code_2_when_the_chain_does_not_fit_in_memory(tmp_path, monkeypatch, capsys):
+    # the ring's modes are the first array a thermal sweep allocates; a real
+    # N = 3e9 would ask numpy for tens of GB, so the allocation fails here by hand
+    def arange(*args, **kwargs):
+        raise MemoryError("Unable to allocate 44.7 GiB for an array with shape (6000000001,)")
+
+    monkeypatch.setattr(np, "arange", arange)
+    assert run_cli(["--mode", "thermal-sweep", "--N", "3000000000", "--rmax", "2",
+                    "--output", str(tmp_path / "never.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chaincp: config error: Unable to allocate") and err.count("\n") == 1
+    assert "Traceback" not in err and not (tmp_path / "never.csv").exists()
+
+
 def test_oracle_check_without_coupling_is_a_regime_violation(tmp_path, capsys):
     # every closed-form value is 0, so there is no relative error to report
     assert run_cli(["--mode", "oracle-check", "--lambda", "0",

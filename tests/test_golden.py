@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from chaincp.cli import main
+from chaincp.thermal import CANCEL_EPS
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -58,6 +59,11 @@ EXIT_CODES = [
     # nor its digits depend on where zero is
     ("oracle-check --N 40 --lambda 1e-3 --eps0 1e14", 0),
     ("oracle-check --delta=-1e-10 --J 3e-11 --lambda 1e-13 --rmax 3 --N 40", 0),
+    # the gap and the band-edge rule are offsets from eps0 too: a detuning far
+    # below an ulp of eps0, or an eps0 far above the gap, is still below the band
+    ("force-sweep --delta=-1e-17 --J 3e-18 --lambda 1e-19 --rmax 3", 0),
+    ("thermal-sweep --delta=-1e-17 --J 3e-18 --lambda 1e-19 --N 20 --rmax 3", 0),
+    ("oracle-check --eps0 1e16 --N 40 --rmax 3", 0),
 ]
 
 
@@ -107,18 +113,83 @@ def test_the_absolute_energy_table_differs_only_in_its_ed_cells():
         assert abs(float(o[6]) - float(n[6])) <= 1e-7
 
 
-def test_oracle_check_rows_do_not_depend_on_where_zero_is(tmp_path):
-    def data_rows(eps0):
-        out = tmp_path / f"oracle-{eps0}.csv"
-        assert main(["--mode", "oracle-check", "--N", "40", "--rmax", "10", "--eps0", eps0,
-                     "--output", str(out)]) == 0
-        return [line for line in out.read_text(encoding="ascii").splitlines()
-                if not line.startswith("#")]
+def test_the_absolute_thermal_tables_differ_only_by_rounding():
+    # fig5.csv and thermal-large.csv as computed when the thermal levels were
+    # absolute energies of order eps0 = 1: each energy moves by rounding, and
+    # each force by at most the cancellation bound it carried
+    for name in ("fig5", "thermal-large"):
+        old, new = ((GOLDEN / f"{stem}.csv").read_text(encoding="ascii").splitlines()
+                    for stem in (f"{name}-absolute", name))
+        assert len(old) == len(new)
+        header = new.index("T,N,R,energy,force")
+        assert old[:header + 1] == new[:header + 1]
+        for o, n in zip(old[header + 1:], new[header + 1:]):
+            o, n = o.split(","), n.split(",")
+            assert o[:3] == n[:3]
+            energy = float(n[3])
+            assert abs(float(o[3]) - energy) <= 4.5e-16 * abs(energy)
+            assert abs(float(o[4]) - float(n[4])) <= CANCEL_EPS * abs(energy)
 
-    at_zero = data_rows("0")
-    assert len(at_zero) == 11
-    assert data_rows("1") == at_zero
-    assert data_rows("1e6") == at_zero
+
+def cli_rows(tmp_path, argv):
+    """The data rows of the CSV table ``chaincp argv`` writes, as column -> cell dicts."""
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--output", str(out)]) == 0
+    lines = [line.split(",") for line in out.read_text(encoding="ascii").splitlines()
+             if not line.startswith("#")]
+    return [dict(zip(lines[0], line)) for line in lines[1:]]
+
+
+#: One run per mode that computes energies, with every energy-valued key given.
+SYSTEMS = {
+    "oracle-check": ["--mode", "oracle-check", "--N", "40", "--rmax", "10"],
+    "thermal-sweep": ["--mode", "thermal-sweep", "--N", "50", "--rmax", "8"],
+    "force-sweep": ["--mode", "force-sweep", "--rmax", "8"],
+}
+ENERGIES = {"delta": -1.0, "J": 0.3, "lambda": 0.01, "temperatures": (0.0, 0.001, 0.01, 1.0)}
+
+
+def energy_rows(tmp_path, mode, scale=1.0, eps0=1.0):
+    """The rows of ``mode`` with every energy-valued key, ``eps0`` too, times ``scale``."""
+    flags = []
+    for key, value in {**ENERGIES, "eps0": eps0}.items():
+        values = value if isinstance(value, tuple) else (value,)
+        flags.append(f"--{key}={','.join(repr(scale * v) for v in values)}")
+    return cli_rows(tmp_path, SYSTEMS[mode] + flags)
+
+
+def test_oracle_check_rows_do_not_depend_on_where_zero_is(tmp_path):
+    # every level is an offset from eps0: forces and oracle rows keep their
+    # bytes wherever zero is, and a printed thermal energy is eps0 plus the
+    # offset, added once
+    for mode in SYSTEMS:
+        at_zero = energy_rows(tmp_path, mode, eps0=0.0)
+        assert at_zero
+        for eps0 in (1.0, -3.0, 1e6, 1e14):
+            shifted = energy_rows(tmp_path, mode, eps0=eps0)
+            assert len(shifted) == len(at_zero)
+            for old, new in zip(at_zero, shifted):
+                old, new = dict(old), dict(new)
+                if mode == "thermal-sweep":
+                    assert float(new.pop("energy")) == eps0 + float(old.pop("energy"))
+                assert new == old
+
+
+@pytest.mark.parametrize("k", [-5, 3, 20])
+@pytest.mark.parametrize("mode", sorted(SYSTEMS))
+def test_every_energy_scales_bit_for_bit_with_the_energy_unit(mode, k, tmp_path):
+    # binary floating point has no preferred unit of energy: scaling every
+    # energy-valued input by a power of two scales every energy-valued cell
+    # by the same power, exactly
+    base = energy_rows(tmp_path, mode)
+    scaled = energy_rows(tmp_path, mode, scale=2.0 ** k)
+    assert len(scaled) == len(base) > 0
+    for old, new in zip(base, scaled):
+        for column in ("T", "J", "delta", "energy", "force", "abs_force",
+                       "closed", "quadrature", "ed"):
+            if column in old:
+                assert float(new.pop(column)) == 2.0 ** k * float(old.pop(column))
+        assert new == old
 
 
 @pytest.mark.parametrize("args,code", EXIT_CODES, ids=[args for args, _ in EXIT_CODES])

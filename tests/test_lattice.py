@@ -2,6 +2,7 @@ import ast
 import importlib
 import math
 import pkgutil
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,8 @@ def test_chain_band_edges():
     assert sys_.num_sites == 21
     assert sys_.band_bottom == pytest.approx(1.4)
     assert sys_.band_top == pytest.approx(2.6)
-    assert sys_.gap == sys_.band_bottom - sys_.eps0
+    # the gap is an offset from the level, read off delta and J alone
+    assert sys_.gap == -(sys_.delta + 2 * sys_.J) == 0.4
 
 
 @pytest.mark.parametrize("bad", [{"J": -0.1, "N": 5}, {"J": 0.3, "N": 0}])
@@ -123,6 +125,26 @@ def test_band_edge_error_is_raised_only_by_the_system():
         if isinstance(node, ast.Raise) and "BandEdgeError" in ast.unparse(node)
     ]
     assert raises == ["lattice.py"]
+
+
+def test_only_lattice_and_cli_read_the_impurity_level():
+    # every energy is an offset from eps0: lattice fixes the origin, and the
+    # CLI adds eps0 back where a table prints an absolute energy
+    readers = set()
+    for path in sorted(Path(chaincp.__file__).parent.glob("*.py")):
+        with path.open("rb") as fh:
+            tokens = [tok for tok in tokenize.tokenize(fh.readline)
+                      if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE)]
+        if any(tok.string == "." and nxt.string == "eps0" for tok, nxt in zip(tokens, tokens[1:])):
+            readers.add(path.name)
+    assert readers == {"lattice.py", "cli.py"}
+
+
+@pytest.mark.parametrize("eps0", [0.0, 1.0, 1e14, 1e16])
+def test_gap_and_coupling_ratio_do_not_depend_on_where_zero_is(eps0):
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=50, eps0=eps0)
+    assert sys_.gap == 0.4
+    assert validate_regime(sys_).coupling_ratio == 0.01 / 0.4
 
 
 def test_public_surface_is_the_union_of_the_submodules_all():

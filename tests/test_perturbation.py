@@ -19,7 +19,9 @@ def brute_coefficients(sys_, R):
 
     Returns the level shift, the band-mediated hopping and the per-mode band
     back-action.  Plain Python floats and cmath, no shared code with the
-    implementation under test beyond the system object.
+    implementation under test beyond the system object.  The band is built
+    in absolute energies from ``omega``, so the offsets the package computes
+    from ``delta`` are checked against a second route.
     """
     ns = 2 * sys_.N + 1
     shift = 0.0
@@ -37,12 +39,12 @@ def brute_coefficients(sys_, R):
 
 def test_level_shifts_are_negative_below_band():
     # every denominator eps0 - Omega_k is negative there, so both doublet
-    # levels sit below the bare level
+    # levels sit below the bare level, at negative offsets from it
     sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=20)
     e_plus, e_minus = symmetric_spectrum_ksum(sys_, 1)
-    assert e_plus < sys_.eps0 and e_minus < sys_.eps0
+    assert e_plus < 0.0 and e_minus < 0.0
     # and the band is pushed up in compensation
-    bare = dispersion(sys_, brillouin_modes(sys_))
+    bare = dispersion(sys_, brillouin_modes(sys_)) - sys_.eps0
     assert np.all(band_energies(sys_) > bare)
 
 
@@ -79,16 +81,17 @@ def test_geometric_ratio_domain(a):
 
 def test_closed_spectrum_frozen_values():
     sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=200)
+    # offsets from eps0: lam^2 / (delta sqrt(1 - a^2)) (1 +- q) with q = 1/3
     e_plus, e_minus = symmetric_spectrum_closed(sys_, 1)
-    assert e_plus == pytest.approx(0.9998333333333333, rel=1e-14)
-    assert e_minus == pytest.approx(0.9999166666666667, rel=1e-14)
+    assert e_plus == pytest.approx(-1.6666666666666666e-4, rel=1e-14)
+    assert e_minus == pytest.approx(-8.333333333333333e-5, rel=1e-14)
     assert e_plus < e_minus
 
 
 def test_closed_spectrum_flat_band_degenerate():
     sys_ = SymmetricSystem(delta=-1.0, J=0.0, lam=0.01, N=10)
     e_plus, e_minus = symmetric_spectrum_closed(sys_, 3)
-    assert e_plus == e_minus == pytest.approx(1.0 - 1e-4, rel=1e-15)
+    assert e_plus == e_minus == pytest.approx(-1e-4, rel=1e-15)
 
 
 def test_closed_spectrum_degenerate_at_large_separation():
@@ -101,26 +104,26 @@ def test_closed_spectrum_degenerate_at_large_separation():
 def test_effective_coefficients_match_direct_sum(R):
     # the second-order coefficients behind the k-sum spectrum (level shift,
     # band-mediated hopping, band back-action) against the direct sums: the
-    # doublet sits at eps0 + shift +- |hop12|, the band at bare + back-action
+    # doublet sits at shift +- |hop12| from eps0, the band at bare + back-action
     sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=25)
     e_plus, e_minus = symmetric_spectrum_ksum(sys_, R)
     shift, hop12, band_shift = brute_coefficients(sys_, R)
-    centre = sys_.eps0 + shift
+    centre = shift
     split = abs(hop12)
     assert e_plus == pytest.approx(centre - split, rel=1e-13)
     assert e_minus == pytest.approx(centre + split, rel=1e-13)
     # the odd-in-k part cancels pairwise across +-k
     assert abs(hop12.imag) < 1e-20
-    bare = dispersion(sys_, brillouin_modes(sys_))
+    bare = dispersion(sys_, brillouin_modes(sys_)) - sys_.eps0
     assert_allclose(band_energies(sys_), bare + band_shift, rtol=1e-13)
 
 
 def test_ksum_spectrum_matches_two_level_diagonalisation():
-    # the doublet from the k-sums must equal eps0 + shift +- |hop12|
+    # the doublet from the k-sums must sit at shift +- |hop12| from eps0
     sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=60)
     e_plus, e_minus = symmetric_spectrum_ksum(sys_, 2)
     shift, hop12, _ = brute_coefficients(sys_, 2)
-    centre = sys_.eps0 + shift
+    centre = shift
     split = abs(hop12)
     assert e_plus == pytest.approx(centre - split, rel=1e-13)
     assert e_minus == pytest.approx(centre + split, rel=1e-13)

@@ -31,14 +31,17 @@ def fig_system(delta=-1.0, J=0.3, lam=0.1, N=100):
 
 
 def brute_average(sys_, T, R):
-    """Plain-float Boltzmann average over the explicit level list."""
+    """Plain-float Boltzmann average over the explicit level list, from ``eps0``.
+
+    The band comes from ``omega`` in absolute energies, minus ``eps0``.
+    """
     e_plus, e_minus = symmetric_spectrum_closed(sys_, R)
     levels = [e_plus, e_minus]
     ns = sys_.num_sites
     gsq = sys_.lam ** 2 / ns
     for n in range(-sys_.N, sys_.N + 1):
-        energy = sys_.omega - 2.0 * sys_.J * math.cos(2.0 * math.pi * n / ns)
-        levels.append(energy + 2.0 * gsq / (energy - sys_.eps0))
+        offset = sys_.omega - 2.0 * sys_.J * math.cos(2.0 * math.pi * n / ns) - sys_.eps0
+        levels.append(offset + 2.0 * gsq / offset)
     beta = 1.0 / T
     weights = [math.exp(-beta * e) for e in levels]
     z = sum(weights)
@@ -52,10 +55,14 @@ def test_zero_temperature_recovers_the_ground_level():
 
 
 def test_zero_temperature_force_matches_the_ground_state_force():
-    sys_ = fig_system()
     # the ground-level difference reproduces the T = 0 force up to the
-    # cancellation of the R-independent offset (~1e-12 relative here)
-    assert thermal_force(sys_, 0.0, 1) == pytest.approx(ecp_force(sys_, 1), rel=1e-9)
+    # cancellation of the R-independent shift lam^2 / (delta sqrt(1 - a^2)),
+    # which the levels carry as offsets from eps0 rather than on top of it
+    # (worst case ~1.3e-12 relative here; ~2.5e-9 in absolute energies)
+    for lam in (0.1, 0.01):
+        sys_ = fig_system(lam=lam, N=200)
+        for row in thermal_table(sys_, (0.0,), range(1, 9)):
+            assert row.force == pytest.approx(ecp_force(sys_, row.R), rel=1e-11)
 
 
 def test_infinite_temperature_is_the_uniform_average():
