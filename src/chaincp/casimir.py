@@ -31,7 +31,6 @@ and the two agree while the edge distance ``gap / (4J)``, with the gap
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidRegime
@@ -56,8 +55,7 @@ class ForceRecord(NamedTuple):
     force: float
 
 
-@dataclass(frozen=True)
-class DecayProfile:
+class DecayProfile(NamedTuple):
     """Exponential decay law ``f(R) = amplitude * exp(-gamma * R)``.
 
     Attributes

@@ -12,8 +12,7 @@ constant is 1, so impurity separations are positive integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BandEdgeError, RegimeViolation
 
@@ -37,7 +36,6 @@ WEAK_COUPLING_WARN = 0.1
 WEAK_COUPLING_FAIL = 0.5
 
 
-@dataclass(frozen=True)
 class SymmetricSystem:
     """Identical impurities (``eps0``, ``lam``) side-coupled to one ring.
 
@@ -70,18 +68,30 @@ class SymmetricSystem:
         Half-length; ring sites carry indices ``-N .. N``.
     eps0 : float
         Common impurity level.
+
+    A system is an immutable value: assigning or deleting a field raises
+    ``AttributeError``, and two systems are equal, and hash alike, when all
+    eight fields are.
     """
+
+    __slots__ = ("delta", "J", "lam", "N", "eps0", "omega", "a", "q")
 
     delta: float
     J: float
     lam: float
     N: int
-    eps0: float = 1.0
-    omega: float = field(init=False)
-    a: float = field(init=False)
-    q: float = field(init=False)
+    eps0: float
+    omega: float
+    a: float
+    q: float
+
+    def __init__(self, delta: float, J: float, lam: float, N: int, eps0: float = 1.0) -> None:
+        for name, value in zip(self.__slots__, (delta, J, lam, N, eps0)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check the given fields and derive ``omega``, ``a`` and ``q``."""
         if not isinstance(self.N, int):
             raise TypeError(f"N must be an integer, got {self.N!r}")
         if self.N < 1:
@@ -101,6 +111,31 @@ class SymmetricSystem:
             )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "q", -a / (math.sqrt(1.0 - a * a) + 1.0))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through __init__, so a copy or an unpickled system is checked again
+        return type(self), self._values()[:5]
 
     @property
     def num_sites(self) -> int:
@@ -125,12 +160,16 @@ def _separations(R: int | range, lower: int = 1, upper: int | None = None) -> ra
 
     ``R`` is one integer separation or a non-empty range of them with step 1;
     a single separation comes back as ``range(R, R + 1)``.  This is the
-    package's one separation rule.
+    package's one separation rule.  A window with ``upper < lower`` (a
+    chain too short for any separation) is refused whatever ``R`` is.
     """
     if not isinstance(R, range):
         if not isinstance(R, int):
             raise TypeError(f"separation must be an integer, got {R!r}")
         R = range(R, R + 1)
+    if upper is not None and upper < lower:
+        raise ValueError(
+            f"no separation fits: the upper bound {upper} is below the lower bound {lower}")
     if R.step != 1 or not R:
         raise ValueError(f"separations must be a non-empty range with step 1, got {R!r}")
     if R[0] < lower:
@@ -162,8 +201,7 @@ def brillouin_modes(sys: SymmetricSystem) -> np.ndarray:
     return 2.0 * np.pi * n / sys.num_sites
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Outcome of :func:`validate_regime`.
 
     Attributes

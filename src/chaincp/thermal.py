@@ -37,7 +37,6 @@ so they are safe at any temperature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .lattice import SymmetricSystem, _separations
@@ -61,8 +60,7 @@ __all__ = [
 CANCEL_EPS = 4 * math.ulp(1.0)
 
 
-@dataclass(frozen=True)
-class ThermalEnsemble:
+class ThermalEnsemble(NamedTuple):
     """Boltzmann weights over the single-electron spectrum at one temperature.
 
     Attributes

@@ -340,6 +340,15 @@ def test_exit_code_2_for_config_problems(tmp_path):
     assert run_cli(["--config", str(conf)]) == 2
 
 
+@pytest.mark.parametrize("mode", ["force-sweep", "thermal-sweep"])
+def test_exit_code_2_when_the_chain_has_no_room_for_a_force(mode, tmp_path, capsys):
+    # the force at R needs R + 1 <= N, so N = 1 leaves no separation at all
+    assert run_cli(["--mode", mode, "--N", "1", "--rmax", "1",
+                    "--output", str(tmp_path / "never.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "chaincp: config error: no separation fits: the upper bound 0 is below the lower bound 1\n")
+
+
 def test_exit_code_3_outside_the_regime():
     # coupling half the gap: perturbation theory has no business here
     assert run_cli(["--mode", "force-sweep", "--lambda", "0.3"]) == 3

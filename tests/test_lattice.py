@@ -1,6 +1,8 @@
 import ast
+import copy
 import importlib
 import math
+import pickle
 import pkgutil
 import tokenize
 from pathlib import Path
@@ -60,6 +62,47 @@ def test_chain_rejects_non_integer_length():
 def test_system_refuses_non_finite_parameters(params):
     with pytest.raises(ValueError, match="must be finite"):
         SymmetricSystem(**{"delta": -1.0, "J": 0.3, "lam": 0.01, "N": 5, **params})
+
+
+def test_system_is_an_immutable_value():
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=10)
+    assert sys_ == SymmetricSystem(-1.0, 0.3, 0.01, 10, eps0=1.0)
+    assert hash(sys_) == hash(SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=10))
+    assert sys_ != SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=11)
+    assert sys_ != (-1.0, 0.3, 0.01, 10, 1.0, 2.0, -0.6, sys_.q)
+    for name in ("delta", "q", "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(sys_, name, 0.0)
+    for name in ("delta", "q"):
+        with pytest.raises(AttributeError):
+            delattr(sys_, name)
+    assert sys_.delta == -1.0 and sys_.q == 1 / 3
+    # copies and pickles are rebuilt through the constructor's checks
+    assert copy.copy(sys_) == pickle.loads(pickle.dumps(sys_)) == sys_
+
+
+def test_system_repr_lists_every_field():
+    assert repr(SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=10)) == (
+        "SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=10, eps0=1.0,"
+        " omega=2.0, a=-0.6, q=0.3333333333333333)")
+
+
+def test_a_wrapped_post_init_sees_every_construction(monkeypatch):
+    # a tracer counts system builds by wrapping the class's __post_init__
+    builds = []
+    original = SymmetricSystem.__post_init__
+
+    def counting(self):
+        builds.append(self.N)
+        original(self)
+
+    monkeypatch.setattr(SymmetricSystem, "__post_init__", counting)
+    ring(10)
+    SymmetricSystem(-1.0, 0.3, 0.01, 20)
+    copy.copy(ring(30))
+    with pytest.raises(BandEdgeError):
+        SymmetricSystem(delta=-0.5, J=0.3, lam=0.01, N=40)
+    assert builds == [10, 20, 30, 30, 40]
 
 
 def test_brillouin_modes_cover_the_zone():
@@ -196,10 +239,14 @@ def test_separations_refuses_a_non_integer():
     (range(0, 3), "separation must be >= 1, got R=0"),
     (range(2, 12), "1 <= R <= 10, got R=11"),
     (11, "1 <= R <= 10, got R=11"),
+    # a window with no room at all, as a force on a chain with N = 1 has:
+    # given as (R, upper) since every other case keeps upper = 10
+    ((range(1, 2), 0), "no separation fits: the upper bound 0 is below the lower bound 1"),
 ])
 def test_separations_refuses_empty_strided_and_out_of_bounds_ranges(bad, match):
+    R, upper = bad if isinstance(bad, tuple) else (bad, 10)
     with pytest.raises(ValueError, match=match):
-        _separations(bad, upper=10)
+        _separations(R, upper=upper)
 
 
 @pytest.mark.parametrize("sweep", [

@@ -377,13 +377,18 @@ def test_importing_the_package_leaves_mpmath_unloaded():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(chaincp.__file__).parents[1]), env.get("PYTHONPATH")]))
+    # only what the import adds counts, so whatever site preloads cannot hide it
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, chaincp; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"],
+         "import sys; before = set(sys.modules); import chaincp; "
+         "print(sorted({'dataclasses', 'inspect', 'numpy', 'mpmath'}"
+         " & (set(sys.modules) - before)))"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    # numpy and mpmath both load on the first call that needs them
+    # numpy and mpmath both load on the first call that needs them, and the
+    # records are NamedTuples and a slotted class, so dataclasses (with the
+    # inspect it drags in) never loads
     assert proc.stdout.strip() == "[]"
 
 
