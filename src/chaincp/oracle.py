@@ -18,8 +18,9 @@ are unrelated, so their agreement is evidence rather than tautology.
   ``N``, with no dense matrix.  It is solved for the offset ``x = E - eps0``
   from the bare level, and the band enters as the offsets
   ``Omega_k - eps0 = -(delta + 2 J cos k)``, so no digit of the root depends
-  on where zero is.  Its systematic errors are fourth order in the coupling
-  plus a ring-image term, both of which it knows how to estimate.
+  on where zero is.  The roots of one call are bisected together.  Its
+  systematic errors are fourth order in the coupling plus a ring-image
+  term, both of which it knows how to estimate.
 * :func:`cp_energy_quadrature` evaluates the ``N -> inf`` momentum integral
 
   .. math::
@@ -62,20 +63,27 @@ REFINEMENT_TOL = 1e-13
 #: :class:`~chaincp.errors.NonConvergence`.
 MAX_POINTS = 2 ** 22
 
+#: Separations times ring modes the ED bisects in one block (8 MB a buffer).
+BLOCK_ELEMENTS = 2 ** 20
 
-def _ground_energy(sys: SymmetricSystem, R: int) -> float:
-    """Lowest eigenvalue of the ring plus both impurities, ``R`` sites apart,
-    as its offset ``x = E0 - eps0`` from the bare level.
 
-    This is the root of the even-channel secular equation ``f`` (see the
+def _ground_energies(sys: SymmetricSystem, seps: list[int] | range) -> list[float]:
+    """Lowest eigenvalue of the ring plus both impurities, at each separation
+    of ``seps``, as its offset ``x = E0 - eps0`` from the bare level.
+
+    Each is the root of the even-channel secular equation ``f`` (see the
     module docstring).  Below the band every term of the mode sum is
     negative, so ``f`` rises strictly there, and it has exactly one root
     below the band; the odd channel's root lies above it, because the ring
     propagator between sites 0 and ``R`` is negative below the band.  The
     root lies in ``[-2|lam|, 0]``: ``f(0) >= 0`` term by term, and the weights
     ``(1 + cos kR) / M`` sum to 1, so at ``-2|lam|`` the sum term is at most
-    ``|lam| / 2``.  Bisection runs down to adjacent floats
-    and returns the end with the smaller residual.
+    ``|lam| / 2``.  Bisection runs down to adjacent floats and returns the end
+    with the smaller residual.
+
+    One row per separation, all bisected together; each row follows the
+    scalar rule step for step, and a contiguous row sum is the pairwise sum
+    of a 1-D ``np.sum``, so each root has a scalar bisection's bits.
 
     Raises
     ------
@@ -86,28 +94,52 @@ def _ground_energy(sys: SymmetricSystem, R: int) -> float:
 
     modes = brillouin_modes(sys)
     band = _band_offsets(sys, modes)
-    weights = sys.lam ** 2 * (1.0 + np.cos(R * modes)) / sys.num_sites
+    rows = max(1, BLOCK_ELEMENTS // len(modes))
+    roots: list[float] = []
+    for start in range(0, len(seps), rows):
+        # lam^2 (1 + cos(R k)) / M in place, rounded as the scalar form is
+        weights = np.multiply.outer(np.array(seps[start:start + rows], dtype=float), modes)
+        np.cos(weights, out=weights)
+        weights += 1.0
+        weights *= sys.lam ** 2
+        weights /= sys.num_sites
+        buf = np.empty_like(weights)
+        n_rows = len(weights)
+        sums = np.empty(n_rows)
 
-    def secular(x: float) -> float:
-        return x - float(np.sum(weights / (x - band)))
+        def secular(x):
+            np.subtract(x[:, None], band, out=buf)
+            np.divide(weights, buf, out=buf)
+            np.sum(buf, axis=1, out=sums)
+            return x - sums
 
-    lo, hi = -2.0 * abs(sys.lam), 0.0
-    f_lo, f_hi = secular(lo), secular(hi)
-    if not f_lo <= 0.0 <= f_hi:
-        raise ConvergenceError(
-            f"secular equation does not change sign on [{lo!r}, {hi!r}] "
-            f"(f = {f_lo!r}, {f_hi!r}) at R={R}, N={sys.N}"
-        )
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        f_mid = secular(mid)
-        if f_mid <= 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return lo if -f_lo <= f_hi else hi
+        lo = np.full(n_rows, -2.0 * abs(sys.lam))
+        hi = np.zeros(n_rows)
+        f_lo, f_hi = secular(lo), secular(hi)
+        bad = ~((f_lo <= 0.0) & (0.0 <= f_hi))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConvergenceError(
+                f"secular equation does not change sign on [{lo[i].item()!r}, "
+                f"{hi[i].item()!r}] (f = {f_lo[i].item()!r}, {f_hi[i].item()!r}) "
+                f"at R={seps[start + i]}, N={sys.N}"
+            )
+        mid = np.empty(n_rows)
+        while True:
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            active = (lo < mid) & (mid < hi)
+            if not active.any():
+                break
+            f_mid = secular(mid)
+            down = f_mid <= 0.0
+            move_lo, move_hi = active & down, active & ~down
+            np.copyto(lo, mid, where=move_lo)
+            np.copyto(f_lo, f_mid, where=move_lo)
+            np.copyto(hi, mid, where=move_hi)
+            np.copyto(f_hi, f_mid, where=move_hi)
+        roots += np.where(-f_lo <= f_hi, lo, hi).tolist()
+    return roots
 
 
 def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, ...]:
@@ -125,9 +157,9 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
     with ``r_ref = N // 2``.  The closed-form remainder ``E_cp(r_ref)`` is
     4.7e-100 at ``N = 400`` but -3.6e-14 at ``N = 40``, 1.7e-5 of
     ``E_cp(10)``, so on short rings the estimate still leans on the closed
-    form (ROADMAP item 3).  Cancelling the reference this way also removes
-    the separation-independent fourth-order shift.  ``x(r_ref)`` is solved
-    once per call, so a range of separations shares it.
+    form (ROADMAP item 2).  Cancelling the reference this way also removes
+    the separation-independent fourth-order shift.  Every ``x(R)`` and
+    ``x(r_ref)`` are bisected together, once per call, bit for bit as alone.
 
     Residual systematics are fourth order in ``lam / gap`` plus the ring
     image at separation ``2N + 1 - 2R``; a ``UserWarning`` fires when their
@@ -158,8 +190,9 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
                 stacklevel=2,
             )
 
-    reference = _ground_energy(sys, r_ref)
-    values = tuple(_ground_energy(sys, r) - reference + cp_energy(sys, r_ref) for r in seps)
+    *energies, reference = _ground_energies(sys, [*seps, r_ref])
+    remainder = cp_energy(sys, r_ref)
+    values = tuple(x - reference + remainder for x in energies)
     return values if isinstance(R, range) else values[0]
 
 
@@ -175,9 +208,10 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
     follow from the Chebyshev recurrence ``c_{R+1} = 2 cos k c_R - c_{R-1}``,
     and each separation keeps its own running sum.  The number of points
     doubles from 64, adding only the new midpoints, until every separation
-    has two successive estimates that agree to :data:`REFINEMENT_TOL`; a
-    separation's value is the first estimate that does, so a sweep returns
-    the same floats as one call per separation.  Past :data:`MAX_POINTS`
+    has two successive estimates that agree to :data:`REFINEMENT_TOL`, the
+    coarser on more than ``4R + 4`` points; a separation's value is the
+    first estimate that does, so a sweep returns the same floats as one call
+    per separation.  Past :data:`MAX_POINTS`
     points it raises :class:`~chaincp.errors.NonConvergence`, naming the
     separations still unconverged.  Once per refinement level the recurred
     summand at ``rmax`` is compared with a direct ``cos(rmax k)`` at that
@@ -264,7 +298,10 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
                 if values[i] is not None:
                     continue
                 value = lam_sq * acc[i] / m_points
-                if prev[i] is not None and abs(value - prev[i]) <= REFINEMENT_TOL * abs(value):
+                # an M-point rule sees mode R as modes R + nM: below 4R + 4
+                # points two grids can agree on an alias of R
+                if (prev[i] is not None and m_points // 2 > 4 * seps[i] + 4
+                        and abs(value - prev[i]) <= REFINEMENT_TOL * abs(value)):
                     values[i] = float(value)
                 prev[i] = value
             if None not in values:

@@ -2,12 +2,12 @@
 
 Building the full ``(2N + 3)``-square matrix and diagonalising it with numpy
 is O(N^3) and needs O(N^2) memory, so it lives here, in the tests, for small
-chains only.
+chains only.  A scalar bisection of the secular equation lives here too.
 """
 
 import numpy as np
 
-from chaincp.lattice import SymmetricSystem, _separations
+from chaincp.lattice import SymmetricSystem, _band_offsets, _separations, brillouin_modes
 
 
 def dense_hamiltonian(ring: SymmetricSystem, eps1: float, eps2: float,
@@ -45,3 +45,34 @@ def symmetric_hamiltonian(sys: SymmetricSystem, R: int) -> np.ndarray:
 def dense_ground_energy(sys: SymmetricSystem, R: int) -> float:
     """Lowest eigenvalue of :func:`symmetric_hamiltonian`."""
     return float(np.linalg.eigvalsh(symmetric_hamiltonian(sys, R))[0])
+
+
+def scalar_ground_energy(sys: SymmetricSystem, R: int) -> float:
+    """The secular root at one separation, as the offset ``x = E0 - eps0``,
+    by a scalar bisection.
+
+    The reference the oracle's batched bisection is held to, bit for bit:
+    the same secular function, bracket ``[-2|lam|, 0]``, midpoint, stop
+    rule and choice of the end with the smaller residual.
+    """
+    modes = brillouin_modes(sys)
+    band = _band_offsets(sys, modes)
+    weights = sys.lam ** 2 * (1.0 + np.cos(R * modes)) / sys.num_sites
+
+    def secular(x: float) -> float:
+        return x - float(np.sum(weights / (x - band)))
+
+    lo, hi = -2.0 * abs(sys.lam), 0.0
+    f_lo, f_hi = secular(lo), secular(hi)
+    if not f_lo <= 0.0 <= f_hi:
+        raise ValueError(f"secular equation does not change sign at R={R}, N={sys.N}")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = secular(mid)
+        if f_mid <= 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if -f_lo <= f_hi else hi

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from chaincp.casimir import (
     continuum_decay_constant,
@@ -185,3 +186,29 @@ def test_closed_forms_do_not_depend_on_where_zero_is(delta):
     at_one = closed_forms(1.0)
     assert closed_forms(0.0) == at_one
     assert closed_forms(1e6) == at_one
+
+
+def closed_form_60_digits(sys_, R):
+    """``E_cp(R)`` in 60 digits from the system's floats, with ``q`` from ``acosh``."""
+    with mp.workdps(60):
+        lam, delta, J = mp.mpf(sys_.lam), mp.mpf(sys_.delta), mp.mpf(sys_.J)
+        a = 2 * J / delta
+        q = mp.exp(-mp.acosh(1 / abs(a)))
+        return lam ** 2 / delta * q ** R / mp.sqrt(1 - a * a)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: sqrt(1 - a*a) loses digits "
+                                       "at the band edge (2.5e-10 at 1 + a = 1e-9)")
+def test_cp_energy_keeps_its_digits_at_the_band_edge():
+    sys_ = fig_system(J=(1 - 1e-9) / 2)
+    assert cp_energy(sys_, 1) == pytest.approx(float(closed_form_60_digits(sys_, 1)),
+                                                 rel=1e-12, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the force differences two energies "
+                                       "as q -> 1 (6.9e-11 at 1 + a = 1e-12)")
+def test_force_keeps_its_digits_at_the_band_edge():
+    sys_ = fig_system(J=(1 - 1e-12) / 2)
+    with mp.workdps(60):
+        exact = -(closed_form_60_digits(sys_, 2) - closed_form_60_digits(sys_, 1))
+    assert ecp_force(sys_, 1) == pytest.approx(float(exact), rel=1e-12, abs=0.0)

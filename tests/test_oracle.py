@@ -9,7 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_reference import dense_ground_energy, dense_hamiltonian, symmetric_hamiltonian
+from dense_reference import (
+    dense_ground_energy,
+    dense_hamiltonian,
+    scalar_ground_energy,
+    symmetric_hamiltonian,
+)
 from mpmath import mp
 from numpy.testing import assert_allclose
 
@@ -20,7 +25,7 @@ from chaincp.cli import ED_TOL
 from chaincp.cli import main as cli_main
 from chaincp.errors import ConvergenceError, InvalidRegime, NonConvergence
 from chaincp.lattice import SymmetricSystem, brillouin_modes, dispersion
-from chaincp.oracle import _ground_energy, cp_energy_ed, cp_energy_quadrature
+from chaincp.oracle import _ground_energies, cp_energy_ed, cp_energy_quadrature
 
 
 def fig_system(delta=-1.0, J=0.3, lam=0.01, N=200):
@@ -102,11 +107,37 @@ def test_secular_ground_energy_matches_dense_eigvalsh(J, lam):
     worst = 0.0
     for n in range(1, 51):
         sys_ = fig_system(J=J, lam=lam, N=n)
-        for r in range(1, n + 1):
+        seps = range(1, n + 1)
+        for r, x in zip(seps, _ground_energies(sys_, seps)):
             dense = dense_ground_energy(sys_, r)
             # the secular root is an offset from the bare level
-            worst = max(worst, abs(sys_.eps0 + _ground_energy(sys_, r) - dense) / abs(dense))
+            worst = max(worst, abs(sys_.eps0 + x - dense) / abs(dense))
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("sys_,seps", [
+    (fig_system(N=40), range(1, 11)), (fig_system(N=400), range(1, 21)),
+    (fig_system(N=20000), range(1, 21)),
+    # the EXIT_CODES edge systems: a huge eps0 and a tiny detuning
+    (SymmetricSystem(delta=-1.0, J=0.3, lam=1e-3, N=40, eps0=1e14), range(1, 11)),
+    (SymmetricSystem(delta=-1e-10, J=3e-11, lam=1e-13, N=40), range(1, 11)),
+    (fig_system(J=0.0, N=40), range(1, 11)), (fig_system(lam=0.0, N=40), range(1, 11)),
+    # R = 92, 95 and 99 end on the hi side of their last bracket
+    (fig_system(J=0.45, lam=0.1, N=400), range(90, 101)),
+], ids=["N=40", "N=400", "N=20000", "eps0=1e14", "delta=-1e-10", "J=0", "lam=0", "hi-end"])
+def test_batched_roots_are_the_scalar_bisection_bit_for_bit(sys_, seps):
+    seps = [*seps, sys_.N // 2]
+    batched = _ground_energies(sys_, seps)
+    scalar = [scalar_ground_energy(sys_, r) for r in seps]
+    assert [x.hex() for x in batched] == [x.hex() for x in scalar]
+
+
+@pytest.mark.parametrize("N", [400, 20000])
+def test_ed_blocks_of_one_row_give_the_same_floats(N, monkeypatch):
+    sys_ = fig_system(N=N)
+    default = cp_energy_ed(sys_, range(1, 11))
+    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 1)
+    assert cp_energy_ed(sys_, range(1, 11)) == default
 
 
 def test_ed_bracket_failure_is_a_convergence_error():
@@ -114,20 +145,20 @@ def test_ed_bracket_failure_is_a_convergence_error():
     # the solver's own bracket check
     sys_ = fig_system(N=40)
     object.__setattr__(sys_, "lam", math.nan)
-    with pytest.raises(ConvergenceError, match="does not change sign"):
+    with pytest.raises(ConvergenceError, match=r"does not change sign .* at R=1, N=40$"):
         cp_energy_ed(sys_, 1)
 
 
 def test_reference_energy_is_solved_once_per_call(monkeypatch):
     solved = []
 
-    def counting(sys_, r):
-        solved.append(r)
-        return _ground_energy(sys_, r)
+    def counting(sys_, seps):
+        solved.append(list(seps))
+        return _ground_energies(sys_, seps)
 
-    monkeypatch.setattr(oracle, "_ground_energy", counting)
+    monkeypatch.setattr(oracle, "_ground_energies", counting)
     cp_energy_ed(fig_system(N=48), range(1, 6))
-    assert solved == [24, 1, 2, 3, 4, 5]
+    assert solved == [[1, 2, 3, 4, 5, 24]]
 
 
 @pytest.mark.parametrize("N", [40, 400, 20000])
@@ -315,10 +346,33 @@ def test_quadrature_keeps_its_digits_at_tiny_hopping():
 
 
 def test_quadrature_sweep_names_the_separations_left_unconverged(monkeypatch):
-    # on a = -0.6 the 128-point grid settles R <= 18 only
+    # a 64-point grid agreeing with the 128-point one settles R <= 14 only:
+    # from R = 15 on, 64 points are not past 4R + 4
     monkeypatch.setattr(oracle, "MAX_POINTS", 128)
-    with pytest.raises(NonConvergence, match=r"at R=19, 20 without"):
+    with pytest.raises(NonConvergence, match=r"at R=15, 16, 17, 18, 19, 20 without"):
         cp_energy_quadrature(fig_system(J=0.3), range(1, 21))
+
+
+def test_quadrature_does_not_converge_on_an_alias():
+    # a = -0.4: the 64- and 128-point rules both fold R = 150 onto
+    # |150 - 128| = 22 and agree, on E_cp(22) instead of E_cp(150)
+    sys_ = fig_system(J=0.2, lam=0.05, N=1000)
+    assert cp_energy_quadrature(sys_, 150) == pytest.approx(cp_energy(sys_, 150), rel=1e-12)
+    seps = range(140, 161)
+    for r, value in zip(seps, cp_energy_quadrature(sys_, seps)):
+        assert value == pytest.approx(cp_energy(sys_, r), rel=1e-12)
+
+
+def test_oracle_check_far_separations_have_the_quadrature_ok(tmp_path):
+    # the ED column is still wrong this far out (its float64 difference
+    # cannot see E_cp ~ 1e-98), so the run exits 4 on the ed cells alone
+    out = tmp_path / "oracle.csv"
+    code = cli_main(["--mode", "oracle-check", "--delta=-1", "--J", "0.2", "--lambda", "0.05",
+                     "--N", "1000", "--rmin", "140", "--rmax", "160", "--output", str(out)])
+    assert code == 4
+    rows = table_rows(out)
+    assert len(rows) == 21
+    assert all(row["quad_ok"] == "1" for row in rows)
 
 
 def test_quadrature_rejects_ranges_it_cannot_sweep():
