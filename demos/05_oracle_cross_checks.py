@@ -5,7 +5,7 @@ The closed form is only trustworthy because two estimators with unrelated
 error budgets land on it: an arbitrary-precision momentum integral (the
 infinite-chain limit, exact to quadrature tolerance) and the exact ground
 energy of the full single-electron problem, the root of a secular equation
-on the finite ring (finite chain, exact in the coupling).  The integral is
+on the finite ring in real space (finite chain, exact in the coupling).  The integral is
 a brutal cancellation at large R, nine orders between integrand scale and
 answer by R = 20, which is why it runs in extended precision rather than
 float64.
@@ -30,10 +30,10 @@ def main():
         print(row)
 
     print("\nquadrature agrees to ~1e-15 at every R; the secular equation")
-    print("carries its honest fourth-order systematics at the 1e-3 level.  The")
-    print("quadrature shares no algebra with the closed form; the secular equation")
-    print("borrows only its additive reference E_cp(N // 2) = {:.1e}.".format(
-        cp_energy(sys_, sys_.N // 2)))
+    print("carries its honest fourth-order systematics at the 1e-3 level.  Neither")
+    print("shares algebra with the closed form: the quadrature works in momentum")
+    print("space, the secular equation in real space, solving for the shift of")
+    print("the even level from the single-impurity level directly.")
 
 
 if __name__ == "__main__":

@@ -5,11 +5,12 @@ electrons; to second order in the tunnelling this splits the impurity
 doublet and produces an attractive, exponentially decaying force between
 the attachment sites.  The package evaluates the closed forms for this
 interaction, checks them against the exact ground energy of the finite
-ring (a secular-equation root) and an arbitrary-precision momentum
-integral, and extends them to finite temperature.
+ring (from its Green's function in real space) and an arbitrary-precision
+momentum integral, and extends them to finite temperature.
 
 numpy and mpmath load on the first call that needs them, never on
-``import chaincp``: the closed forms and their CLI modes use neither.
+``import chaincp``.  The closed forms use neither and both oracles no
+numpy, so ``thermal-sweep`` and ``dispersion-dump`` are the CLI modes that load it.
 """
 
 from . import casimir, errors, lattice, oracle, perturbation, thermal

@@ -12,6 +12,8 @@ constant is 1, so impurity separations are positive integers.
 from __future__ import annotations
 
 import math
+import operator
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BandEdgeError, RegimeViolation
@@ -177,6 +179,37 @@ def _separations(R: int | range, lower: int = 1, upper: int | None = None) -> ra
     if upper is not None and R[-1] > upper:
         raise ValueError(f"separation must satisfy {lower} <= R <= {upper}, got R={R[-1]}")
     return R
+
+
+def _ring_ratios(sys: SymmetricSystem, x: float) -> list[float]:
+    """``[g_0, c_1, .., c_N]`` of the ring's Green's function ``g_n = -G_0n(eps0 + x)``.
+
+    Below the band ``d = -(x + delta) > 2 J``, ``d g_n - J (g_{n-1} + g_{n+1})
+    = [n = 0]`` and, by mirror symmetry, ``g_{N+1} = g_N``.  Eliminating from
+    there gives the minimal solution (Gautschi, SIAM Rev. 9:24, 1967): ratios
+    ``c_n = g_n / g_{n-1}`` with ``c_N = J / (d - J)``, ``c_n = J / (d - J
+    c_{n+1})``, and ``g_0 = 1 / (d - 2 J c_1)``.  Every ``c_n`` is in ``[0,
+    1)``, so no step cancels; they fall towards the bulk decay ratio ``c_1``,
+    and once one repeats every lower one equals it.
+    """
+    d = -(x + sys.delta)
+    J = sys.J
+    ratios = [0.0] * (sys.N + 1)
+    c = ratios[sys.N] = J / (d - J)
+    for n in range(sys.N - 1, 0, -1):
+        nxt = J / (d - J * c)
+        if nxt == c:
+            ratios[1:n + 1] = [c] * n
+            break
+        c = ratios[n] = nxt
+    ratios[0] = 1.0 / (d - 2.0 * J * ratios[1])
+    return ratios
+
+
+def _ring_column(sys: SymmetricSystem, x: float) -> list[float]:
+    """``g_n = c_n g_{n-1}`` for ``n = 0 .. N``, from :func:`_ring_ratios`; the two
+    are the package's only evaluation of the ring's Green's function."""
+    return list(accumulate(_ring_ratios(sys, x), operator.mul))
 
 
 def dispersion(sys: SymmetricSystem, k) -> np.ndarray | float:

@@ -1,8 +1,8 @@
-"""Independent checks: a secular equation on the finite ring, and mpmath quadrature.
+"""Independent checks: the finite ring's resolvent in real space, and mpmath quadrature.
 
-Nothing here reuses the closed forms but the ED oracle's reference constant
-``E_cp(N // 2)`` (see :func:`cp_energy_ed`): the two estimates' error budgets
-are unrelated, so their agreement is evidence rather than tautology.
+Nothing here shares algebra with the closed forms, which work through
+``q``: the ED works in real space, the quadrature in momentum space.  The
+error budgets are unrelated, so agreement is evidence rather than tautology.
 
 * :func:`cp_energy_ed` takes the exact ground energy of the single-electron
   Hamiltonian on the ring of ``M = 2N + 1`` sites.  The impurities touch the
@@ -11,16 +11,14 @@ are unrelated, so their agreement is evidence rather than tautology.
 
   .. math::
 
-      f(x) = x - \\frac{\\lambda^2}{M}
-             \\sum_k \\frac{1 + \\cos kR}{x + \\delta + 2 J \\cos k} = 0
+      x = -\\lambda^2 \\left(g_0(x) + g_R(x)\\right)
 
-  over the ``M`` ring modes: a finite sum, exact in the coupling and in
-  ``N``, with no dense matrix.  It is solved for the offset ``x = E - eps0``
-  from the bare level, and the band enters as the offsets
-  ``Omega_k - eps0 = -(delta + 2 J cos k)``, so no digit of the root depends
-  on where zero is.  The roots of one call are bisected together.  Its
-  systematic errors are fourth order in the coupling plus a ring-image
-  term, both of which it knows how to estimate.
+  for the offset ``x = E - eps0``, with ``g_n(x) = -G_0n(eps0 + x)`` the
+  ring's Green's function (``lattice._ring_column``): exact in the coupling
+  and in ``N``, with no dense matrix and no mode sum.  Every ``g_n > 0``, so
+  the odd level (``g_0 - g_R``) lies above this one.  The interaction is the
+  shift ``D = x(R) - x1`` from the single-impurity level ``x1``, solved for
+  directly, so it keeps its digits however small it is.
 * :func:`cp_energy_quadrature` evaluates the ``N -> inf`` momentum integral
 
   .. math::
@@ -45,11 +43,11 @@ are unrelated, so their agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 
-from .casimir import cp_energy
 from .errors import ConvergenceError, InvalidRegime, NonConvergence
-from .lattice import SymmetricSystem, _band_offsets, _separations, brillouin_modes
+from .lattice import SymmetricSystem, _ring_column, _ring_ratios, _separations
 
 __all__ = [
     "cp_energy_ed",
@@ -63,107 +61,72 @@ REFINEMENT_TOL = 1e-13
 #: :class:`~chaincp.errors.NonConvergence`.
 MAX_POINTS = 2 ** 22
 
-#: Separations times ring modes the ED bisects in one block (8 MB a buffer).
-BLOCK_ELEMENTS = 2 ** 20
+#: Fixed-point steps per ED level; more raise :class:`~chaincp.errors.ConvergenceError`.
+MAX_STEPS = 200
 
 
-def _ground_energies(sys: SymmetricSystem, seps: list[int] | range) -> list[float]:
-    """Lowest eigenvalue of the ring plus both impurities, at each separation
-    of ``seps``, as its offset ``x = E0 - eps0`` from the bare level.
+def _fixed_point(update, x: float, where: str) -> float:
+    """Iterate ``x = update(x)`` while the step strictly shrinks.
 
-    Each is the root of the even-channel secular equation ``f`` (see the
-    module docstring).  Below the band every term of the mode sum is
-    negative, so ``f`` rises strictly there, and it has exactly one root
-    below the band; the odd channel's root lies above it, because the ring
-    propagator between sites 0 and ``R`` is negative below the band.  The
-    root lies in ``[-2|lam|, 0]``: ``f(0) >= 0`` term by term, and the weights
-    ``(1 + cos kR) / M`` sum to 1, so at ``-2|lam|`` the sum term is at most
-    ``|lam| / 2``.  Bisection runs down to adjacent floats and returns the end
-    with the smaller residual.
-
-    One row per separation, all bisected together; each row follows the
-    scalar rule step for step, and a contiguous row sum is the pairwise sum
-    of a 1-D ``np.sum``, so each root has a scalar bisection's bits.
-
-    Raises
-    ------
-    ConvergenceError
-        If ``f`` does not change sign across that bracket.
+    Returns once a step is zero or no smaller than the last: a contraction's
+    steps shrink until rounding, where iterates settle or alternate between
+    two floats.  A non-finite iterate, or :data:`MAX_STEPS` steps, raise
+    :class:`~chaincp.errors.ConvergenceError`.
     """
-    import numpy as np
+    last = math.inf
+    for _ in range(MAX_STEPS):
+        new = update(x)
+        if not math.isfinite(new):
+            raise ConvergenceError(f"ED fixed point reached {new!r} at {where}")
+        step = abs(new - x)
+        x = new
+        if step == 0.0 or step >= last:
+            return x
+        last = step
+    raise ConvergenceError(f"ED fixed point did not settle in {MAX_STEPS} steps at {where}")
 
-    modes = brillouin_modes(sys)
-    band = _band_offsets(sys, modes)
-    rows = max(1, BLOCK_ELEMENTS // len(modes))
-    roots: list[float] = []
-    for start in range(0, len(seps), rows):
-        # lam^2 (1 + cos(R k)) / M in place, rounded as the scalar form is
-        weights = np.multiply.outer(np.array(seps[start:start + rows], dtype=float), modes)
-        np.cos(weights, out=weights)
-        weights += 1.0
-        weights *= sys.lam ** 2
-        weights /= sys.num_sites
-        buf = np.empty_like(weights)
-        n_rows = len(weights)
-        sums = np.empty(n_rows)
 
-        def secular(x):
-            np.subtract(x[:, None], band, out=buf)
-            np.divide(weights, buf, out=buf)
-            np.sum(buf, axis=1, out=sums)
-            return x - sums
+def _impurity_level(sys: SymmetricSystem) -> tuple[float, list[float]]:
+    """One impurity's level ``x1 = -lam^2 g_0(x1)``, with the ring column at ``x1``."""
+    lam_sq = sys.lam ** 2
+    x1 = _fixed_point(lambda x: -lam_sq * _ring_ratios(sys, x)[0], 0.0,
+                      f"the single-impurity level, N={sys.N}")
+    return x1, _ring_column(sys, x1)
 
-        lo = np.full(n_rows, -2.0 * abs(sys.lam))
-        hi = np.zeros(n_rows)
-        f_lo, f_hi = secular(lo), secular(hi)
-        bad = ~((f_lo <= 0.0) & (0.0 <= f_hi))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ConvergenceError(
-                f"secular equation does not change sign on [{lo[i].item()!r}, "
-                f"{hi[i].item()!r}] (f = {f_lo[i].item()!r}, {f_hi[i].item()!r}) "
-                f"at R={seps[start + i]}, N={sys.N}"
-            )
-        mid = np.empty(n_rows)
-        while True:
-            np.add(lo, hi, out=mid)
-            mid *= 0.5
-            active = (lo < mid) & (mid < hi)
-            if not active.any():
-                break
-            f_mid = secular(mid)
-            down = f_mid <= 0.0
-            move_lo, move_hi = active & down, active & ~down
-            np.copyto(lo, mid, where=move_lo)
-            np.copyto(f_lo, f_mid, where=move_lo)
-            np.copyto(hi, mid, where=move_hi)
-            np.copyto(f_hi, f_mid, where=move_hi)
-        roots += np.where(-f_lo <= f_hi, lo, hi).tolist()
-    return roots
+
+def _even_shift(sys: SymmetricSystem, x1: float, column: list[float], R: int) -> float:
+    """Shift ``D = x(R) - x1`` of the even level at separation ``1 <= R <= N``.
+
+    ``column`` is the ring column at ``x1``.  Subtracting ``x1`` from the
+    secular equation, by the resolvent identity, leaves ``D (1 + lam^2 S) =
+    -lam^2 g_R(x1 + D)`` with ``S = g_0 g_0' + 2 sum_{n >= 1} g_n g_n'``,
+    unprimed factors at ``x1`` and primed ones at ``x1 + D``: only positive
+    terms, so nothing cancels.  The fixed point starts at ``-lam^2 g_R(x1)``.
+    """
+    lam_sq = sys.lam ** 2
+
+    def update(shift: float) -> float:
+        moved = _ring_column(sys, x1 + shift)
+        s = 2.0 * sum(map(operator.mul, column, moved)) - column[0] * moved[0]
+        return -lam_sq * moved[R] / (1.0 + lam_sq * s)
+
+    return _fixed_point(update, -lam_sq * column[R], f"R={R}, N={sys.N}")
 
 
 def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, ...]:
     """Interaction energy at separation ``R`` from the exact ground energy.
 
-    The ground energy is the root of the secular equation on the finite ring
-    (see the module docstring), exact in the coupling, solved as its offset
-    ``x = E0 - eps0`` from the bare level.  The offset still contains the
-    separation-independent single-impurity shift, so the estimate is the
-    difference against a far-apart reference where the interaction has died
-    off:
+    The ground energy is the even root ``x(R)`` of the secular equation on
+    the finite ring (see the module docstring), exact in the coupling.  The
+    estimate is its shift ``x(R) - x1`` from one impurity's level on the same
+    ring, solved for as such, not as a difference of two levels: an
+    interaction far below an ulp of the level keeps its digits.
 
-    ``x(R) - x(r_ref) + E_cp(r_ref)``
-
-    with ``r_ref = N // 2``.  The closed-form remainder ``E_cp(r_ref)`` is
-    4.7e-100 at ``N = 400`` but -3.6e-14 at ``N = 40``, 1.7e-5 of
-    ``E_cp(10)``, so on short rings the estimate still leans on the closed
-    form (ROADMAP item 2).  Cancelling the reference this way also removes
-    the separation-independent fourth-order shift.  Every ``x(R)`` and
-    ``x(r_ref)`` are bisected together, once per call, bit for bit as alone.
-
-    Residual systematics are fourth order in ``lam / gap`` plus the ring
-    image at separation ``2N + 1 - 2R``; a ``UserWarning`` fires when their
-    estimate exceeds 5%.  The image bound is why ``R`` is capped at ``N // 4``.
+    It differs from the second-order closed form by the fourth-order
+    coupling ``(lam / gap)^2``, the ring image ``q^(2N + 1 - 2R)`` (hence
+    ``R <= N // 4``) and the rate shift ``R ln(q(0) / q(x1))``, as the ring's
+    decay ratio ``q(x) = g_1 / g_0`` moves with the level.  A ``UserWarning``
+    fires when their sum exceeds 5%.
 
     Parameters
     ----------
@@ -179,21 +142,23 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
     """
     n_half = sys.N
     seps = _separations(R, upper=n_half // 4)
-    r_ref = n_half // 2
+    x1, column = _impurity_level(sys)
+    # the ring's decay ratio c_1 at the bare level and at x1
+    q0, q1 = (_ring_ratios(sys, x)[1] for x in (0.0, x1))
+    # a flat band, or a ratio that underflows, has no decay rate to shift
+    rate = math.log(q0 / q1) if q1 else 0.0
 
+    values = []
     for r in seps:
-        systematic = (sys.lam / sys.gap) ** 2 + sys.q ** (2 * n_half + 1 - 2 * r)
+        systematic = (sys.lam / sys.gap) ** 2 + q0 ** (2 * n_half + 1 - 2 * r) + r * rate
         if systematic > 0.05:
             warnings.warn(
                 f"ED estimate carries ~{systematic:.1%} systematic error "
-                f"(fourth-order coupling and ring image) at R={r}, N={n_half}",
+                f"(fourth-order coupling, ring image and rate shift) at R={r}, N={n_half}",
                 stacklevel=2,
             )
-
-    *energies, reference = _ground_energies(sys, [*seps, r_ref])
-    remainder = cp_energy(sys, r_ref)
-    values = tuple(x - reference + remainder for x in energies)
-    return values if isinstance(R, range) else values[0]
+        values.append(_even_shift(sys, x1, column, r))
+    return tuple(values) if isinstance(R, range) else values[0]
 
 
 def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[float, ...]:

@@ -19,8 +19,9 @@ the band parameter ``a = 2J/delta``:
     \\qquad
     q = \\frac{\\sqrt{1 - a^2} - 1}{a} \\in [0, 1).
 
-Every function returns levels measured from ``eps0``.  All finite sums run
-over the ``2N + 1`` ring modes and are accumulated with exact summation.
+Every function returns levels measured from ``eps0``.  On the finite ring
+the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R``, the ring's
+Green's function at ``eps0``; the band back-action is one term per mode.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .lattice import SymmetricSystem, _band_offsets, _separations, brillouin_modes
+from .lattice import SymmetricSystem, _band_offsets, _ring_column, _separations, brillouin_modes
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,23 +48,21 @@ def band_energies(sys: SymmetricSystem) -> np.ndarray:
 
 
 def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]:
-    """Doublet levels ``(E_plus, E_minus)`` from ``eps0``, as mode sums, at ``1 <= R <= N``.
+    """Doublet levels ``(E_plus, E_minus)`` from ``eps0`` on the finite ring, at ``1 <= R <= N``.
 
     The doublet follows from diagonalising the effective two-level problem;
     since the levels are identical the eigenvectors are the even and odd
-    combinations and the splitting is twice the mediated hopping.  This is
-    the finite-``N`` reference that the closed forms approximate; the band
-    it shifts is :func:`band_energies`.
+    combinations and the splitting is twice the mediated hopping.  The mode
+    sums for the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R``,
+    read off one column ``g_n = -G_0n`` of the ring's Green's function
+    (``lattice._ring_column``), to full relative precision at every ``R``.
+    This is the finite-``N`` reference that the closed forms approximate;
+    the band it shifts is :func:`band_energies`.
     """
-    import numpy as np
-
     _separations(R, upper=sys.N)
-    modes = brillouin_modes(sys)
-    # The odd-in-k part of exp(-ikR) sums to zero because the modes come in
-    # +-k pairs, so only the cosine survives.
-    common = -(sys.lam ** 2 / sys.num_sites) / _band_offsets(sys, modes)
-    cos_r = np.cos(modes * R)
-    return math.fsum(common * (1.0 + cos_r)), math.fsum(common * (1.0 - cos_r))
+    g = _ring_column(sys, 0.0)
+    lam_sq = sys.lam ** 2
+    return -lam_sq * (g[0] + g[R]), -lam_sq * (g[0] - g[R])
 
 
 def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, float]:

@@ -2,7 +2,8 @@
 
 Building the full ``(2N + 3)``-square matrix and diagonalising it with numpy
 is O(N^3) and needs O(N^2) memory, so it lives here, in the tests, for small
-chains only.  A scalar bisection of the secular equation lives here too.
+chains only.  A bisection of the secular equation summed over the ring
+modes, in momentum space, lives here too.
 """
 
 import numpy as np
@@ -51,9 +52,10 @@ def scalar_ground_energy(sys: SymmetricSystem, R: int) -> float:
     """The secular root at one separation, as the offset ``x = E0 - eps0``,
     by a scalar bisection.
 
-    The reference the oracle's batched bisection is held to, bit for bit:
-    the same secular function, bracket ``[-2|lam|, 0]``, midpoint, stop
-    rule and choice of the end with the smaller residual.
+    The secular function sums over the ``2N + 1`` ring modes, a momentum
+    space route to the level the oracle finds in real space.  Its root lies
+    in ``[-2|lam|, 0]``; bisection runs down to adjacent floats and returns
+    the end with the smaller residual.
     """
     modes = brillouin_modes(sys)
     band = _band_offsets(sys, modes)

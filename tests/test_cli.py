@@ -418,14 +418,13 @@ def _numpy_loaded(argv, tmp_path) -> bool:
     return loaded == "True"
 
 
-def test_closed_form_modes_never_load_numpy(tmp_path):
+def test_closed_form_and_oracle_modes_never_load_numpy(tmp_path):
     for argv in (["--preset", "fig2"], ["--preset", "fig3"], ["--preset", "fig4"],
-                 ["--mode", "hopping-sweep"], ["--mode", "detuning-sweep"]):
-        assert not _numpy_loaded(argv, tmp_path), argv
-    # the guard is not vacuous: array modes do load it
-    for argv in (["--preset", "fig5", "--n-values", "20"],
+                 ["--mode", "hopping-sweep"], ["--mode", "detuning-sweep"],
                  ["--mode", "oracle-check", "--N", "40", "--rmax", "2"]):
-        assert _numpy_loaded(argv, tmp_path), argv
+        assert not _numpy_loaded(argv, tmp_path), argv
+    # the guard is not vacuous: the thermal mode's arrays do load it
+    assert _numpy_loaded(["--preset", "fig5", "--n-values", "20"], tmp_path)
 
 
 def _hex(points):

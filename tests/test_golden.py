@@ -55,8 +55,8 @@ EXIT_CODES = [
     ("hopping-sweep --jmin inf", 2),
     ("detuning-sweep --dmin=-1e308 --dmax 1e308", 2),
     ("thermal-sweep --delta=-inf --N 5 --rmax 2", 2),
-    # the ED secular equation runs in offsets from eps0: neither its bracket
-    # nor its digits depend on where zero is
+    # the ED secular equation runs in offsets from eps0: none of its digits
+    # depend on where zero is
     ("oracle-check --N 40 --lambda 1e-3 --eps0 1e14", 0),
     ("oracle-check --delta=-1e-10 --J 3e-11 --lambda 1e-13 --rmax 3 --N 40", 0),
     # the gap and the band-edge rule are offsets from eps0 too: a detuning far
@@ -64,6 +64,11 @@ EXIT_CODES = [
     ("force-sweep --delta=-1e-17 --J 3e-18 --lambda 1e-19 --rmax 3", 0),
     ("thermal-sweep --delta=-1e-17 --J 3e-18 --lambda 1e-19 --N 20 --rmax 3", 0),
     ("oracle-check --eps0 1e16 --N 40 --rmax 3", 0),
+    # the ED solves for the shift itself, so E_cp ~ 1e-54 keeps its digits
+    ("oracle-check --J 1e-5 --N 40 --rmax 10", 0),
+    # the exact finite-ring shift keeps the coupling's shift of the decay rate,
+    # 34% at R = 140, which the second-order closed form drops
+    ("oracle-check --delta=-1 --J 0.2 --lambda 0.05 --N 1000 --rmin 140 --rmax 160", 4),
 ]
 
 
@@ -99,7 +104,10 @@ def test_the_round_trip_table_differs_only_in_its_six_unrounded_rows():
 def test_the_absolute_energy_table_differs_only_in_its_ed_cells():
     # oracle-check.csv as computed when the ED differenced absolute ground
     # energies of order eps0 = 1: each ed cell carried ~1e-16 of absolute
-    # rounding, up to 1e-7 of E_cp(10) ~ 2e-9 (the largest move is 9.9e-9)
+    # rounding, up to 1e-7 of E_cp(10) ~ 2e-9.  The ED now solves for the
+    # shift from the single-impurity level itself; the old cells also carried
+    # the closed form's error at their reference R = N // 2, ~1.3e-16, so the
+    # largest move is 6.0e-8, at R = 10
     old, new = ((GOLDEN / name).read_text(encoding="ascii").splitlines()
                 for name in ("oracle-check-absolute.csv", "oracle-check.csv"))
     assert len(old) == len(new)

@@ -1,7 +1,9 @@
 import ast
 import copy
 import importlib
+import itertools
 import math
+import operator
 import pickle
 import pkgutil
 import tokenize
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp
 from numpy.testing import assert_allclose
 
 import chaincp
@@ -16,6 +19,7 @@ from chaincp.casimir import force_curve
 from chaincp.errors import BandEdgeError, RegimeViolation
 from chaincp.lattice import (
     SymmetricSystem,
+    _ring_column,
     _separations,
     brillouin_modes,
     dispersion,
@@ -103,6 +107,37 @@ def test_a_wrapped_post_init_sees_every_construction(monkeypatch):
     with pytest.raises(BandEdgeError):
         SymmetricSystem(delta=-0.5, J=0.3, lam=0.01, N=40)
     assert builds == [10, 20, 30, 30, 40]
+
+
+@pytest.mark.parametrize("J,N,x,dps", [(0.3, 100, 0.0, 80), (0.3, 100, -1e-4, 80),
+                                        (0.495, 60, 0.0, 60), (1e-5, 40, 0.0, 240)],
+                         ids=["a=-0.6", "below-the-level", "a=-0.99", "J=1e-5"])
+def test_ring_column_matches_high_precision_mode_sums(J, N, x, dps):
+    # g_n = -(1/M) sum_k cos(kn) / (x + delta + 2J cos k), summed in momentum
+    # space with enough digits for the q^n that cancel (g_40 ~ 1e-200 at J = 1e-5)
+    sys_ = SymmetricSystem(delta=-1.0, J=J, lam=0.01, N=N)
+    column = _ring_column(sys_, x)
+    m = sys_.num_sites
+    with mp.workdps(dps):
+        cosines = [mp.cos(2 * mp.pi * j / m) for j in range(m)]
+        inverse = [1 / (mp.mpf(x) + sys_.delta + 2 * J * c) for c in cosines]
+        for n, value in enumerate(column):
+            exact = -mp.fsum(cosines[j * n % m] * inverse[j] for j in range(m)) / m
+            assert abs(value - exact) <= 2e-14 * abs(exact), n
+
+
+@pytest.mark.parametrize("J,N", [(0.3, 400), (0.499, 400), (1e-5, 40), (0.0, 5), (0.3, 1)])
+def test_ring_column_early_exit_gives_the_floats_of_the_full_elimination(J, N):
+    # once a ratio repeats, every lower one is the same float: filling them in
+    # must give what eliminating site by site gives
+    sys_ = SymmetricSystem(delta=-1.0, J=J, lam=0.01, N=N)
+    d = -(-1e-4 + sys_.delta)
+    ratios = [0.0] * (N + 1)
+    ratios[N] = J / (d - J)
+    for n in range(N - 1, 0, -1):
+        ratios[n] = J / (d - J * ratios[n + 1])
+    ratios[0] = 1.0 / (d - 2.0 * J * ratios[1])
+    assert _ring_column(sys_, -1e-4) == list(itertools.accumulate(ratios, operator.mul))
 
 
 def test_brillouin_modes_cover_the_zone():

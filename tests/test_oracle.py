@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from chaincp.cli import ED_TOL
 from chaincp.cli import main as cli_main
 from chaincp.errors import ConvergenceError, InvalidRegime, NonConvergence
 from chaincp.lattice import SymmetricSystem, brillouin_modes, dispersion
-from chaincp.oracle import _ground_energies, cp_energy_ed, cp_energy_quadrature
+from chaincp.oracle import _even_shift, _impurity_level, cp_energy_ed, cp_energy_quadrature
 
 
 def fig_system(delta=-1.0, J=0.3, lam=0.01, N=200):
@@ -107,58 +108,110 @@ def test_secular_ground_energy_matches_dense_eigvalsh(J, lam):
     worst = 0.0
     for n in range(1, 51):
         sys_ = fig_system(J=J, lam=lam, N=n)
-        seps = range(1, n + 1)
-        for r, x in zip(seps, _ground_energies(sys_, seps)):
+        x1, column = _impurity_level(sys_)
+        for r in range(1, n + 1):
             dense = dense_ground_energy(sys_, r)
-            # the secular root is an offset from the bare level
-            worst = max(worst, abs(sys_.eps0 + x - dense) / abs(dense))
+            # the ground level is the single-impurity level plus the even shift,
+            # both offsets from the bare level
+            ground = sys_.eps0 + x1 + _even_shift(sys_, x1, column, r)
+            worst = max(worst, abs(ground - dense) / abs(dense))
     assert worst <= 1e-14
 
 
-@pytest.mark.parametrize("sys_,seps", [
-    (fig_system(N=40), range(1, 11)), (fig_system(N=400), range(1, 21)),
-    (fig_system(N=20000), range(1, 21)),
-    # the EXIT_CODES edge systems: a huge eps0 and a tiny detuning
-    (SymmetricSystem(delta=-1.0, J=0.3, lam=1e-3, N=40, eps0=1e14), range(1, 11)),
-    (SymmetricSystem(delta=-1e-10, J=3e-11, lam=1e-13, N=40), range(1, 11)),
-    (fig_system(J=0.0, N=40), range(1, 11)), (fig_system(lam=0.0, N=40), range(1, 11)),
-    # R = 92, 95 and 99 end on the hi side of their last bracket
-    (fig_system(J=0.45, lam=0.1, N=400), range(90, 101)),
-], ids=["N=40", "N=400", "N=20000", "eps0=1e14", "delta=-1e-10", "J=0", "lam=0", "hi-end"])
-def test_batched_roots_are_the_scalar_bisection_bit_for_bit(sys_, seps):
-    seps = [*seps, sys_.N // 2]
-    batched = _ground_energies(sys_, seps)
-    scalar = [scalar_ground_energy(sys_, r) for r in seps]
-    assert [x.hex() for x in batched] == [x.hex() for x in scalar]
+@pytest.mark.parametrize("sys_", [fig_system(N=400), fig_system(J=0.499, lam=0.001, N=400)],
+                         ids=["a=-0.6", "a=-0.998"])
+def test_real_space_level_matches_the_mode_sum_bisection(sys_):
+    # the ring column in real space against the secular equation summed over
+    # the 801 ring modes in momentum space, bisected down to adjacent floats
+    x1, column = _impurity_level(sys_)
+    for r in range(1, 101):
+        ground = x1 + _even_shift(sys_, x1, column, r)
+        assert ground == pytest.approx(scalar_ground_energy(sys_, r), rel=1e-14)
 
 
-@pytest.mark.parametrize("N", [400, 20000])
-def test_ed_blocks_of_one_row_give_the_same_floats(N, monkeypatch):
-    sys_ = fig_system(N=N)
-    default = cp_energy_ed(sys_, range(1, 11))
-    monkeypatch.setattr(oracle, "BLOCK_ELEMENTS", 1)
-    assert cp_energy_ed(sys_, range(1, 11)) == default
+def mp_secular_shifts(sys_, seps):
+    """``x(R) - x1`` at 50 digits, each level a secant root of its mode-sum secular equation.
+
+    The secant starts at the dense matrix's lowest eigenvalue; the single
+    level ``x1`` is that of a matrix whose second impurity is decoupled.
+    """
+    with mp.workdps(50):
+        m = sys_.num_sites
+        lam_sq = mp.mpf(sys_.lam) ** 2
+        cosines = [mp.cos(2 * mp.pi * n / m) for n in range(-sys_.N, sys_.N + 1)]
+
+        def level(weights, dense):
+            def secular(x):
+                return x - lam_sq / m * mp.fsum(
+                    w / (x + sys_.delta + 2 * sys_.J * c) for w, c in zip(weights, cosines))
+            seed = mp.mpf(dense - sys_.eps0)
+            return mp.findroot(secular, (seed, seed * (1 + mp.mpf("1e-9"))))
+
+        single = np.linalg.eigvalsh(dense_hamiltonian(sys_, sys_.eps0, sys_.eps0,
+                                                      sys_.lam, 0.0, 1))[0]
+        x1 = level([1] * m, single)
+        shifts = []
+        for r in seps:
+            weights = [1 + mp.cos(2 * mp.pi * n * r / m) for n in range(-sys_.N, sys_.N + 1)]
+            shifts.append(float(level(weights, dense_ground_energy(sys_, r)) - x1))
+    return shifts
 
 
-def test_ed_bracket_failure_is_a_convergence_error():
+@pytest.mark.parametrize("J,lam", [(0.3, 0.01), (0.45, 0.1)])
+def test_ed_matches_fifty_digit_secular_roots(J, lam):
+    sys_ = fig_system(J=J, lam=lam, N=40)
+    seps = range(1, 11)
+    with warnings.catch_warnings():
+        # lam / gap = 1 at J = 0.45: the systematic warning is about the closed form
+        warnings.simplefilter("ignore", UserWarning)
+        values = cp_energy_ed(sys_, seps)
+    for value, exact in zip(values, mp_secular_shifts(sys_, seps)):
+        assert value == pytest.approx(exact, rel=1e-13)
+
+
+def test_ed_fixed_point_that_alternates_between_two_floats_returns(monkeypatch):
+    # at a = -0.998 the shift at R = 45 ends alternating between two floats
+    # 1.8e-19 (2e-13 of the shift) apart: a step that no longer shrinks ends it
+    iterates = []
+    real_fixed_point = oracle._fixed_point
+
+    def recording(update, x, where):
+        return real_fixed_point(lambda y: iterates.append(update(y)) or iterates[-1], x, where)
+
+    monkeypatch.setattr(oracle, "_fixed_point", recording)
+    sys_ = fig_system(J=0.499, lam=0.001, N=400)
+    x1, column = _impurity_level(sys_)
+    iterates.clear()
+    value = _even_shift(sys_, x1, column, 45)
+    assert iterates[-1] == iterates[-3] != iterates[-2]
+    assert math.isfinite(value)
+    assert value == pytest.approx(cp_energy(sys_, 45), rel=0.05)
+
+
+def test_ed_non_finite_iterate_is_a_convergence_error(monkeypatch):
     # the constructor refuses a NaN coupling, so plant one past it to reach
-    # the solver's own bracket check
+    # the fixed point's own check
     sys_ = fig_system(N=40)
     object.__setattr__(sys_, "lam", math.nan)
-    with pytest.raises(ConvergenceError, match=r"does not change sign .* at R=1, N=40$"):
+    with pytest.raises(ConvergenceError, match=r"reached nan at the single-impurity level, N=40$"):
         cp_energy_ed(sys_, 1)
+    # a ring column poisoned past site 2 spoils every shift but not the level
+    real_column = oracle._ring_column
+
+    def poisoned(sys_, x):
+        column = real_column(sys_, x)
+        column[3] = math.nan
+        return column
+
+    monkeypatch.setattr(oracle, "_ring_column", poisoned)
+    with pytest.raises(ConvergenceError, match=r"reached nan at R=1, N=40$"):
+        cp_energy_ed(fig_system(N=40), range(1, 3))
 
 
-def test_reference_energy_is_solved_once_per_call(monkeypatch):
-    solved = []
-
-    def counting(sys_, seps):
-        solved.append(list(seps))
-        return _ground_energies(sys_, seps)
-
-    monkeypatch.setattr(oracle, "_ground_energies", counting)
-    cp_energy_ed(fig_system(N=48), range(1, 6))
-    assert solved == [[1, 2, 3, 4, 5, 24]]
+def test_ed_step_cap_is_a_convergence_error(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_STEPS", 2)
+    with pytest.raises(ConvergenceError, match=r"did not settle in 2 steps"):
+        cp_energy_ed(fig_system(N=40), 1)
 
 
 @pytest.mark.parametrize("N", [40, 400, 20000])
@@ -364,15 +417,20 @@ def test_quadrature_does_not_converge_on_an_alias():
 
 
 def test_oracle_check_far_separations_have_the_quadrature_ok(tmp_path):
-    # the ED column is still wrong this far out (its float64 difference
-    # cannot see E_cp ~ 1e-98), so the run exits 4 on the ed cells alone
+    # the run exits 4 on its ed cells alone, and they are right: the level
+    # sits at x1, not 0, which shifts the decay rate by a fourth-order
+    # amount the closed form drops, exp(-140 * 0.00297) = 0.66 at R = 140
     out = tmp_path / "oracle.csv"
-    code = cli_main(["--mode", "oracle-check", "--delta=-1", "--J", "0.2", "--lambda", "0.05",
-                     "--N", "1000", "--rmin", "140", "--rmax", "160", "--output", str(out)])
+    with pytest.warns(UserWarning, match="rate shift") as caught:
+        code = cli_main(["--mode", "oracle-check", "--delta=-1", "--J", "0.2", "--lambda",
+                         "0.05", "--N", "1000", "--rmin", "140", "--rmax", "160",
+                         "--output", str(out)])
+    assert len(caught) == 21
     assert code == 4
     rows = table_rows(out)
     assert len(rows) == 21
     assert all(row["quad_ok"] == "1" for row in rows)
+    assert float(rows[0]["ed"]) / float(rows[0]["closed"]) == pytest.approx(0.66, abs=0.01)
 
 
 def test_quadrature_rejects_ranges_it_cannot_sweep():
@@ -400,31 +458,30 @@ def test_oracle_check_makes_at_most_five_trig_calls_per_node(monkeypatch, tmp_pa
 
 
 def test_oracle_check_at_tiny_hopping_finishes_with_the_quadrature_ok(tmp_path):
-    # E_cp of 1e-19 .. 1e-54 lies below the float64 difference the ED
-    # estimate is made of, so its column fails and the run exits 4, fast
+    # E_cp of 1e-19 .. 1e-54 lies far below an ulp of the level; the ED
+    # solves for the shift itself, so both columns pass, fast
     out = tmp_path / "oracle.csv"
     start = time.perf_counter()
     code = cli_main(["--mode", "oracle-check", "--J", "1e-5", "--N", "40", "--rmax", "10",
                      "--output", str(out)])
     assert time.perf_counter() - start < 5.0
-    assert code == 4
+    assert code == 0
     rows = table_rows(out)
     assert len(rows) == 10
-    assert all(row["quad_ok"] == "1" for row in rows)
-    assert any(row["ed_ok"] == "0" for row in rows)
+    assert all(row["quad_ok"] == row["ed_ok"] == "1" for row in rows)
 
 
 def test_oracle_check_survives_a_closed_form_that_underflows(tmp_path):
     # from R = 64 on, E_cp ~ 1e-4 * 1e-5**R is below the smallest subnormal:
-    # closed form and quadrature both give 0.0, which is a match, not a
-    # division by zero
+    # every estimate gives 0.0 there, which is a match, not a division by zero
     out = tmp_path / "oracle.csv"
     code = cli_main(["--mode", "oracle-check", "--J", "1e-5", "--N", "264", "--rmax", "66",
                      "--output", str(out)])
-    assert code == 4
+    assert code == 0
     rows = table_rows(out)
-    assert [float(row["closed"]) for row in rows[-3:]] == [0.0, 0.0, 0.0]
-    assert all(row["quad_ok"] == "1" for row in rows)
+    assert [float(row[key]) for row in rows[-3:] for key in ("closed", "quadrature", "ed")] == [
+        0.0] * 9
+    assert all(row["quad_ok"] == row["ed_ok"] == "1" for row in rows)
 
 
 def test_importing_the_package_leaves_mpmath_unloaded():
@@ -444,6 +501,19 @@ def test_importing_the_package_leaves_mpmath_unloaded():
     # records are NamedTuples and a slotted class, so dataclasses (with the
     # inspect it drags in) never loads
     assert proc.stdout.strip() == "[]"
+
+
+def test_oracle_imports_nothing_from_the_closed_forms():
+    # the oracles must share no algebra with what they check
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+            names.add(getattr(node, "module", None) or "")
+    parts = {part for name in names for part in name.split(".")}
+    assert "lattice" in parts
+    assert not parts & {"casimir", "perturbation"}
 
 
 def test_package_has_no_assert_statements():
