@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import chaincp.oracle
 from chaincp.casimir import cp_energy, ecp_force
-from chaincp.cli import _KEYS, PRESETS, ConfigError, _linspace, load_config, main
+from chaincp.cli import _KEYS, PRESETS, ConfigError, _flag, _linspace, load_config, main
 from chaincp.lattice import SymmetricSystem
 
 
@@ -148,6 +149,44 @@ def test_a_negative_value_after_a_space_reads_as_after_an_equals_sign(argv, pair
     joined = written([f"{flag}={value}" for flag, value in pairs])
     assert spaced == joined
     assert spaced[0] == code
+
+
+#: ``name -> (exit code, argv tails)``: every tail after ``--mode
+#: dispersion-dump --N 5`` writes the same stdout and exits with the code.
+ARGV_GRAMMAR = {
+    "prefix": (0, [["--lambda", "0.02", "-o", "-"], ["--lam", "0.02", "-o", "-"],
+                   ["--lam=0.02", "-o", "-"]]),
+    "output": (0, [["-o", "-"], ["-o-"], ["-o=-"], ["--output=-"], ["--out", "-"]]),
+    "last-wins": (0, [["--J", "0.2", "--J", "0.25", "-o", "-"], ["--J", "0.25", "-o", "-"]]),
+    "help": (0, [["-h"], ["--help"]]),
+    "ambiguous": (2, [["--d", "1"]]),
+    "no-value": (2, [["--J"]]),
+    "positional": (2, [["extra"]]),
+    "unknown-flag": (2, [["--bogus", "1"]]),
+    "unknown-preset": (2, [["--preset", "fig9"]]),
+    "unknown-mode": (2, [["--mode", "nope"]]),
+    "end-of-flags": (2, [["--", "-o", "-"]]),
+}
+
+
+@pytest.mark.parametrize("code,tails", ARGV_GRAMMAR.values(), ids=list(ARGV_GRAMMAR))
+def test_every_spelling_of_a_command_line_reads_alike(code, tails, tmp_path, monkeypatch, capsys):
+    # a table that missed stdout would land in the default output directory
+    monkeypatch.setenv("CHAINCP_OUTDIR", str(tmp_path))
+    written = []
+    for tail in tails:
+        status = run_cli(["--mode", "dispersion-dump", "--N", "5"] + tail)
+        written.append((status, capsys.readouterr().out))
+    assert written == [(code, written[0][1])] * len(tails)
+    assert not list(tmp_path.iterdir())
+    out = written[0][1]
+    if code == 2:
+        assert out == ""
+    elif tails[0][0] == "-h":
+        for flag in [_flag(key) for key in _KEYS] + ["--preset", "--config"]:
+            assert re.search(re.escape(flag) + r"(?![\w-])", out), flag
+    else:
+        assert out.startswith("# generator = chaincp")
 
 
 #: A detuning far below 1 in magnitude, where ``1 - (1 - delta)`` keeps only
