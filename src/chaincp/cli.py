@@ -13,11 +13,11 @@ outside the validity regime; 4 convergence or cross-check failures.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+import warnings
 from types import MappingProxyType
 
 from ._version import __version__
@@ -32,7 +32,7 @@ from .thermal import CANCEL_EPS, ThermalRow, _growth_violations, thermal_table
 OUTDIR_ENV = "CHAINCP_OUTDIR"
 
 #: oracle-check tolerances: quadrature must match the closed form to float
-#: accuracy, diagonalisation carries percent-level fourth-order systematics.
+#: accuracy, the real-space ED carries percent-level fourth-order systematics.
 QUAD_TOL = 1e-9
 ED_TOL = 1e-2
 
@@ -58,8 +58,8 @@ class ConfigError(ValueError):
 
 
 #: Every configuration key, as ``key -> (type, default)``.  A ``(float,)``
-#: or ``(int,)`` type is a comma-separated list.  Keys other than ``str`` ones
-#: get a ``--key`` flag (``_`` spelled ``-``), in this order.
+#: or ``(int,)`` type is a comma-separated list.  Each key gets a ``--key``
+#: flag (``_`` spelled ``-``), listed by ``--help`` in this order.
 _KEYS: dict[str, tuple] = {
     "mode": (str, None), "format": (str, "csv"), "output": (str, None),
     "eps0": (float, 1.0), "omega": (float, None), "delta": (float, -1.0),
@@ -128,56 +128,55 @@ def _flag(key: str) -> str:
     return f"--{key.replace('_', '-')}"
 
 
-def _is_number_list(text: str) -> bool:
-    try:
-        for part in text.split(","):
-            float(part)
-    except ValueError:
-        return False
-    return True
+def _read_flags(argv: list[str]) -> dict[str, str]:
+    """``argv`` as ``key -> raw value``; of a repeated flag, the last one wins.
 
-
-def _join_negative_values(argv: list[str]) -> list[str]:
-    """``argv`` with each numeric flag and a negative value after it joined by ``=``.
-
-    argparse reads a token that starts with ``-`` as a flag unless it looks
-    like ``-1`` or ``-.5``, so ``--delta -5e-1`` or ``--delta-values -1.5,-2``
-    would lack a value.  Joined, they parse exactly as their ``=`` spelling;
-    a flag may be abbreviated, as argparse allows.  A value that is not a
-    number is left alone, and still exits 2.
+    The flags are ``--preset``, ``--config``, ``--help`` and one ``--key``
+    per ``_KEYS`` key; any prefix that names one flag alone stands for it,
+    ``-o`` for ``--output`` and ``-h`` for ``--help``.  A value follows its
+    flag after ``=`` (or straight after ``-o``) or is the next token, whatever
+    it looks like, so ``--delta -5e-1`` reads as ``--delta=-5e-1``.
+    ``--help`` prints every flag and raises ``SystemExit(0)``.
     """
-    numeric = [_flag(key) for key, (kind, _) in _KEYS.items() if kind is not str]
-    out: list[str] = []
-    for token in argv:
-        prev = out[-1] if out else ""
-        if (token.startswith("-") and _is_number_list(token) and len(prev) > 2
-                and "=" not in prev and any(flag.startswith(prev) for flag in numeric)):
-            out[-1] = f"{prev}={token}"
-        else:
-            out.append(token)
-    return out
+    flags = {_flag(key): key for key in (*_KEYS, "preset", "config", "help")}
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        token = {"-h": "--help", "-o": "--output"}.get(token, token)
+        if token.startswith("-o"):  # -oPATH or -o=PATH
+            token = "--output=" + token[2:].removeprefix("=")
+        name, eq, raw = token.partition("=")
+        if name[:2] != "--" or name == "--":
+            raise ConfigError(f"unexpected argument {token!r}: every value follows its flag")
+        matches = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+        if len(matches) != 1:
+            raise ConfigError(f"ambiguous flag {name}: {', '.join(matches)}" if matches
+                              else f"unknown flag {name}")
+        key = flags[matches[0]]
+        if key == "help":
+            sys.stdout.write(_help())
+            raise SystemExit(0)
+        if not eq:
+            raw = next(tokens, None)
+            if raw is None:
+                raise ConfigError(f"{matches[0]} needs a value")
+        values[key] = raw
+    return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chaincp",
-        description="Casimir-Polder energies and forces for two impurities on a tight-binding chain.",
-    )
-    parser.add_argument("--mode", choices=MODES, help="what to compute")
-    parser.add_argument("--preset", choices=sorted(PRESETS), help="named parameter set")
-    parser.add_argument("--config", metavar="PATH", help="file of 'key = value' lines")
-    parser.add_argument("--format", dest="format", choices=FORMATS, help="output format (default csv)")
-    parser.add_argument("-o", "--output", metavar="PATH",
-                        help="output file, '-' for stdout (default <mode>.<format> "
-                             f"in the current dir or ${OUTDIR_ENV})")
-    for key, (kind, _) in _KEYS.items():
-        flag = _flag(key)
-        if isinstance(kind, tuple):
-            parser.add_argument(flag, dest=key, metavar="A,B,...", help=f"{key} (comma separated)")
-        elif kind is not str:
-            parser.add_argument(flag, dest=key, metavar="X" if kind is float else "K",
-                                help=f"{key} ({kind.__name__})")
-    return parser
+def _help() -> str:
+    """The ``--help`` text: every flag and what it takes."""
+    takes = {"help": "print this list and exit; also -h", "preset": "|".join(PRESETS),
+             "config": "PATH of 'key = value' lines", "mode": "|".join(MODES),
+             "format": "|".join(FORMATS) + " (default csv)",
+             "output": f"PATH, - for stdout (default <preset or mode>.<format> in ${OUTDIR_ENV} "
+                       "or .); also -o"}
+    lines = ["usage: chaincp [--flag VALUE | --flag=VALUE]...  (a prefix naming one flag will do)"]
+    for key in ("help", "preset", "config", *_KEYS):
+        kind = _KEYS.get(key, (str,))[0]
+        plain = f"{kind[0].__name__}s A,B,..." if isinstance(kind, tuple) else kind.__name__
+        lines.append(f"  {_flag(key):<16}{takes.get(key, plain)}")
+    return "\n".join(lines) + "\n"
 
 
 def load_config(argv: list[str] | None = None) -> MappingProxyType:
@@ -193,37 +192,30 @@ def load_config(argv: list[str] | None = None) -> MappingProxyType:
     Raises
     ------
     ConfigError
-        For unknown keys, malformed values, inconsistent or out-of-range
-        parameters.
+        For unknown or ambiguous flags, unknown keys, malformed values,
+        inconsistent or out-of-range parameters.
+    SystemExit
+        With code 0, once ``--help`` has printed every flag.
     """
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser().parse_args(_join_negative_values(argv))
+    flags = _read_flags(argv)
+    preset, path = flags.pop("preset", None), flags.pop("config", None)
+    if preset not in (None, *PRESETS):
+        raise ConfigError(f"unknown preset {preset!r}; choose from {', '.join(PRESETS)}")
 
     merged = {key: default for key, (_, default) in _KEYS.items()}
     sources: dict[str, str] = {}
-
-    if args.preset is not None:
-        for key, value in PRESETS[args.preset].items():
-            merged[key] = value
-            sources[key] = "preset"
-
-    if args.config is not None:
-        for key, value in _parse_config_file(args.config).items():
-            merged[key] = value
-            sources[key] = "file"
-
-    flag_keys = set()
-    for key in _KEYS:
-        raw = getattr(args, key, None)
-        if raw is not None:
+    for source, values in (("preset", PRESETS.get(preset, {})),
+                           ("file", _parse_config_file(path) if path is not None else {}),
+                           ("flag", flags)):
+        for key, raw in values.items():
             merged[key] = _coerce(key, raw)
-            sources[key] = "flag"
-            flag_keys.add(key)
+            sources[key] = source
 
     # A scalar given on the command line supersedes a series the preset or
     # file would have swept over (--J against fig2's j_values, say).
     for scalar, series in (("J", "j_values"), ("delta", "delta_values"), ("N", "n_values")):
-        if scalar in flag_keys and series not in flag_keys:
+        if scalar in flags and series not in flags:
             merged[series] = None
 
     # omega is an alternative way to state the detuning; eps0 - omega is
@@ -260,7 +252,7 @@ def load_config(argv: list[str] | None = None) -> MappingProxyType:
         raise ConfigError("temperatures must be sorted ascending")
 
     sources.pop("output", None)
-    return MappingProxyType({**merged, "preset": args.preset,
+    return MappingProxyType({**merged, "preset": preset,
                              "sources": tuple(sorted(sources.items()))})
 
 
@@ -415,16 +407,21 @@ def _run_oracle_check(cfg: MappingProxyType):
                "ed", "ed_rel_err", "ed_ok")
     if cfg["rmax"] > cfg["N"] // 4:
         raise ConfigError(
-            f"oracle-check needs rmax <= N//4 to keep ring images out of the "
-            f"diagonalisation estimate; got rmax={cfg['rmax']}, N={cfg['N']}"
+            f"oracle-check needs rmax <= N//4 to keep the ring image out of the "
+            f"real-space ED estimate; got rmax={cfg['rmax']}, N={cfg['N']}"
         )
     sys_ = _gated_system(cfg)
     if sys_.lam == 0.0:
         raise InvalidRegime("oracle-check needs lambda != 0; for lambda = 0 the "
                             "interaction is identically zero")
     separations = range(cfg["rmin"], cfg["rmax"] + 1)
-    quads = cp_energy_quadrature(sys_, separations)
-    eds = cp_energy_ed(sys_, separations)
+    # the oracles warn of their own systematic error; each warning prints as a note
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        quads = cp_energy_quadrature(sys_, separations)
+        eds = cp_energy_ed(sys_, separations)
+    for note in caught:
+        _warn(str(note.message))
     rows = []
     all_ok = True
     for r, quad, ed in zip(separations, quads, eds):
@@ -511,8 +508,8 @@ def run(cfg: MappingProxyType) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(load_config(argv))
-    except SystemExit as exc:  # argparse already printed its message
-        return int(exc.code or 0)
+    except SystemExit:  # --help printed the flags
+        return 0
     except RegimeViolation as exc:
         print(f"chaincp: regime violation: {exc}", file=sys.stderr)
         return 3

@@ -120,8 +120,8 @@ def test_bad_values_are_config_errors():
         load_config([])  # no mode anywhere
 
 
-#: ``(argv, flag-value pairs, exit code)``: every numeric key whose value
-#: argparse would otherwise take for a flag, spelled ``-5e-1`` or ``-1.5,-2``.
+#: ``(argv, flag-value pairs, exit code)``: every numeric key with a value
+#: that starts with ``-`` like a flag, spelled ``-5e-1`` or ``-1.5,-2``.
 NEGATIVE_VALUES = [
     (["--mode", "force-sweep", "--J", "0.2", "--rmax", "2"], [("--delta", "-5e-1")], 0),
     (["--mode", "force-sweep", "--rmax", "2"], [("--eps0", "-2e0"), ("--omega", "-1e0")], 0),
@@ -132,7 +132,7 @@ NEGATIVE_VALUES = [
     # still a number, so still refused by the same check as the = spelling
     (["--mode", "force-sweep"], [("--delta", "-inf")], 2),
     (["--mode", "force-sweep"], [("--delta", "-nan")], 2),
-    # not a number: argparse still finds no value
+    # not a number: refused after a space as after an equals sign
     (["--mode", "force-sweep"], [("--delta", "-5e-1x")], 2),
     (["--mode", "force-sweep"], [("--delta-values", "-1.5,-two")], 2),
 ]
@@ -372,7 +372,7 @@ def test_oracle_check_passes_and_reports(tmp_path):
 
 
 def test_exit_code_2_for_config_problems(tmp_path):
-    assert run_cli(["--mode", "no-such-mode"]) == 2       # argparse choice
+    assert run_cli(["--mode", "no-such-mode"]) == 2       # unknown mode
     assert run_cli([]) == 2                               # missing mode
     conf = tmp_path / "bad.conf"
     conf.write_text("nonsense = 1\n")
@@ -442,15 +442,20 @@ def test_infinite_temperature_is_accepted(tmp_path):
     assert [row[0] for row in rows][-1] == "inf"
 
 
-def _numpy_loaded(argv, tmp_path) -> bool:
-    """Whether a fresh ``chaincp`` process loads numpy to run ``argv``."""
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """A fresh Python process run with ``args``, importing this checkout's chaincp."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(chaincp.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def _numpy_loaded(argv, tmp_path) -> bool:
+    """Whether a fresh ``chaincp`` process loads numpy to run ``argv``."""
     code = ("import sys; from chaincp.cli import main; code = main(sys.argv[1:]); "
             "print(code, 'numpy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, *argv, "--output", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _fresh_python("-c", code, *argv, "--output", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     status, loaded = proc.stdout.split()
     assert status == "0", proc.stderr
@@ -464,6 +469,22 @@ def test_closed_form_and_oracle_modes_never_load_numpy(tmp_path):
         assert not _numpy_loaded(argv, tmp_path), argv
     # the guard is not vacuous: the thermal mode's arrays do load it
     assert _numpy_loaded(["--preset", "fig5", "--n-values", "20"], tmp_path)
+
+
+def test_importing_the_cli_leaves_argparse_unloaded():
+    proc = _fresh_python("-c", "import sys, chaincp.cli; print('argparse' in sys.modules)")
+    assert proc.stdout.split() == ["False"], proc.stderr
+
+
+def test_oracle_warnings_print_as_chaincp_notes(tmp_path):
+    # the ED's systematic-error warnings reach stderr as notes, not as Python warnings
+    proc = _fresh_python("-m", "chaincp.cli", "--mode", "oracle-check",
+                         "--delta=-1", "--J", "0.2", "--lambda", "0.05", "--N", "1000",
+                         "--rmin", "140", "--rmax", "142", "--output", str(tmp_path / "o.csv"))
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert sum("chaincp: warning: ED estimate" in line for line in lines) == 3
+    assert all(line.startswith("chaincp: ") for line in lines), proc.stderr
 
 
 def _hex(points):
