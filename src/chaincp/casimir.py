@@ -105,12 +105,13 @@ def force_curve(sys: SymmetricSystem, R: range) -> tuple[ForceRecord, ...]:
 
     ``R`` is a non-empty range with step 1.  The force at its last
     separation uses the energy one site further, so every ``R`` must satisfy
-    ``1 <= R <= N - 1``.
+    ``1 <= R <= N - 1``.  Each energy is computed once and serves as the
+    energy of row ``R`` and as the far end of the force of row ``R - 1``.
     """
-    return tuple(
-        ForceRecord(R=r, energy=cp_energy(sys, r), force=ecp_force(sys, r))
-        for r in _separations(R, upper=sys.N - 1)
-    )
+    seps = _separations(R, upper=sys.N - 1)
+    energies = [cp_energy(sys, r) for r in range(seps[0], seps[-1] + 2)]
+    return tuple(ForceRecord(R=r, energy=e, force=-(e_next - e))
+                 for r, e, e_next in zip(seps, energies, energies[1:]))
 
 
 def decay_profile(sys: SymmetricSystem) -> DecayProfile:

@@ -24,17 +24,12 @@ from ._version import __version__
 from .casimir import cp_energy, decay_profile, force_curve
 from .errors import ConvergenceError, InvalidRegime, RegimeViolation
 from .lattice import SymmetricSystem, brillouin_modes, dispersion, require_valid_regime
-from .oracle import MAX_POINTS, cp_energy_ed, cp_energy_quadrature
+from .oracle import ED_TOL, MAX_POINTS, QUAD_TOL, cp_energy_ed, cp_energy_quadrature
 from .thermal import CANCEL_EPS, ThermalRow, _growth_violations, thermal_table
 
 #: Environment variable consulted for the default output directory; it has
 #: no other effect, and an explicit --output always wins.
 OUTDIR_ENV = "CHAINCP_OUTDIR"
-
-#: oracle-check tolerances: quadrature must match the closed form to float
-#: accuracy, the real-space ED carries percent-level fourth-order systematics.
-QUAD_TOL = 1e-9
-ED_TOL = 1e-2
 
 PRESETS: dict[str, dict] = {
     # force vs separation for two hoppings at fixed detuning

@@ -31,13 +31,14 @@ error budgets are unrelated, so agreement is evidence rather than tautology.
   analytic integrand.  The integrand is even in ``k``, so the grid is folded
   onto ``[0, pi]``: the nodes 0 and ``pi`` weigh 1 and every other node 2.
   The denominator does not depend on ``R``, so one grid serves a whole range
-  of separations: each node pays for ``cos k`` and one division, and the
-  phases ``cos kR`` follow from the Chebyshev recurrence
-  ``c_{R+1} = 2 cos k c_R - c_{R-1}``, checked once per refinement against a
-  direct ``cos(rmax k)``.  The integral is a difference of quantities nine
-  or more orders apart at large ``R``, far below the float64 noise floor, so
-  the accumulation runs in arbitrary precision (mpmath), with enough digits
-  for the ``-R log10 q`` that cancel, and only the final values are rounded.
+  of separations: each node pays for ``cos k`` and one division.  On the
+  grid ``k_n = 2 pi n / M`` every ``R k_n`` is again a grid angle, so each
+  phase ``cos kR`` is read from the table of node cosines, with no further
+  trig call: each is a correctly rounded cosine, and the table costs O(M)
+  memory.  The integral is a difference of quantities nine or more orders
+  apart at large ``R``, far below the float64 noise floor, so the
+  accumulation runs in arbitrary precision (mpmath), with enough digits for
+  the ``-R log10 q`` that cancel, and only the final values are rounded.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ __all__ = [
     "cp_energy_ed",
     "cp_energy_quadrature",
 ]
+
+#: oracle-check tolerances: quadrature must match the closed form to float
+#: accuracy, the real-space ED carries percent-level fourth-order systematics.
+QUAD_TOL = 1e-9
+ED_TOL = 1e-2
 
 #: Relative agreement between successive quadrature refinements.
 REFINEMENT_TOL = 1e-13
@@ -123,10 +129,11 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
     interaction far below an ulp of the level keeps its digits.
 
     It differs from the second-order closed form by the fourth-order
-    coupling ``(lam / gap)^2``, the ring image ``q^(2N + 1 - 2R)`` (hence
-    ``R <= N // 4``) and the rate shift ``R ln(q(0) / q(x1))``, as the ring's
-    decay ratio ``q(x) = g_1 / g_0`` moves with the level.  A ``UserWarning``
-    fires when their sum exceeds 5%.
+    coupling ``(lam / gap)^2``, the ring image ``(q^(M - 2R) + q^M) / (1 -
+    q^M)`` on ``M = 2N + 1`` sites (hence ``R <= N // 4``) and the rate shift
+    ``R ln(q(0) / q(x1))``, as the ring's decay ratio ``q(x) = g_1 / g_0``
+    moves with the level.  A ``UserWarning`` fires when their sum exceeds
+    :data:`ED_TOL`, the tolerance oracle-check holds the ED to.
 
     Parameters
     ----------
@@ -148,10 +155,12 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
     # a flat band, or a ratio that underflows, has no decay rate to shift
     rate = math.log(q0 / q1) if q1 else 0.0
 
+    m_sites = 2 * n_half + 1
     values = []
     for r in seps:
-        systematic = (sys.lam / sys.gap) ** 2 + q0 ** (2 * n_half + 1 - 2 * r) + r * rate
-        if systematic > 0.05:
+        image = (q0 ** (m_sites - 2 * r) + q0 ** m_sites) / (1.0 - q0 ** m_sites)
+        systematic = (sys.lam / sys.gap) ** 2 + image + r * rate
+        if systematic > ED_TOL:
             warnings.warn(
                 f"ED estimate carries ~{systematic:.1%} systematic error "
                 f"(fourth-order coupling, ring image and rate shift) at R={r}, N={n_half}",
@@ -165,24 +174,24 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
     """Interaction energy from the momentum integral, in arbitrary precision.
 
     One periodic trapezoid grid serves every separation asked for.  The
-    integrand is even, so the grid is walked on ``[0, pi]`` only: the nodes 0
-    and ``pi`` weigh 1, every other node and every refinement midpoint 2.
-    Each node costs one division by ``delta + 2 J cos k`` and the trig calls
-    for ``cos k`` and, when ``rmin > 1``, the seeds ``cos(rmin k)`` and
-    ``cos((rmin - 1) k)``; the phases ``cos kR`` for ``R = rmin .. rmax``
-    follow from the Chebyshev recurrence ``c_{R+1} = 2 cos k c_R - c_{R-1}``,
-    and each separation keeps its own running sum.  The number of points
-    doubles from 64, adding only the new midpoints, until every separation
-    has two successive estimates that agree to :data:`REFINEMENT_TOL`, the
-    coarser on more than ``4R + 4`` points; a separation's value is the
-    first estimate that does, so a sweep returns the same floats as one call
-    per separation.  Past :data:`MAX_POINTS`
-    points it raises :class:`~chaincp.errors.NonConvergence`, naming the
-    separations still unconverged.  Once per refinement level the recurred
-    summand at ``rmax`` is compared with a direct ``cos(rmax k)`` at that
-    level's last node; if the gap times the point count exceeds 1e-12 of
-    that separation's running sum, it raises
-    :class:`~chaincp.errors.ConvergenceError`.
+    integrand is even, so the grid ``k_n = 2 pi n / M`` is walked on ``[0,
+    pi]`` only, ``n = 0 .. M/2``: the nodes 0 and ``pi`` weigh 1, every other
+    node and every refinement midpoint 2.  Each node costs one ``mp.cos`` and
+    one division by ``delta + 2 J cos k``.  Its phases come from the same
+    cosines: with ``j = R n mod M``, ``cos(R k_n)`` is the node cosine at
+    ``min(j, M - j)``, so each is a correctly rounded cosine, and each
+    separation keeps its own running sum.  The number of points doubles
+    from 64, adding only the new midpoints, until every separation has two
+    successive estimates that agree to :data:`REFINEMENT_TOL`, the coarser
+    on more than ``4R + 4`` points; a separation's value is the first
+    estimate that does, so a sweep returns the same floats as one call per
+    separation.  Past :data:`MAX_POINTS` points it raises
+    :class:`~chaincp.errors.NonConvergence`, naming the separations still
+    unconverged.
+
+    The cosine table holds the ``M/2 + 1`` nodes of the current grid, so
+    memory is O(M): about 240 bytes a node at 40 digits, 16 KB at 128
+    points and 0.5 GB at :data:`MAX_POINTS`.
 
     The answer at ``R`` is of order ``q**R`` while the integrand is of order
     one, so the sum cancels about ``-R log10 q`` digits.  The accumulation
@@ -213,68 +222,52 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
         raise InvalidRegime("quadrature needs a dispersive band (J > 0); "
                             "for J = 0 the interaction is identically zero")
     seps = _separations(R, lower=0)
-    rmin, rmax = seps[0], seps[-1]
     # q underflows to 0.0 only below the smallest subnormal
-    lost = math.ceil(-rmax * math.log10(max(sys.q, math.ulp(0.0))))
+    lost = math.ceil(-seps[-1] * math.log10(max(sys.q, math.ulp(0.0))))
 
     with mp.workdps(40 + max(0, lost - 5)):
         delta = mp.mpf(sys.delta)
         two_j = mp.mpf(2.0 * sys.J)
         lam_sq = mp.mpf(sys.lam) ** 2
 
-        n_seps = len(seps)
-        acc = [mp.mpf(0)] * n_seps
-        prev: list = [None] * n_seps
-        values: list = [None] * n_seps
+        acc = [mp.mpf(0)] * len(seps)
+        prev: list = [None] * len(seps)
+        values: list = [None] * len(seps)
+        # k and -k carry the same summand, so only the nodes k_n = 2 pi n / M,
+        # n = 0 .. M/2, are walked: 0 and pi weigh 1, every other node 2.
+        # cosines[n] = cos k_n; the nodes not yet in the sums are `nodes`
         m_points = 64
-        # k and -k carry the same summand, so only the grid's nodes in [0, pi]
-        # are walked: 0 and pi weigh 1, every other node 2.  The nodes not yet
-        # in the sums are first + j * step, j < count; the j in ends weigh 1
         step = 2 * mp.pi / m_points
-        first, count, ends = mp.mpf(0), m_points // 2 + 1, (0, m_points // 2)
-        while m_points <= MAX_POINTS:
-            for j in range(count):
-                k = first + j * step
-                cos_k = mp.cos(k)
-                # the recurrence is linear, so it can carry the weighted
-                # summands cos(Rk) / den themselves
-                inv_den = (1 if j in ends else 2) / (delta + two_j * cos_k)
-                if rmin == 0:
-                    c, c_prev = inv_den, cos_k * inv_den
-                elif rmin == 1:
-                    c, c_prev = cos_k * inv_den, inv_den
-                else:
-                    c = mp.cos(k * rmin) * inv_den
-                    if n_seps > 1:
-                        c_prev = mp.cos(k * (rmin - 1)) * inv_den
-                two_cos = 2 * cos_k
-                for i in range(n_seps):
-                    acc[i] += c
-                    if i + 1 < n_seps:
-                        c, c_prev = two_cos * c - c_prev, c
-            # c is the level's last summand at rmax, recurred from the seeds
-            drift = abs(c - mp.cos(k * rmax) * inv_den)
-            if drift * m_points > 1e-12 * abs(acc[-1]):
-                raise ConvergenceError(
-                    f"cosine recurrence drifted at R={rmax}: {mp.nstr(drift, 6)} "
-                    f"at k={mp.nstr(k, 6)} with {m_points} points"
-                )
-            for i in range(n_seps):
+        nodes = range(m_points // 2 + 1)
+        cosines = [mp.cos(n * step) for n in nodes]
+        while True:
+            for n in nodes:
+                inv_den = (1 if n == 0 or 2 * n == m_points else 2) / (delta + two_j * cosines[n])
+                for i, r in enumerate(seps):
+                    # R k_n is the grid angle of node R n mod M, folded into [0, pi]
+                    j = r * n % m_points
+                    acc[i] += cosines[min(j, m_points - j)] * inv_den
+            for i, r in enumerate(seps):
                 if values[i] is not None:
                     continue
                 value = lam_sq * acc[i] / m_points
                 # an M-point rule sees mode R as modes R + nM: below 4R + 4
                 # points two grids can agree on an alias of R
-                if (prev[i] is not None and m_points // 2 > 4 * seps[i] + 4
+                if (prev[i] is not None and m_points // 2 > 4 * r + 4
                         and abs(value - prev[i]) <= REFINEMENT_TOL * abs(value)):
                     values[i] = float(value)
                 prev[i] = value
             if None not in values:
                 return tuple(values) if isinstance(R, range) else values[0]
+            if 2 * m_points > MAX_POINTS:
+                break
             # doubling the grid adds one node halfway between each pair of current ones
-            step = 2 * mp.pi / m_points
-            first, count, ends = step / 2, m_points // 2, ()
+            midpoints = [mp.cos(step / 2 + j * step) for j in range(m_points // 2)]
             m_points *= 2
+            step = 2 * mp.pi / m_points
+            nodes = range(1, m_points // 2, 2)
+            cosines, old = [None] * (m_points // 2 + 1), cosines
+            cosines[::2], cosines[1::2] = old, midpoints
 
     missing = ", ".join(str(r) for r, value in zip(seps, values) if value is None)
     raise NonConvergence(

@@ -22,11 +22,16 @@ from numpy.testing import assert_allclose
 import chaincp
 from chaincp import oracle
 from chaincp.casimir import cp_energy
-from chaincp.cli import ED_TOL
 from chaincp.cli import main as cli_main
 from chaincp.errors import ConvergenceError, InvalidRegime, NonConvergence
 from chaincp.lattice import SymmetricSystem, brillouin_modes, dispersion
-from chaincp.oracle import _even_shift, _impurity_level, cp_energy_ed, cp_energy_quadrature
+from chaincp.oracle import (
+    ED_TOL,
+    _even_shift,
+    _impurity_level,
+    cp_energy_ed,
+    cp_energy_quadrature,
+)
 
 
 def fig_system(delta=-1.0, J=0.3, lam=0.01, N=200):
@@ -230,7 +235,7 @@ def test_ed_rejects_ranges_it_cannot_sweep():
 
 
 def test_ed_sweep_warns_for_each_separation():
-    # lam / gap = 0.25 puts every separation over the 5% systematic bound
+    # lam / gap = 0.25 puts every separation over the ED_TOL systematic bound
     sys_ = fig_system(lam=0.1, N=80)
     with pytest.warns(UserWarning) as swept:
         cp_energy_ed(sys_, range(1, 4))
@@ -290,10 +295,20 @@ def test_ed_scaling_is_quadratic_up_to_fourth_order():
 
 
 def test_ed_warns_when_systematics_bite():
-    # lam / gap = 0.25: fourth-order term (lam/gap)^2 > 5%
+    # lam / gap = 0.25: fourth-order term (lam/gap)^2 > ED_TOL
     sys_ = fig_system(lam=0.1, N=80)
     with pytest.warns(UserWarning):
         cp_energy_ed(sys_, 1)
+
+
+def test_ed_warns_whenever_its_estimate_exceeds_the_check_tolerance():
+    # near the band edge the ED is 1.28% off the closed form at R = 1: the
+    # ring image (q0^(M - 2R) + q0^M) / (1 - q0^M) puts the estimate at ~1.6%
+    sys_ = SymmetricSystem(-1.0, 0.49999, 1e-6, 400)
+    closed = cp_energy(sys_, 1)
+    with pytest.warns(UserWarning, match=r"~1\.6% .* at R=1, N=400"):
+        ed = cp_energy_ed(sys_, 1)
+    assert abs(ed - closed) / abs(closed) > ED_TOL
 
 
 @pytest.mark.parametrize("J,R", [(0.3, 1), (0.3, 5), (0.4, 3), (0.45, 2)])
@@ -332,8 +347,8 @@ def test_quadrature_rejects_flat_band_and_bad_separation():
 
 def test_quadrature_refinement_evaluates_each_node_once(monkeypatch):
     # a = -0.6, R = 1 converges on the 128-point grid.  Folded onto [0, pi],
-    # its 64-point level has 33 nodes and the refinement adds 32 midpoints;
-    # each level also makes one drift check, so mp.cos runs 33 + 32 + 2 times
+    # its 64-point level has 33 nodes and the refinement adds 32 midpoints,
+    # so mp.cos runs 33 + 32 times
     sys_ = fig_system(J=0.3)
     calls = {"cos": [], "sin": []}
     for name, seen in calls.items():
@@ -341,7 +356,7 @@ def test_quadrature_refinement_evaluates_each_node_once(monkeypatch):
         monkeypatch.setattr(mp, name, lambda x, real=real, seen=seen: seen.append(x) or real(x))
     value = cp_energy_quadrature(sys_, 1)
     monkeypatch.undo()
-    assert len(calls["cos"]) == 67
+    assert len(calls["cos"]) == 65
     assert calls["sin"] == []
 
     # the fold must give the sum over every node of [-pi, pi)
@@ -352,30 +367,21 @@ def test_quadrature_refinement_evaluates_each_node_once(monkeypatch):
     assert value == pytest.approx(float(direct), rel=1e-15)
 
 
-def test_quadrature_recurrence_drift_is_a_convergence_error(monkeypatch, tmp_path):
-    # every node lies in [0, pi], so only the drift check's direct cos(rmax k)
-    # reaches past 4; a cosine that is wrong there no longer matches the recurrence
-    real_cos = mp.cos
-    monkeypatch.setattr(mp, "cos", lambda x: real_cos(x) + (x > 4) * mp.mpf("1e-3"))
-    with pytest.raises(ConvergenceError, match="cosine recurrence drifted"):
-        cp_energy_quadrature(fig_system(), range(1, 3))
-    code = cli_main(["--mode", "oracle-check", "--N", "40", "--rmax", "2",
-                     "--output", str(tmp_path / "oracle.csv")])
-    assert code == 4
+@pytest.mark.parametrize("separations", [1, 5, range(3, 9), range(1, 11)])
+def test_quadrature_calls_cos_once_per_node_for_any_window(monkeypatch, separations):
+    # every phase cos(R k) is read off the grid's own node cosines, so each
+    # window at a = -0.6 costs the 65 nodes of [0, pi] on the 128-point grid
+    calls = []
+    real = mp.cos
+    monkeypatch.setattr(mp, "cos", lambda x: calls.append(x) or real(x))
+    cp_energy_quadrature(fig_system(J=0.3), separations)
+    monkeypatch.undo()
+    assert len(calls) == 65
 
 
-def test_quadrature_drift_check_is_relative_to_the_value(monkeypatch):
-    # E_cp(10) ~ 1e-54 at J = 1e-5: the recurrence turns a 1e-30 error in
-    # cos k into a drift that is tiny in absolute terms but 1e20 times the value
-    real_cos = mp.cos
-    monkeypatch.setattr(mp, "cos", lambda x: real_cos(x) + mp.mpf(1e-30))
-    with pytest.raises(ConvergenceError, match="cosine recurrence drifted"):
-        cp_energy_quadrature(fig_system(J=1e-5), range(1, 11))
-
-
-@pytest.mark.parametrize("J,separations", [(0.3, range(0, 21)), (0.495, range(1, 21)),
-                                           (1e-5, range(1, 11))],
-                         ids=["a=-0.6", "a=-0.99", "J=1e-5"])
+@pytest.mark.parametrize("J,separations", [(0.3, range(0, 21)), (0.3, range(3, 9)),
+                                           (0.495, range(1, 21)), (1e-5, range(1, 11))],
+                         ids=["a=-0.6", "a=-0.6-R3..8", "a=-0.99", "J=1e-5"])
 def test_quadrature_sweep_gives_the_floats_of_single_calls(J, separations):
     sys_ = fig_system(J=J)
     assert cp_energy_quadrature(sys_, separations) == tuple(
@@ -444,9 +450,9 @@ def test_quadrature_rejects_ranges_it_cannot_sweep():
 
 
 def test_oracle_check_makes_at_most_five_trig_calls_per_node(monkeypatch, tmp_path):
-    # R = 1..10 on a = -0.6 settles on the 128-point grid: 65 nodes of [0, pi]
-    # and one drift check per level; one quadrature call per separation used
-    # to cost 3 per node per R, 3840 in all
+    # R = 1..10 on a = -0.6 settles on the 128-point grid: 65 nodes of [0, pi],
+    # one cosine each; one quadrature call per separation used to cost 3 per
+    # node per R, 3840 in all
     calls = []
     for name in ("cos", "sin"):
         real = getattr(mp, name)
@@ -455,7 +461,7 @@ def test_oracle_check_makes_at_most_five_trig_calls_per_node(monkeypatch, tmp_pa
                      "--output", str(tmp_path / "oracle.csv")])
     monkeypatch.undo()
     assert code == 0
-    assert len(calls) == 67
+    assert len(calls) == 65
 
 
 def test_oracle_check_at_tiny_hopping_finishes_with_the_quadrature_ok(tmp_path):
