@@ -12,12 +12,15 @@ two-impurity problem is
 
 negative for ``delta < 0``: the even combination of the impurity levels is
 pushed down, so the interaction is attractive.  On a lattice the force is
-the discrete difference
+the discrete difference, evaluated as one product
 
-.. math:: f(R) = -\\big(E_{cp}(R + 1) - E_{cp}(R)\\big) < 0,
+.. math:: f(R) = -\\big(E_{cp}(R + 1) - E_{cp}(R)\\big) = E_{cp}(R)\\,(1 - q) < 0,
 
-pointing towards smaller separations.  Since ``q`` in ``[0, 1)``, both decay
-exponentially with rate ``Gamma = ln(1/q)`` per site.
+equal in exact arithmetic, pointing towards smaller separations.  The
+product keeps its digits as ``q -> 1``, where the difference cancels.  The
+root and ``1 - q`` come from ``lattice._edge_safe_root``, so every closed
+form keeps its digits at the band edge.  Since ``q`` in ``[0, 1)``, both
+decay exponentially with rate ``Gamma = ln(1/q)`` per site.
 
 Near the band edge (``a -> -1``) the lattice scale drops out: ``Gamma``
 tends to the continuum decay constant
@@ -34,7 +37,7 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidRegime
-from .lattice import SymmetricSystem, _separations
+from .lattice import SymmetricSystem, _edge_safe_root, _separations
 
 __all__ = [
     "ForceRecord",
@@ -65,7 +68,7 @@ class DecayProfile(NamedTuple):
     rc : float
         Characteristic range ``1 / gamma``; zero at ``a = 0``.
     amplitude : float
-        Prefactor ``-(lam**2 / delta) (q - 1) / sqrt(1 - a**2)``, the
+        Prefactor ``(lam**2 / delta) (1 - q) / sqrt(1 - a**2)``, the
         magnitude scale of the force at ``R = 0``.
     """
 
@@ -91,27 +94,26 @@ def cp_energy(sys: SymmetricSystem, R: int) -> float:
         flat band (``J = 0``).
     """
     _separations(R)
-    a = sys.a
-    return (sys.lam ** 2 / sys.delta) * sys.q ** R / math.sqrt(1.0 - a * a)
+    return (sys.lam ** 2 / sys.delta) * sys.q ** R / _edge_safe_root(sys)[0]
 
 
 def ecp_force(sys: SymmetricSystem, R: int) -> float:
-    """Discrete force ``-(E_cp(R + 1) - E_cp(R))``, negative (attractive)."""
-    return -(cp_energy(sys, R + 1) - cp_energy(sys, R))
+    """Discrete force ``-(E_cp(R + 1) - E_cp(R))`` as ``E_cp(R) (1 - q)``, negative (attractive)."""
+    return cp_energy(sys, R) * _edge_safe_root(sys)[1]
 
 
 def force_curve(sys: SymmetricSystem, R: range) -> tuple[ForceRecord, ...]:
     """Energy and force rows for every separation in ``R``.
 
-    ``R`` is a non-empty range with step 1.  The force at its last
-    separation uses the energy one site further, so every ``R`` must satisfy
-    ``1 <= R <= N - 1``.  Each energy is computed once and serves as the
-    energy of row ``R`` and as the far end of the force of row ``R - 1``.
+    ``R`` is a non-empty range with step 1.  The force at a separation
+    reaches one site further, so every ``R`` must satisfy ``1 <= R <= N -
+    1``.  Each row computes one energy, and its force is that energy times
+    ``1 - q``, as in :func:`ecp_force`.
     """
     seps = _separations(R, upper=sys.N - 1)
-    energies = [cp_energy(sys, r) for r in range(seps[0], seps[-1] + 2)]
-    return tuple(ForceRecord(R=r, energy=e, force=-(e_next - e))
-                 for r, e, e_next in zip(seps, energies, energies[1:]))
+    one_minus_q = _edge_safe_root(sys)[1]
+    return tuple(ForceRecord(R=r, energy=e, force=e * one_minus_q)
+                 for r, e in ((r, cp_energy(sys, r)) for r in seps))
 
 
 def decay_profile(sys: SymmetricSystem) -> DecayProfile:
@@ -122,13 +124,13 @@ def decay_profile(sys: SymmetricSystem) -> DecayProfile:
     finite, so ``amplitude * exp(-gamma * R)`` is still ``0.0`` for every
     ``R >= 1``.
     """
-    a, q = sys.a, sys.q
-    if q == 0.0:
+    root, one_minus_q = _edge_safe_root(sys)
+    if sys.q == 0.0:
         gamma, rc = math.inf, 0.0
     else:
-        gamma = -math.log(q)
+        gamma = -math.log(sys.q)
         rc = 1.0 / gamma
-    amplitude = -(sys.lam ** 2 / sys.delta) * (q - 1.0) / math.sqrt(1.0 - a * a)
+    amplitude = (sys.lam ** 2 / sys.delta) * one_minus_q / root
     return DecayProfile(gamma=gamma, rc=rc, amplitude=amplitude)
 
 

@@ -48,8 +48,9 @@ class SymmetricSystem:
     * ``omega = eps0 - delta``, the band centre,
     * ``a = 2 J / delta``, the band parameter, and
     * ``q = (sqrt(1 - a^2) - 1) / a``, the decay ratio per site, evaluated as
-      ``-a / (sqrt(1 - a^2) + 1)`` so that ``a -> 0`` loses no precision to
-      cancellation; the flat-band value is exactly ``0.0``.
+      ``-a / (sqrt(1 - a^2) + 1)`` with the root of :func:`_edge_safe_root`,
+      so that neither ``a -> 0`` nor the band edge ``a -> -1`` loses
+      precision to cancellation; the flat-band value is exactly ``0.0``.
 
     The closed forms read only ``delta``, ``J`` and ``lam``, never ``eps0``.
     Both impurity levels must sit strictly below the band, which for this
@@ -112,7 +113,7 @@ class SymmetricSystem:
                 f"{self.band_bottom}; closed forms require delta < 0 and |a| < 1"
             )
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "q", -a / (math.sqrt(1.0 - a * a) + 1.0))
+        object.__setattr__(self, "q", -a / (_edge_safe_root(self)[0] + 1.0))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -155,6 +156,21 @@ class SymmetricSystem:
     def gap(self) -> float:
         """Offset ``-(delta + 2 J)`` of the band bottom from the impurity level."""
         return -(self.delta + 2.0 * self.J)
+
+
+def _edge_safe_root(sys: SymmetricSystem) -> tuple[float, float]:
+    """``(sqrt(1 - a^2), 1 - q)``, the closed forms' one root and their decay step.
+
+    Both are built from ``1 + a = -gap / delta``: near the band edge the sum
+    ``delta + 2 J`` inside ``gap`` is exact (Sterbenz), so ``1 + a`` keeps
+    every digit that ``1 + 2 J / delta`` would lose.  The root is ``sqrt((1 -
+    a) (1 + a))`` and, with ``q = -a / (root + 1)``, ``1 - q = (root + 1 + a)
+    / (root + 1)``: sums of positive terms only, so neither cancels as ``q ->
+    1``.  This is the package's only evaluation of the root.
+    """
+    one_plus_a = -sys.gap / sys.delta
+    root = math.sqrt((1.0 - sys.a) * one_plus_a)
+    return root, (root + one_plus_a) / (root + 1.0)
 
 
 def _separations(R: int | range, lower: int = 1, upper: int | None = None) -> range:

@@ -26,10 +26,10 @@ Green's function at ``eps0``; the band back-action is one term per mode.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
-from .lattice import SymmetricSystem, _band_offsets, _ring_column, _separations, brillouin_modes
+from .lattice import (SymmetricSystem, _band_offsets, _edge_safe_root, _ring_column, _separations,
+                      brillouin_modes)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,8 +74,6 @@ def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, floa
     at ``lam**2 / delta``.
     """
     _separations(R, upper=sys.N)
-    a = sys.a
-    root = math.sqrt(1.0 - a * a)
-    base = sys.lam ** 2 / (sys.delta * root)
+    base = sys.lam ** 2 / (sys.delta * _edge_safe_root(sys)[0])
     q_r = sys.q ** R
     return base * (1.0 + q_r), base * (1.0 - q_r)

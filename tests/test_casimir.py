@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from chaincp import casimir
 from chaincp.casimir import (
     continuum_decay_constant,
     cp_energy,
@@ -12,7 +13,8 @@ from chaincp.casimir import (
     force_curve,
 )
 from chaincp.errors import InvalidRegime
-from chaincp.lattice import SymmetricSystem
+from chaincp.lattice import SymmetricSystem, _edge_safe_root
+from chaincp.perturbation import symmetric_spectrum_closed
 
 
 def fig_system(delta=-1.0, J=0.3, lam=0.01, N=200):
@@ -39,10 +41,21 @@ def test_energy_and_force_are_negative():
         assert ecp_force(sys_, r) < 0.0
 
 
-def test_force_is_the_literal_energy_difference():
+def test_force_is_the_energy_times_one_minus_q(monkeypatch):
+    # -(E(R + 1) - E(R)) = E(R) (1 - q) in exact arithmetic; the product is the
+    # one that keeps its digits as q -> 1, and force_curve's rows are the same
+    # floats as ecp_force at one energy a row
     sys_ = fig_system(J=0.35)
+    one_minus_q = _edge_safe_root(sys_)[1]
     for r in (1, 4, 9):
-        assert ecp_force(sys_, r) == -(cp_energy(sys_, r + 1) - cp_energy(sys_, r))
+        assert ecp_force(sys_, r) == cp_energy(sys_, r) * one_minus_q
+        assert ecp_force(sys_, r) == pytest.approx(-(cp_energy(sys_, r + 1) - cp_energy(sys_, r)),
+                                                   rel=1e-14, abs=0.0)
+    calls = []
+    monkeypatch.setattr(casimir, "cp_energy", lambda s, r: calls.append(r) or cp_energy(s, r))
+    rows = force_curve(sys_, range(3, 12))
+    assert calls == list(range(3, 12))
+    assert [rec.force for rec in rows] == [ecp_force(sys_, r) for r in range(3, 12)]
 
 
 def test_energy_decays_geometrically():
@@ -197,18 +210,43 @@ def closed_form_60_digits(sys_, R):
         return lam ** 2 / delta * q ** R / mp.sqrt(1 - a * a)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: sqrt(1 - a*a) loses digits "
-                                       "at the band edge (2.5e-10 at 1 + a = 1e-9)")
 def test_cp_energy_keeps_its_digits_at_the_band_edge():
     sys_ = fig_system(J=(1 - 1e-9) / 2)
     assert cp_energy(sys_, 1) == pytest.approx(float(closed_form_60_digits(sys_, 1)),
                                                  rel=1e-12, abs=0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: the force differences two energies "
-                                       "as q -> 1 (6.9e-11 at 1 + a = 1e-12)")
 def test_force_keeps_its_digits_at_the_band_edge():
     sys_ = fig_system(J=(1 - 1e-12) / 2)
     with mp.workdps(60):
         exact = -(closed_form_60_digits(sys_, 2) - closed_form_60_digits(sys_, 1))
     assert ecp_force(sys_, 1) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+
+
+#: Band parameters from a = -0.998 to -0.1, then up to the band edge at 1 + a = 1e-12.
+EDGE_GRID = ([-0.998 + i * (0.898 / 59) for i in range(60)]
+             + [-(1.0 - 10.0 ** -k) for k in range(3, 13)])
+
+
+def test_closed_forms_are_accurate_across_the_band_up_to_its_edge():
+    # energy, force and even doublet level at R = 1..29, and the amplitude,
+    # each within 4 (R + 1) ulp of 60-digit values from the system's floats
+    worst = dict.fromkeys(("energy", "force", "even level", "amplitude"), 0.0)
+    for a in EDGE_GRID:
+        sys_ = SymmetricSystem(delta=-1.0, J=-a / 2.0, lam=0.01, N=200)
+        with mp.workdps(60):
+            lam_sq, delta = mp.mpf(sys_.lam) ** 2, mp.mpf(sys_.delta)
+            a_exact = 2 * mp.mpf(sys_.J) / delta
+            root = mp.sqrt(1 - a_exact ** 2)
+            q = (root - 1) / a_exact
+            cases = [("amplitude", 0, decay_profile(sys_).amplitude, lam_sq / delta * (1 - q) / root)]
+            for r in range(1, 30):
+                energy = lam_sq / delta * q ** r / root
+                cases += [("energy", r, cp_energy(sys_, r), energy),
+                          ("force", r, ecp_force(sys_, r), energy * (1 - q)),
+                          ("even level", r, symmetric_spectrum_closed(sys_, r)[0],
+                           lam_sq / (delta * root) * (1 + q ** r))]
+            for name, r, value, exact in cases:
+                err = float(abs(value - exact) / abs(exact)) / ((r + 1) * 2.0 ** -52)
+                worst[name] = max(worst[name], err)
+    assert max(worst.values()) <= 4.0, worst

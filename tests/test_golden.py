@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from chaincp.casimir import force_curve
 from chaincp.cli import main
+from chaincp.lattice import SymmetricSystem
 from chaincp.thermal import CANCEL_EPS
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -88,17 +90,29 @@ def test_a_negative_series_needs_no_equals_sign(tmp_path):
 
 def test_the_round_trip_table_differs_only_in_its_six_unrounded_rows():
     # detuning-sweep.csv as computed at delta = 1 - (1 - delta): six of its
-    # deltas came back one ulp off, and only their rows move, by a few ulp
+    # deltas come back one ulp off, and only their rows move, by a few ulp.
+    # The kept table holds the cells of the closed forms' old root
+    # sqrt(1 - a*a), so each of its cells is within rounding of today's, and
+    # the round trip itself is recomputed with today's closed forms
     old, new = ((GOLDEN / name).read_text(encoding="ascii").splitlines()
                 for name in ("detuning-sweep-roundtrip.csv", "detuning-sweep.csv"))
     assert len(old) == len(new)
-    moved = [(o.split(","), n.split(",")) for o, n in zip(old, new) if o != n]
-    assert [n[0] for _, n in moved] == ["-1.9000000000000001", "-1.8", "-1.5000000000000002",
-                                        "-1.4000000000000001", "-1.3", "-1.0000000000000002"]
-    for o, n in moved:
-        assert o[:2] == n[:2]
+    header = new.index("delta,R,energy,force,abs_force")
+    assert old[:header + 1] == new[:header + 1]
+    moved = []
+    for o, n in zip(old[header + 1:], new[header + 1:]):
+        o, n = o.split(","), n.split(",")
+        assert o[:2] == n[:2] and n[1] == "1"
         for a, b in zip(map(float, o[2:]), map(float, n[2:])):
             assert abs(a - b) <= 1e-13 * abs(b)
+        delta = float(n[0])
+        row = force_curve(SymmetricSystem(1.0 - (1.0 - delta), 0.3, 0.01, 200), 1)[0]
+        if [row.energy, row.force] != [float(n[2]), float(n[3])]:
+            moved.append(n[0])
+            assert row.energy == pytest.approx(float(n[2]), rel=1e-13, abs=0.0)
+            assert row.force == pytest.approx(float(n[3]), rel=1e-13, abs=0.0)
+    assert moved == ["-1.9000000000000001", "-1.8", "-1.5000000000000002",
+                     "-1.4000000000000001", "-1.3", "-1.0000000000000002"]
 
 
 def test_the_absolute_energy_table_differs_only_in_its_ed_cells():
