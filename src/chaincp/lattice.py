@@ -37,6 +37,9 @@ WEAK_COUPLING_WARN = 0.1
 #: ``validate_regime`` reports failure.
 WEAK_COUPLING_FAIL = 0.5
 
+#: ``log`` of the smallest subnormal float, 5e-324, where the ring column stops.
+_LOG_TINY = math.log(math.ulp(0.0))
+
 
 class SymmetricSystem:
     """Identical impurities (``eps0``, ``lam``) side-coupled to one ring.
@@ -223,9 +226,22 @@ def _ring_ratios(sys: SymmetricSystem, x: float) -> list[float]:
 
 
 def _ring_column(sys: SymmetricSystem, x: float) -> list[float]:
-    """``g_n = c_n g_{n-1}`` for ``n = 0 .. N``, from :func:`_ring_ratios`; the two
-    are the package's only evaluation of the ring's Green's function."""
-    return list(accumulate(_ring_ratios(sys, x), operator.mul))
+    """``g_n = c_n g_{n-1}`` from :func:`_ring_ratios`, for ``n = 0 .. N`` or up to its cut.
+
+    The two are the package's only evaluation of the ring's Green's function.
+    ``c_N`` is the largest ratio, so ``g_n <= g_0 c_N^n``: the column stops
+    at ``n = log(5e-324 / g_0) / log(c_N) + 2``, past which that bound is
+    below the smallest subnormal.  :func:`_ring_entry` reads ``g_n`` past the
+    cut as ``0.0``, its correctly rounded value.
+    """
+    ratios = _ring_ratios(sys, x)
+    cut = (_LOG_TINY - math.log(ratios[0])) / math.log(max(ratios[-1], math.ulp(0.0))) + 2
+    return list(accumulate(ratios[:int(cut)], operator.mul))
+
+
+def _ring_entry(column: list[float], n: int) -> float:
+    """``g_n`` from a :func:`_ring_column`, exactly ``0.0`` past its cut."""
+    return column[n] if n < len(column) else 0.0
 
 
 def dispersion(sys: SymmetricSystem, k) -> np.ndarray | float:

@@ -48,7 +48,7 @@ import operator
 import warnings
 
 from .errors import ConvergenceError, InvalidRegime, NonConvergence
-from .lattice import SymmetricSystem, _ring_column, _ring_ratios, _separations
+from .lattice import SymmetricSystem, _ring_column, _ring_entry, _ring_ratios, _separations
 
 __all__ = [
     "cp_energy_ed",
@@ -107,16 +107,18 @@ def _even_shift(sys: SymmetricSystem, x1: float, column: list[float], R: int) ->
     secular equation, by the resolvent identity, leaves ``D (1 + lam^2 S) =
     -lam^2 g_R(x1 + D)`` with ``S = g_0 g_0' + 2 sum_{n >= 1} g_n g_n'``,
     unprimed factors at ``x1`` and primed ones at ``x1 + D``: only positive
-    terms, so nothing cancels.  The fixed point starts at ``-lam^2 g_R(x1)``.
+    terms, so nothing cancels.  ``S`` runs over the entries both columns
+    keep, since every product past either cut underflows to ``0.0``.  The
+    fixed point starts at ``-lam^2 g_R(x1)``.
     """
     lam_sq = sys.lam ** 2
 
     def update(shift: float) -> float:
         moved = _ring_column(sys, x1 + shift)
         s = 2.0 * sum(map(operator.mul, column, moved)) - column[0] * moved[0]
-        return -lam_sq * moved[R] / (1.0 + lam_sq * s)
+        return -lam_sq * _ring_entry(moved, R) / (1.0 + lam_sq * s)
 
-    return _fixed_point(update, -lam_sq * column[R], f"R={R}, N={sys.N}")
+    return _fixed_point(update, -lam_sq * _ring_entry(column, R), f"R={R}, N={sys.N}")
 
 
 def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, ...]:

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .lattice import (SymmetricSystem, _band_offsets, _edge_safe_root, _ring_column, _separations,
-                      brillouin_modes)
+from .lattice import (SymmetricSystem, _band_offsets, _edge_safe_root, _ring_column, _ring_entry,
+                      _separations, brillouin_modes)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,8 +61,9 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]
     """
     _separations(R, upper=sys.N)
     g = _ring_column(sys, 0.0)
+    g_0, g_r = g[0], _ring_entry(g, R)
     lam_sq = sys.lam ** 2
-    return -lam_sq * (g[0] + g[R]), -lam_sq * (g[0] - g[R])
+    return -lam_sq * (g_0 + g_r), -lam_sq * (g_0 - g_r)
 
 
 def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, float]:

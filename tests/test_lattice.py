@@ -20,6 +20,8 @@ from chaincp.errors import BandEdgeError, RegimeViolation
 from chaincp.lattice import (
     SymmetricSystem,
     _ring_column,
+    _ring_entry,
+    _ring_ratios,
     _separations,
     brillouin_modes,
     dispersion,
@@ -126,18 +128,55 @@ def test_ring_column_matches_high_precision_mode_sums(J, N, x, dps):
             assert abs(value - exact) <= 2e-14 * abs(exact), n
 
 
-@pytest.mark.parametrize("J,N", [(0.3, 400), (0.499, 400), (1e-5, 40), (0.0, 5), (0.3, 1)])
-def test_ring_column_early_exit_gives_the_floats_of_the_full_elimination(J, N):
-    # once a ratio repeats, every lower one is the same float: filling them in
-    # must give what eliminating site by site gives
-    sys_ = SymmetricSystem(delta=-1.0, J=J, lam=0.01, N=N)
-    d = -(-1e-4 + sys_.delta)
+def full_elimination(sys_, x):
+    """The ring column eliminated site by site over all ``N + 1`` entries."""
+    J, N, d = sys_.J, sys_.N, -(x + sys_.delta)
     ratios = [0.0] * (N + 1)
     ratios[N] = J / (d - J)
     for n in range(N - 1, 0, -1):
         ratios[n] = J / (d - J * ratios[n + 1])
     ratios[0] = 1.0 / (d - 2.0 * J * ratios[1])
-    assert _ring_column(sys_, -1e-4) == list(itertools.accumulate(ratios, operator.mul))
+    return list(itertools.accumulate(ratios, operator.mul))
+
+
+@pytest.mark.parametrize("J,N", [(0.3, 400), (0.499, 400), (1e-5, 40), (0.0, 5), (0.3, 1),
+                                 (0.3, 2000), (1e-5, 400)])
+def test_ring_column_early_exit_gives_the_floats_of_the_full_elimination(J, N):
+    # once a ratio repeats, every lower one is the same float: filling them in
+    # must give what eliminating site by site gives, and every entry the cut
+    # drops is one the full elimination underflows to 0.0
+    sys_ = SymmetricSystem(delta=-1.0, J=J, lam=0.01, N=N)
+    full = full_elimination(sys_, -1e-4)
+    column = _ring_column(sys_, -1e-4)
+    assert column == full[:len(column)]
+    assert all(g == 0.0 for g in full[len(column):])
+    # the column underflows past n ~ 680 at a = -0.6 and n ~ 65 at J = 1e-5
+    assert (len(column) < N + 1) == ((J, N) in {(0.0, 5), (0.3, 2000), (1e-5, 400)})
+    assert _ring_entry(column, N) == full[N]
+
+
+def test_ring_column_cut_drops_only_rounding_debris_above_a_half():
+    # above a decay ratio of 1/2 the site-by-site product never reaches 0.0,
+    # as 5e-324 * c rounds back to 5e-324.  Past the cut the bound g_0 c_N^n
+    # is below 5e-324, and here the true g_n is below half of it, so the cut's
+    # 0.0 is the correctly rounded value and the full elimination's is not
+    sys_ = SymmetricSystem(delta=-1.0, J=0.45, lam=0.01, N=5000)
+    full = full_elimination(sys_, 0.0)
+    column = _ring_column(sys_, 0.0)
+    n = len(column)
+    assert column == full[:n] and n < 4000
+    assert 0.0 < min(full[n:]) and max(full[n:]) < 64 * math.ulp(0.0)
+    ratios = _ring_ratios(sys_, 0.0)
+    assert max(ratios[1:]) == ratios[-1] > 0.5
+    with mp.workdps(30):
+        assert mp.mpf(column[0]) * mp.mpf(ratios[-1]) ** n < math.ulp(0.0)
+        # the same elimination in 30 digits, from site N down to site 1
+        d, J = -mp.mpf(sys_.delta), mp.mpf(sys_.J)
+        exact = [J / (d - J)]
+        for _ in range(sys_.N - 1):
+            exact.append(J / (d - J * exact[-1]))
+        g_n = 1 / (d - 2 * J * exact[-1]) * mp.fprod(exact[::-1][:n])
+        assert g_n < mp.mpf(math.ulp(0.0)) / 2
 
 
 def test_brillouin_modes_cover_the_zone():

@@ -1,6 +1,8 @@
 import ast
 import csv
+import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -20,11 +22,17 @@ from mpmath import mp
 from numpy.testing import assert_allclose
 
 import chaincp
-from chaincp import oracle
+from chaincp import oracle, perturbation
 from chaincp.casimir import cp_energy
 from chaincp.cli import main as cli_main
 from chaincp.errors import ConvergenceError, InvalidRegime, NonConvergence
-from chaincp.lattice import SymmetricSystem, brillouin_modes, dispersion
+from chaincp.lattice import (
+    SymmetricSystem,
+    _ring_column,
+    _ring_ratios,
+    brillouin_modes,
+    dispersion,
+)
 from chaincp.oracle import (
     ED_TOL,
     _even_shift,
@@ -32,6 +40,7 @@ from chaincp.oracle import (
     cp_energy_ed,
     cp_energy_quadrature,
 )
+from chaincp.perturbation import symmetric_spectrum_ksum
 
 
 def fig_system(delta=-1.0, J=0.3, lam=0.01, N=200):
@@ -223,6 +232,35 @@ def test_ed_step_cap_is_a_convergence_error(monkeypatch):
 def test_ed_sweep_gives_the_floats_of_single_calls(N):
     sys_ = fig_system(N=N)
     assert cp_energy_ed(sys_, range(1, 6)) == tuple(cp_energy_ed(sys_, r) for r in range(1, 6))
+
+
+def full_column(sys_, x):
+    """The ring column over all ``N + 1`` sites, with no cut."""
+    return list(itertools.accumulate(_ring_ratios(sys_, x), operator.mul))
+
+
+@pytest.mark.parametrize("J,lam,N,seps,past", [
+    (0.3, 0.01, 40, range(1, 11), False), (0.3, 0.01, 400, range(1, 11), False),
+    (0.3, 0.01, 4000, range(1, 11), False), (0.3, 0.01, 20000, range(1, 11), False),
+    # a = -0.998 underflows only far past N; J = 1e-5 past n ~ 65
+    (0.499, 1e-4, 20000, range(1, 11), False), (1e-5, 0.01, 400, range(1, 11), False),
+    # separations past the cut, whose shift and hopping are exactly zero
+    (0.3, 1e-3, 4000, range(900, 903), True), (1e-5, 0.01, 400, range(70, 72), True),
+], ids=["N=40", "N=400", "N=4000", "N=20000", "a=-0.998", "J=1e-5", "past-the-cut",
+        "J=1e-5-past-the-cut"])
+def test_ed_and_ksum_give_the_floats_of_the_uncut_column(J, lam, N, seps, past, monkeypatch):
+    sys_ = fig_system(J=J, lam=lam, N=N)
+    cut = (cp_energy_ed(sys_, seps), [symmetric_spectrum_ksum(sys_, r) for r in seps])
+    monkeypatch.setattr(oracle, "_ring_column", full_column)
+    monkeypatch.setattr(perturbation, "_ring_column", full_column)
+    uncut = (cp_energy_ed(sys_, seps), [symmetric_spectrum_ksum(sys_, r) for r in seps])
+    assert [float.hex(v) for v in cut[0]] == [float.hex(v) for v in uncut[0]]
+    assert ([[float.hex(v) for v in pair] for pair in cut[1]]
+            == [[float.hex(v) for v in pair] for pair in uncut[1]])
+    assert (len(_ring_column(sys_, 0.0)) <= seps[0]) == past
+    if past:
+        assert cut[0] == (0.0,) * len(seps)
+        assert all(plus == minus for plus, minus in cut[1])
 
 
 def test_ed_rejects_ranges_it_cannot_sweep():
