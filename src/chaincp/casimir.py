@@ -112,8 +112,9 @@ def force_curve(sys: SymmetricSystem, R: range) -> tuple[ForceRecord, ...]:
     """
     seps = _separations(R, upper=sys.N - 1)
     one_minus_q = _edge_safe_root(sys)[1]
+    energies = [cp_energy(sys, r) for r in seps]
     return tuple(ForceRecord(R=r, energy=e, force=e * one_minus_q)
-                 for r, e in ((r, cp_energy(sys, r)) for r in seps))
+                 for r, e in zip(seps, energies))
 
 
 def decay_profile(sys: SymmetricSystem) -> DecayProfile:

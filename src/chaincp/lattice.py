@@ -232,7 +232,8 @@ def _ring_column(sys: SymmetricSystem, x: float) -> list[float]:
     ``c_N`` is the largest ratio, so ``g_n <= g_0 c_N^n``: the column stops
     at ``n = log(5e-324 / g_0) / log(c_N) + 2``, past which that bound is
     below the smallest subnormal.  :func:`_ring_entry` reads ``g_n`` past the
-    cut as ``0.0``, its correctly rounded value.
+    cut as ``0.0``.  Above ``c = 1/2`` the site-by-site product would instead
+    stick at the smallest subnormals, since ``5e-324 c`` rounds back up.
     """
     ratios = _ring_ratios(sys, x)
     cut = (_LOG_TINY - math.log(ratios[0])) / math.log(max(ratios[-1], math.ulp(0.0))) + 2

@@ -239,7 +239,8 @@ def test_closed_forms_are_accurate_across_the_band_up_to_its_edge():
             a_exact = 2 * mp.mpf(sys_.J) / delta
             root = mp.sqrt(1 - a_exact ** 2)
             q = (root - 1) / a_exact
-            cases = [("amplitude", 0, decay_profile(sys_).amplitude, lam_sq / delta * (1 - q) / root)]
+            amplitude = lam_sq / delta * (1 - q) / root
+            cases = [("amplitude", 0, decay_profile(sys_).amplitude, amplitude)]
             for r in range(1, 30):
                 energy = lam_sq / delta * q ** r / root
                 cases += [("energy", r, cp_energy(sys_, r), energy),
