@@ -250,17 +250,22 @@ def full_column(sys_, x):
         "J=1e-5-past-the-cut"])
 def test_ed_and_ksum_give_the_floats_of_the_uncut_column(J, lam, N, seps, past, monkeypatch):
     sys_ = fig_system(J=J, lam=lam, N=N)
-    cut = (cp_energy_ed(sys_, seps), [symmetric_spectrum_ksum(sys_, r) for r in seps])
+
+    def floats():
+        # the ED shifts, then each separation's k-sum doublet
+        doublets = [symmetric_spectrum_ksum(sys_, r) for r in seps]
+        return list(cp_energy_ed(sys_, seps)), doublets
+
+    shifts, doublets = floats()
     monkeypatch.setattr(oracle, "_ring_column", full_column)
     monkeypatch.setattr(perturbation, "_ring_column", full_column)
-    uncut = (cp_energy_ed(sys_, seps), [symmetric_spectrum_ksum(sys_, r) for r in seps])
-    assert [float.hex(v) for v in cut[0]] == [float.hex(v) for v in uncut[0]]
-    assert ([[float.hex(v) for v in pair] for pair in cut[1]]
-            == [[float.hex(v) for v in pair] for pair in uncut[1]])
+    uncut_shifts, uncut_doublets = floats()
+    assert list(map(float.hex, shifts)) == list(map(float.hex, uncut_shifts))
+    assert doublets == uncut_doublets
     assert (len(_ring_column(sys_, 0.0)) <= seps[0]) == past
     if past:
-        assert cut[0] == (0.0,) * len(seps)
-        assert all(plus == minus for plus, minus in cut[1])
+        assert shifts == [0.0] * len(seps)
+        assert all(plus == minus for plus, minus in doublets)
 
 
 def test_ed_rejects_ranges_it_cannot_sweep():
