@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BandEdgeError, RegimeViolation
@@ -200,8 +200,8 @@ def _separations(R: int | range, lower: int = 1, upper: int | None = None) -> ra
     return R
 
 
-def _ring_ratios(sys: SymmetricSystem, x: float) -> list[float]:
-    """``[g_0, c_1, .., c_N]`` of the ring's Green's function ``g_n = -G_0n(eps0 + x)``.
+def _ring_column(sys: SymmetricSystem, x: float, stop: float = math.inf) -> list[float]:
+    """``g_n = -G_0n(eps0 + x)``, the ring's Green's function, for ``n = 0 .. N`` or up to its cut.
 
     Below the band ``d = -(x + delta) > 2 J``, ``d g_n - J (g_{n-1} + g_{n+1})
     = [n = 0]`` and, by mirror symmetry, ``g_{N+1} = g_N``.  Eliminating from
@@ -209,35 +209,29 @@ def _ring_ratios(sys: SymmetricSystem, x: float) -> list[float]:
     ``c_n = g_n / g_{n-1}`` with ``c_N = J / (d - J)``, ``c_n = J / (d - J
     c_{n+1})``, and ``g_0 = 1 / (d - 2 J c_1)``.  Every ``c_n`` is in ``[0,
     1)``, so no step cancels; they fall towards the bulk decay ratio ``c_1``,
-    and once one repeats every lower one equals it.
+    and once one repeats every lower one equals it, so elimination stops there.
+
+    This is the package's only evaluation of the finite ring.  ``c_N`` is the
+    largest ratio, so ``g_n <= g_0 c_N^n``: the column stops at ``n = log(5e-324
+    / g_0) / log(c_N) + 2``, past which that bound is below the smallest
+    subnormal.  :func:`_ring_entry` reads ``g_n`` past the cut as ``0.0``.
+    Above ``c = 1/2`` the site-by-site product would instead stick at the
+    smallest subnormals, since ``5e-324 c`` rounds back up.  A caller that
+    reads only the first entries ends the column sooner, at ``n < stop``.
     """
     d = -(x + sys.delta)
     J = sys.J
-    ratios = [0.0] * (sys.N + 1)
-    c = ratios[sys.N] = J / (d - J)
-    for n in range(sys.N - 1, 0, -1):
-        nxt = J / (d - J * c)
-        if nxt == c:
-            ratios[1:n + 1] = [c] * n
+    # c_N, c_{N-1}, .. until a ratio repeats; the last one then fills c_1 upwards
+    tail = [J / (d - J)]
+    for _ in range(sys.N - 1):
+        c = J / (d - J * tail[-1])
+        if c == tail[-1]:
             break
-        c = ratios[n] = nxt
-    ratios[0] = 1.0 / (d - 2.0 * J * ratios[1])
-    return ratios
-
-
-def _ring_column(sys: SymmetricSystem, x: float) -> list[float]:
-    """``g_n = c_n g_{n-1}`` from :func:`_ring_ratios`, for ``n = 0 .. N`` or up to its cut.
-
-    The two are the package's only evaluation of the ring's Green's function.
-    ``c_N`` is the largest ratio, so ``g_n <= g_0 c_N^n``: the column stops
-    at ``n = log(5e-324 / g_0) / log(c_N) + 2``, past which that bound is
-    below the smallest subnormal.  :func:`_ring_entry` reads ``g_n`` past the
-    cut as ``0.0``.  Above ``c = 1/2`` the site-by-site product would instead
-    stick at the smallest subnormals, since ``5e-324 c`` rounds back up.
-    """
-    ratios = _ring_ratios(sys, x)
-    cut = (_LOG_TINY - math.log(ratios[0])) / math.log(max(ratios[-1], math.ulp(0.0))) + 2
-    return list(accumulate(ratios[:int(cut)], operator.mul))
+        tail.append(c)
+    g_0 = 1.0 / (d - 2.0 * J * tail[-1])
+    cut = (_LOG_TINY - math.log(g_0)) / math.log(max(tail[0], math.ulp(0.0))) + 2
+    ratios = chain((g_0,), repeat(tail[-1], sys.N - len(tail)), reversed(tail))
+    return list(islice(accumulate(ratios, operator.mul), min(int(cut), stop)))
 
 
 def _ring_entry(column: list[float], n: int) -> float:

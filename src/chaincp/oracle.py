@@ -48,7 +48,7 @@ import operator
 import warnings
 
 from .errors import ConvergenceError, InvalidRegime, NonConvergence
-from .lattice import SymmetricSystem, _ring_column, _ring_entry, _ring_ratios, _separations
+from .lattice import SymmetricSystem, _ring_column, _ring_entry, _separations
 
 __all__ = [
     "cp_energy_ed",
@@ -95,7 +95,7 @@ def _fixed_point(update, x: float, where: str) -> float:
 def _impurity_level(sys: SymmetricSystem) -> tuple[float, list[float]]:
     """One impurity's level ``x1 = -lam^2 g_0(x1)``, with the ring column at ``x1``."""
     lam_sq = sys.lam ** 2
-    x1 = _fixed_point(lambda x: -lam_sq * _ring_ratios(sys, x)[0], 0.0,
+    x1 = _fixed_point(lambda x: -lam_sq * _ring_column(sys, x, stop=1)[0], 0.0,
                       f"the single-impurity level, N={sys.N}")
     return x1, _ring_column(sys, x1)
 
@@ -152,8 +152,8 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
     n_half = sys.N
     seps = _separations(R, upper=n_half // 4)
     x1, column = _impurity_level(sys)
-    # the ring's decay ratio c_1 at the bare level and at x1
-    q0, q1 = (_ring_ratios(sys, x)[1] for x in (0.0, x1))
+    # the ring's decay ratio g_1 / g_0 at the bare level and at x1
+    q0, q1 = (g[1] / g[0] for g in (_ring_column(sys, 0.0, stop=2), column))
     # a flat band, or a ratio that underflows, has no decay rate to shift
     rate = math.log(q0 / q1) if q1 else 0.0
 

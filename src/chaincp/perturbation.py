@@ -20,12 +20,13 @@ the band parameter ``a = 2J/delta``:
     q = \\frac{\\sqrt{1 - a^2} - 1}{a} \\in [0, 1).
 
 Every function returns levels measured from ``eps0``.  On the finite ring
-the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R``, the ring's
-Green's function at ``eps0``; the band back-action is one term per mode.
+the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R`` at ``eps0``,
+ring image included; the band back-action is one term per mode.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from .lattice import (SymmetricSystem, _band_offsets, _edge_safe_root, _ring_column, _ring_entry,
@@ -47,7 +48,7 @@ def band_energies(sys: SymmetricSystem) -> np.ndarray:
     return offsets + 2.0 * (sys.lam ** 2 / sys.num_sites) / offsets
 
 
-def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]:
+def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int | range) -> tuple:
     """Doublet levels ``(E_plus, E_minus)`` from ``eps0`` on the finite ring, at ``1 <= R <= N``.
 
     The doublet follows from diagonalising the effective two-level problem;
@@ -55,26 +56,30 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]
     combinations and the splitting is twice the mediated hopping.  The mode
     sums for the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R``,
     read off one column ``g_n = -G_0n`` of the ring's Green's function
-    (``lattice._ring_column``), to full relative precision at every ``R``.
+    (``lattice._ring_column``), to full relative precision at every ``R``; a
+    range of ``R`` reads one column and gives one doublet per separation.
     This is the finite-``N`` reference that the closed forms approximate;
     the band it shifts is :func:`band_energies`.
     """
-    _separations(R, upper=sys.N)
-    g = _ring_column(sys, 0.0)
-    g_0, g_r = g[0], _ring_entry(g, R)
-    lam_sq = sys.lam ** 2
-    return -lam_sq * (g_0 + g_r), -lam_sq * (g_0 - g_r)
+    seps = _separations(R, upper=sys.N)
+    g, lam_sq = _ring_column(sys, 0.0), sys.lam ** 2
+    doublets = tuple((-lam_sq * (g[0] + g_r), -lam_sq * (g[0] - g_r))
+                     for g_r in (_ring_entry(g, r) for r in seps))
+    return doublets if isinstance(R, range) else doublets[0]
 
 
 def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, float]:
     """Closed-form doublet levels ``(E_plus, E_minus)`` from ``eps0``, large-``N`` limit.
 
     Evaluated at separation ``R``, ``1 <= R <= N``.  ``E_plus`` (even
-    combination) is the lower level for ``delta < 0``.
+    combination) is the lower level for ``delta < 0``.  The odd level's ``1 -
+    q^R`` is ``-expm1(R log1p(-(1 - q)))`` on the edge-safe ``1 - q``, which
+    keeps its digits as ``q -> 1``, or exactly 1.0 once ``1 - q`` rounds to 1.
     At ``a = 0`` the band is flat, ``q = 0``, and the doublet is degenerate
     at ``lam**2 / delta``.
     """
     _separations(R, upper=sys.N)
-    base = sys.lam ** 2 / (sys.delta * _edge_safe_root(sys)[0])
-    q_r = sys.q ** R
-    return base * (1.0 + q_r), base * (1.0 - q_r)
+    root, one_minus_q = _edge_safe_root(sys)
+    base = sys.lam ** 2 / (sys.delta * root)
+    odd = -math.expm1(R * math.log1p(-one_minus_q)) if one_minus_q < 1.0 else 1.0
+    return base * (1.0 + sys.q ** R), base * odd

@@ -8,12 +8,12 @@ a straight Boltzmann average over the ``2N + 3`` single-electron levels:
     E_T = \\frac{1}{Z} \\sum_n E_n e^{-E_n / T},
     \\qquad Z = \\sum_n e^{-E_n / T},
 
-with the doublet taken from the closed forms and the band from the shifted
-ring modes, so the temperature dependence is exactly the competition between
-the split doublet and the ``2N + 1`` band states.  Every level is measured
-from ``eps0``, so the thermal force, the same discrete difference used at
-zero temperature, differences offsets of order ``lam^2 / |delta|`` at
-``T = 0`` rather than ``eps0``-sized energies,
+with the doublet ``-lam^2 (g_0 +- g_R)`` from the ring's Green's-function
+column and the band from the same ring's shifted modes, so the temperature
+dependence is exactly the competition between the split doublet and the band
+states.  Every level is measured from ``eps0``, so the thermal force, the same
+discrete difference used at zero temperature, differences offsets of order
+``lam^2 / |delta|`` at ``T = 0`` rather than ``eps0``-sized energies,
 
 .. math:: f_T(R) = -\\big(E_T(R + 1) - E_T(R)\\big).
 
@@ -27,7 +27,7 @@ level fills first and ``E_T(R + 1)`` climbs away from ``E_T(R)``.  fig5 at
 at ``T`` = 0, 0.001, 0.003 and 0.01.
 
 Every energy and force comes from one table, :func:`thermal_table`, which
-builds the band once per system; :func:`thermal_energy`, :func:`thermal_force`
+builds the levels once per system; :func:`thermal_energy`, :func:`thermal_force`
 and the CLI's ``thermal-sweep`` all go through it or its one-ensemble kernel.
 
 Weights are always computed from energies shifted by the spectrum minimum,
@@ -40,7 +40,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .lattice import SymmetricSystem, _separations
-from .perturbation import band_energies, symmetric_spectrum_closed
+from .perturbation import band_energies, symmetric_spectrum_ksum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,7 +66,7 @@ class ThermalEnsemble(NamedTuple):
     Attributes
     ----------
     energies : numpy.ndarray
-        All ``2N + 3`` levels, measured from ``eps0``: the closed-form
+        All ``2N + 3`` levels, measured from ``eps0``: the finite-ring
         ``e_plus`` and ``e_minus``, then the ``2N + 1`` shifted band modes.
     weights : numpy.ndarray
         Normalised populations aligned with :attr:`energies`.
@@ -105,17 +105,17 @@ def _boltzmann(energies: np.ndarray, T: float) -> np.ndarray:
     return shifted / math.fsum(shifted.tolist())
 
 
-def _ensemble(sys: SymmetricSystem, band: np.ndarray, T: float, R: int) -> ThermalEnsemble:
-    """The closed-form doublet at ``R`` and the shifted ``band`` levels, weighted at ``T``."""
+def _ensemble(doublet: tuple[float, float], band: np.ndarray, T: float) -> ThermalEnsemble:
+    """The ``doublet`` at one separation and the shifted ``band`` levels, weighted at ``T``."""
     import numpy as np
 
-    energies = np.concatenate((symmetric_spectrum_closed(sys, R), band))
+    energies = np.concatenate((doublet, band))
     return ThermalEnsemble(energies=energies, weights=_boltzmann(energies, T))
 
 
-def _ensemble_energy(sys: SymmetricSystem, band: np.ndarray, T: float, R: int) -> float:
+def _ensemble_energy(doublet: tuple[float, float], band: np.ndarray, T: float) -> float:
     """``E_T(R)``, the Boltzmann average over :func:`_ensemble`."""
-    ens = _ensemble(sys, band, T, R)
+    ens = _ensemble(doublet, band, T)
     return math.fsum((ens.weights * ens.energies).tolist())
 
 
@@ -131,16 +131,16 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     R : int
         Separation to evaluate at, ``1 <= R <= N``.
     """
-    return _ensemble(sys, band_energies(sys), T, R)
+    return _ensemble(symmetric_spectrum_ksum(sys, R), band_energies(sys), T)
 
 
 def thermal_table(sys: SymmetricSystem, temperatures, R: range) -> tuple[ThermalRow, ...]:
     """Thermal energy and force for every temperature and every separation in ``R``.
 
-    The band is built once; each ``(T, R)`` ensemble, out to one site past
-    the last separation, is built once and serves as the energy of row ``R``
-    and as the far end of the force of row ``R - 1``.  Rows run over ``R``
-    within each temperature, in the order the temperatures are given.
+    The band and the doublets, out to one site past the last separation,
+    are built once; each ``(T, R)`` ensemble is built once and serves as the
+    energy of row ``R`` and as the far end of the force of row ``R - 1``.
+    Rows run over ``R`` within each temperature, in the order given.
 
     Parameters
     ----------
@@ -156,9 +156,10 @@ def thermal_table(sys: SymmetricSystem, temperatures, R: range) -> tuple[Thermal
 
     band = band_energies(sys)
     separations = range(seps[0], seps[-1] + 2)
+    doublets = symmetric_spectrum_ksum(sys, separations)
     rows = []
     for t in temps:
-        energies = [_ensemble_energy(sys, band, t, r) for r in separations]
+        energies = [_ensemble_energy(doublet, band, t) for doublet in doublets]
         rows.extend(ThermalRow(T=t, R=r, energy=e, force=-(e_next - e))
                     for r, e, e_next in zip(separations, energies, energies[1:]))
     return tuple(rows)
@@ -166,7 +167,7 @@ def thermal_table(sys: SymmetricSystem, temperatures, R: range) -> tuple[Thermal
 
 def thermal_energy(sys: SymmetricSystem, T: float, R: int) -> float:
     """Ensemble average level from ``eps0`` at ``R``; exactly ``e_plus`` at ``T = 0``."""
-    return _ensemble_energy(sys, band_energies(sys), T, R)
+    return _ensemble_energy(symmetric_spectrum_ksum(sys, R), band_energies(sys), T)
 
 
 def thermal_force(sys: SymmetricSystem, T: float, R: int) -> float:

@@ -229,9 +229,9 @@ EDGE_GRID = ([-0.998 + i * (0.898 / 59) for i in range(60)]
 
 
 def test_closed_forms_are_accurate_across_the_band_up_to_its_edge():
-    # energy, force and even doublet level at R = 1..29, and the amplitude,
+    # energy, force and both doublet levels at R = 1..29, and the amplitude,
     # each within 4 (R + 1) ulp of 60-digit values from the system's floats
-    worst = dict.fromkeys(("energy", "force", "even level", "amplitude"), 0.0)
+    worst = dict.fromkeys(("energy", "force", "even level", "odd level", "amplitude"), 0.0)
     for a in EDGE_GRID:
         sys_ = SymmetricSystem(delta=-1.0, J=-a / 2.0, lam=0.01, N=200)
         with mp.workdps(60):
@@ -243,10 +243,11 @@ def test_closed_forms_are_accurate_across_the_band_up_to_its_edge():
             cases = [("amplitude", 0, decay_profile(sys_).amplitude, amplitude)]
             for r in range(1, 30):
                 energy = lam_sq / delta * q ** r / root
+                e_plus, e_minus = symmetric_spectrum_closed(sys_, r)
                 cases += [("energy", r, cp_energy(sys_, r), energy),
                           ("force", r, ecp_force(sys_, r), energy * (1 - q)),
-                          ("even level", r, symmetric_spectrum_closed(sys_, r)[0],
-                           lam_sq / (delta * root) * (1 + q ** r))]
+                          ("even level", r, e_plus, lam_sq / (delta * root) * (1 + q ** r)),
+                          ("odd level", r, e_minus, lam_sq / (delta * root) * (1 - q ** r))]
             for name, r, value, exact in cases:
                 err = float(abs(value - exact) / abs(exact)) / ((r + 1) * 2.0 ** -52)
                 worst[name] = max(worst[name], err)

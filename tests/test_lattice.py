@@ -21,7 +21,6 @@ from chaincp.lattice import (
     SymmetricSystem,
     _ring_column,
     _ring_entry,
-    _ring_ratios,
     _separations,
     brillouin_modes,
     dispersion,
@@ -128,15 +127,24 @@ def test_ring_column_matches_high_precision_mode_sums(J, N, x, dps):
             assert abs(value - exact) <= 2e-14 * abs(exact), n
 
 
-def full_elimination(sys_, x):
-    """The ring column eliminated site by site over all ``N + 1`` entries."""
+def full_ratios(sys_, x):
+    """``[g_0, c_1, .., c_N]``, the ring eliminated site by site with no early exit."""
     J, N, d = sys_.J, sys_.N, -(x + sys_.delta)
     ratios = [0.0] * (N + 1)
     ratios[N] = J / (d - J)
     for n in range(N - 1, 0, -1):
         ratios[n] = J / (d - J * ratios[n + 1])
     ratios[0] = 1.0 / (d - 2.0 * J * ratios[1])
-    return list(itertools.accumulate(ratios, operator.mul))
+    return ratios
+
+
+def full_elimination(sys_, x, stop=math.inf):
+    """The ring column over all ``N + 1`` entries, or below ``stop``, with no early exit and no cut.
+
+    This is the uncut reference that every test of the cut column compares with.
+    """
+    column = itertools.accumulate(full_ratios(sys_, x), operator.mul)
+    return list(itertools.islice(column, min(sys_.N + 1, stop)))
 
 
 @pytest.mark.parametrize("J,N", [(0.3, 400), (0.499, 400), (1e-5, 40), (0.0, 5), (0.3, 1),
@@ -153,6 +161,8 @@ def test_ring_column_early_exit_gives_the_floats_of_the_full_elimination(J, N):
     # the column underflows past n ~ 680 at a = -0.6 and n ~ 65 at J = 1e-5
     assert (len(column) < N + 1) == ((J, N) in {(0.0, 5), (0.3, 2000), (1e-5, 400)})
     assert _ring_entry(column, N) == full[N]
+    # a caller that reads only g_0 and g_1 builds only those
+    assert _ring_column(sys_, -1e-4, stop=2) == full[:2]
 
 
 def test_ring_column_cut_drops_only_rounding_debris_above_a_half():
@@ -166,7 +176,7 @@ def test_ring_column_cut_drops_only_rounding_debris_above_a_half():
     n = len(column)
     assert column == full[:n] and n < 4000
     assert 0.0 < min(full[n:]) and max(full[n:]) < 64 * math.ulp(0.0)
-    ratios = _ring_ratios(sys_, 0.0)
+    ratios = full_ratios(sys_, 0.0)
     assert max(ratios[1:]) == ratios[-1] > 0.5
     with mp.workdps(30):
         assert mp.mpf(column[0]) * mp.mpf(ratios[-1]) ** n < math.ulp(0.0)

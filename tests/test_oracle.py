@@ -1,8 +1,6 @@
 import ast
 import csv
-import itertools
 import math
-import operator
 import os
 import subprocess
 import sys
@@ -20,16 +18,16 @@ from dense_reference import (
 )
 from mpmath import mp
 from numpy.testing import assert_allclose
+from test_lattice import full_elimination
 
 import chaincp
-from chaincp import oracle, perturbation
+from chaincp import oracle, perturbation, thermal
 from chaincp.casimir import cp_energy
 from chaincp.cli import main as cli_main
 from chaincp.errors import ConvergenceError, InvalidRegime, NonConvergence
 from chaincp.lattice import (
     SymmetricSystem,
     _ring_column,
-    _ring_ratios,
     brillouin_modes,
     dispersion,
 )
@@ -212,9 +210,10 @@ def test_ed_non_finite_iterate_is_a_convergence_error(monkeypatch):
     # a ring column poisoned past site 2 spoils every shift but not the level
     real_column = oracle._ring_column
 
-    def poisoned(sys_, x):
-        column = real_column(sys_, x)
-        column[3] = math.nan
+    def poisoned(sys_, x, stop=math.inf):
+        column = real_column(sys_, x, stop)
+        if len(column) > 3:
+            column[3] = math.nan
         return column
 
     monkeypatch.setattr(oracle, "_ring_column", poisoned)
@@ -232,11 +231,6 @@ def test_ed_step_cap_is_a_convergence_error(monkeypatch):
 def test_ed_sweep_gives_the_floats_of_single_calls(N):
     sys_ = fig_system(N=N)
     assert cp_energy_ed(sys_, range(1, 6)) == tuple(cp_energy_ed(sys_, r) for r in range(1, 6))
-
-
-def full_column(sys_, x):
-    """The ring column over all ``N + 1`` sites, with no cut."""
-    return list(itertools.accumulate(_ring_ratios(sys_, x), operator.mul))
 
 
 @pytest.mark.parametrize("J,lam,N,seps,past", [
@@ -257,8 +251,8 @@ def test_ed_and_ksum_give_the_floats_of_the_uncut_column(J, lam, N, seps, past, 
         return list(cp_energy_ed(sys_, seps)), doublets
 
     shifts, doublets = floats()
-    monkeypatch.setattr(oracle, "_ring_column", full_column)
-    monkeypatch.setattr(perturbation, "_ring_column", full_column)
+    monkeypatch.setattr(oracle, "_ring_column", full_elimination)
+    monkeypatch.setattr(perturbation, "_ring_column", full_elimination)
     uncut_shifts, uncut_doublets = floats()
     assert list(map(float.hex, shifts)) == list(map(float.hex, uncut_shifts))
     assert doublets == uncut_doublets
@@ -553,17 +547,30 @@ def test_importing_the_package_leaves_mpmath_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_oracle_imports_nothing_from_the_closed_forms():
-    # the oracles must share no algebra with what they check
-    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+def imported_names(module):
+    """Every module and name that ``module``'s source imports, split at the dots."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
             names.add(getattr(node, "module", None) or "")
-    parts = {part for name in names for part in name.split(".")}
+    return {part for name in names for part in name.split(".")}
+
+
+def test_oracle_imports_nothing_from_the_closed_forms():
+    # the oracles must share no algebra with what they check
+    parts = imported_names(oracle)
     assert "lattice" in parts
     assert not parts & {"casimir", "perturbation"}
+
+
+def test_thermal_imports_nothing_from_the_closed_forms():
+    # the thermal layer is a model of the finite ring: its doublet must not
+    # fall back on the N -> inf closed forms, which drop the ring image
+    parts = imported_names(thermal)
+    assert "symmetric_spectrum_ksum" in parts
+    assert not parts & {"symmetric_spectrum_closed", "_edge_safe_root", "casimir"}
 
 
 def test_package_has_no_assert_statements():

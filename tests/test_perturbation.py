@@ -149,3 +149,13 @@ def test_ksum_large_chain_agrees_with_closed_form():
     ksum_plus, ksum_minus = symmetric_spectrum_ksum(sys_, 3)
     assert ksum_plus == pytest.approx(e_plus, rel=1e-10)
     assert ksum_minus == pytest.approx(e_minus, rel=1e-10)
+
+
+def test_ksum_sweep_gives_the_floats_of_single_calls():
+    # a range reads one column and gives one doublet per separation, in order
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=20)
+    assert symmetric_spectrum_ksum(sys_, range(1, 21)) == \
+        tuple(symmetric_spectrum_ksum(sys_, r) for r in range(1, 21))
+    for bad in (range(1, 22), range(0, 3), range(3, 3)):
+        with pytest.raises(ValueError):
+            symmetric_spectrum_ksum(sys_, bad)

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import chaincp
-from chaincp import thermal
+from chaincp import perturbation, thermal
 from chaincp.casimir import ecp_force
 from chaincp.cli import main
 from chaincp.lattice import SymmetricSystem
-from chaincp.perturbation import symmetric_spectrum_closed
+from chaincp.perturbation import symmetric_spectrum_ksum
 from chaincp.thermal import (
     ThermalRow,
     _growth_violations,
@@ -35,7 +35,7 @@ def brute_average(sys_, T, R):
 
     The band comes from ``omega`` in absolute energies, minus ``eps0``.
     """
-    e_plus, e_minus = symmetric_spectrum_closed(sys_, R)
+    e_plus, e_minus = symmetric_spectrum_ksum(sys_, R)
     levels = [e_plus, e_minus]
     ns = sys_.num_sites
     gsq = sys_.lam ** 2 / ns
@@ -50,7 +50,7 @@ def brute_average(sys_, T, R):
 
 def test_zero_temperature_recovers_the_ground_level():
     sys_ = fig_system(N=60)
-    e_plus, _ = symmetric_spectrum_closed(sys_, 1)
+    e_plus, _ = symmetric_spectrum_ksum(sys_, 1)
     assert thermal_energy(sys_, 0.0, 1) == e_plus
 
 
@@ -276,6 +276,21 @@ def test_force_vs_temperature_validates_the_grid(tmp_path):
         thermal_table(fig_system(), (-0.1, 0.2), range(1, 2))
 
 
+def test_thermal_sweep_keeps_the_ring_image(tmp_path):
+    # the doublet comes from the same ring of 2N + 1 sites as the band, so at
+    # T = 0 the force is the ring's own even-level difference; the N -> inf
+    # doublet is 0.14%, 1.25% and 12.5% off it at R = 17, 18 and 19
+    out = tmp_path / "thermal.csv"
+    assert main(["--mode", "thermal-sweep", "--N", "20", "--rmin", "17", "--rmax", "19",
+                 "--temperatures", "0", "--output", str(out)]) == 0
+    lines = [line.split(",") for line in out.read_text().splitlines()
+             if not line.startswith("#")][1:]
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=20)
+    plus = [e_plus for e_plus, _ in symmetric_spectrum_ksum(sys_, range(17, 21))]
+    assert [(int(r), float(force)) for _, _, r, _, force in lines] == \
+        [(r, -(e_next - e)) for r, e, e_next in zip(range(17, 20), plus, plus[1:])]
+
+
 def test_band_dilution_weakens_the_warm_force():
     # more band states at the same temperature means less weight on the
     # doublet, so the finite-T force falls with chain length while the
@@ -330,7 +345,7 @@ def test_infinite_temperature_stays_legal_in_the_table():
 
 
 def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch):
-    bands, spectra = Counter(), Counter()
+    bands, spectra, columns = Counter(), Counter(), Counter()
 
     def counting(counter, fn):
         def wrapper(sys_, *args):
@@ -338,16 +353,27 @@ def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch)
             return fn(sys_, *args)
         return wrapper
 
+    ensembles = []
+
+    def ensemble(doublet, band, T):
+        ensembles.append((len(band) // 2, T))
+        return real_ensemble(doublet, band, T)
+
+    real_ensemble = thermal._ensemble
+    monkeypatch.setattr(thermal, "_ensemble", ensemble)
     monkeypatch.setattr(thermal, "band_energies", counting(bands, thermal.band_energies))
-    monkeypatch.setattr(thermal, "symmetric_spectrum_closed",
-                        counting(spectra, thermal.symmetric_spectrum_closed))
+    monkeypatch.setattr(thermal, "symmetric_spectrum_ksum",
+                        counting(spectra, thermal.symmetric_spectrum_ksum))
+    monkeypatch.setattr(perturbation, "_ring_column",
+                        counting(columns, perturbation._ring_column))
     out = tmp_path / "thermal.csv"
     assert main(["--mode", "thermal-sweep", "--n-values", "50,100", "--lambda", "0.1",
                  "--temperatures", "0,0.1,1", "--rmin", "1", "--rmax", "8",
                  "--output", str(out)]) == 0
-    # one band per chain; one ensemble per (T, R) for R = 1..9
-    assert bands == {50: 1, 100: 1}
-    assert spectra == {50: 3 * 9, 100: 3 * 9}
+    # one band and one ring column of doublets per chain; one ensemble per
+    # (T, R) for R = 1..9
+    assert bands == spectra == columns == {50: 1, 100: 1}
+    assert Counter(ensembles) == {(n, t): 9 for n in (50, 100) for t in (0.0, 0.1, 1.0)}
 
     # the library table at one R gives the same floats, bit for bit
     lines = [line.split(",") for line in out.read_text().splitlines()
