@@ -8,26 +8,51 @@ interaction, checks them against the exact ground energy of the finite
 ring (from its Green's function in real space) and an arbitrary-precision
 momentum integral, and extends them to finite temperature.
 
-numpy and mpmath load on the first call that needs them, never on
-``import chaincp``.  The closed forms use neither and both oracles no
-numpy, so ``thermal-sweep`` and ``dispersion-dump`` are the CLI modes that load it.
+What loads when: ``import chaincp`` runs only this file and ``_version``.
+Each public name, and each submodule name, imports its home module on first
+access (PEP 562), so ``chaincp.cp_energy`` loads ``lattice``, ``casimir`` and
+``errors`` and never the oracles or the thermal layer.  Names are looked up
+in the home module on every access, never cached here, so a patched home
+module is seen through the package.  numpy and mpmath load on the first call
+that needs them: the closed forms use neither and both oracles no numpy, so
+``thermal-sweep`` and ``dispersion-dump`` are the CLI modes that load it.
 """
 
-from . import casimir, errors, lattice, oracle, perturbation, thermal
-from ._version import __version__
-from .casimir import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .lattice import *  # noqa: F403
-from .oracle import *  # noqa: F403
-from .perturbation import *  # noqa: F403
-from .thermal import *  # noqa: F403
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    *lattice.__all__,
-    *perturbation.__all__,
-    *casimir.__all__,
-    *oracle.__all__,
-    *thermal.__all__,
-    *errors.__all__,
-]
+from ._version import __version__
+
+#: Every public name's home submodule, in ``__all__`` order.
+_HOMES: dict[str, str] = {
+    name: module
+    for module, names in (
+        ("lattice", ("SymmetricSystem", "RegimeReport", "dispersion", "brillouin_modes",
+                     "validate_regime")),
+        ("perturbation", ("band_energies", "symmetric_spectrum_ksum",
+                          "symmetric_spectrum_closed")),
+        ("casimir", ("ForceRecord", "DecayProfile", "cp_energy", "ecp_force", "force_curve",
+                     "decay_profile", "continuum_decay_constant")),
+        ("oracle", ("cp_energy_ed", "cp_energy_quadrature")),
+        ("thermal", ("ThermalEnsemble", "ThermalRow", "thermal_ensemble", "thermal_table",
+                     "thermal_energy", "thermal_force")),
+        ("errors", ("RegimeViolation", "BandEdgeError", "InvalidRegime", "ConvergenceError",
+                    "NonConvergence")),
+    )
+    for name in names
+}
+_SUBMODULES = frozenset(_HOMES.values())
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

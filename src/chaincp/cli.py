@@ -13,7 +13,6 @@ outside the validity regime; 4 convergence or cross-check failures.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -459,6 +458,9 @@ def _render_csv(meta, columns, rows) -> str:
 
 
 def _render_json(meta, columns, rows) -> str:
+    # imported here so that CSV runs never pay for it
+    import json
+
     # JSON has no inf or nan, so those cells are strings, spelled as in the CSV
     doc = {
         "meta": dict(meta),

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -472,8 +473,25 @@ def test_closed_form_and_oracle_modes_never_load_numpy(tmp_path):
 
 
 def test_importing_the_cli_leaves_argparse_unloaded():
-    proc = _fresh_python("-c", "import sys, chaincp.cli; print('argparse' in sys.modules)")
-    assert proc.stdout.split() == ["False"], proc.stderr
+    # json loads only when a table is rendered as JSON
+    proc = _fresh_python("-c", "import sys, chaincp.cli; "
+                         "print(sorted({'argparse', 'json'} & set(sys.modules)))")
+    assert proc.stdout.split() == ["[]"], proc.stderr
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # bench/tracing.py's Tracer.install looks each spanned module up in
+    # sys.modules, so the CLI must import them all eagerly
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = sorted({module for _, module, _ in tracing.SPANNED})
+    proc = _fresh_python("-c", "import sys, chaincp.cli; "
+                         "print(sorted(set(sys.argv[1:]) - set(sys.modules)))", *modules)
+    assert proc.stdout.split() == ["[]"], (
+        f"chaincp.cli no longer imports {proc.stdout.strip()}, which the bench tracer spans; "
+        + proc.stderr)
 
 
 def test_oracle_warnings_print_as_chaincp_notes(tmp_path):

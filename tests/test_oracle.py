@@ -528,23 +528,46 @@ def test_oracle_check_survives_a_closed_form_that_underflows(tmp_path):
     assert all(row["quad_ok"] == row["ed_ok"] == "1" for row in rows)
 
 
-def test_importing_the_package_leaves_mpmath_unloaded():
+def _fresh_lines(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a fresh Python importing this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(chaincp.__file__).parents[1]), env.get("PYTHONPATH")]))
-    # only what the import adds counts, so whatever site preloads cannot hide it
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; before = set(sys.modules); import chaincp; "
-         "print(sorted({'dataclasses', 'inspect', 'numpy', 'mpmath'}"
-         " & (set(sys.modules) - before)))"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+# prints the modules that ``import chaincp`` (or the line after it) adds, so
+# whatever site preloads cannot hide one
+_ADDED = ("print(sorted(m for m in set(sys.modules) - before"
+          " if m.startswith('chaincp') or m in {'dataclasses', 'inspect', 'numpy', 'mpmath'}))")
+
+
+def test_importing_the_package_leaves_mpmath_unloaded():
     # numpy and mpmath both load on the first call that needs them, and the
     # records are NamedTuples and a slotted class, so dataclasses (with the
-    # inspect it drags in) never loads
-    assert proc.stdout.strip() == "[]"
+    # inspect it drags in) never loads; no submodule loads until a name is used
+    lines = _fresh_lines(f"import sys; before = set(sys.modules); import chaincp; {_ADDED}")
+    assert lines == [str(["chaincp", "chaincp._version"])]
+
+
+def test_a_closed_form_name_loads_only_its_home_modules():
+    lines = _fresh_lines("import sys, chaincp; before = set(sys.modules); "
+                         f"chaincp.cp_energy; {_ADDED}")
+    assert lines == [str(["chaincp.casimir", "chaincp.errors", "chaincp.lattice"])]
+
+
+def test_the_lazy_namespace_is_complete_and_rejects_unknown_names():
+    lines = _fresh_lines(
+        "import sys, chaincp; before = set(sys.modules); "
+        "print(hasattr(chaincp, 'no_such_name'), sorted(set(sys.modules) - before)); "
+        "names = {}; exec('from chaincp import *', names); "
+        "print(sorted(set(names) - {'__builtins__'}) == sorted(chaincp.__all__)); "
+        "print(set(dir(chaincp)) >= set(chaincp.__all__))")
+    assert lines == ["False []", "True", "True"]
+    assert len(chaincp.__all__) == 29
 
 
 def imported_names(module):
