@@ -30,7 +30,7 @@ def main():
         print("\nN = {}".format(n))
         print(header)
         sys_n = SymmetricSystem(delta=-1.0, J=0.3, lam=0.1, N=n)
-        # one table: the band once, then one ensemble per (T, R)
+        # one table: the band streamed once per T, then each (T, R) row in O(1)
         temps, seps = (0.0, 0.1, 1.0), range(1, 9)
         force = {(row.T, row.R): row.force for row in thermal_table(sys_n, temps, seps)}
         for r in seps:

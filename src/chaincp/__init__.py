@@ -14,8 +14,8 @@ access (PEP 562), so ``chaincp.cp_energy`` loads ``lattice``, ``casimir`` and
 ``errors`` and never the oracles or the thermal layer.  Names are looked up
 in the home module on every access, never cached here, so a patched home
 module is seen through the package.  numpy and mpmath load on the first call
-that needs them: the closed forms use neither and both oracles no numpy, so
-``thermal-sweep`` and ``dispersion-dump`` are the CLI modes that load it.
+that needs them: the closed forms use neither, and the oracles and the thermal
+kernel no numpy, so ``dispersion-dump`` is the one CLI mode that loads it.
 """
 
 from importlib import import_module

@@ -24,7 +24,7 @@ from .casimir import cp_energy, decay_profile, force_curve
 from .errors import ConvergenceError, InvalidRegime, RegimeViolation
 from .lattice import SymmetricSystem, brillouin_modes, dispersion, require_valid_regime
 from .oracle import ED_TOL, MAX_POINTS, QUAD_TOL, cp_energy_ed, cp_energy_quadrature
-from .thermal import CANCEL_EPS, ThermalRow, _growth_violations, thermal_table
+from .thermal import CANCEL_EPS, MAX_MODES, ThermalRow, _growth_violations, thermal_table
 
 #: Environment variable consulted for the default output directory; it has
 #: no other effect, and an explicit --output always wins.
@@ -375,7 +375,14 @@ def _run_thermal_sweep(cfg: MappingProxyType):
     rows = []
     by_nr: dict[tuple[int, int], list[ThermalRow]] = {}
     separations = range(cfg["rmin"], cfg["rmax"] + 1)
-    for n in cfg["n_values"] or (cfg["N"],):
+    chains = cfg["n_values"] or (cfg["N"],)
+    # the band is streamed, not allocated, so no allocation fails for a chain
+    # too long to sum: it is refused before any chain is summed
+    for n in chains:
+        if 2 * n + 1 > MAX_MODES:
+            raise ConfigError(f"thermal-sweep streams at most {MAX_MODES} band modes per "
+                              f"temperature; N={n} has 2N + 1 = {2 * n + 1}")
+    for n in chains:
         sys_ = _gated_system(cfg, N=int(n))
         for row in thermal_table(sys_, cfg["temperatures"], separations):
             # the one place a level measured from eps0 is printed as an absolute energy

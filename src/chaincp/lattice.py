@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from itertools import accumulate, chain, islice, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -217,20 +218,26 @@ def _ring_column(sys: SymmetricSystem, x: float, stop: float = math.inf) -> list
     subnormal.  :func:`_ring_entry` reads ``g_n`` past the cut as ``0.0``.
     Above ``c = 1/2`` the site-by-site product would instead stick at the
     smallest subnormals, since ``5e-324 c`` rounds back up.  A caller that
-    reads only the first entries ends the column sooner, at ``n < stop``.
+    reads only the first entries ends the column sooner, at ``n < stop``, and
+    keeps only the ratios those entries need: near the band edge no ratio
+    repeats, and holding all ``N`` of them would make a short column cost
+    O(N) memory.
     """
     d = -(x + sys.delta)
     J = sys.J
     # c_N, c_{N-1}, .. until a ratio repeats; the last one then fills c_1 upwards
-    tail = [J / (d - J)]
-    for _ in range(sys.N - 1):
+    top = J / (d - J)
+    tail = deque((top,), maxlen=None if stop == math.inf else max(int(stop) - 1, 1))
+    found = sys.N  # how many ratios were computed, c_N down to c_{N - found + 1}
+    for n in range(1, sys.N):
         c = J / (d - J * tail[-1])
         if c == tail[-1]:
+            found = n
             break
         tail.append(c)
     g_0 = 1.0 / (d - 2.0 * J * tail[-1])
-    cut = (_LOG_TINY - math.log(g_0)) / math.log(max(tail[0], math.ulp(0.0))) + 2
-    ratios = chain((g_0,), repeat(tail[-1], sys.N - len(tail)), reversed(tail))
+    cut = (_LOG_TINY - math.log(g_0)) / math.log(max(top, math.ulp(0.0))) + 2
+    ratios = chain((g_0,), repeat(tail[-1], sys.N - found), reversed(tail))
     return list(islice(accumulate(ratios, operator.mul), min(int(cut), stop)))
 
 

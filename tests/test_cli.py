@@ -14,6 +14,7 @@ import chaincp.oracle
 from chaincp.casimir import cp_energy, ecp_force
 from chaincp.cli import _KEYS, PRESETS, ConfigError, _flag, _linspace, load_config, main
 from chaincp.lattice import SymmetricSystem
+from chaincp.thermal import MAX_MODES, thermal_table
 
 
 def run_cli(args):
@@ -397,17 +398,34 @@ def test_exit_code_3_outside_the_regime():
 
 
 def test_exit_code_2_when_the_chain_does_not_fit_in_memory(tmp_path, monkeypatch, capsys):
-    # the ring's modes are the first array a thermal sweep allocates; a real
+    # the ring's modes are the first array a dispersion dump allocates; a real
     # N = 3e9 would ask numpy for tens of GB, so the allocation fails here by hand
     def arange(*args, **kwargs):
         raise MemoryError("Unable to allocate 44.7 GiB for an array with shape (6000000001,)")
 
     monkeypatch.setattr(np, "arange", arange)
-    assert run_cli(["--mode", "thermal-sweep", "--N", "3000000000", "--rmax", "2",
+    assert run_cli(["--mode", "dispersion-dump", "--N", "3000000000",
                     "--output", str(tmp_path / "never.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("chaincp: config error: Unable to allocate") and err.count("\n") == 1
     assert "Traceback" not in err and not (tmp_path / "never.csv").exists()
+
+
+@pytest.mark.parametrize("series", [["--N", "3000000000"], ["--n-values", "20,5000000"]])
+def test_exit_code_2_when_the_band_exceeds_the_mode_ceiling(series, tmp_path, capsys):
+    # the thermal band is streamed, never allocated, so a huge N would run
+    # for hours instead of failing: above MAX_MODES it is refused up front,
+    # before any chain is summed
+    assert 2 * 5_000_000 + 1 > MAX_MODES
+    assert run_cli(["--mode", "thermal-sweep", *series, "--rmax", "2",
+                    "--output", str(tmp_path / "never.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chaincp: config error: thermal-sweep streams at most 10000000 band "
+                          "modes") and err.count("\n") == 1
+    assert not (tmp_path / "never.csv").exists()
+    with pytest.raises(ValueError, match="at most 10000000 modes"):
+        thermal_table(SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=5_000_000), (0.0,),
+                      range(1, 2))
 
 
 def test_oracle_check_without_coupling_is_a_regime_violation(tmp_path, capsys):
@@ -465,11 +483,12 @@ def _numpy_loaded(argv, tmp_path) -> bool:
 
 def test_closed_form_and_oracle_modes_never_load_numpy(tmp_path):
     for argv in (["--preset", "fig2"], ["--preset", "fig3"], ["--preset", "fig4"],
+                 ["--preset", "fig5"],
                  ["--mode", "hopping-sweep"], ["--mode", "detuning-sweep"],
                  ["--mode", "oracle-check", "--N", "40", "--rmax", "2"]):
         assert not _numpy_loaded(argv, tmp_path), argv
-    # the guard is not vacuous: the thermal mode's arrays do load it
-    assert _numpy_loaded(["--preset", "fig5", "--n-values", "20"], tmp_path)
+    # the guard is not vacuous: the dispersion dump's arrays do load it
+    assert _numpy_loaded(["--mode", "dispersion-dump", "--N", "5"], tmp_path)
 
 
 def test_importing_the_cli_leaves_argparse_unloaded():
