@@ -68,6 +68,18 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int | range) -> tuple:
     return doublets if isinstance(R, range) else doublets[0]
 
 
+def _doublet_halves(sys: SymmetricSystem, seps: range) -> tuple[float, list[float]]:
+    """Doublet mean ``m = -lam^2 g_0`` and half-splittings ``h_R = lam^2 g_R``, ``R`` in ``seps``.
+
+    The doublet at ``R`` is ``(m - h_R, m + h_R)``: the levels of
+    :func:`symmetric_spectrum_ksum`, with the mean and the half-splitting
+    rounded apart, so that a difference of two ``h`` never cancels against
+    ``m``.  The column is cut one site past the last separation.
+    """
+    column, lam_sq = _ring_column(sys, 0.0, stop=seps[-1] + 1), sys.lam ** 2
+    return -lam_sq * column[0], [lam_sq * _ring_entry(column, r) for r in seps]
+
+
 def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, float]:
     """Closed-form doublet levels ``(E_plus, E_minus)`` from ``eps0``, large-``N`` limit.
 

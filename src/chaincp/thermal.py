@@ -40,8 +40,8 @@ weight on the even level, ``E = m - h_R`` and ``f = h_{R + 1} - h_R``.
 Each sum is one ``math.fsum`` over a generator that walks the modes ``n = 0
 .. N``, counting each ``n >= 1`` twice for its partner ``-n``: no list or
 array of the band is ever built, so a temperature costs O(N) time and O(1)
-memory, and each ``(T, R)`` row O(1).  :data:`MAX_MODES` caps the band that
-is streamed.
+memory, and each ``(T, R)`` row O(1).  ``thermal-sweep`` refuses a band of
+more than :data:`MAX_MODES` modes.
 
 Raising ``T`` moves weight from the even doublet state first onto its odd
 partner and then into the band, and the band states' lack of ``R``
@@ -55,8 +55,9 @@ at ``T`` = 0, 0.001, 0.003 and 0.01.
 Every energy and force comes from one kernel: :func:`thermal_table`,
 :func:`thermal_energy`, :func:`thermal_force` and the CLI's ``thermal-sweep``
 all go through it.  :func:`thermal_ensemble` is the explicit-levels
-reference: it builds the ``2N + 3`` levels and their weights as numpy
-arrays, from energies shifted by the spectrum minimum.
+reference: it builds the ``2N + 3`` levels, the same doublet ``m -+ h_R``
+and band, and their weights as numpy arrays, from energies shifted by the
+spectrum minimum.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .lattice import SymmetricSystem, _ring_column, _ring_entry, _separations
-from .perturbation import band_energies, symmetric_spectrum_ksum
+from .lattice import SymmetricSystem, _separations
+from .perturbation import _doublet_halves, band_energies
 
 if TYPE_CHECKING:
     import numpy as np
@@ -89,8 +90,9 @@ CANCEL_EPS = 4 * math.ulp(1.0)
 #: it is noise.
 FORCE_RTOL = 1e-12
 
-#: The most band modes, ``2N + 1``, the thermal kernel streams per temperature:
-#: ten million, a few seconds a temperature.  A longer ring is refused, not summed.
+#: The most band modes, ``2N + 1``, that ``thermal-sweep`` streams per
+#: temperature: ten million, a few seconds a temperature.  The CLI refuses a
+#: longer ring before it sums any; the library sums any ring, O(N) a temperature.
 MAX_MODES = 10 ** 7
 
 
@@ -101,7 +103,8 @@ class ThermalEnsemble(NamedTuple):
     ----------
     energies : numpy.ndarray
         All ``2N + 3`` levels, measured from ``eps0``: the finite-ring
-        ``e_plus`` and ``e_minus``, then the ``2N + 1`` shifted band modes.
+        doublet ``m - h_R`` and ``m + h_R``, then the ``2N + 1`` shifted band
+        modes.
     weights : numpy.ndarray
         Normalised populations aligned with :attr:`energies`.
     """
@@ -132,7 +135,8 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     """Populations of the doublet and band levels at temperature ``T``.
 
     The explicit-levels reference for the thermal kernel: every level and its
-    weight, as numpy arrays.
+    weight, as numpy arrays, with the kernel's doublet rule
+    (:func:`~chaincp.perturbation._doublet_halves`).
 
     Parameters
     ----------
@@ -146,7 +150,8 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     import numpy as np
 
     beta = _beta(T)
-    energies = np.concatenate((symmetric_spectrum_ksum(sys, R), band_energies(sys)))
+    m, (h,) = _doublet_halves(sys, _separations(R, upper=sys.N))
+    energies = np.concatenate(((m - h, m + h), band_energies(sys)))
     e_min = float(energies.min())
     if beta == math.inf:
         # Limit distribution: all weight on the ground level, split evenly
@@ -207,16 +212,9 @@ def _pair_share(h: float, beta: float, z: float, s: float) -> float:
 def _kernel(sys: SymmetricSystem, temperatures, seps: range):
     """Per temperature, ``(T, E_T - G, [G(h_R) for R in seps])``, from the band's two sums.
 
-    ``m`` and every ``h_R`` come from one ring column, read once.  A ring
-    of more than :data:`MAX_MODES` modes is refused, whatever the temperatures.
+    ``m`` and every ``h_R`` come from one ring column, read once.
     """
-    if sys.num_sites > MAX_MODES:
-        raise ValueError(f"the thermal band streams at most {MAX_MODES} modes, "
-                         f"got 2N + 1 = {sys.num_sites}")
-    column = _ring_column(sys, 0.0, stop=seps[-1] + 1)
-    lam_sq = sys.lam ** 2
-    m = -lam_sq * column[0]
-    halves = [lam_sq * _ring_entry(column, r) for r in seps]
+    m, halves = _doublet_halves(sys, seps)
     for t in temperatures:
         beta = _beta(t)
         z, s = _band_sums(sys, m, beta)
@@ -234,7 +232,6 @@ def thermal_table(sys: SymmetricSystem, temperatures, R: range) -> tuple[Thermal
     Parameters
     ----------
     sys : SymmetricSystem
-        With at most :data:`MAX_MODES` ring modes.
     temperatures : sequence of float
         Each ``T >= 0``; ``math.inf`` is allowed.
     R : range

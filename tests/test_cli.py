@@ -14,7 +14,7 @@ import chaincp.oracle
 from chaincp.casimir import cp_energy, ecp_force
 from chaincp.cli import _KEYS, PRESETS, ConfigError, _flag, _linspace, load_config, main
 from chaincp.lattice import SymmetricSystem
-from chaincp.thermal import MAX_MODES, thermal_table
+from chaincp.thermal import MAX_MODES
 
 
 def run_cli(args):
@@ -423,9 +423,6 @@ def test_exit_code_2_when_the_band_exceeds_the_mode_ceiling(series, tmp_path, ca
     assert err.startswith("chaincp: config error: thermal-sweep streams at most 10000000 band "
                           "modes") and err.count("\n") == 1
     assert not (tmp_path / "never.csv").exists()
-    with pytest.raises(ValueError, match="at most 10000000 modes"):
-        thermal_table(SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=5_000_000), (0.0,),
-                      range(1, 2))
 
 
 def test_oracle_check_without_coupling_is_a_regime_violation(tmp_path, capsys):

@@ -607,10 +607,11 @@ def test_oracle_imports_nothing_from_the_closed_forms():
 
 
 def test_thermal_imports_nothing_from_the_closed_forms():
-    # the thermal layer is a model of the finite ring: its doublet must not
-    # fall back on the N -> inf closed forms, which drop the ring image
+    # the thermal layer is a model of the finite ring: its doublet, the ring
+    # column's mean and half-splittings, must not fall back on the N -> inf
+    # closed forms, which drop the ring image
     parts = imported_names(thermal)
-    assert "symmetric_spectrum_ksum" in parts
+    assert "_doublet_halves" in parts
     assert not parts & {"symmetric_spectrum_closed", "_edge_safe_root", "casimir"}
 
 

@@ -12,11 +12,11 @@ import pytest
 from mpmath import mp, mpf
 
 import chaincp
-from chaincp import thermal
+from chaincp import perturbation, thermal
 from chaincp.casimir import ecp_force
 from chaincp.cli import main
 from chaincp.lattice import SymmetricSystem, _ring_column, _ring_entry
-from chaincp.perturbation import band_energies, symmetric_spectrum_ksum
+from chaincp.perturbation import _doublet_halves, band_energies, symmetric_spectrum_ksum
 from chaincp.thermal import (
     CANCEL_EPS,
     ThermalRow,
@@ -53,8 +53,11 @@ def brute_average(sys_, T, R):
 
 def test_zero_temperature_recovers_the_ground_level():
     sys_ = fig_system(N=60)
+    m, (h,) = _doublet_halves(sys_, range(1, 2))
+    assert thermal_energy(sys_, 0.0, 1) == m - h
+    # the spectrum's even level, rounded once from -lam^2 (g_0 + g_1)
     e_plus, _ = symmetric_spectrum_ksum(sys_, 1)
-    assert thermal_energy(sys_, 0.0, 1) == e_plus
+    assert m - h == pytest.approx(e_plus, rel=CANCEL_EPS, abs=0)
 
 
 def test_zero_temperature_force_matches_the_ground_state_force():
@@ -86,11 +89,14 @@ def test_infinite_temperature_is_the_uniform_average():
 
 @pytest.mark.parametrize("T", [0.0, 0.1, math.inf])
 def test_ensemble_average_is_the_thermal_energy(T):
-    # the explicit levels, weighted and summed in another order: a few ulp apart
+    # the same levels; at T = 0 the same one, else weighted and summed in
+    # another order, a few ulp apart
     sys_ = fig_system(N=40)
     ens = thermal_ensemble(sys_, T, 2)
-    assert math.fsum((ens.weights * ens.energies).tolist()) == \
-        pytest.approx(thermal_energy(sys_, T, 2), rel=CANCEL_EPS, abs=0)
+    average = math.fsum((ens.weights * ens.energies).tolist())
+    if T == 0:
+        assert average == thermal_energy(sys_, T, 2)
+    assert average == pytest.approx(thermal_energy(sys_, T, 2), rel=CANCEL_EPS, abs=0)
 
 
 def test_infinite_temperature_force_vanishes():
@@ -294,19 +300,18 @@ def test_force_vs_temperature_validates_the_grid(tmp_path):
 
 def test_thermal_sweep_keeps_the_ring_image(tmp_path):
     # the doublet comes from the same ring of 2N + 1 sites as the band, so at
-    # T = 0 the force is the ring's own even-level difference; the N -> inf
-    # doublet is 0.14%, 1.25% and 12.5% off it at R = 17, 18 and 19
+    # T = 0 the force is the ring's own h_{R+1} - h_R, h_R = lam^2 g_R; the
+    # N -> inf doublet is 0.14%, 1.25% and 12.5% off it at R = 17, 18 and 19
     out = tmp_path / "thermal.csv"
     assert main(["--mode", "thermal-sweep", "--N", "20", "--rmin", "17", "--rmax", "19",
                  "--temperatures", "0", "--output", str(out)]) == 0
     lines = [line.split(",") for line in out.read_text().splitlines()
              if not line.startswith("#")][1:]
     sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=20)
-    plus = [e_plus for e_plus, _ in symmetric_spectrum_ksum(sys_, range(17, 21))]
-    assert [int(r) for _, _, r, _, _ in lines] == [17, 18, 19]
-    # the even levels' difference, which its cancellation leaves ~1e-7 off here
-    assert [float(force) for *_, force in lines] == pytest.approx(
-        [-(e_next - e) for e, e_next in zip(plus, plus[1:])], rel=1e-5, abs=0)
+    column, lam_sq = _ring_column(sys_, 0.0), sys_.lam ** 2
+    assert [(int(r), float(force)) for _, _, r, _, force in lines] == \
+        [(r, lam_sq * _ring_entry(column, r + 1) - lam_sq * _ring_entry(column, r))
+         for r in range(17, 20)]
 
 
 def test_band_dilution_weakens_the_warm_force():
@@ -367,7 +372,7 @@ def test_infinite_temperature_stays_legal_in_the_table():
 
 def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch):
     # one ring column per chain; per (chain, T), the band streamed once into
-    # each of its two sums, and never an explicit band or ensemble
+    # each of its two sums, and never an explicit band, spectrum or ensemble
     columns, sums, walks = Counter(), Counter(), Counter()
 
     def counting(counter, fn, key):
@@ -377,16 +382,18 @@ def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch)
         return wrapper
 
     def forbidden(*args):
-        raise AssertionError("the thermal kernel built an explicit band")
+        raise AssertionError("the thermal kernel built an explicit band or spectrum")
 
-    monkeypatch.setattr(thermal, "_ring_column",
-                        counting(columns, thermal._ring_column, lambda sys_, *_: sys_.N))
+    monkeypatch.setattr(perturbation, "_ring_column",
+                        counting(columns, perturbation._ring_column,
+                                 lambda sys_, *_, **kw: sys_.N))
     monkeypatch.setattr(thermal, "_band_sums",
                         counting(sums, thermal._band_sums, lambda sys_, m, beta: (sys_.N, beta)))
     monkeypatch.setattr(thermal, "_half_ring",
                         counting(walks, thermal._half_ring, lambda sys_, m: sys_.N))
-    for name in ("band_energies", "symmetric_spectrum_ksum", "thermal_ensemble"):
+    for name in ("band_energies", "thermal_ensemble"):
         monkeypatch.setattr(thermal, name, forbidden)
+    monkeypatch.setattr(perturbation, "symmetric_spectrum_ksum", forbidden)
     out = tmp_path / "thermal.csv"
     assert main(["--mode", "thermal-sweep", "--n-values", "50,100", "--lambda", "0.1",
                  "--temperatures", "0,0.1,1", "--rmin", "1", "--rmax", "8",
