@@ -10,8 +10,6 @@ this script just pins down the geography: band edges, the gap, and the two
 bound levels from both the finite k-sum and its closed form.
 """
 
-import numpy as np
-
 from chaincp import (
     SymmetricSystem,
     brillouin_modes,
@@ -39,9 +37,9 @@ def main():
 
     print("\ndispersion samples:")
     modes = brillouin_modes(sys_)
-    for idx in np.linspace(0, modes.size - 1, 7).astype(int):
-        k = modes[idx]
-        print("  k = {:+.4f}   Omega_k = {:.6f}".format(k, dispersion(sys_, float(k))))
+    for idx in range(7):
+        k = modes[idx * (len(modes) - 1) // 6]
+        print("  k = {:+.4f}   Omega_k = {:.6f}".format(k, dispersion(sys_, k)))
 
     R = 1
     print("\nbound doublet below the band (separation R = {}):".format(R))

@@ -22,7 +22,7 @@ def main():
     for temp in (0.0, 0.01, 0.05, 0.1, 0.5, 1.0):
         w = thermal_ensemble(sys_, temp, 1).weights
         print("  {:5.2f}   {:.5f}   {:.5f}   {:.5f}".format(
-            temp, w[0], w[1], w[2:].sum()))
+            temp, w[0], w[1], math.fsum(w[2:])))
 
     print("\nthermal force vs separation (lambda = 0.1):")
     header = "   R    f(T=0)          f(T=0.1)        f(T=1)"

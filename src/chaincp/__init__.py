@@ -13,9 +13,9 @@ Each public name, and each submodule name, imports its home module on first
 access (PEP 562), so ``chaincp.cp_energy`` loads ``lattice``, ``casimir`` and
 ``errors`` and never the oracles or the thermal layer.  Names are looked up
 in the home module on every access, never cached here, so a patched home
-module is seen through the package.  numpy and mpmath load on the first call
-that needs them: the closed forms use neither, and the oracles and the thermal
-kernel no numpy, so ``dispersion-dump`` is the one CLI mode that loads it.
+module is seen through the package.  It never imports numpy: modes and levels
+are floats and tuples computed with ``math``.  mpmath, its one dependency,
+loads on the first quadrature.
 """
 
 from importlib import import_module

@@ -24,7 +24,19 @@ from .casimir import cp_energy, decay_profile, force_curve
 from .errors import ConvergenceError, InvalidRegime, RegimeViolation
 from .lattice import SymmetricSystem, brillouin_modes, dispersion, require_valid_regime
 from .oracle import ED_TOL, MAX_POINTS, QUAD_TOL, cp_energy_ed, cp_energy_quadrature
-from .thermal import CANCEL_EPS, MAX_MODES, ThermalRow, _growth_violations, thermal_table
+from .thermal import ThermalRow, _growth_violations, thermal_table
+
+#: How far rounding can move a difference of two floats, in units of the
+#: larger: a few ulp in each of the two terms.  It bounds the omega/delta
+#: agreement.
+CANCEL_EPS = 4 * math.ulp(1.0)
+
+#: The most ring modes, ``2N + 1``, that ``thermal-sweep`` streams per
+#: temperature and ``dispersion-dump`` writes: ten million, a few seconds a
+#: temperature.  Modes are built one float at a time, so a longer ring would
+#: run for hours or fill memory; both modes refuse it up front.  The library
+#: takes any ring.
+MAX_MODES = 10 ** 7
 
 #: Environment variable consulted for the default output directory; it has
 #: no other effect, and an explicit --output always wins.
@@ -199,32 +211,38 @@ def load_config(argv: list[str] | None = None) -> MappingProxyType:
 
     merged = {key: default for key, (_, default) in _KEYS.items()}
     sources: dict[str, str] = {}
-    for source, values in (("preset", PRESETS.get(preset, {})),
-                           ("file", _parse_config_file(path) if path is not None else {}),
-                           ("flag", flags)):
+    layers = (("preset", PRESETS.get(preset, {})),
+              ("file", _parse_config_file(path) if path is not None else {}),
+              ("flag", flags))
+    for source, values in layers:
         for key, raw in values.items():
             merged[key] = _coerce(key, raw)
             sources[key] = source
 
-    # A scalar given on the command line supersedes a series the preset or
-    # file would have swept over (--J against fig2's j_values, say).
-    for scalar, series in (("J", "j_values"), ("delta", "delta_values"), ("N", "n_values")):
-        if scalar in flags and series not in flags:
-            merged[series] = None
-
-    # omega is an alternative way to state the detuning; eps0 - omega is
-    # exact only to a few ulp of the largest magnitude involved.
+    # omega is an alternative way to state the detuning.  Of the two, the one
+    # from the later layer wins; from one layer they must agree, to a few ulp
+    # of the largest magnitude involved, since eps0 - omega is exact to no more.
     if merged["omega"] is not None:
         implied = merged["eps0"] - merged["omega"]
+        rank = [source for source, _ in layers]
+        by_omega, by_delta = sources["omega"], sources.get("delta")
         scale = max(abs(merged["eps0"]), abs(merged["omega"]), abs(merged["delta"]))
-        if "delta" in sources and abs(implied - merged["delta"]) > CANCEL_EPS * scale:
+        if by_delta == by_omega and abs(implied - merged["delta"]) > CANCEL_EPS * scale:
             raise ConfigError(
                 f"omega={merged['omega']} implies delta={implied}, "
                 f"which contradicts delta={merged['delta']}"
             )
-        merged["delta"] = implied
-        sources["delta"] = sources.get("omega", "flag")
+        if by_delta is None or rank.index(by_omega) >= rank.index(by_delta):
+            merged["delta"] = implied
+            sources["delta"] = by_omega
     merged["omega"] = merged["eps0"] - merged["delta"]
+
+    # A scalar given on the command line, delta also as omega, supersedes a
+    # series the preset or file would have swept over (--J against fig2's
+    # j_values, say).
+    for scalar, series in (("J", "j_values"), ("delta", "delta_values"), ("N", "n_values")):
+        if sources.get(scalar) == "flag" and series not in flags:
+            merged[series] = None
 
     if merged["mode"] is None:
         raise ConfigError("no mode: pass --mode or a --preset that sets one")
@@ -370,18 +388,21 @@ def _run_decay_profile(cfg: MappingProxyType):
     return columns, rows, 0
 
 
+def _refuse_long_rings(chains, work: str) -> None:
+    """Refuse a ring of more than :data:`MAX_MODES` modes, before any mode is built."""
+    for n in chains:
+        if 2 * n + 1 > MAX_MODES:
+            raise ConfigError(f"{work}; N={n} has 2N + 1 = {2 * n + 1}")
+
+
 def _run_thermal_sweep(cfg: MappingProxyType):
     columns = ("T", "N", "R", "energy", "force")
     rows = []
     by_nr: dict[tuple[int, int], list[ThermalRow]] = {}
     separations = range(cfg["rmin"], cfg["rmax"] + 1)
     chains = cfg["n_values"] or (cfg["N"],)
-    # the band is streamed, not allocated, so no allocation fails for a chain
-    # too long to sum: it is refused before any chain is summed
-    for n in chains:
-        if 2 * n + 1 > MAX_MODES:
-            raise ConfigError(f"thermal-sweep streams at most {MAX_MODES} band modes per "
-                              f"temperature; N={n} has 2N + 1 = {2 * n + 1}")
+    _refuse_long_rings(chains, f"thermal-sweep streams at most {MAX_MODES} band modes per "
+                               "temperature")
     for n in chains:
         sys_ = _gated_system(cfg, N=int(n))
         for row in thermal_table(sys_, cfg["temperatures"], separations):
@@ -438,10 +459,9 @@ def _run_oracle_check(cfg: MappingProxyType):
 
 def _run_dispersion_dump(cfg: MappingProxyType):
     columns = ("k", "energy")
+    _refuse_long_rings((cfg["N"],), f"dispersion-dump writes at most {MAX_MODES} modes")
     sys_ = _system(cfg)
-    modes = brillouin_modes(sys_)
-    energies = dispersion(sys_, modes)
-    rows = [(float(k), float(e)) for k, e in zip(modes, energies)]
+    rows = [(k, dispersion(sys_, k)) for k in brillouin_modes(sys_)]
     return columns, rows, 0
 
 
@@ -520,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"chaincp: convergence failure: {exc}", file=sys.stderr)
         return 4
-    # an N too large to allocate is a configuration error; numpy's message names the array
+    # a table too large for memory, even below the mode ceiling, is a configuration error
     except (ConfigError, ValueError, MemoryError) as exc:
         print(f"chaincp: config error: {exc}", file=sys.stderr)
         return 2

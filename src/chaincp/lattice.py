@@ -3,10 +3,12 @@
 The conduction band is a tight-binding ring of ``2N + 1`` sites with site
 energy ``omega`` and nearest-neighbour hopping ``J``, so the single-particle
 dispersion is ``omega - 2 J cos(k)`` on the modes ``k_n = 2 pi n / (2N + 1)``.
-Every level is measured from the impurity level ``eps0``, through this
-module's band offsets ``Omega_k - eps0 = -(delta + 2 J cos k)`` and ``gap``;
-only ``dispersion``, ``omega`` and the band edges are absolute.  The lattice
-constant is 1, so impurity separations are positive integers.
+Every level is measured from the impurity level ``eps0``, through ``gap``
+and the band offsets ``Omega_k - eps0 = -(delta + 2 J cos k)`` of
+:func:`~chaincp.perturbation.band_energies`; only ``dispersion``, ``omega``
+and the band edges are absolute.  The lattice constant is 1, so impurity
+separations are positive integers.  Modes and levels are plain floats and
+tuples of them, computed with ``math``.
 """
 
 from __future__ import annotations
@@ -15,12 +17,9 @@ import math
 import operator
 from collections import deque
 from itertools import accumulate, chain, islice, repeat
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import BandEdgeError, RegimeViolation
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SymmetricSystem",
@@ -246,26 +245,15 @@ def _ring_entry(column: list[float], n: int) -> float:
     return column[n] if n < len(column) else 0.0
 
 
-def dispersion(sys: SymmetricSystem, k) -> np.ndarray | float:
-    """Band energy ``omega - 2 J cos(k)`` for a mode or an array of modes."""
-    import numpy as np
-
-    return sys.omega - 2.0 * sys.J * np.cos(k)
+def dispersion(sys: SymmetricSystem, k: float) -> float:
+    """Band energy ``omega - 2 J cos(k)`` of the mode ``k``."""
+    return sys.omega - 2.0 * sys.J * math.cos(k)
 
 
-def _band_offsets(sys: SymmetricSystem, modes) -> np.ndarray:
-    """Band energies from the impurity level, ``Omega_k - eps0 = -(delta + 2 J cos k)``."""
-    import numpy as np
-
-    return -(sys.delta + 2.0 * sys.J * np.cos(modes))
-
-
-def brillouin_modes(sys: SymmetricSystem) -> np.ndarray:
+def brillouin_modes(sys: SymmetricSystem) -> tuple[float, ...]:
     """Allowed momenta ``2 pi n / (2N + 1)`` for ``n = -N .. N``, in order."""
-    import numpy as np
-
-    n = np.arange(-sys.N, sys.N + 1)
-    return 2.0 * np.pi * n / sys.num_sites
+    turn, sites = 2.0 * math.pi, sys.num_sites
+    return tuple(turn * n / sites for n in range(-sys.N, sys.N + 1))
 
 
 class RegimeReport(NamedTuple):

@@ -21,19 +21,16 @@ the band parameter ``a = 2J/delta``:
 
 Every function returns levels measured from ``eps0``.  On the finite ring
 the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R`` at ``eps0``,
-ring image included; the band back-action is one term per mode.
+ring image included; the band back-action is one term per mode.  The band
+has one rule, ``_half_ring``, which :func:`band_energies` and the thermal
+kernel both read.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
-from .lattice import (SymmetricSystem, _band_offsets, _edge_safe_root, _ring_column, _ring_entry,
-                      _separations, brillouin_modes)
-
-if TYPE_CHECKING:
-    import numpy as np
+from .lattice import SymmetricSystem, _edge_safe_root, _ring_column, _ring_entry, _separations
 
 __all__ = [
     "band_energies",
@@ -42,10 +39,30 @@ __all__ = [
 ]
 
 
-def band_energies(sys: SymmetricSystem) -> np.ndarray:
-    """Shifted band levels ``Omega_k - eps0 + 2 g^2 / (Omega_k - eps0)``, one per ring mode."""
-    offsets = _band_offsets(sys, brillouin_modes(sys))
-    return offsets + 2.0 * (sys.lam ** 2 / sys.num_sites) / offsets
+def _half_ring(sys: SymmetricSystem, m: float):
+    """``(multiplicity, b_n - m)`` for the band modes ``n = 0 .. N``, one at a time.
+
+    ``b_n = Omega_n - eps0 + 2 g^2 / (Omega_n - eps0)`` is the shifted level
+    of the mode ``k_n = 2 pi n / (2N + 1)``, from the offset ``Omega_n - eps0
+    = -(delta + 2 J cos k_n)``.  The mode ``n`` and its partner ``-n`` share
+    it, so each ``n >= 1`` counts twice.
+    """
+    delta, width, ns = sys.delta, 2.0 * sys.J, sys.num_sites
+    shift, turn, cos = 2.0 * (sys.lam ** 2 / ns), 2.0 * math.pi, math.cos
+    multiplicity = 1.0
+    for n in range(sys.N + 1):
+        offset = -(delta + width * cos(turn * n / ns))
+        yield multiplicity, offset + shift / offset - m
+        multiplicity = 2.0
+
+
+def band_energies(sys: SymmetricSystem) -> tuple[float, ...]:
+    """Shifted band levels ``Omega_k - eps0 + 2 g^2 / (Omega_k - eps0)``, one per ring mode.
+
+    Modes run ``n = -N .. N``; each ``-n`` takes the level of ``n``.
+    """
+    half = [level for _, level in _half_ring(sys, 0.0)]
+    return (*reversed(half[1:]), *half)
 
 
 def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int | range) -> tuple:

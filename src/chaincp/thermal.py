@@ -37,11 +37,12 @@ scaled by ``e^{-beta h}``, so no ``exp`` overflows as ``T -> 0``.  ``T = 0``,
 and a ``T`` so small that ``1 / T`` overflows, take the exact limit: all
 weight on the even level, ``E = m - h_R`` and ``f = h_{R + 1} - h_R``.
 
-Each sum is one ``math.fsum`` over a generator that walks the modes ``n = 0
-.. N``, counting each ``n >= 1`` twice for its partner ``-n``: no list or
-array of the band is ever built, so a temperature costs O(N) time and O(1)
-memory, and each ``(T, R)`` row O(1).  ``thermal-sweep`` refuses a band of
-more than :data:`MAX_MODES` modes.
+Each sum is one ``math.fsum`` over the band rule of
+:mod:`~chaincp.perturbation`, a generator that walks the modes ``n = 0 ..
+N``, counting each ``n >= 1`` twice for its partner ``-n``: no list of the
+band is ever built, so a temperature costs O(N) time and O(1) memory, and
+each ``(T, R)`` row O(1).  ``thermal-sweep`` refuses a band of more than
+:data:`~chaincp.cli.MAX_MODES` modes.
 
 Raising ``T`` moves weight from the even doublet state first onto its odd
 partner and then into the band, and the band states' lack of ``R``
@@ -56,20 +57,18 @@ Every energy and force comes from one kernel: :func:`thermal_table`,
 :func:`thermal_energy`, :func:`thermal_force` and the CLI's ``thermal-sweep``
 all go through it.  :func:`thermal_ensemble` is the explicit-levels
 reference: it builds the ``2N + 3`` levels, the same doublet ``m -+ h_R``
-and band, and their weights as numpy arrays, from energies shifted by the
+and band, and their weights as tuples, from energies shifted by the
 spectrum minimum.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from . import perturbation
 from .lattice import SymmetricSystem, _separations
 from .perturbation import _doublet_halves, band_energies
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ThermalEnsemble",
@@ -80,20 +79,10 @@ __all__ = [
     "thermal_force",
 ]
 
-#: How far rounding can move a difference of two floats, in units of the
-#: larger: a few ulp in each of the two terms.  It bounds the CLI's
-#: omega/delta agreement.
-CANCEL_EPS = 4 * math.ulp(1.0)
-
 #: Relative accuracy of a thermal force: tests hold every force to it against
 #: a 60-digit Boltzmann average of the same levels.  Growth of ``|f_T|`` within
 #: it is noise.
 FORCE_RTOL = 1e-12
-
-#: The most band modes, ``2N + 1``, that ``thermal-sweep`` streams per
-#: temperature: ten million, a few seconds a temperature.  The CLI refuses a
-#: longer ring before it sums any; the library sums any ring, O(N) a temperature.
-MAX_MODES = 10 ** 7
 
 
 class ThermalEnsemble(NamedTuple):
@@ -101,16 +90,16 @@ class ThermalEnsemble(NamedTuple):
 
     Attributes
     ----------
-    energies : numpy.ndarray
+    energies : tuple of float
         All ``2N + 3`` levels, measured from ``eps0``: the finite-ring
         doublet ``m - h_R`` and ``m + h_R``, then the ``2N + 1`` shifted band
         modes.
-    weights : numpy.ndarray
+    weights : tuple of float
         Normalised populations aligned with :attr:`energies`.
     """
 
-    energies: np.ndarray
-    weights: np.ndarray
+    energies: tuple[float, ...]
+    weights: tuple[float, ...]
 
 
 class ThermalRow(NamedTuple):
@@ -135,7 +124,7 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     """Populations of the doublet and band levels at temperature ``T``.
 
     The explicit-levels reference for the thermal kernel: every level and its
-    weight, as numpy arrays, with the kernel's doublet rule
+    weight, as tuples, with the kernel's doublet rule
     (:func:`~chaincp.perturbation._doublet_halves`).
 
     Parameters
@@ -147,36 +136,19 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     R : int
         Separation to evaluate at, ``1 <= R <= N``.
     """
-    import numpy as np
-
     beta = _beta(T)
     m, (h,) = _doublet_halves(sys, _separations(R, upper=sys.N))
-    energies = np.concatenate(((m - h, m + h), band_energies(sys)))
-    e_min = float(energies.min())
+    energies = (m - h, m + h, *band_energies(sys))
+    e_min = min(energies)
     if beta == math.inf:
         # Limit distribution: all weight on the ground level, split evenly
         # across an exact degeneracy (the flat-band case), since inf * 0 at
         # the ground level would be NaN.
-        ground = energies == e_min
-        return ThermalEnsemble(energies=energies, weights=ground / ground.sum())
-    shifted = np.exp(-beta * (energies - e_min))
-    return ThermalEnsemble(energies=energies, weights=shifted / math.fsum(shifted.tolist()))
-
-
-def _half_ring(sys: SymmetricSystem, m: float):
-    """``(multiplicity, b_n - m)`` for the band modes ``n = 0 .. N``, one at a time.
-
-    ``b_n`` is :func:`~chaincp.perturbation.band_energies`'s level, with the
-    same floats: the mode ``n`` and its partner ``-n`` share it, so each ``n
-    >= 1`` counts twice.
-    """
-    delta, width, ns = sys.delta, 2.0 * sys.J, sys.num_sites
-    shift, turn, cos = 2.0 * (sys.lam ** 2 / ns), 2.0 * math.pi, math.cos
-    multiplicity = 1.0
-    for n in range(sys.N + 1):
-        offset = -(delta + width * cos(turn * n / ns))
-        yield multiplicity, offset + shift / offset - m
-        multiplicity = 2.0
+        shifted = [float(e == e_min) for e in energies]
+    else:
+        shifted = [math.exp(-beta * (e - e_min)) for e in energies]
+    total = math.fsum(shifted)
+    return ThermalEnsemble(energies=energies, weights=tuple(w / total for w in shifted))
 
 
 def _band_sums(sys: SymmetricSystem, m: float, beta: float) -> tuple[float, float]:
@@ -187,9 +159,9 @@ def _band_sums(sys: SymmetricSystem, m: float, beta: float) -> tuple[float, floa
     """
     if beta == math.inf:
         return 0.0, 0.0
-    exp = math.exp
-    z = math.fsum(k * exp(-beta * x) for k, x in _half_ring(sys, m))
-    s = math.fsum(k * x * exp(-beta * x) for k, x in _half_ring(sys, m))
+    exp, half_ring = math.exp, perturbation._half_ring
+    z = math.fsum(k * exp(-beta * x) for k, x in half_ring(sys, m))
+    s = math.fsum(k * x * exp(-beta * x) for k, x in half_ring(sys, m))
     return z, s
 
 

@@ -3,12 +3,18 @@
 Building the full ``(2N + 3)``-square matrix and diagonalising it with numpy
 is O(N^3) and needs O(N^2) memory, so it lives here, in the tests, for small
 chains only.  A bisection of the secular equation summed over the ring
-modes, in momentum space, lives here too.
+modes, in momentum space, lives here too, and so does the band as numpy
+arrays: the modes, the offsets from ``eps0``, the shifted levels and their
+Boltzmann weights, each one vectorised expression, for the package's
+one-mode-at-a-time band to be held to bit for bit.
 """
+
+import math
 
 import numpy as np
 
-from chaincp.lattice import SymmetricSystem, _band_offsets, _separations, brillouin_modes
+from chaincp.lattice import SymmetricSystem, _separations
+from chaincp.perturbation import _doublet_halves
 
 
 def dense_hamiltonian(ring: SymmetricSystem, eps1: float, eps2: float,
@@ -48,6 +54,35 @@ def dense_ground_energy(sys: SymmetricSystem, R: int) -> float:
     return float(np.linalg.eigvalsh(symmetric_hamiltonian(sys, R))[0])
 
 
+def ring_modes(sys: SymmetricSystem) -> np.ndarray:
+    """Allowed momenta ``2 pi n / (2N + 1)`` for ``n = -N .. N``."""
+    return 2.0 * np.pi * np.arange(-sys.N, sys.N + 1) / sys.num_sites
+
+
+def ring_dispersion(sys: SymmetricSystem, modes: np.ndarray) -> np.ndarray:
+    """Band energies ``omega - 2 J cos k``."""
+    return sys.omega - 2.0 * sys.J * np.cos(modes)
+
+
+def band_offsets(sys: SymmetricSystem, modes: np.ndarray) -> np.ndarray:
+    """Band energies from the impurity level, ``Omega_k - eps0 = -(delta + 2 J cos k)``."""
+    return -(sys.delta + 2.0 * sys.J * np.cos(modes))
+
+
+def shifted_band(sys: SymmetricSystem) -> np.ndarray:
+    """Shifted band levels ``Omega_k - eps0 + 2 g^2 / (Omega_k - eps0)``, in mode order."""
+    offsets = band_offsets(sys, ring_modes(sys))
+    return offsets + 2.0 * (sys.lam ** 2 / sys.num_sites) / offsets
+
+
+def ensemble(sys: SymmetricSystem, T: float, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(energies, weights)`` of the doublet and :func:`shifted_band` at ``T > 0``."""
+    m, (h,) = _doublet_halves(sys, _separations(R, upper=sys.N))
+    energies = np.concatenate(((m - h, m + h), shifted_band(sys)))
+    shifted = np.exp(-(1.0 / T) * (energies - energies.min()))
+    return energies, shifted / math.fsum(shifted.tolist())
+
+
 def scalar_ground_energy(sys: SymmetricSystem, R: int) -> float:
     """The secular root at one separation, as the offset ``x = E0 - eps0``,
     by a scalar bisection.
@@ -57,8 +92,8 @@ def scalar_ground_energy(sys: SymmetricSystem, R: int) -> float:
     in ``[-2|lam|, 0]``; bisection runs down to adjacent floats and returns
     the end with the smaller residual.
     """
-    modes = brillouin_modes(sys)
-    band = _band_offsets(sys, modes)
+    modes = ring_modes(sys)
+    band = band_offsets(sys, modes)
     weights = sys.lam ** 2 * (1.0 + np.cos(R * modes)) / sys.num_sites
 
     def secular(x: float) -> float:

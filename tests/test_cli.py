@@ -12,9 +12,10 @@ import pytest
 
 import chaincp.oracle
 from chaincp.casimir import cp_energy, ecp_force
-from chaincp.cli import _KEYS, PRESETS, ConfigError, _flag, _linspace, load_config, main
+from chaincp import cli
+from chaincp.cli import (_KEYS, MAX_MODES, MODES, PRESETS, ConfigError, _flag, _linspace,
+                         load_config, main)
 from chaincp.lattice import SymmetricSystem
-from chaincp.thermal import MAX_MODES
 
 
 def run_cli(args):
@@ -245,6 +246,30 @@ def test_omega_consistency_catches_contradictions_at_small_magnitude():
                      "--omega", "2e-15", "--delta=-2e-15"])
 
 
+def test_an_omega_flag_beats_a_preset_delta(tmp_path):
+    # fig2 sets delta = -1; the flag's omega = 3 means delta = -2, and flags win
+    cfg = load_config(["--preset", "fig2", "--omega", "3"])
+    assert (cfg["delta"], cfg["omega"]) == (-2.0, 3.0)
+    assert ("delta", "flag") in cfg["sources"]
+    assert run_cli(["--preset", "fig2", "--omega", "3", "-o", str(tmp_path / "fig2.csv")]) == 0
+    assert read_csv(tmp_path / "fig2.csv")[0]["delta"] == "-2"
+    # and, like --delta, it supersedes fig3's delta_values sweep
+    cfg = load_config(["--preset", "fig3", "--omega", "3"])
+    assert (cfg["delta"], cfg["delta_values"]) == (-2.0, None)
+
+
+def test_a_delta_flag_beats_a_file_omega(tmp_path):
+    conf = tmp_path / "omega.conf"
+    conf.write_text("mode = force-sweep\nomega = 3\n")
+    cfg = load_config(["--config", str(conf), "--delta", "-1"])
+    assert (cfg["delta"], cfg["omega"]) == (-1.0, 2.0)
+    assert ("delta", "flag") in cfg["sources"]
+    # from one layer, the two must still agree
+    conf.write_text("mode = force-sweep\nomega = 3\ndelta = -1\n")
+    with pytest.raises(ConfigError, match="contradicts"):
+        load_config(["--config", str(conf)])
+
+
 # ---------------------------------------------------------------- running
 
 
@@ -397,31 +422,24 @@ def test_exit_code_3_outside_the_regime():
     assert run_cli(["--mode", "force-sweep", "--delta", "-0.5"]) == 3
 
 
-def test_exit_code_2_when_the_chain_does_not_fit_in_memory(tmp_path, monkeypatch, capsys):
-    # the ring's modes are the first array a dispersion dump allocates; a real
-    # N = 3e9 would ask numpy for tens of GB, so the allocation fails here by hand
-    def arange(*args, **kwargs):
-        raise MemoryError("Unable to allocate 44.7 GiB for an array with shape (6000000001,)")
+@pytest.mark.parametrize("series", [["--mode", "thermal-sweep", "--N", "3000000000"],
+                                    ["--mode", "thermal-sweep", "--n-values", "20,5000000"],
+                                    ["--mode", "dispersion-dump", "--N", "3000000000"]])
+def test_exit_code_2_when_the_band_exceeds_the_mode_ceiling(series, tmp_path, monkeypatch, capsys):
+    # modes are built one float at a time, so a huge N would run for hours, or
+    # fill memory, instead of failing: above MAX_MODES it is refused up front,
+    # before any chain is summed or any mode built
+    def forbidden(*args):
+        raise AssertionError("a mode was built above the ceiling")
 
-    monkeypatch.setattr(np, "arange", arange)
-    assert run_cli(["--mode", "dispersion-dump", "--N", "3000000000",
-                    "--output", str(tmp_path / "never.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("chaincp: config error: Unable to allocate") and err.count("\n") == 1
-    assert "Traceback" not in err and not (tmp_path / "never.csv").exists()
-
-
-@pytest.mark.parametrize("series", [["--N", "3000000000"], ["--n-values", "20,5000000"]])
-def test_exit_code_2_when_the_band_exceeds_the_mode_ceiling(series, tmp_path, capsys):
-    # the thermal band is streamed, never allocated, so a huge N would run
-    # for hours instead of failing: above MAX_MODES it is refused up front,
-    # before any chain is summed
+    monkeypatch.setattr(cli, "brillouin_modes", forbidden)
+    monkeypatch.setattr(cli, "thermal_table", forbidden)
     assert 2 * 5_000_000 + 1 > MAX_MODES
-    assert run_cli(["--mode", "thermal-sweep", *series, "--rmax", "2",
-                    "--output", str(tmp_path / "never.csv")]) == 2
+    assert run_cli([*series, "--rmax", "2", "--output", str(tmp_path / "never.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("chaincp: config error: thermal-sweep streams at most 10000000 band "
-                          "modes") and err.count("\n") == 1
+    work = {"thermal-sweep": "thermal-sweep streams at most 10000000 band modes per temperature",
+            "dispersion-dump": "dispersion-dump writes at most 10000000 modes"}[series[1]]
+    assert err.startswith(f"chaincp: config error: {work}; N=") and err.count("\n") == 1
     assert not (tmp_path / "never.csv").exists()
 
 
@@ -467,25 +485,36 @@ def _fresh_python(*args) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
-def _numpy_loaded(argv, tmp_path) -> bool:
-    """Whether a fresh ``chaincp`` process loads numpy to run ``argv``."""
-    code = ("import sys; from chaincp.cli import main; code = main(sys.argv[1:]); "
-            "print(code, 'numpy' in sys.modules)")
-    proc = _fresh_python("-c", code, *argv, "--output", str(tmp_path / "out"))
+def _numpy_loaded(runs, tmp_path, first="") -> list[bool]:
+    """After each of ``runs``, in one fresh ``chaincp`` process, whether numpy is loaded.
+
+    ``first`` is code the process runs before it imports the CLI.
+    """
+    code = (f"import sys, json; {first}from chaincp.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    print(main(argv), 'numpy' in sys.modules)")
+    runs = [[*argv, "--output", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
+    proc = _fresh_python("-c", code, json.dumps(runs))
     assert proc.returncode == 0, proc.stderr
-    status, loaded = proc.stdout.split()
-    assert status == "0", proc.stderr
-    return loaded == "True"
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [status for status, _ in lines] == ["0"] * len(runs), proc.stderr
+    return [loaded == "True" for _, loaded in lines]
+
+
+#: Flags that keep each mode's run small.
+_SMALL_RUNS = {"thermal-sweep": ["--N", "50", "--rmax", "2"],
+               "oracle-check": ["--N", "40", "--rmax", "2"],
+               "dispersion-dump": ["--N", "5"]}
 
 
 def test_closed_form_and_oracle_modes_never_load_numpy(tmp_path):
-    for argv in (["--preset", "fig2"], ["--preset", "fig3"], ["--preset", "fig4"],
-                 ["--preset", "fig5"],
-                 ["--mode", "hopping-sweep"], ["--mode", "detuning-sweep"],
-                 ["--mode", "oracle-check", "--N", "40", "--rmax", "2"]):
-        assert not _numpy_loaded(argv, tmp_path), argv
-    # the guard is not vacuous: the dispersion dump's arrays do load it
-    assert _numpy_loaded(["--mode", "dispersion-dump", "--N", "5"], tmp_path)
+    # every preset, every mode and a JSON table run without numpy
+    runs = [["--preset", name] for name in PRESETS]
+    runs += [["--mode", mode, *_SMALL_RUNS.get(mode, [])] for mode in MODES]
+    runs.append(["--preset", "fig5", "--format", "json"])
+    assert _numpy_loaded(runs, tmp_path) == [False] * len(runs)
+    # the guard is not vacuous: once the process has imported numpy, it reads True
+    assert _numpy_loaded(runs[-1:], tmp_path, first="import numpy; ") == [True]
 
 
 def test_importing_the_cli_leaves_argparse_unloaded():

@@ -14,9 +14,8 @@ from pathlib import Path
 import pytest
 
 from chaincp.casimir import force_curve
-from chaincp.cli import main
+from chaincp.cli import CANCEL_EPS, main
 from chaincp.lattice import SymmetricSystem
-from chaincp.thermal import CANCEL_EPS
 
 GOLDEN = Path(__file__).with_name("golden")
 

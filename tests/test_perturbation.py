@@ -44,8 +44,8 @@ def test_level_shifts_are_negative_below_band():
     e_plus, e_minus = symmetric_spectrum_ksum(sys_, 1)
     assert e_plus < 0.0 and e_minus < 0.0
     # and the band is pushed up in compensation
-    bare = dispersion(sys_, brillouin_modes(sys_)) - sys_.eps0
-    assert np.all(band_energies(sys_) > bare)
+    bare = np.array([dispersion(sys_, k) for k in brillouin_modes(sys_)]) - sys_.eps0
+    assert np.all(np.asarray(band_energies(sys_)) > bare)
 
 
 def with_band_parameter(a):
@@ -114,7 +114,7 @@ def test_effective_coefficients_match_direct_sum(R):
     assert e_minus == pytest.approx(centre + split, rel=1e-13)
     # the odd-in-k part cancels pairwise across +-k
     assert abs(hop12.imag) < 1e-20
-    bare = dispersion(sys_, brillouin_modes(sys_)) - sys_.eps0
+    bare = np.array([dispersion(sys_, k) for k in brillouin_modes(sys_)]) - sys_.eps0
     assert_allclose(band_energies(sys_), bare + band_shift, rtol=1e-13)
 
 
@@ -127,7 +127,7 @@ def test_ksum_spectrum_matches_two_level_diagonalisation():
     split = abs(hop12)
     assert e_plus == pytest.approx(centre - split, rel=1e-13)
     assert e_minus == pytest.approx(centre + split, rel=1e-13)
-    assert band_energies(sys_).shape == (sys_.num_sites,)
+    assert len(band_energies(sys_)) == sys_.num_sites
 
 
 def test_ksum_converges_to_closed_form():

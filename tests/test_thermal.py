@@ -7,6 +7,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import dense_reference
 import numpy as np
 import pytest
 from mpmath import mp, mpf
@@ -14,11 +15,11 @@ from mpmath import mp, mpf
 import chaincp
 from chaincp import perturbation, thermal
 from chaincp.casimir import ecp_force
-from chaincp.cli import main
-from chaincp.lattice import SymmetricSystem, _ring_column, _ring_entry
+from chaincp.cli import CANCEL_EPS, main
+from chaincp.lattice import (SymmetricSystem, _ring_column, _ring_entry, brillouin_modes,
+                             dispersion)
 from chaincp.perturbation import _doublet_halves, band_energies, symmetric_spectrum_ksum
 from chaincp.thermal import (
-    CANCEL_EPS,
     ThermalRow,
     _growth_violations,
     thermal_energy,
@@ -81,9 +82,9 @@ def test_zero_temperature_force_keeps_its_digits_at_large_separation():
 def test_infinite_temperature_is_the_uniform_average():
     sys_ = fig_system(N=40)
     ens = thermal_ensemble(sys_, math.inf, 1)
-    expected = np.full(ens.energies.size, 1.0 / ens.energies.size)
-    assert np.allclose(ens.weights, expected, rtol=0, atol=1e-15)
-    mean = math.fsum(ens.energies) / ens.energies.size
+    size = len(ens.energies)
+    assert np.allclose(ens.weights, np.full(size, 1.0 / size), rtol=0, atol=1e-15)
+    mean = math.fsum(ens.energies) / size
     assert thermal_energy(sys_, math.inf, 1) == pytest.approx(mean, rel=1e-12)
 
 
@@ -93,7 +94,7 @@ def test_ensemble_average_is_the_thermal_energy(T):
     # another order, a few ulp apart
     sys_ = fig_system(N=40)
     ens = thermal_ensemble(sys_, T, 2)
-    average = math.fsum((ens.weights * ens.energies).tolist())
+    average = math.fsum(w * e for w, e in zip(ens.weights, ens.energies))
     if T == 0:
         assert average == thermal_energy(sys_, T, 2)
     assert average == pytest.approx(thermal_energy(sys_, T, 2), rel=CANCEL_EPS, abs=0)
@@ -114,14 +115,14 @@ def test_weights_are_a_distribution():
     sys_ = fig_system(N=50)
     for temp in (0.0, 0.01, 0.3, 5.0, math.inf):
         ens = thermal_ensemble(sys_, temp, 1)
-        assert np.all(ens.weights >= 0.0)
+        assert np.all(np.asarray(ens.weights) >= 0.0)
         assert math.fsum(ens.weights) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_zero_temperature_weights_concentrate():
     ens = thermal_ensemble(fig_system(N=30), 0.0, 1)
     assert ens.weights[0] == 1.0
-    assert np.all(ens.weights[1:] == 0.0)
+    assert np.all(np.asarray(ens.weights[1:]) == 0.0)
 
 
 def test_flat_band_doublet_shares_weight_at_zero_temperature():
@@ -133,7 +134,7 @@ def test_flat_band_doublet_shares_weight_at_zero_temperature():
 def test_spectrum_ordering():
     ens = thermal_ensemble(fig_system(N=50), 0.2, 1)
     energies = ens.energies
-    assert energies[0] < energies[1] < energies[2:].min()
+    assert energies[0] < energies[1] < min(energies[2:])
 
 
 def test_negative_temperature_rejected():
@@ -389,8 +390,8 @@ def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch)
                                  lambda sys_, *_, **kw: sys_.N))
     monkeypatch.setattr(thermal, "_band_sums",
                         counting(sums, thermal._band_sums, lambda sys_, m, beta: (sys_.N, beta)))
-    monkeypatch.setattr(thermal, "_half_ring",
-                        counting(walks, thermal._half_ring, lambda sys_, m: sys_.N))
+    monkeypatch.setattr(perturbation, "_half_ring",
+                        counting(walks, perturbation._half_ring, lambda sys_, m: sys_.N))
     for name in ("band_energies", "thermal_ensemble"):
         monkeypatch.setattr(thermal, name, forbidden)
     monkeypatch.setattr(perturbation, "symmetric_spectrum_ksum", forbidden)
@@ -429,7 +430,7 @@ def mp_energies(sys_, T, seps):
         if T == 0:
             return {r: m - h for r, h in halves.items()}
         beta = 1 / mpf(T)
-        band = [mpf(b) for b in band_energies(sys_).tolist()]
+        band = [mpf(b) for b in band_energies(sys_)]
         weights = [mp.exp(-beta * (b - m)) for b in band]
         z = mp.fsum(weights)
         s = mp.fsum((b - m) * w for b, w in zip(band, weights))
@@ -454,13 +455,38 @@ def test_forces_match_a_sixty_digit_average_at_fig5_parameters(n):
                 assert row.energy == pytest.approx(float(exact[row.R]), rel=1e-12, abs=0)
 
 
-def test_streamed_band_is_band_energies_bit_for_bit():
-    # modes n = 0..N of the ring, levels from m = 0, against the numpy band
-    for n in (1, 100, 1000, 4000):
-        sys_ = fig_system(N=n)
-        streamed = list(thermal._half_ring(sys_, 0.0))
-        assert [k for k, _ in streamed] == [1.0] + [2.0] * n
-        assert [x for _, x in streamed] == band_energies(sys_)[n:].tolist()
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+#: ``(delta, J, lam)``: fig5, the band edge, a wide band, a near-flat band.
+BAND_PARAMETERS = [(-1.0, 0.3, 0.1), (-1.0, 0.499, 0.01), (-2.0, 0.6, 0.01), (-1.0, 1e-5, 0.01)]
+
+
+@pytest.mark.parametrize("delta,J,lam", BAND_PARAMETERS, ids=["fig5", "edge", "wide", "flat"])
+def test_the_band_is_the_numpy_band_bit_for_bit(delta, J, lam):
+    # modes, dispersion and shifted levels, one mode at a time with math,
+    # against the vectorised numpy expressions of tests/dense_reference.py
+    for n in (1, 2, 3, 5, 10, 50, 100, 400, 1000, 4000, 20000):
+        sys_ = SymmetricSystem(delta=delta, J=J, lam=lam, N=n)
+        modes = brillouin_modes(sys_)
+        expected = dense_reference.ring_modes(sys_)
+        assert _hex(modes) == _hex(expected), n
+        assert _hex(dispersion(sys_, k) for k in modes) == \
+            _hex(dense_reference.ring_dispersion(sys_, expected)), n
+        assert _hex(band_energies(sys_)) == _hex(dense_reference.shifted_band(sys_)), n
+
+
+@pytest.mark.parametrize("delta,J,lam", BAND_PARAMETERS, ids=["fig5", "edge", "wide", "flat"])
+def test_the_ensemble_is_the_numpy_ensemble(delta, J, lam):
+    # the same levels bit for bit; math.exp against numpy's exp, a few 1e-16 apart
+    for n in (1, 10, 400, 4000):
+        sys_ = SymmetricSystem(delta=delta, J=J, lam=lam, N=n)
+        for temp in (0.01, 0.1, 1.0, math.inf):
+            ens = thermal_ensemble(sys_, temp, 1)
+            energies, weights = dense_reference.ensemble(sys_, temp, 1)
+            assert _hex(ens.energies) == _hex(energies), (n, temp)
+            assert ens.weights == pytest.approx(weights.tolist(), rel=1e-15, abs=0), (n, temp)
 
 
 @pytest.mark.parametrize("J,lam", [(0.3, 0.1), (0.5 * (1 - 1e-9), 1e-11)],
