@@ -2,10 +2,10 @@
 
 One executable, ``chaincp``, with a ``--mode`` switch.  Parameters resolve in
 a fixed precedence order: built-in defaults, then a ``--preset``, then a
-``--config`` file of ``key = value`` lines, then command-line flags.  Every
-run writes a single deterministic table (CSV with ``# key = value`` header
-lines, or the same content as JSON), so repeated runs with the same inputs
-are byte-identical.
+``--config`` file of ``key = value`` lines, then command-line flags; of two
+keys that state one quantity (``_RIVALS``), the later layer's wins.  Every
+run writes one deterministic table (CSV with ``# key = value`` header lines,
+or the same content as JSON), byte-identical for the same inputs.
 
 Exit codes: 0 success; 2 configuration or usage problems; 3 parameters
 outside the validity regime; 4 convergence or cross-check failures.
@@ -24,7 +24,7 @@ from .casimir import cp_energy, decay_profile, force_curve
 from .errors import ConvergenceError, InvalidRegime, RegimeViolation
 from .lattice import SymmetricSystem, brillouin_modes, dispersion, require_valid_regime
 from .oracle import ED_TOL, MAX_POINTS, QUAD_TOL, cp_energy_ed, cp_energy_quadrature
-from .thermal import ThermalRow, _growth_violations, thermal_table
+from .thermal import _growth_violations, thermal_table
 
 #: How far rounding can move a difference of two floats, in units of the
 #: larger: a few ulp in each of the two terms.  It bounds the omega/delta
@@ -79,6 +79,11 @@ _KEYS: dict[str, tuple] = {
     "j_values": ((float,), None), "delta_values": ((float,), None),
     "n_values": ((int,), None),
 }
+
+#: Pairs of keys that state one quantity or one sweep's axis: a layer's key
+#: drops its rival from earlier layers (``load_config``).
+_RIVALS = (("omega", "delta"), ("omega", "delta_values"), ("delta", "delta_values"),
+           ("J", "j_values"), ("N", "n_values"), ("j_values", "delta_values"))
 
 
 def _coerce(key: str, raw) -> object:
@@ -177,7 +182,9 @@ def _help() -> str:
              "format": "|".join(FORMATS) + " (default csv)",
              "output": f"PATH, - for stdout (default <preset or mode>.<format> in ${OUTDIR_ENV} "
                        "or .); also -o"}
-    lines = ["usage: chaincp [--flag VALUE | --flag=VALUE]...  (a prefix naming one flag will do)"]
+    lines = ["usage: chaincp [--flag VALUE | --flag=VALUE]...  (a prefix naming one flag will do)",
+             "  defaults < preset < config file < flags; a key drops its rival of earlier layers "
+             f"({', '.join(map('/'.join, _RIVALS))}); one layer gives both only of omega/delta"]
     for key in ("help", "preset", "config", *_KEYS):
         kind = _KEYS.get(key, (str,))[0]
         plain = f"{kind[0].__name__}s A,B,..." if isinstance(kind, tuple) else kind.__name__
@@ -187,6 +194,10 @@ def _help() -> str:
 
 def load_config(argv: list[str] | None = None) -> MappingProxyType:
     """Resolve defaults, preset, config file, and flags into one read-only mapping.
+
+    Each layer's keys override earlier layers' and drop their ``_RIVALS`` there
+    (a dropped series or ``omega`` is unset, a dropped scalar unread); one layer
+    gives one key of a pair, or ``omega`` with a ``delta`` that agrees.
 
     The mapping holds every ``_KEYS`` key under its own name (``"lambda"``,
     ``"format"``), with ``"omega"`` recomputed as ``eps0 - delta``; plus
@@ -199,7 +210,7 @@ def load_config(argv: list[str] | None = None) -> MappingProxyType:
     ------
     ConfigError
         For unknown or ambiguous flags, unknown keys, malformed values,
-        inconsistent or out-of-range parameters.
+        rival keys from one layer, inconsistent or out-of-range parameters.
     SystemExit
         With code 0, once ``--help`` has printed every flag.
     """
@@ -215,34 +226,27 @@ def load_config(argv: list[str] | None = None) -> MappingProxyType:
               ("file", _parse_config_file(path) if path is not None else {}),
               ("flag", flags))
     for source, values in layers:
+        for pair in _RIVALS:
+            given = [key for key in pair if key in values]
+            if len(given) == 2 and pair != ("omega", "delta"):
+                raise ConfigError(f"{pair[0]} and {pair[1]} both come from the {source} layer")
+            rival = pair[pair[0] in values]  # the other key, if this layer gives one
+            if len(given) == 1 and _KEYS[rival][1] is None:  # a series or omega
+                merged[rival] = None
         for key, raw in values.items():
             merged[key] = _coerce(key, raw)
             sources[key] = source
 
-    # omega is an alternative way to state the detuning.  Of the two, the one
-    # from the later layer wins; from one layer they must agree, to a few ulp
-    # of the largest magnitude involved, since eps0 - omega is exact to no more.
+    # omega, if still set, is from delta's layer or a later one; from one layer the two
+    # must agree, to a few ulp of the largest magnitude, as eps0 - omega is exact to no more
     if merged["omega"] is not None:
         implied = merged["eps0"] - merged["omega"]
-        rank = [source for source, _ in layers]
-        by_omega, by_delta = sources["omega"], sources.get("delta")
-        scale = max(abs(merged["eps0"]), abs(merged["omega"]), abs(merged["delta"]))
-        if by_delta == by_omega and abs(implied - merged["delta"]) > CANCEL_EPS * scale:
-            raise ConfigError(
-                f"omega={merged['omega']} implies delta={implied}, "
-                f"which contradicts delta={merged['delta']}"
-            )
-        if by_delta is None or rank.index(by_omega) >= rank.index(by_delta):
-            merged["delta"] = implied
-            sources["delta"] = by_omega
+        tol = CANCEL_EPS * max(abs(merged["eps0"]), abs(merged["omega"]), abs(merged["delta"]))
+        if sources.get("delta") == sources["omega"] and abs(implied - merged["delta"]) > tol:
+            raise ConfigError(f"omega={merged['omega']} implies delta={implied}, "
+                              f"which contradicts delta={merged['delta']}")
+        merged["delta"], sources["delta"] = implied, sources["omega"]
     merged["omega"] = merged["eps0"] - merged["delta"]
-
-    # A scalar given on the command line, delta also as omega, supersedes a
-    # series the preset or file would have swept over (--J against fig2's
-    # j_values, say).
-    for scalar, series in (("J", "j_values"), ("delta", "delta_values"), ("N", "n_values")):
-        if sources.get(scalar) == "flag" and series not in flags:
-            merged[series] = None
 
     if merged["mode"] is None:
         raise ConfigError("no mode: pass --mode or a --preset that sets one")
@@ -354,10 +358,8 @@ def _sweep_grid(cfg: MappingProxyType):
     if cfg["mode"] == "detuning-sweep":
         series = [(cfg["J"], d) for d in _grid(cfg, "d")]
         return ("delta",), series, range(cfg["R"], cfg["R"] + 1)
-    if cfg["delta_values"] is not None:
-        series = [(cfg["J"], d) for d in cfg["delta_values"]]
-    else:
-        series = [(j, cfg["delta"]) for j in (cfg["j_values"] or (cfg["J"],))]
+    series = [(j, d) for j in cfg["j_values"] or (cfg["J"],)
+              for d in cfg["delta_values"] or (cfg["delta"],)]
     return ("J", "delta"), series, range(cfg["rmin"], cfg["rmax"] + 1)
 
 
@@ -398,22 +400,20 @@ def _refuse_long_rings(chains, work: str) -> None:
 def _run_thermal_sweep(cfg: MappingProxyType):
     columns = ("T", "N", "R", "energy", "force")
     rows = []
-    by_nr: dict[tuple[int, int], list[ThermalRow]] = {}
     separations = range(cfg["rmin"], cfg["rmax"] + 1)
     chains = cfg["n_values"] or (cfg["N"],)
     _refuse_long_rings(chains, f"thermal-sweep streams at most {MAX_MODES} band modes per "
                                "temperature")
-    for n in chains:
-        sys_ = _gated_system(cfg, N=int(n))
-        for row in thermal_table(sys_, cfg["temperatures"], separations):
-            # the one place a level measured from eps0 is printed as an absolute energy
-            rows.append((row.T, int(n), row.R, sys_.eps0 + row.energy, row.force))
-            by_nr.setdefault((int(n), row.R), []).append(row)
-    # |f_T| falls with temperature once T exceeds the doublet splitting at R;
-    # below that it can grow, so any growth is reported, not refused.
-    for (n, r), seq in sorted(by_nr.items()):
-        for note in _growth_violations(seq):
-            _warn(f"at N={n}, R={r}: {note}")
+    for n in map(int, chains):
+        sys_ = _gated_system(cfg, N=n)
+        table = thermal_table(sys_, cfg["temperatures"], separations)
+        # the one place a level measured from eps0 is printed as an absolute energy
+        rows += [(row.T, n, row.R, sys_.eps0 + row.energy, row.force) for row in table]
+        # |f_T| falls with T once T exceeds the doublet splitting at R; below that it can
+        # grow, so growth is reported, not refused.  Rows run over R within each T.
+        for i, r in enumerate(separations):
+            for note in _growth_violations(table[i::len(separations)]):
+                _warn(f"at N={n}, R={r}: {note}")
     return columns, rows, 0
 
 

@@ -13,9 +13,10 @@ import pytest
 import chaincp.oracle
 from chaincp.casimir import cp_energy, ecp_force
 from chaincp import cli
-from chaincp.cli import (_KEYS, MAX_MODES, MODES, PRESETS, ConfigError, _flag, _linspace,
-                         load_config, main)
-from chaincp.lattice import SymmetricSystem
+from chaincp.cli import (_KEYS, _RIVALS, MAX_MODES, MODES, PRESETS, ConfigError, _flag,
+                         _linspace, load_config, main)
+from chaincp.lattice import SymmetricSystem, require_valid_regime
+from chaincp.thermal import _growth_violations, thermal_table
 
 
 def run_cli(args):
@@ -186,6 +187,10 @@ def test_every_spelling_of_a_command_line_reads_alike(code, tails, tmp_path, mon
     if code == 2:
         assert out == ""
     elif tails[0][0] == "-h":
+        # the line after the usage line states the precedence and every rival pair
+        order = out.splitlines()[1]
+        assert order.startswith("  defaults < preset < config file < flags; ")
+        assert all("/".join(pair) in order for pair in _RIVALS)
         for flag in [_flag(key) for key in _KEYS] + ["--preset", "--config"]:
             assert re.search(re.escape(flag) + r"(?![\w-])", out), flag
     else:
@@ -268,6 +273,79 @@ def test_a_delta_flag_beats_a_file_omega(tmp_path):
     conf.write_text("mode = force-sweep\nomega = 3\ndelta = -1\n")
     with pytest.raises(ConfigError, match="contradicts"):
         load_config(["--config", str(conf)])
+
+
+#: ``name -> (argv, config file text, resolved keys, table's (J, delta, N))``:
+#: a key from a later layer drops its rival from an earlier layer.
+RIVAL_OVERRIDES = {
+    "file-J-drops-fig2-j_values": (
+        ["--preset", "fig2"], "J = 0.25\n", {"J": 0.25, "j_values": None}, [(0.25, -1.0, 200)]),
+    "file-N-drops-fig5-n_values": (
+        ["--preset", "fig5"], "N = 50\n", {"N": 50, "n_values": None}, [(0.3, -1.0, 50)]),
+    "file-omega-drops-fig3-delta_values": (
+        ["--preset", "fig3"], "omega = 3\n",
+        {"delta": -2.0, "omega": 3.0, "delta_values": None}, [(0.6, -2.0, 200)]),
+    "flag-j_values-drops-fig3-delta_values": (
+        ["--preset", "fig3", "--j-values", "0.3,0.4"], None,
+        {"j_values": (0.3, 0.4), "delta_values": None}, [(0.3, -1.0, 200), (0.4, -1.0, 200)]),
+}
+
+
+def with_config(argv, text, tmp_path):
+    """``argv``, plus a ``--config`` file that holds ``text`` unless it is None."""
+    if text is None:
+        return argv
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    return argv + ["--config", str(conf)]
+
+
+def table_points(path):
+    """The distinct ``(J, delta, N)`` of a table: from its columns, else from its header."""
+    meta, columns, rows = read_csv(path)
+    return sorted({tuple(float(row[columns.index(key)]) if key in columns else float(meta[key])
+                         for key in ("J", "delta", "N")) for row in rows})
+
+
+@pytest.mark.parametrize("argv,text,resolved,points", RIVAL_OVERRIDES.values(),
+                         ids=list(RIVAL_OVERRIDES))
+def test_a_later_layer_drops_the_rival_of_an_earlier_one(argv, text, resolved, points, tmp_path):
+    argv = with_config(argv, text, tmp_path) + ["--rmax", "2"]
+    cfg = load_config(argv)
+    assert {key: cfg[key] for key in resolved} == resolved
+    assert run_cli(argv + ["--output", str(tmp_path / "out.csv")]) == 0
+    assert table_points(tmp_path / "out.csv") == points
+
+
+#: ``name -> (argv, config file text, the two keys, the layer that gives both)``.
+RIVALS_IN_ONE_LAYER = {
+    "flags-j_values-delta_values": (
+        ["--mode", "force-sweep", "--j-values", "0.3,0.4", "--delta-values=-2,-3"], None,
+        ("j_values", "delta_values"), "flag"),
+    "flags-J-j_values": (
+        ["--mode", "force-sweep", "--J", "0.25", "--j-values", "0.3,0.4"], None,
+        ("J", "j_values"), "flag"),
+    "file-omega-delta_values": (
+        [], "mode = force-sweep\nomega = 3\ndelta_values = -2,-3\n",
+        ("omega", "delta_values"), "file"),
+}
+
+
+@pytest.mark.parametrize("argv,text,keys,layer", RIVALS_IN_ONE_LAYER.values(),
+                         ids=list(RIVALS_IN_ONE_LAYER))
+def test_rival_keys_from_one_layer_exit_2_naming_both(argv, text, keys, layer, tmp_path, capsys):
+    argv = with_config(argv, text, tmp_path)
+    assert run_cli(argv + ["--output", str(tmp_path / "never.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"chaincp: config error: {keys[0]} and {keys[1]} both come from the {layer} layer\n")
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_no_preset_gives_both_keys_of_a_rival_pair():
+    assert {key for pair in _RIVALS for key in pair} <= set(_KEYS)
+    for name, values in PRESETS.items():
+        for pair in _RIVALS:
+            assert not set(pair) <= set(values), (name, pair)
 
 
 # ---------------------------------------------------------------- running
@@ -474,6 +552,32 @@ def test_infinite_temperature_is_accepted(tmp_path):
                     "--temperatures", "0,inf", "--output", str(out)]) == 0
     _, _, rows = read_csv(out)
     assert [row[0] for row in rows][-1] == "inf"
+
+
+def test_a_repeated_chain_gives_no_false_growth_warning(capsys):
+    # two equal chains are two tables, each checked on its own
+    assert run_cli(["--mode", "thermal-sweep", "--n-values", "20,20", "--rmax", "2",
+                    "--lambda", "0.01", "--output", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line for line in out.splitlines() if not line.startswith("#")][1:]
+    assert rows[:len(rows) // 2] == rows[len(rows) // 2:]
+
+
+def test_growth_notes_print_per_chain_after_its_regime_warning(capsys):
+    temps, separations = (0.0, 1e-4, 1e-3), range(1, 4)
+    assert run_cli(["--mode", "thermal-sweep", "--n-values", "20,10", "--rmax", "3",
+                    "--lambda", "0.1", "--temperatures", "0,1e-4,1e-3", "--output", "-"]) == 0
+    expected = []
+    for n in (20, 10):
+        sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.1, N=n)
+        expected += [f"chaincp: warning: {note}" for note in require_valid_regime(sys_).warnings]
+        table = thermal_table(sys_, temps, separations)
+        for r in separations:
+            expected += [f"chaincp: warning: at N={n}, R={r}: {note}"
+                         for note in _growth_violations([row for row in table if row.R == r])]
+    assert capsys.readouterr().err.splitlines() == expected
+    assert sum("grew" in line for line in expected) >= 2
 
 
 def _fresh_python(*args) -> subprocess.CompletedProcess:
