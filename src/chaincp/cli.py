@@ -1,11 +1,12 @@
 """Command-line front end.
 
-One executable, ``chaincp``, with a ``--mode`` switch.  Parameters resolve in
-a fixed precedence order: built-in defaults, then a ``--preset``, then a
-``--config`` file of ``key = value`` lines, then command-line flags; of two
-keys that state one quantity (``_RIVALS``), the later layer's wins.  Every
-run writes one deterministic table (CSV with ``# key = value`` header lines,
-or the same content as JSON), byte-identical for the same inputs.
+One executable, ``chaincp``, with a ``--mode`` switch; ``_MODES`` gives each
+mode its runner and the keys it reads.  Parameters resolve as built-in
+defaults, then a ``--preset``, then a ``--config`` file of ``key = value``
+lines, then flags; of two keys that state one quantity (``_RIVALS``), the later
+layer's wins.  Every run writes one deterministic table, CSV with ``# key =
+value`` header lines of the keys the mode read or the same content as JSON,
+byte-identical for the same inputs; a key given but not read is noted.
 
 Exit codes: 0 success; 2 configuration or usage problems; 3 parameters
 outside the validity regime; 4 convergence or cross-check failures.
@@ -178,7 +179,10 @@ def _read_flags(argv: list[str]) -> dict[str, str]:
 def _help() -> str:
     """The ``--help`` text: every flag and what it takes."""
     takes = {"help": "print this list and exit; also -h", "preset": "|".join(PRESETS),
-             "config": "PATH of 'key = value' lines", "mode": "|".join(MODES),
+             "config": "PATH of 'key = value' lines",
+             "mode": "MODE, which reads the keys after it:" + "".join(
+                 f"\n{'':20}{mode:<16}{' '.join(key for key in reads if key in _KEYS)}"
+                 for mode, (_, reads) in _MODES.items()),
              "format": "|".join(FORMATS) + " (default csv)",
              "output": f"PATH, - for stdout (default <preset or mode>.<format> in ${OUTDIR_ENV} "
                        "or .); also -o"}
@@ -301,26 +305,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-#: Header keys in their order; the series are skipped when unset.
-_META_KEYS = ("eps0", "delta", "omega", "J", "lambda", "N", "R", "rmin", "rmax",
-              "temperatures", "n_values", "j_values", "delta_values")
-
-#: Header keys only one mode reads, after the common ones.
-_MODE_META_KEYS = {
-    "decay-profile": ("amin", "amax", "asteps"),
-    "hopping-sweep": ("jmin", "jmax", "jsteps"),
-    "detuning-sweep": ("dmin", "dmax", "dsteps"),
-    "oracle-check": ("quad_tol", "ed_tol", "max_points"),
-}
-
-
-def _meta(cfg: MappingProxyType) -> list[tuple[str, str]]:
+def _meta(cfg: MappingProxyType, reads: tuple[str, ...]) -> list[tuple[str, str]]:
+    """The header: the keys the mode reads, less unset series and the scalars they outrank."""
     values = {**cfg, "quad_tol": QUAD_TOL, "ed_tol": ED_TOL, "max_points": MAX_POINTS}
+    outranked = {a for a, b in _RIVALS if b in reads and isinstance(cfg[b], tuple)}
     pairs = [("generator", f"chaincp {__version__}"), ("mode", cfg["mode"]),
              ("preset", cfg["preset"] or "none")]
-    pairs += [(key, _fmt(values[key]))
-              for key in _META_KEYS + _MODE_META_KEYS.get(cfg["mode"], ())
-              if values[key] is not None]
+    pairs += [(key, _fmt(values[key])) for key in reads
+              if values[key] is not None and key not in outranked]
     overrides = " ".join(f"{k}<-{v}" for k, v in cfg["sources"])
     pairs.append(("overrides", overrides or "none"))
     return pairs
@@ -465,16 +457,20 @@ def _run_dispersion_dump(cfg: MappingProxyType):
     return columns, rows, 0
 
 
-#: Every mode and its runner; ``--mode`` offers them in this order.
-_RUNNERS = {
-    "force-sweep": _run_sweep,
-    "hopping-sweep": _run_sweep,
-    "detuning-sweep": _run_sweep,
-    "decay-profile": _run_decay_profile,
-    "thermal-sweep": _run_thermal_sweep,
-    "oracle-check": _run_oracle_check,
-    "dispersion-dump": _run_dispersion_dump,
-}
+#: Every mode in ``--mode``'s order: its runner and the keys it reads, in header
+#: order.  A key is read when its value reaches the computation, from the
+#: configuration or as a :func:`_system` field that the runner does not override.
+_MODES = {mode: (runner, tuple(reads.split())) for mode, runner, reads in (
+    ("force-sweep", _run_sweep, "eps0 delta omega J lambda N rmin rmax j_values delta_values"),
+    ("hopping-sweep", _run_sweep, "eps0 delta omega lambda N R jmin jmax jsteps"),
+    ("detuning-sweep", _run_sweep, "eps0 J lambda N R dmin dmax dsteps"),
+    ("decay-profile", _run_decay_profile, "eps0 delta omega lambda N amin amax asteps"),
+    ("thermal-sweep", _run_thermal_sweep,
+     "eps0 delta omega J lambda N rmin rmax temperatures n_values"),
+    ("oracle-check", _run_oracle_check,
+     "eps0 delta omega J lambda N rmin rmax quad_tol ed_tol max_points"),
+    ("dispersion-dump", _run_dispersion_dump, "eps0 delta omega J lambda N"),
+)}
 
 
 def _render_csv(meta, columns, rows) -> str:
@@ -501,7 +497,7 @@ def _render_json(meta, columns, rows) -> str:
 #: Every output format and its renderer.
 _RENDERERS = {"csv": _render_csv, "json": _render_json}
 
-MODES = tuple(_RUNNERS)
+MODES = tuple(_MODES)
 FORMATS = tuple(_RENDERERS)
 
 
@@ -514,8 +510,12 @@ def _output_path(cfg: MappingProxyType) -> str:
 
 def run(cfg: MappingProxyType) -> int:
     """Execute one resolved configuration; returns the exit code."""
-    columns, rows, code = _RUNNERS[cfg["mode"]](cfg)
-    text = _RENDERERS[cfg["format"]](_meta(cfg), columns, rows)
+    runner, reads = _MODES[cfg["mode"]]
+    columns, rows, code = runner(cfg)
+    # noted only once the table is built, so that a refused run prints its error alone
+    if unread := [key for key, _ in cfg["sources"] if key not in (*reads, "mode", "format")]:
+        _warn(f"{cfg['mode']} does not read {', '.join(unread)}")
+    text = _RENDERERS[cfg["format"]](_meta(cfg, reads), columns, rows)
     path = _output_path(cfg)
     if path == "-":
         sys.stdout.write(text)

@@ -73,24 +73,22 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int | range) -> tuple:
     combinations and the splitting is twice the mediated hopping.  The mode
     sums for the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R``,
     read off one column ``g_n = -G_0n`` of the ring's Green's function
-    (``lattice._ring_column``), to full relative precision at every ``R``; a
-    range of ``R`` reads one column and gives one doublet per separation.
-    This is the finite-``N`` reference that the closed forms approximate;
-    the band it shifts is :func:`band_energies`.
+    (``lattice._ring_column``), to full relative precision at every ``R``, as
+    the thermal kernel's ``m -+ h_R`` (:func:`_doublet_halves`); a range of
+    ``R`` reads one column.  This is the finite-``N`` reference that the
+    closed forms approximate; the band it shifts is :func:`band_energies`.
     """
-    seps = _separations(R, upper=sys.N)
-    g, lam_sq = _ring_column(sys, 0.0), sys.lam ** 2
-    doublets = tuple((-lam_sq * (g[0] + g_r), -lam_sq * (g[0] - g_r))
-                     for g_r in (_ring_entry(g, r) for r in seps))
+    m, halves = _doublet_halves(sys, _separations(R, upper=sys.N))
+    doublets = tuple((m - h, m + h) for h in halves)
     return doublets if isinstance(R, range) else doublets[0]
 
 
 def _doublet_halves(sys: SymmetricSystem, seps: range) -> tuple[float, list[float]]:
     """Doublet mean ``m = -lam^2 g_0`` and half-splittings ``h_R = lam^2 g_R``, ``R`` in ``seps``.
 
-    The doublet at ``R`` is ``(m - h_R, m + h_R)``: the levels of
-    :func:`symmetric_spectrum_ksum`, with the mean and the half-splitting
-    rounded apart, so that a difference of two ``h`` never cancels against
+    The doublet at ``R`` is ``(m - h_R, m + h_R)``, the levels of
+    :func:`symmetric_spectrum_ksum`; the mean and the half-splitting are
+    kept apart, so that a difference of two ``h`` never cancels against
     ``m``.  The column is cut one site past the last separation.
     """
     column, lam_sq = _ring_column(sys, 0.0, stop=seps[-1] + 1), sys.lam ** 2

@@ -191,6 +191,9 @@ def test_every_spelling_of_a_command_line_reads_alike(code, tails, tmp_path, mon
         order = out.splitlines()[1]
         assert order.startswith("  defaults < preset < config file < flags; ")
         assert all("/".join(pair) in order for pair in _RIVALS)
+        # the --mode entry lists each mode with the keys it reads
+        assert re.search(r"^ +thermal-sweep +eps0 delta omega J lambda N rmin rmax "
+                         r"temperatures n_values$", out, re.M)
         for flag in [_flag(key) for key in _KEYS] + ["--preset", "--config"]:
             assert re.search(re.escape(flag) + r"(?![\w-])", out), flag
     else:
@@ -346,6 +349,68 @@ def test_no_preset_gives_both_keys_of_a_rival_pair():
     for name, values in PRESETS.items():
         for pair in _RIVALS:
             assert not set(pair) <= set(values), (name, pair)
+
+
+#: ``preset -> keys``: each preset's header leaves out keys its mode did not
+#: read, the scalars outranked by a set series among them.
+UNREAD_BY_PRESETS = {"fig2": ("J",), "fig3": ("delta", "omega"),
+                     "fig4": ("R", "rmin", "rmax", "temperatures"), "fig5": ("N",)}
+
+
+@pytest.mark.parametrize("name,keys", UNREAD_BY_PRESETS.items(), ids=list(UNREAD_BY_PRESETS))
+def test_a_header_leaves_out_the_keys_its_mode_did_not_read(name, keys, tmp_path, capsys):
+    assert run_cli(["--preset", name, "--output", str(tmp_path / "out.csv")]) == 0
+    meta = read_csv(tmp_path / "out.csv")[0]
+    assert not set(keys) & set(meta)
+    assert {"mode", "lambda", "eps0"} <= set(meta)
+    assert "does not read" not in capsys.readouterr().err
+
+
+def test_a_given_key_the_mode_does_not_read_is_noted(capsys):
+    assert run_cli(["--mode", "force-sweep", "--R", "5", "--rmax", "3", "--output", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert not [line for line in out.splitlines() if line.startswith("# R ")]
+    assert "R<-flag" in out  # the overrides line still records it
+    assert err == "chaincp: warning: force-sweep does not read R\n"
+
+
+def test_no_preset_gives_a_key_its_mode_does_not_read():
+    for name, values in PRESETS.items():
+        assert set(values) - {"mode"} <= set(cli._MODES[values["mode"]][1]), name
+
+
+#: A valid value for every key, unlike its default and each preset's.
+OTHER_VALUES = {
+    "eps0": "2", "omega": "2.5", "delta": "-1.5", "J": "0.25", "lambda": "0.02",
+    "amin": "-0.5", "amax": "-0.2", "jmin": "0.1", "jmax": "0.2", "dmin": "-2", "dmax": "-1.5",
+    "N": "60", "R": "3", "rmin": "2", "rmax": "4", "asteps": "3", "jsteps": "3", "dsteps": "3",
+    "temperatures": "0,0.5", "j_values": "0.2,0.25", "delta_values": "-1.5,-2",
+    "n_values": "60,80",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_key_outside_the_reads_of_a_mode_leaves_its_rows_alone(mode, tmp_path, capsys):
+    # a reads table that left out a key its mode reads would fail here; the run
+    # comes from a file, so that a flag may give a rival of one of its keys
+    assert set(OTHER_VALUES) == set(_KEYS) - {"mode", "format", "output"}
+    small = _SMALL_RUNS.get(mode, [])
+    text = "".join(f"{flag[2:]} = {value}\n" for flag, value in zip(small[::2], small[1::2]))
+    base = with_config(["--output", "-"], f"mode = {mode}\n{text}", tmp_path)
+
+    def rows(extra):
+        assert run_cli(base + extra) == 0
+        out, err = capsys.readouterr()
+        return [line for line in out.splitlines() if not line.startswith("#")], err
+
+    expected, _ = rows([])
+    unread = [key for key in OTHER_VALUES if key not in cli._MODES[mode][1]]
+    assert unread
+    for key in unread:
+        got, err = rows([f"{_flag(key)}={OTHER_VALUES[key]}"])
+        assert got == expected, key
+        notes = [line for line in err.splitlines() if " does not read " in line]
+        assert len(notes) == 1 and key in notes[0].split(" read ")[1].split(", "), (key, err)
 
 
 # ---------------------------------------------------------------- running

@@ -56,9 +56,10 @@ def test_zero_temperature_recovers_the_ground_level():
     sys_ = fig_system(N=60)
     m, (h,) = _doublet_halves(sys_, range(1, 2))
     assert thermal_energy(sys_, 0.0, 1) == m - h
-    # the spectrum's even level, rounded once from -lam^2 (g_0 + g_1)
-    e_plus, _ = symmetric_spectrum_ksum(sys_, 1)
-    assert m - h == pytest.approx(e_plus, rel=CANCEL_EPS, abs=0)
+    # the spectrum's doublets are the kernel's m -+ h to the bit, at every R
+    seps = range(1, sys_.N + 1)
+    m, halves = _doublet_halves(sys_, seps)
+    assert symmetric_spectrum_ksum(sys_, seps) == tuple((m - h, m + h) for h in halves)
 
 
 def test_zero_temperature_force_matches_the_ground_state_force():
