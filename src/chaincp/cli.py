@@ -6,7 +6,8 @@ defaults, then a ``--preset``, then a ``--config`` file of ``key = value``
 lines, then flags; of two keys that state one quantity (``_RIVALS``), the later
 layer's wins.  Every run writes one deterministic table, CSV with ``# key =
 value`` header lines of the keys the mode read or the same content as JSON,
-byte-identical for the same inputs; a key given but not read is noted.
+byte-identical for the same inputs.  Each value is checked by the code that
+reads it; a key given but not read by the mode is noted, never checked.
 
 Exit codes: 0 success; 2 configuration or usage problems; 3 parameters
 outside the validity regime; 4 convergence or cross-check failures.
@@ -109,15 +110,15 @@ def _coerce(key: str, raw) -> object:
     return values if isinstance(kind, tuple) else values[0]
 
 
-def _parse_config_file(path: str) -> dict[str, object]:
-    """Read ``key = value`` lines; ``#`` starts a comment line."""
+def _parse_config_file(path: str) -> dict[str, str]:
+    """Read ``key = value`` lines, values raw; ``#`` starts a comment line."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
-    values: dict[str, object] = {}
+    values: dict[str, str] = {}
     for lineno, line in enumerate(lines, 1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -132,7 +133,7 @@ def _parse_config_file(path: str) -> dict[str, object]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = _coerce(key, raw)
+        values[key] = raw
     return values
 
 
@@ -213,8 +214,9 @@ def load_config(argv: list[str] | None = None) -> MappingProxyType:
     Raises
     ------
     ConfigError
-        For unknown or ambiguous flags, unknown keys, malformed values,
-        rival keys from one layer, inconsistent or out-of-range parameters.
+        For unknown or ambiguous flags, unknown keys, malformed or NaN values,
+        rival keys from one layer, an ``omega`` that contradicts ``delta``, an
+        unknown mode or format; never for a range, which the value's reader checks.
     SystemExit
         With code 0, once ``--help`` has printed every flag.
     """
@@ -258,18 +260,6 @@ def load_config(argv: list[str] | None = None) -> MappingProxyType:
         raise ConfigError(f"unknown mode {merged['mode']!r}; choose from {', '.join(MODES)}")
     if merged["format"] not in FORMATS:
         raise ConfigError(f"unknown format {merged['format']!r}; choose {' or '.join(FORMATS)}")
-
-    for key, low in (("N", 1), ("R", 1), ("rmin", 1),
-                     ("asteps", 2), ("jsteps", 2), ("dsteps", 2)):
-        if merged[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {merged[key]}")
-    if merged["rmax"] < merged["rmin"]:
-        raise ConfigError(f"rmax={merged['rmax']} is below rmin={merged['rmin']}")
-    temps = merged["temperatures"]
-    if any(t < 0 for t in temps):
-        raise ConfigError("temperatures must be non-negative")
-    if list(temps) != sorted(temps):
-        raise ConfigError("temperatures must be sorted ascending")
 
     sources.pop("output", None)
     return MappingProxyType({**merged, "preset": preset,
@@ -334,8 +324,10 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _grid(cfg: MappingProxyType, prefix: str) -> list[float]:
-    """The ``<prefix>min .. <prefix>max`` grid of ``<prefix>steps`` points, each finite."""
+    """The ``<prefix>min .. <prefix>max`` grid of ``<prefix>steps >= 2`` points, each finite."""
     keys = (f"{prefix}min", f"{prefix}max", f"{prefix}steps")
+    if cfg[keys[2]] < 2:
+        raise ConfigError(f"{keys[2]} must be >= 2, got {cfg[keys[2]]}")
     grid = _linspace(*(cfg[key] for key in keys))
     if not all(math.isfinite(x) for x in grid):
         raise ConfigError(f"{', '.join(keys)} give a grid point that is not finite")
@@ -369,14 +361,15 @@ def _run_sweep(cfg: MappingProxyType):
 def _run_decay_profile(cfg: MappingProxyType):
     # Decay rate and range depend only on the band parameter, not on the
     # coupling, so this mode skips the weak-coupling gate; near the band
-    # edge the amplitude column is the only thing to take with salt.
+    # edge the amplitude column is the only thing to take with salt.  The
+    # decay law is the infinite chain's, so no row depends on N.
     columns = ("a", "J", "gamma", "rc", "amplitude")
     if not -1.0 < cfg["amin"] <= cfg["amax"] <= 0.0:
         raise ConfigError(f"need -1 < amin <= amax <= 0, got [{cfg['amin']}, {cfg['amax']}]")
     rows = []
     for a in _grid(cfg, "a"):
         j_a = a * cfg["delta"] / 2.0
-        sys_ = _system(cfg, J=j_a)
+        sys_ = _system(cfg, J=j_a, N=1)
         prof = decay_profile(sys_)
         rows.append((a, j_a, prof.gamma, prof.rc, prof.amplitude))
     return columns, rows, 0
@@ -391,12 +384,15 @@ def _refuse_long_rings(chains, work: str) -> None:
 
 def _run_thermal_sweep(cfg: MappingProxyType):
     columns = ("T", "N", "R", "energy", "force")
+    # the growth check below compares neighbouring temperatures
+    if list(cfg["temperatures"]) != sorted(cfg["temperatures"]):
+        raise ConfigError("temperatures must be sorted ascending")
     rows = []
     separations = range(cfg["rmin"], cfg["rmax"] + 1)
     chains = cfg["n_values"] or (cfg["N"],)
     _refuse_long_rings(chains, f"thermal-sweep streams at most {MAX_MODES} band modes per "
                                "temperature")
-    for n in map(int, chains):
+    for n in chains:
         sys_ = _gated_system(cfg, N=n)
         table = thermal_table(sys_, cfg["temperatures"], separations)
         # the one place a level measured from eps0 is printed as an absolute energy
@@ -419,21 +415,17 @@ def _relative_error(value: float, closed: float) -> float:
 def _run_oracle_check(cfg: MappingProxyType):
     columns = ("R", "closed", "quadrature", "quad_rel_err", "quad_ok",
                "ed", "ed_rel_err", "ed_ok")
-    if cfg["rmax"] > cfg["N"] // 4:
-        raise ConfigError(
-            f"oracle-check needs rmax <= N//4 to keep the ring image out of the "
-            f"real-space ED estimate; got rmax={cfg['rmax']}, N={cfg['N']}"
-        )
     sys_ = _gated_system(cfg)
     if sys_.lam == 0.0:
         raise InvalidRegime("oracle-check needs lambda != 0; for lambda = 0 the "
                             "interaction is identically zero")
     separations = range(cfg["rmin"], cfg["rmax"] + 1)
-    # the oracles warn of their own systematic error; each warning prints as a note
+    # the oracles warn of their own systematic error; each warning prints as a note.
+    # The ED goes first: it refuses a window past N // 4 before any quadrature runs
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        quads = cp_energy_quadrature(sys_, separations)
         eds = cp_energy_ed(sys_, separations)
+        quads = cp_energy_quadrature(sys_, separations)
     for note in caught:
         _warn(str(note.message))
     rows = []
@@ -452,7 +444,7 @@ def _run_oracle_check(cfg: MappingProxyType):
 def _run_dispersion_dump(cfg: MappingProxyType):
     columns = ("k", "energy")
     _refuse_long_rings((cfg["N"],), f"dispersion-dump writes at most {MAX_MODES} modes")
-    sys_ = _system(cfg)
+    sys_ = _system(cfg, lam=0.0)  # the bare band: no row depends on the coupling
     rows = [(k, dispersion(sys_, k)) for k in brillouin_modes(sys_)]
     return columns, rows, 0
 
@@ -464,12 +456,12 @@ _MODES = {mode: (runner, tuple(reads.split())) for mode, runner, reads in (
     ("force-sweep", _run_sweep, "eps0 delta omega J lambda N rmin rmax j_values delta_values"),
     ("hopping-sweep", _run_sweep, "eps0 delta omega lambda N R jmin jmax jsteps"),
     ("detuning-sweep", _run_sweep, "eps0 J lambda N R dmin dmax dsteps"),
-    ("decay-profile", _run_decay_profile, "eps0 delta omega lambda N amin amax asteps"),
+    ("decay-profile", _run_decay_profile, "eps0 delta omega lambda amin amax asteps"),
     ("thermal-sweep", _run_thermal_sweep,
      "eps0 delta omega J lambda N rmin rmax temperatures n_values"),
     ("oracle-check", _run_oracle_check,
      "eps0 delta omega J lambda N rmin rmax quad_tol ed_tol max_points"),
-    ("dispersion-dump", _run_dispersion_dump, "eps0 delta omega J lambda N"),
+    ("dispersion-dump", _run_dispersion_dump, "eps0 delta omega J N"),
 )}
 
 

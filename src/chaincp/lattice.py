@@ -256,6 +256,11 @@ def brillouin_modes(sys: SymmetricSystem) -> tuple[float, ...]:
     return tuple(turn * n / sites for n in range(-sys.N, sys.N + 1))
 
 
+def _digits(ratio: float, threshold: float) -> str:
+    """``ratio`` to three digits, or all of them where three would read as ``threshold``."""
+    return repr(ratio) if f"{ratio:.3g}" == f"{threshold:.3g}" else f"{ratio:.3g}"
+
+
 class RegimeReport(NamedTuple):
     """Outcome of :func:`validate_regime`.
 
@@ -287,7 +292,7 @@ def validate_regime(sys: SymmetricSystem) -> RegimeReport:
     warnings: list[str] = []
     if WEAK_COUPLING_WARN < ratio <= WEAK_COUPLING_FAIL:
         warnings.append(
-            f"coupling ratio {ratio:.3g} exceeds {WEAK_COUPLING_WARN}; "
+            f"coupling ratio {_digits(ratio, WEAK_COUPLING_WARN)} exceeds {WEAK_COUPLING_WARN}; "
             "second-order results may drift beyond the percent level"
         )
     return RegimeReport(coupling_ratio=ratio, weak_coupling=ratio <= WEAK_COUPLING_FAIL,
@@ -304,6 +309,6 @@ def require_valid_regime(sys: SymmetricSystem) -> RegimeReport:
     if not report.weak_coupling:
         raise RegimeViolation(
             "configuration outside the validity regime: coupling too strong"
-            f" (coupling ratio {report.coupling_ratio:.3g})"
+            f" (coupling ratio {_digits(report.coupling_ratio, WEAK_COUPLING_FAIL)})"
         )
     return report

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import random
 import re
@@ -113,15 +114,16 @@ def test_config_file_rejects_duplicates_and_presets(tmp_path):
         load_config(["--config", str(pre)])
 
 
-def test_bad_values_are_config_errors():
+def test_bad_values_are_config_errors(capsys):
     with pytest.raises(ConfigError):
         load_config(["--mode", "force-sweep", "--J", "fast"])
     with pytest.raises(ConfigError):
-        load_config(["--mode", "force-sweep", "--rmax", "0"])
-    with pytest.raises(ConfigError):
-        load_config(["--mode", "force-sweep", "--temperatures", "1,0.1"])
-    with pytest.raises(ConfigError):
         load_config([])  # no mode anywhere
+    # a value's range is checked by the code that reads it, so only in a mode that reads it
+    assert run_cli(["--mode", "force-sweep", "--rmax", "0", "--output", "-"]) == 2
+    assert run_cli(["--mode", "thermal-sweep", "--temperatures", "1,0.1", "--output", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("chaincp: config error: ") == 2
 
 
 #: ``(argv, flag-value pairs, exit code)``: every numeric key with a value
@@ -413,6 +415,32 @@ def test_a_key_outside_the_reads_of_a_mode_leaves_its_rows_alone(mode, tmp_path,
         assert len(notes) == 1 and key in notes[0].split(" read ")[1].split(", "), (key, err)
 
 
+#: A value out of range for each key that has a range: each is refused by the
+#: code that reads it, so only by a mode that reads the key.
+BAD_VALUES = [("N", "0"), ("R", "0"), ("rmin", "0"), ("rmax", "0"), ("asteps", "1"),
+              ("jsteps", "1"), ("dsteps", "1"), ("temperatures", "1,0.1"),
+              ("temperatures", "-0.1,0.2")]
+
+
+@pytest.mark.parametrize("key,value", BAD_VALUES, ids=[f"{k}={v}" for k, v in BAD_VALUES])
+@pytest.mark.parametrize("mode", MODES)
+def test_a_bad_value_is_refused_only_by_a_mode_that_reads_it(mode, key, value, capsys):
+    base = ["--mode", mode, *_SMALL_RUNS.get(mode, []), "--output", "-"]
+    code = run_cli(base + [_flag(key), value])
+    out, err = capsys.readouterr()
+    if key in cli._MODES[mode][1]:
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith("chaincp: config error: "), err
+        return
+    assert code == 0
+    assert run_cli(base) == 0
+    expected, plain = capsys.readouterr()
+    assert [line for line in out.splitlines() if not line.startswith("#")] == \
+        [line for line in expected.splitlines() if not line.startswith("#")]
+    # the note follows whatever the run itself printed
+    assert err == plain + f"chaincp: warning: {mode} does not read {key}\n"
+
+
 # ---------------------------------------------------------------- running
 
 
@@ -584,6 +612,32 @@ def test_exit_code_2_when_the_band_exceeds_the_mode_ceiling(series, tmp_path, mo
             "dispersion-dump": "dispersion-dump writes at most 10000000 modes"}[series[1]]
     assert err.startswith(f"chaincp: config error: {work}; N=") and err.count("\n") == 1
     assert not (tmp_path / "never.csv").exists()
+
+
+def test_an_oracle_window_past_the_ring_image_bound_runs_no_quadrature(monkeypatch, capsys):
+    # the ED refuses rmax > N // 4 (here 10) before the quadrature is called
+    def forbidden(*args):
+        raise AssertionError("the quadrature ran on a refused window")
+
+    monkeypatch.setattr(cli, "cp_energy_quadrature", forbidden)
+    assert run_cli(["--mode", "oracle-check", "--N", "40", "--rmax", "11", "--output", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("chaincp: config error: ") and err.count("\n") == 1
+
+
+def test_a_ratio_never_reads_as_the_threshold_it_crossed(capsys):
+    # detuning-sweep's last default point, J = 0.3 at delta = -0.7, has ratio 0.10000000000000002
+    assert run_cli(["--mode", "detuning-sweep", "--output", "-"]) == 0
+    ratios = re.findall(r"coupling ratio (\S+) exceeds 0\.1;", capsys.readouterr().err)
+    assert ratios and all(float(r) > 0.1 for r in ratios)
+    # the gap is 0.5, so the ratio is 2 lambda: three ulp above 0.5 is refused, and says so
+    lam = 0.25
+    for _ in range(3):
+        lam = math.nextafter(lam, 1.0)
+    assert run_cli(["--mode", "force-sweep", "--J", "0.25", "--lambda", repr(lam),
+                    "--output", "-"]) == 3
+    ratio = re.search(r"\(coupling ratio (\S+)\)$", capsys.readouterr().err.strip())[1]
+    assert float(ratio) > 0.5
 
 
 def test_oracle_check_without_coupling_is_a_regime_violation(tmp_path, capsys):
