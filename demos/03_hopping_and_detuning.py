@@ -8,16 +8,15 @@ trends are strict, and both follow from the same closed form through the
 band parameter a = 2J/delta.
 """
 
-import numpy as np
-
 from chaincp import SymmetricSystem, ecp_force
 
 
 def main():
     print("force at R = 1 while the hopping grows (delta = -1, lambda = 0.01)")
     print("    J        a         f(1)")
-    for J in np.linspace(0.05, 0.45, 9):
-        sys_ = SymmetricSystem(delta=-1.0, J=float(J), lam=0.01, N=200)
+    step = (0.45 - 0.05) / 8
+    for J in [0.05 + i * step for i in range(8)] + [0.45]:
+        sys_ = SymmetricSystem(delta=-1.0, J=J, lam=0.01, N=200)
         print("  {:.3f}   {:+.3f}   {: .6e}".format(J, sys_.a, ecp_force(sys_, 1)))
 
     print("\nforce at R = 1 while the level sinks (J = 0.6, lambda = 0.01)")

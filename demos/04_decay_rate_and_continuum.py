@@ -8,16 +8,15 @@ b = sqrt((omega - 2J - eps0)/J) takes over; deep below the band the lattice
 remembers its spacing and the two rates part ways.
 """
 
-import numpy as np
-
 from chaincp import SymmetricSystem, continuum_decay_constant, decay_profile
 
 
 def main():
     print("lattice decay rate vs continuum decay constant (delta = -1)")
     print("     a        J       Gamma        b       rel gap     Rc")
-    for a in np.linspace(-0.98, -0.30, 9):
-        J = -float(a) / 2.0
+    step = (0.98 - 0.30) / 8
+    for a in [-0.98 + i * step for i in range(8)] + [-0.30]:
+        J = -a / 2.0
         sys_ = SymmetricSystem(delta=-1.0, J=J, lam=0.01, N=200)
         prof = decay_profile(sys_)
         b = continuum_decay_constant(sys_)

@@ -1,3 +1,3 @@
-"""Single source for the version string (keep pyproject.toml in step)."""
+"""Single source for the version string; pyproject.toml reads it from here."""
 
 __version__ = "0.1.0"

@@ -123,13 +123,14 @@ def decay_profile(sys: SymmetricSystem) -> DecayProfile:
     For ``a = 0`` the interaction vanishes identically; this limit is
     reported as ``gamma = inf`` and ``rc = 0`` with the amplitude kept
     finite, so ``amplitude * exp(-gamma * R)`` is still ``0.0`` for every
-    ``R >= 1``.
+    ``R >= 1``.  Above ``q = 1/2``, where ``-log(q)`` cancels, ``gamma`` is
+    ``-log1p(-(1 - q))`` on the edge-safe ``1 - q``.
     """
     root, one_minus_q = _edge_safe_root(sys)
     if sys.q == 0.0:
         gamma, rc = math.inf, 0.0
     else:
-        gamma = -math.log(sys.q)
+        gamma = -math.log1p(-one_minus_q) if sys.q > 0.5 else -math.log(sys.q)
         rc = 1.0 / gamma
     amplitude = (sys.lam ** 2 / sys.delta) * one_minus_q / root
     return DecayProfile(gamma=gamma, rc=rc, amplitude=amplitude)

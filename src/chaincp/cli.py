@@ -362,10 +362,9 @@ def _run_decay_profile(cfg: MappingProxyType):
     # Decay rate and range depend only on the band parameter, not on the
     # coupling, so this mode skips the weak-coupling gate; near the band
     # edge the amplitude column is the only thing to take with salt.  The
-    # decay law is the infinite chain's, so no row depends on N.
+    # decay law is the infinite chain's, so no row depends on N.  The system
+    # refuses each a outside (-1, 0], in any grid order.
     columns = ("a", "J", "gamma", "rc", "amplitude")
-    if not -1.0 < cfg["amin"] <= cfg["amax"] <= 0.0:
-        raise ConfigError(f"need -1 < amin <= amax <= 0, got [{cfg['amin']}, {cfg['amax']}]")
     rows = []
     for a in _grid(cfg, "a"):
         j_a = a * cfg["delta"] / 2.0
@@ -384,9 +383,6 @@ def _refuse_long_rings(chains, work: str) -> None:
 
 def _run_thermal_sweep(cfg: MappingProxyType):
     columns = ("T", "N", "R", "energy", "force")
-    # the growth check below compares neighbouring temperatures
-    if list(cfg["temperatures"]) != sorted(cfg["temperatures"]):
-        raise ConfigError("temperatures must be sorted ascending")
     rows = []
     separations = range(cfg["rmin"], cfg["rmax"] + 1)
     chains = cfg["n_values"] or (cfg["N"],)
@@ -398,10 +394,9 @@ def _run_thermal_sweep(cfg: MappingProxyType):
         # the one place a level measured from eps0 is printed as an absolute energy
         rows += [(row.T, n, row.R, sys_.eps0 + row.energy, row.force) for row in table]
         # |f_T| falls with T once T exceeds the doublet splitting at R; below that it can
-        # grow, so growth is reported, not refused.  Rows run over R within each T.
-        for i, r in enumerate(separations):
-            for note in _growth_violations(table[i::len(separations)]):
-                _warn(f"at N={n}, R={r}: {note}")
+        # grow, so growth is reported, not refused
+        for note in _growth_violations(table):
+            _warn(f"at N={n}, {note}")
     return columns, rows, 0
 
 

@@ -176,27 +176,28 @@ def _edge_safe_root(sys: SymmetricSystem) -> tuple[float, float]:
     return root, (root + one_plus_a) / (root + 1.0)
 
 
-def _separations(R: int | range, lower: int = 1, upper: int | None = None) -> range:
-    """``R`` as a checked range of separations, each in ``lower .. upper``.
+def _separations(R: int | range, upper: int | None = None) -> range:
+    """``R`` as a checked range of separations, each in ``1 .. upper``.
 
     ``R`` is one integer separation or a non-empty range of them with step 1;
     a single separation comes back as ``range(R, R + 1)``.  This is the
-    package's one separation rule.  A window with ``upper < lower`` (a
-    chain too short for any separation) is refused whatever ``R`` is.
+    package's one separation rule, and 1 its one floor.  A window with
+    ``upper < 1`` (a chain too short for any separation) is refused whatever
+    ``R`` is.  An empty window is named by its ends, a stride by its ``repr``.
     """
     if not isinstance(R, range):
         if not isinstance(R, int):
             raise TypeError(f"separation must be an integer, got {R!r}")
         R = range(R, R + 1)
-    if upper is not None and upper < lower:
-        raise ValueError(
-            f"no separation fits: the upper bound {upper} is below the lower bound {lower}")
+    if upper is not None and upper < 1:
+        raise ValueError(f"no separation fits: the upper bound {upper} is below the lower bound 1")
     if R.step != 1 or not R:
-        raise ValueError(f"separations must be a non-empty range with step 1, got {R!r}")
-    if R[0] < lower:
-        raise ValueError(f"separation must be >= {lower}, got R={R[0]}")
+        got = repr(R) if R.step != 1 else f"R from {R.start} to {R.stop - 1}"
+        raise ValueError(f"separations must be a non-empty range with step 1, got {got}")
+    if R[0] < 1:
+        raise ValueError(f"separation must be >= 1, got R={R[0]}")
     if upper is not None and R[-1] > upper:
-        raise ValueError(f"separation must satisfy {lower} <= R <= {upper}, got R={R[-1]}")
+        raise ValueError(f"separation must satisfy 1 <= R <= {upper}, got R={R[-1]}")
     return R
 
 

@@ -149,15 +149,14 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
     float or tuple of float
         A tuple in the order of ``R`` when ``R`` is a range.
     """
-    n_half = sys.N
-    seps = _separations(R, upper=n_half // 4)
+    seps = _separations(R, upper=sys.N // 4)
     x1, column = _impurity_level(sys)
     # the ring's decay ratio g_1 / g_0 at the bare level and at x1
     q0, q1 = (g[1] / g[0] for g in (_ring_column(sys, 0.0, stop=2), column))
     # a flat band, or a ratio that underflows, has no decay rate to shift
     rate = math.log(q0 / q1) if q1 else 0.0
 
-    m_sites = 2 * n_half + 1
+    m_sites = sys.num_sites
     values = []
     for r in seps:
         image = (q0 ** (m_sites - 2 * r) + q0 ** m_sites) / (1.0 - q0 ** m_sites)
@@ -165,7 +164,7 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
         if systematic > ED_TOL:
             warnings.warn(
                 f"ED estimate carries ~{systematic:.1%} systematic error "
-                f"(fourth-order coupling, ring image and rate shift) at R={r}, N={n_half}",
+                f"(fourth-order coupling, ring image and rate shift) at R={r}, N={sys.N}",
                 stacklevel=2,
             )
         values.append(_even_shift(sys, x1, column, r))
@@ -208,8 +207,7 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
     sys : SymmetricSystem
         Requires a dispersive band, ``a`` in ``(-1, 0)``.
     R : int or range
-        Separation ``R >= 0`` (``R = 0`` gives the single-level shift
-        scale), or a non-empty range of them with step 1.
+        Separation ``R >= 1``, or a non-empty range of them with step 1.
 
     Returns
     -------
@@ -223,7 +221,7 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
     if sys.a == 0.0:
         raise InvalidRegime("quadrature needs a dispersive band (J > 0); "
                             "for J = 0 the interaction is identically zero")
-    seps = _separations(R, lower=0)
+    seps = _separations(R)
     # q underflows to 0.0 only below the smallest subnormal
     lost = math.ceil(-seps[-1] * math.log10(max(sys.q, math.ulp(0.0))))
 

@@ -154,11 +154,9 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
 def _band_sums(sys: SymmetricSystem, m: float, beta: float) -> tuple[float, float]:
     """``(Z, S)``, the band's Boltzmann sum and its energy-weighted sum, from ``m``.
 
-    Every band level lies above ``m``, so no weight exceeds 1; at ``beta =
-    inf`` every weight is 0.
+    Every band level lies above ``m``, so no weight exceeds 1.  ``beta`` is
+    finite: at ``T = 0`` the kernel needs no band.
     """
-    if beta == math.inf:
-        return 0.0, 0.0
     exp, half_ring = math.exp, perturbation._half_ring
     z = math.fsum(k * exp(-beta * x) for k, x in half_ring(sys, m))
     s = math.fsum(k * x * exp(-beta * x) for k, x in half_ring(sys, m))
@@ -166,15 +164,13 @@ def _band_sums(sys: SymmetricSystem, m: float, beta: float) -> tuple[float, floa
 
 
 def _pair_share(h: float, beta: float, z: float, s: float) -> float:
-    """``G(h)``, the share of the energy due to the doublet's half-splitting ``h >= 0``.
+    """``G(h)``, the energy share of the doublet's half-splitting ``h >= 0``, at finite ``beta``.
 
     Numerator and denominator are scaled by ``e^{-beta h}``: ``sinh(beta h)``
     becomes ``-expm1(-2 beta h) / 2``, ``cosh(beta h)`` becomes ``(1 + e^{-2
     beta h}) / 2`` and ``sinh^2(beta h / 2)`` becomes ``expm1(-beta h)^2 /
     4``, so every term is positive and nothing overflows.
     """
-    if beta == math.inf:
-        return -h
     t = beta * h
     decay, rise = math.exp(-t), math.expm1(-t)
     num = h * -math.expm1(-2.0 * t) * (z + 2.0) + s * rise * rise
@@ -184,11 +180,16 @@ def _pair_share(h: float, beta: float, z: float, s: float) -> float:
 def _kernel(sys: SymmetricSystem, temperatures, seps: range):
     """Per temperature, ``(T, E_T - G, [G(h_R) for R in seps])``, from the band's two sums.
 
-    ``m`` and every ``h_R`` come from one ring column, read once.
+    ``m`` and every ``h_R`` come from one ring column, read once.  At ``T = 0``
+    all weight is on the even level: ``G = -h_R``, and no band, so ``Z = S = 0``
+    (``m + 0.0`` keeps the sign of a zero ``m`` as ``m + S / (Z + 2)`` does).
     """
     m, halves = _doublet_halves(sys, seps)
     for t in temperatures:
         beta = _beta(t)
+        if beta == math.inf:
+            yield t, m + 0.0, [-h for h in halves]
+            continue
         z, s = _band_sums(sys, m, beta)
         yield t, m + s / (z + 2.0), [_pair_share(h, beta, z, s) for h in halves]
 
@@ -234,15 +235,17 @@ def thermal_force(sys: SymmetricSystem, T: float, R: int) -> float:
 
 
 def _growth_violations(rows) -> tuple[str, ...]:
-    """Adjacent rows of an ascending-``T`` sweep at one ``R`` where ``|f_T|`` grew.
+    """Where ``|f_T|`` grew from one temperature to the next at one ``R``, as notes.
 
-    Growth within :data:`FORCE_RTOL` of the larger of the two forces counts
-    as numerical noise; any larger growth is reported, however small the
-    forces are.
+    Rows come in any order: grouped by ``R`` and each group ordered by ``T``,
+    each note starting ``R=<r>: ``.  Growth within :data:`FORCE_RTOL` of the
+    larger of the two forces counts as numerical noise; any larger growth is
+    reported, however small the forces are.
     """
+    ordered = sorted(rows, key=lambda row: (row.R, row.T))
     return tuple(
-        f"|f_T| grew from {abs(prev.force):.6g} at T={prev.T:g} "
+        f"R={cur.R}: |f_T| grew from {abs(prev.force):.6g} at T={prev.T:g} "
         f"to {abs(cur.force):.6g} at T={cur.T:g}"
-        for prev, cur in zip(rows, rows[1:])
-        if abs(cur.force) - abs(prev.force) > FORCE_RTOL * abs(cur.force)
+        for prev, cur in zip(ordered, ordered[1:])
+        if prev.R == cur.R and abs(cur.force) - abs(prev.force) > FORCE_RTOL * abs(cur.force)
     )

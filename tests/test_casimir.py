@@ -230,8 +230,10 @@ EDGE_GRID = ([-0.998 + i * (0.898 / 59) for i in range(60)]
 
 def test_closed_forms_are_accurate_across_the_band_up_to_its_edge():
     # energy, force and both doublet levels at R = 1..29, and the amplitude,
-    # each within 4 (R + 1) ulp of 60-digit values from the system's floats
-    worst = dict.fromkeys(("energy", "force", "even level", "odd level", "amplitude"), 0.0)
+    # decay rate and range, each within 4 (R + 1) ulp of 60-digit values from
+    # the system's floats
+    worst = dict.fromkeys(("energy", "force", "even level", "odd level", "amplitude", "gamma",
+                           "rc"), 0.0)
     for a in EDGE_GRID:
         sys_ = SymmetricSystem(delta=-1.0, J=-a / 2.0, lam=0.01, N=200)
         with mp.workdps(60):
@@ -240,7 +242,9 @@ def test_closed_forms_are_accurate_across_the_band_up_to_its_edge():
             root = mp.sqrt(1 - a_exact ** 2)
             q = (root - 1) / a_exact
             amplitude = lam_sq / delta * (1 - q) / root
-            cases = [("amplitude", 0, decay_profile(sys_).amplitude, amplitude)]
+            profile = decay_profile(sys_)
+            cases = [("amplitude", 0, profile.amplitude, amplitude),
+                     ("gamma", 0, profile.gamma, -mp.log(q)), ("rc", 0, profile.rc, -1 / mp.log(q))]
             for r in range(1, 30):
                 energy = lam_sq / delta * q ** r / root
                 e_plus, e_minus = symmetric_spectrum_closed(sys_, r)

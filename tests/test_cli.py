@@ -119,11 +119,14 @@ def test_bad_values_are_config_errors(capsys):
         load_config(["--mode", "force-sweep", "--J", "fast"])
     with pytest.raises(ConfigError):
         load_config([])  # no mode anywhere
-    # a value's range is checked by the code that reads it, so only in a mode that reads it
+    # a value's range is checked by the code that reads it, so only in a mode that reads it;
+    # an empty separation window is named by its ends
     assert run_cli(["--mode", "force-sweep", "--rmax", "0", "--output", "-"]) == 2
-    assert run_cli(["--mode", "thermal-sweep", "--temperatures", "1,0.1", "--output", "-"]) == 2
+    assert run_cli(["--mode", "thermal-sweep", "--temperatures", "1,-0.1", "--output", "-"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("chaincp: config error: ") == 2
+    assert err.splitlines()[0] == ("chaincp: config error: separations must be a non-empty "
+                                   "range with step 1, got R from 1 to 0")
 
 
 #: ``(argv, flag-value pairs, exit code)``: every numeric key with a value
@@ -391,34 +394,70 @@ OTHER_VALUES = {
 }
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_a_key_outside_the_reads_of_a_mode_leaves_its_rows_alone(mode, tmp_path, capsys):
-    # a reads table that left out a key its mode reads would fail here; the run
-    # comes from a file, so that a flag may give a rival of one of its keys
-    assert set(OTHER_VALUES) == set(_KEYS) - {"mode", "format", "output"}
-    small = _SMALL_RUNS.get(mode, [])
+def run_with_other_value(mode, small, tmp_path, capsys):
+    """``rows(key)``: the data lines and stderr of ``mode`` with ``key`` at its ``OTHER_VALUES``.
+
+    The run comes from a file of the ``small`` flags, so that a flag may give
+    a rival of one of its keys; ``rows(None)`` runs the file alone.
+    """
     text = "".join(f"{flag[2:]} = {value}\n" for flag, value in zip(small[::2], small[1::2]))
     base = with_config(["--output", "-"], f"mode = {mode}\n{text}", tmp_path)
 
-    def rows(extra):
+    def rows(key):
+        extra = [] if key is None else [f"{_flag(key)}={OTHER_VALUES[key]}"]
         assert run_cli(base + extra) == 0
         out, err = capsys.readouterr()
         return [line for line in out.splitlines() if not line.startswith("#")], err
 
-    expected, _ = rows([])
+    return rows
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_key_outside_the_reads_of_a_mode_leaves_its_rows_alone(mode, tmp_path, capsys):
+    # a reads table that left out a key its mode reads would fail here
+    assert set(OTHER_VALUES) == set(_KEYS) - {"mode", "format", "output"}
+    rows = run_with_other_value(mode, _SMALL_RUNS.get(mode, []), tmp_path, capsys)
+    expected, _ = rows(None)
     unread = [key for key in OTHER_VALUES if key not in cli._MODES[mode][1]]
     assert unread
     for key in unread:
-        got, err = rows([f"{_flag(key)}={OTHER_VALUES[key]}"])
+        got, err = rows(key)
         assert got == expected, key
         notes = [line for line in err.splitlines() if " does not read " in line]
         assert len(notes) == 1 and key in notes[0].split(" read ")[1].split(", "), (key, err)
 
 
+#: Keys a mode reads that move none of its rows, each with its reason; the
+#: header names them all the same.
+HEADER_ONLY = {
+    **{(mode, "eps0"): "its rows are offsets from eps0"
+       for mode in ("force-sweep", "hopping-sweep", "detuning-sweep", "decay-profile",
+                    "oracle-check")},
+    **{(mode, "N"): "its closed forms are the infinite chain's, so N only bounds R"
+       for mode in ("force-sweep", "hopping-sweep", "detuning-sweep")},
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_key_a_mode_reads_moves_a_row_or_is_header_only(mode, tmp_path, capsys):
+    # the converse of the test above: a reads table that named a key its mode
+    # never uses would fail here.  oracle-check's N moves its rows only through
+    # the ring's images, which reach the last bits at N = 16, not at N = 40
+    small = {**_SMALL_RUNS, "oracle-check": ["--N", "16", "--rmax", "2"]}.get(mode, [])
+    rows = run_with_other_value(mode, small, tmp_path, capsys)
+    expected, _ = rows(None)
+    read = [key for key in cli._MODES[mode][1] if key in OTHER_VALUES]
+    still = {key for key in read if rows(key)[0] == expected}
+    named = {key for m, key in HEADER_ONLY if m == mode}
+    assert still == named, {key: HEADER_ONLY.get((mode, key), "moves no row, yet is not named")
+                            for key in still ^ named}
+
+
 #: A value out of range for each key that has a range: each is refused by the
-#: code that reads it, so only by a mode that reads the key.
+#: code that reads it, so only by a mode that reads the key.  A temperature is
+#: refused wherever it stands in the list, and the list may come in any order.
 BAD_VALUES = [("N", "0"), ("R", "0"), ("rmin", "0"), ("rmax", "0"), ("asteps", "1"),
-              ("jsteps", "1"), ("dsteps", "1"), ("temperatures", "1,0.1"),
+              ("jsteps", "1"), ("dsteps", "1"), ("temperatures", "1,-0.1"),
               ("temperatures", "-0.1,0.2")]
 
 
@@ -685,18 +724,21 @@ def test_a_repeated_chain_gives_no_false_growth_warning(capsys):
 
 def test_growth_notes_print_per_chain_after_its_regime_warning(capsys):
     temps, separations = (0.0, 1e-4, 1e-3), range(1, 4)
-    assert run_cli(["--mode", "thermal-sweep", "--n-values", "20,10", "--rmax", "3",
-                    "--lambda", "0.1", "--temperatures", "0,1e-4,1e-3", "--output", "-"]) == 0
     expected = []
     for n in (20, 10):
         sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.1, N=n)
         expected += [f"chaincp: warning: {note}" for note in require_valid_regime(sys_).warnings]
         table = thermal_table(sys_, temps, separations)
         for r in separations:
-            expected += [f"chaincp: warning: at N={n}, R={r}: {note}"
-                         for note in _growth_violations([row for row in table if row.R == r])]
-    assert capsys.readouterr().err.splitlines() == expected
+            notes = _growth_violations([row for row in table if row.R == r])
+            assert all(note.startswith(f"R={r}: ") for note in notes)
+            expected += [f"chaincp: warning: at N={n}, {note}" for note in notes]
     assert sum("grew" in line for line in expected) >= 2
+    # the notes follow R, then T, in whatever order the temperatures come
+    for given in ("0,1e-4,1e-3", "1e-3,0,1e-4"):
+        assert run_cli(["--mode", "thermal-sweep", "--n-values", "20,10", "--rmax", "3",
+                        "--lambda", "0.1", "--temperatures", given, "--output", "-"]) == 0
+        assert capsys.readouterr().err.splitlines() == expected, given
 
 
 def _fresh_python(*args) -> subprocess.CompletedProcess:

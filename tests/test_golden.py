@@ -49,6 +49,10 @@ EXIT_CODES = [
     ("force-sweep --N 10 --rmax 10", 2),
     ("oracle-check --J 0", 3),
     ("decay-profile --delta 0.5", 2),
+    # the system refuses the band edge itself; any grid order runs
+    ("decay-profile --amin=-1", 3),
+    ("decay-profile --amin=-0.1 --amax=-0.9 --asteps 3", 0),
+    ("thermal-sweep --temperatures 1,0.1 --N 20 --rmax 2", 0),
     ("dispersion-dump --N 3 --delta 0.5", 3),
     ("detuning-sweep --dmax -0.5", 3),
     ("hopping-sweep --R 199 --lambda 0.3", 3),

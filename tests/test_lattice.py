@@ -306,7 +306,7 @@ def test_symmetric_system_separation_bounds():
 
 def test_separations_turns_an_integer_into_a_one_point_range():
     assert _separations(4) == range(4, 5)
-    assert _separations(0, lower=0) == range(0, 1)
+    assert _separations(1) == range(1, 2)
 
 
 def test_separations_passes_a_valid_range_through():
@@ -341,10 +341,15 @@ def test_separations_refuses_empty_strided_and_out_of_bounds_ranges(bad, match):
     cp_energy_ed,
     cp_energy_quadrature,
 ], ids=["force_curve", "thermal_table", "cp_energy_ed", "cp_energy_quadrature"])
-@pytest.mark.parametrize("bad", [range(3, 3), range(1, 9, 2)], ids=["empty", "step-2"])
-def test_every_sweep_refuses_a_bad_range_with_one_message(sweep, bad):
+@pytest.mark.parametrize("bad,message", [
+    # an empty window is named by its ends, a stride (only the library passes one) by its repr
+    (range(3, 3), "separations must be a non-empty range with step 1, got R from 3 to 2"),
+    (range(1, 9, 2), "separations must be a non-empty range with step 1, got range(1, 9, 2)"),
+    # every sweep's floor is one lattice constant
+    (range(0, 3), "separation must be >= 1, got R=0"),
+], ids=["empty", "step-2", "from-0"])
+def test_every_sweep_refuses_a_bad_range_with_one_message(sweep, bad, message):
     sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=200)
-    message = f"separations must be a non-empty range with step 1, got {bad!r}"
     with pytest.raises(ValueError) as exc:
         sweep(sys_, bad)
     assert str(exc.value) == message

@@ -290,14 +290,18 @@ def test_growth_noise_scales_with_the_energies(scale, grows):
 
 
 def test_force_vs_temperature_validates_the_grid(tmp_path):
-    # the CLI refuses an unsorted or negative grid; the table refuses a
-    # negative temperature on its own
-    out = str(tmp_path / "thermal.csv")
-    for temps in ("0.1,0", "-0.1,0.2"):
-        assert main(["--mode", "thermal-sweep", "--N", "20", "--rmax", "2",
-                     f"--temperatures={temps}", "--output", out]) == 2
+    # the table refuses a negative temperature, and so the CLI; an unsorted
+    # grid runs, its rows in the order given
+    out = tmp_path / "thermal.csv"
+    argv = ["--mode", "thermal-sweep", "--N", "20", "--rmax", "2", "--output", str(out)]
+    assert main([*argv, "--temperatures=-0.1,0.2"]) == 2
     with pytest.raises(ValueError):
         thermal_table(fig_system(), (-0.1, 0.2), range(1, 2))
+    assert main([*argv, "--temperatures=0.1,0"]) == 0
+    lines = [line.split(",") for line in out.read_text().splitlines()
+             if not line.startswith("#")][1:]
+    assert [(float(t), int(r)) for t, _, r, _, _ in lines] == \
+        [(0.1, 1), (0.1, 2), (0.0, 1), (0.0, 2)]
 
 
 def test_thermal_sweep_keeps_the_ring_image(tmp_path):
@@ -401,8 +405,8 @@ def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch)
                  "--temperatures", "0,0.1,1", "--rmin", "1", "--rmax", "8",
                  "--output", str(out)]) == 0
     assert columns == {50: 1, 100: 1}
-    assert sums == {(n, beta): 1 for n in (50, 100) for beta in (math.inf, 10.0, 1.0)}
-    # T = 0 needs no band: only T = 0.1 and T = 1 walk it, once per sum
+    # T = 0 needs no band: only T = 0.1 and T = 1 sum it, walking it once per sum
+    assert sums == {(n, beta): 1 for n in (50, 100) for beta in (10.0, 1.0)}
     assert walks == {50: 4, 100: 4}
 
     # the library table at one R gives the same floats, bit for bit
