@@ -8,51 +8,45 @@ interaction, checks them against the exact ground energy of the finite
 ring (from its Green's function in real space) and an arbitrary-precision
 momentum integral, and extends them to finite temperature.
 
-What loads when: ``import chaincp`` runs only this file and ``_version``.
-Each public name, and each submodule name, imports its home module on first
-access (PEP 562), so ``chaincp.cp_energy`` loads ``lattice``, ``casimir`` and
-``errors`` and never the oracles or the thermal layer.  Names are looked up
-in the home module on every access, never cached here, so a patched home
-module is seen through the package.  It never imports numpy: modes and levels
-are floats and tuples computed with ``math``.  mpmath, its one dependency,
-loads on the first quadrature.
+What loads when: ``import chaincp`` runs only this file, the version's one
+home, which ``pyproject.toml`` reads as a literal without importing it.  Each
+public name, and each submodule name, imports its home module on first access
+(PEP 562), so ``chaincp.cp_energy`` loads ``lattice``, ``casimir`` and
+``errors`` and never the oracles or the thermal layer.  Names are looked up in
+the home module on every access, never cached here, so a patched home module
+is seen through the package.  It never imports numpy: modes and levels are
+floats and tuples computed with ``math``.  mpmath, its one dependency, loads
+on the first quadrature.
 """
 
 from importlib import import_module
 
-from ._version import __version__
+__version__ = "0.1.0"
 
-#: Every public name's home submodule, in ``__all__`` order.
-_HOMES: dict[str, str] = {
-    name: module
-    for module, names in (
-        ("lattice", ("SymmetricSystem", "RegimeReport", "dispersion", "brillouin_modes",
-                     "validate_regime")),
-        ("perturbation", ("band_energies", "symmetric_spectrum_ksum",
-                          "symmetric_spectrum_closed")),
-        ("casimir", ("ForceRecord", "DecayProfile", "cp_energy", "ecp_force", "force_curve",
-                     "decay_profile", "continuum_decay_constant")),
-        ("oracle", ("cp_energy_ed", "cp_energy_quadrature")),
-        ("thermal", ("ThermalEnsemble", "ThermalRow", "thermal_ensemble", "thermal_table",
-                     "thermal_energy", "thermal_force")),
-        ("errors", ("RegimeViolation", "BandEdgeError", "InvalidRegime", "ConvergenceError",
-                    "NonConvergence")),
-    )
-    for name in names
+#: Each home submodule and its public names, in ``__all__`` order.
+_HOMES = {
+    "lattice": "SymmetricSystem RegimeReport dispersion brillouin_modes validate_regime",
+    "perturbation": "band_energies symmetric_spectrum_ksum symmetric_spectrum_closed",
+    "casimir": "ForceRecord DecayProfile cp_energy ecp_force force_curve decay_profile "
+               "continuum_decay_constant",
+    "oracle": "cp_energy_ed cp_energy_quadrature",
+    "thermal": "ThermalEnsemble ThermalRow thermal_ensemble thermal_table thermal_energy "
+               "thermal_force",
+    "errors": "RegimeViolation BandEdgeError InvalidRegime ConvergenceError NonConvergence",
 }
-_SUBMODULES = frozenset(_HOMES.values())
+#: Every public name's home submodule.
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
 
-__all__ = ["__version__", *_HOMES]
+__all__ = ["__version__", *_HOME_OF]
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
+    if name in _HOMES:
         return import_module(f"{__name__}.{name}")
-    home = _HOMES.get(name)
-    if home is None:
+    if name not in _HOME_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{home}"), name)
+    return getattr(import_module(f"{__name__}.{_HOME_OF[name]}"), name)
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*globals(), *__all__, *_HOMES})

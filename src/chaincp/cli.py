@@ -21,7 +21,7 @@ import sys
 import warnings
 from types import MappingProxyType
 
-from ._version import __version__
+from . import __version__
 from .casimir import cp_energy, decay_profile, force_curve
 from .errors import ConvergenceError, InvalidRegime, RegimeViolation
 from .lattice import SymmetricSystem, brillouin_modes, dispersion, require_valid_regime

@@ -103,7 +103,9 @@ class SymmetricSystem:
         if self.N < 1:
             raise ValueError(f"chain needs N >= 1, got N={self.N}")
         if self.J < 0:
-            raise ValueError(f"hopping must be non-negative, got J={self.J}")
+            # a caller that sweeps the band parameter recognises its own a here
+            note = f" (a = 2 J / delta = {2.0 * self.J / self.delta})" if self.delta else ""
+            raise ValueError(f"hopping must be non-negative, got J={self.J}{note}")
         object.__setattr__(self, "omega", self.eps0 - self.delta)
         for name in ("eps0", "delta", "J", "lam", "omega", "band_bottom", "band_top"):
             if not math.isfinite(getattr(self, name)):
@@ -209,8 +211,16 @@ def _ring_column(sys: SymmetricSystem, x: float, stop: float = math.inf) -> list
     there gives the minimal solution (Gautschi, SIAM Rev. 9:24, 1967): ratios
     ``c_n = g_n / g_{n-1}`` with ``c_N = J / (d - J)``, ``c_n = J / (d - J
     c_{n+1})``, and ``g_0 = 1 / (d - 2 J c_1)``.  Every ``c_n`` is in ``[0,
-    1)``, so no step cancels; they fall towards the bulk decay ratio ``c_1``,
-    and once one repeats every lower one equals it, so elimination stops there.
+    1)``; they fall towards the bulk decay ratio ``c_1``, and once one repeats
+    every lower one equals it, so elimination stops there.
+
+    Near the band edge ``c_n -> 1``, where ``d - 2 J c_1`` cancels and the
+    recursion amplifies rounding by about ``1 / (1 - c^2)``.  So a ratio from
+    1/2 up is carried as ``u_n = 1 - c_n``, with ``e = d - 2 J = gap - x``:
+    ``u_N = e / (e + J)``, ``u_n = (e + J u_{n+1}) / (e + J + J u_{n+1})`` and
+    ``g_0 = 1 / (e + 2 J u_1)``, sums of positive terms only.  Below 1/2 the
+    ratio is carried as itself, since ``1 - u`` would lose its relative digits
+    as ``c -> 0``.  The ratios fall, so the switch happens at most once.
 
     This is the package's only evaluation of the finite ring.  ``c_N`` is the
     largest ratio, so ``g_n <= g_0 c_N^n``: the column stops at ``n = log(5e-324
@@ -223,19 +233,26 @@ def _ring_column(sys: SymmetricSystem, x: float, stop: float = math.inf) -> list
     repeats, and holding all ``N`` of them would make a short column cost
     O(N) memory.
     """
-    d = -(x + sys.delta)
-    J = sys.J
-    # c_N, c_{N-1}, .. until a ratio repeats; the last one then fills c_1 upwards
-    top = J / (d - J)
-    tail = deque((top,), maxlen=None if stop == math.inf else max(int(stop) - 1, 1))
-    found = sys.N  # how many ratios were computed, c_N down to c_{N - found + 1}
-    for n in range(1, sys.N):
-        c = J / (d - J * tail[-1])
-        if c == tail[-1]:
-            found = n
-            break
-        tail.append(c)
-    g_0 = 1.0 / (d - 2.0 * J * tail[-1])
+    d, e, J = -(x + sys.delta), sys.gap - x, sys.J
+    e_J, top = e + J, J / (d - J)
+    # c_N, c_{N-1}, .. until a ratio repeats; the last one then fills c_1 upwards.
+    # The mirror's u_{N+1} = 1 - c_{N+1} = 0 starts both recursions.
+    tail = deque(maxlen=None if stop == math.inf else max(int(stop) - 1, 1))
+    # found: how many ratios were computed, c_N down to c_{N - found + 1}
+    found, u, c, edge = 0, 0.0, 1.0, True
+    while found < sys.N:
+        if edge and (v := (e + J * u) / (e_J + J * u)) <= 0.5:
+            if v == u:
+                break
+            u, ratio = v, 1.0 - v
+        else:
+            edge = False
+            ratio = J / (d - J * c)
+            if ratio == c:
+                break
+        tail.append(ratio)
+        found, c = found + 1, ratio
+    g_0 = 1.0 / (e + 2.0 * J * u) if edge else 1.0 / (d - 2.0 * J * c)
     cut = (_LOG_TINY - math.log(g_0)) / math.log(max(top, math.ulp(0.0))) + 2
     ratios = chain((g_0,), repeat(tail[-1], sys.N - found), reversed(tail))
     return list(islice(accumulate(ratios, operator.mul), min(int(cut), stop)))

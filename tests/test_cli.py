@@ -595,6 +595,15 @@ def test_decay_profile_grid(tmp_path):
     assert all(g2 > g1 for g1, g2 in zip(gammas, gammas[1:]))
 
 
+def test_decay_profile_refuses_a_grid_point_above_zero_by_its_a(capsys):
+    # the system refuses the derived hopping, and names the grid point it came from
+    assert run_cli(["--mode", "decay-profile", "--amax", "0.5", "--output", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("chaincp: config error: hopping must be non-negative, "
+                   "got J=-0.0016666666666666496 (a = 2 J / delta = 0.0033333333333332993)\n")
+
+
 def test_oracle_check_passes_and_reports(tmp_path):
     out = tmp_path / "oracle.csv"
     assert run_cli(["--mode", "oracle-check", "--N", "120", "--rmax", "3",

@@ -111,11 +111,15 @@ def test_a_wrapped_post_init_sees_every_construction(monkeypatch):
 
 
 @pytest.mark.parametrize("J,N,x,dps", [(0.3, 100, 0.0, 80), (0.3, 100, -1e-4, 80),
-                                        (0.495, 60, 0.0, 60), (1e-5, 40, 0.0, 240)],
-                         ids=["a=-0.6", "below-the-level", "a=-0.99", "J=1e-5"])
+                                        (0.495, 60, 0.0, 60), (1e-5, 40, 0.0, 240),
+                                        (0.499, 100, -2e-5, 60), (0.4999, 100, -2e-6, 60)],
+                         ids=["a=-0.6", "below-the-level", "a=-0.99", "J=1e-5", "a=-0.998",
+                              "a=-0.9998"])
 def test_ring_column_matches_high_precision_mode_sums(J, N, x, dps):
     # g_n = -(1/M) sum_k cos(kn) / (x + delta + 2J cos k), summed in momentum
-    # space with enough digits for the q^n that cancel (g_40 ~ 1e-200 at J = 1e-5)
+    # space with enough digits for the q^n that cancel (g_40 ~ 1e-200 at J = 1e-5);
+    # at the band edge, x a hundredth of the gap below the level, the ratios
+    # carried as themselves were up to 4.5e-13 off
     sys_ = SymmetricSystem(delta=-1.0, J=J, lam=0.01, N=N)
     column = _ring_column(sys_, x)
     m = sys_.num_sites
@@ -128,14 +132,21 @@ def test_ring_column_matches_high_precision_mode_sums(J, N, x, dps):
 
 
 def full_ratios(sys_, x):
-    """``[g_0, c_1, .., c_N]``, the ring eliminated site by site with no early exit."""
-    J, N, d = sys_.J, sys_.N, -(x + sys_.delta)
-    ratios = [0.0] * (N + 1)
-    ratios[N] = J / (d - J)
-    for n in range(N - 1, 0, -1):
-        ratios[n] = J / (d - J * ratios[n + 1])
-    ratios[0] = 1.0 / (d - 2.0 * J * ratios[1])
-    return ratios
+    """``[g_0, c_1, .., c_N]``, the ring eliminated site by site with no early exit.
+
+    As in the column, a ratio from 1/2 up is carried as ``u = 1 - c``.
+    """
+    J, N, d, e = sys_.J, sys_.N, -(x + sys_.delta), sys_.gap - x
+    ratios = [1.0] * (N + 2)  # the mirror's c_{N+1} = 1 closes the top
+    u, edge = 0.0, True
+    for n in range(N, 0, -1):
+        if edge and (u_n := (e + J * u) / (e + J + J * u)) <= 0.5:
+            u, ratios[n] = u_n, 1.0 - u_n
+        else:
+            edge = False
+            ratios[n] = J / (d - J * ratios[n + 1])
+    ratios[0] = 1.0 / (e + 2.0 * J * u) if edge else 1.0 / (d - 2.0 * J * ratios[1])
+    return ratios[:N + 1]
 
 
 def full_elimination(sys_, x, stop=math.inf):
@@ -276,6 +287,21 @@ def test_gap_and_coupling_ratio_do_not_depend_on_where_zero_is(eps0):
     assert validate_regime(sys_).coupling_ratio == 0.01 / 0.4
 
 
+#: The package's names in ``__all__`` order: the version, then each home
+#: module's names in the order that module lists them.
+PUBLIC_NAMES = [
+    "__version__",
+    "SymmetricSystem", "RegimeReport", "dispersion", "brillouin_modes", "validate_regime",
+    "band_energies", "symmetric_spectrum_ksum", "symmetric_spectrum_closed",
+    "ForceRecord", "DecayProfile", "cp_energy", "ecp_force", "force_curve", "decay_profile",
+    "continuum_decay_constant",
+    "cp_energy_ed", "cp_energy_quadrature",
+    "ThermalEnsemble", "ThermalRow", "thermal_ensemble", "thermal_table", "thermal_energy",
+    "thermal_force",
+    "RegimeViolation", "BandEdgeError", "InvalidRegime", "ConvergenceError", "NonConvergence",
+]
+
+
 def test_public_surface_is_the_union_of_the_submodules_all():
     # every public module lists its names once, and the package re-exports
     # exactly those; the CLI is reached through its entry point, not imported
@@ -283,6 +309,7 @@ def test_public_surface_is_the_union_of_the_submodules_all():
                for info in pkgutil.iter_modules(chaincp.__path__)
                if not info.name.startswith("_") and info.name != "cli"]
     expected = {"__version__"}.union(*(module.__all__ for module in modules))
+    assert chaincp.__all__ == PUBLIC_NAMES
     assert len(chaincp.__all__) == len(set(chaincp.__all__))
     assert set(chaincp.__all__) == expected
     for module in modules:

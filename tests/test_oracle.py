@@ -133,30 +133,16 @@ def test_secular_ground_energy_matches_dense_eigvalsh(J, lam):
 EDGE_SYSTEM = fig_system(J=0.499, lam=0.001, N=400)
 
 
-def assert_levels_match_the_bisection(sys_, floor):
-    """The real-space levels at R = 1..100 within 1e-14 of the mode-sum bisection."""
+# At a = -0.998 the levels are ~3e-5, so the check needs abs = 0: approx's
+# default abs = 1e-12 would allow ~3e-8 relative there.
+@pytest.mark.parametrize("sys_", [fig_system(N=400), EDGE_SYSTEM], ids=["a=-0.6", "a=-0.998"])
+def test_real_space_level_matches_the_mode_sum_bisection(sys_):
     # the ring column in real space against the secular equation summed over
     # the 801 ring modes in momentum space, bisected down to adjacent floats
     x1, column = _impurity_level(sys_)
     for r in range(1, 101):
         ground = x1 + _even_shift(sys_, x1, column, r)
-        assert ground == pytest.approx(scalar_ground_energy(sys_, r), rel=1e-14, abs=floor), r
-
-
-# At a = -0.998 the levels are ~3e-5, so approx's default abs = 1e-12 (floor
-# None) allows ~3e-8 relative there; the abs = 0 check of that case is the
-# strict xfail below.
-@pytest.mark.parametrize("sys_,floor", [(fig_system(N=400), 0.0), (EDGE_SYSTEM, None)],
-                         ids=["a=-0.6", "a=-0.998"])
-def test_real_space_level_matches_the_mode_sum_bisection(sys_, floor):
-    assert_levels_match_the_bisection(sys_, floor)
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the ring column loses digits near "
-                   "the band edge; worst 5.7e-14 relative over R = 1..100, while the "
-                   "bisection is within 6.3e-15 of a 50-digit root")
-def test_real_space_level_keeps_its_digits_at_the_band_edge():
-    assert_levels_match_the_bisection(EDGE_SYSTEM, 0.0)
+        assert ground == pytest.approx(scalar_ground_energy(sys_, r), rel=1e-14, abs=0.0), r
 
 
 def mp_secular_shifts(sys_, seps):
@@ -187,6 +173,17 @@ def mp_secular_shifts(sys_, seps):
     return shifts
 
 
+def test_real_space_level_keeps_its_digits_at_the_band_edge():
+    # the shifts themselves, far below an ulp of the level, against 50 digits;
+    # ratios carried as themselves near 1 left them 3.3e-14 and 3.7e-13 off
+    for J, lam in [(0.499, 0.001), (0.4999, 1e-4)]:
+        sys_ = fig_system(J=J, lam=lam, N=100)
+        x1, column = _impurity_level(sys_)
+        for r, exact in enumerate(mp_secular_shifts(sys_, range(1, 11)), start=1):
+            shift = _even_shift(sys_, x1, column, r)
+            assert shift == pytest.approx(exact, rel=1e-14, abs=0.0), (J, lam, r)
+
+
 @pytest.mark.parametrize("J,lam", [(0.3, 0.01), (0.45, 0.1)])
 def test_ed_matches_fifty_digit_secular_roots(J, lam):
     sys_ = fig_system(J=J, lam=lam, N=40)
@@ -200,8 +197,9 @@ def test_ed_matches_fifty_digit_secular_roots(J, lam):
 
 
 def test_ed_fixed_point_that_alternates_between_two_floats_returns(monkeypatch):
-    # at a = -0.998 the shift at R = 45 ends alternating between two floats
-    # 1.8e-19 (2e-13 of the shift) apart: a step that no longer shrinks ends it
+    # at a = -0.998 and N = 100 the shift at R = 33 ends alternating between
+    # two floats 2.1e-21 (1.1e-15 of the shift) apart: a step that no longer
+    # shrinks ends it
     iterates = []
     real_fixed_point = oracle._fixed_point
 
@@ -209,13 +207,13 @@ def test_ed_fixed_point_that_alternates_between_two_floats_returns(monkeypatch):
         return real_fixed_point(lambda y: iterates.append(update(y)) or iterates[-1], x, where)
 
     monkeypatch.setattr(oracle, "_fixed_point", recording)
-    sys_ = fig_system(J=0.499, lam=0.001, N=400)
+    sys_ = fig_system(J=0.499, lam=0.001, N=100)
     x1, column = _impurity_level(sys_)
     iterates.clear()
-    value = _even_shift(sys_, x1, column, 45)
+    value = _even_shift(sys_, x1, column, 33)
     assert iterates[-1] == iterates[-3] != iterates[-2]
     assert math.isfinite(value)
-    assert value == pytest.approx(cp_energy(sys_, 45), rel=0.05)
+    assert value == pytest.approx(cp_energy(sys_, 33), rel=0.05)
 
 
 def test_ed_non_finite_iterate_is_a_convergence_error(monkeypatch):
@@ -559,9 +557,10 @@ _ADDED = ("print(sorted(m for m in set(sys.modules) - before"
 def test_importing_the_package_leaves_mpmath_unloaded():
     # numpy and mpmath both load on the first call that needs them, and the
     # records are NamedTuples and a slotted class, so dataclasses (with the
-    # inspect it drags in) never loads; no submodule loads until a name is used
+    # inspect it drags in) never loads; no submodule loads until a name is used,
+    # and the version lives in the package's own file
     lines = _fresh_lines(f"import sys; before = set(sys.modules); import chaincp; {_ADDED}")
-    assert lines == [str(["chaincp", "chaincp._version"])]
+    assert lines == [str(["chaincp"])]
 
 
 def test_a_closed_form_name_loads_only_its_home_modules():

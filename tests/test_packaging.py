@@ -57,4 +57,11 @@ def test_the_version_is_read_from_the_package():
     assert "version" not in config["project"]
     assert "version" in config["project"]["dynamic"]
     version = config["tool"]["setuptools"]["dynamic"]["version"]
-    assert version == {"attr": "chaincp._version.__version__"}
+    assert version == {"attr": "chaincp.__version__"}
+    # setuptools reads the attribute without importing the package, which
+    # needs a literal assignment in the package's own file
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    values = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and [getattr(target, "id", None) for target in node.targets] == ["__version__"]]
+    assert values == [chaincp.__version__]
