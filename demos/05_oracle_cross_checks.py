@@ -19,15 +19,16 @@ def main():
     print("closed form vs quadrature vs finite-ring secular equation")
     print("(delta = -1, J = 0.3, lambda = 0.01, N = 400)\n")
     print("   R     closed          quadrature     quad rel     ED             ED rel")
+    # each oracle sweeps R = 1..20 in one call: one grid, one single-impurity solve
+    separations = range(1, 21)
+    quads = cp_energy_quadrature(sys_, separations)
+    eds = cp_energy_ed(sys_, separations)
     for r in (1, 2, 3, 5, 8, 12, 20):
         closed = cp_energy(sys_, r)
-        quad = cp_energy_quadrature(sys_, r)
-        row = "  {:2d}   {: .6e}   {: .6e}   {:.1e}".format(
-            r, closed, quad, abs(quad - closed) / abs(closed))
-        if r <= sys_.N // 4:
-            ed = cp_energy_ed(sys_, r)
-            row += "   {: .6e}   {:.1e}".format(ed, abs(ed - closed) / abs(closed))
-        print(row)
+        quad, ed = quads[r - 1], eds[r - 1]
+        print("  {:2d}   {: .6e}   {: .6e}   {:.1e}   {: .6e}   {:.1e}".format(
+            r, closed, quad, abs(quad - closed) / abs(closed),
+            ed, abs(ed - closed) / abs(closed)))
 
     print("\nquadrature agrees to ~1e-15 at every R; the secular equation")
     print("carries its honest fourth-order systematics at the 1e-3 level.  Neither")

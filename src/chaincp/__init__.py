@@ -32,7 +32,7 @@ _HOMES = {
     "oracle": "cp_energy_ed cp_energy_quadrature",
     "thermal": "ThermalEnsemble ThermalRow thermal_ensemble thermal_table thermal_energy "
                "thermal_force",
-    "errors": "RegimeViolation BandEdgeError InvalidRegime ConvergenceError NonConvergence",
+    "errors": "RegimeViolation ConvergenceError",
 }
 #: Every public name's home submodule.
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}

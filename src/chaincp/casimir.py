@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InvalidRegime
+from .errors import RegimeViolation
 from .lattice import SymmetricSystem, _edge_safe_root, _separations
 
 __all__ = [
@@ -141,9 +141,9 @@ def continuum_decay_constant(sys: SymmetricSystem) -> float:
 
     Raises
     ------
-    InvalidRegime
+    RegimeViolation
         For a flat band (``J = 0``); there is no continuum limit to speak of.
     """
     if sys.J == 0.0:
-        raise InvalidRegime("continuum approximation needs J > 0")
+        raise RegimeViolation("continuum approximation needs J > 0")
     return math.sqrt(sys.gap / sys.J)

@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 from . import __version__
 from .casimir import cp_energy, decay_profile, force_curve
-from .errors import ConvergenceError, InvalidRegime, RegimeViolation
+from .errors import ConvergenceError, RegimeViolation
 from .lattice import SymmetricSystem, brillouin_modes, dispersion, require_valid_regime
 from .oracle import ED_TOL, MAX_POINTS, QUAD_TOL, cp_energy_ed, cp_energy_quadrature
 from .thermal import _growth_violations, thermal_table
@@ -412,8 +412,8 @@ def _run_oracle_check(cfg: MappingProxyType):
                "ed", "ed_rel_err", "ed_ok")
     sys_ = _gated_system(cfg)
     if sys_.lam == 0.0:
-        raise InvalidRegime("oracle-check needs lambda != 0; for lambda = 0 the "
-                            "interaction is identically zero")
+        raise RegimeViolation("oracle-check needs lambda != 0; for lambda = 0 the "
+                              "interaction is identically zero")
     separations = range(cfg["rmin"], cfg["rmax"] + 1)
     # the oracles warn of their own systematic error; each warning prints as a note.
     # The ED goes first: it refuses a window past N // 4 before any quadrature runs
@@ -528,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"chaincp: convergence failure: {exc}", file=sys.stderr)
         return 4
     # a table too large for memory, even below the mode ceiling, is a configuration error
-    except (ConfigError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"chaincp: config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,11 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per CLI exit code: 3 and 4."""
 
 __all__ = [
     "RegimeViolation",
-    "BandEdgeError",
-    "InvalidRegime",
     "ConvergenceError",
-    "NonConvergence",
 ]
 
 
@@ -14,21 +11,10 @@ class RegimeViolation(ValueError):
 
     The perturbative results assume both impurity levels sit strictly
     below the conduction band and couple weakly to it.  Constructors and
-    validators raise this (or a subclass) when that assumption fails.
+    validators raise this when that assumption fails, as do the functions
+    whose quantity is undefined for the parameters given.
     """
-
-
-class BandEdgeError(RegimeViolation):
-    """An impurity level touches or enters the band; closed forms diverge."""
-
-
-class InvalidRegime(RegimeViolation):
-    """The requested quantity is undefined for these parameters."""
 
 
 class ConvergenceError(RuntimeError):
     """A numerical routine failed to reach its target accuracy."""
-
-
-class NonConvergence(ConvergenceError):
-    """Adaptive refinement hit its point budget before converging."""

@@ -19,7 +19,7 @@ from collections import deque
 from itertools import accumulate, chain, islice, repeat
 from typing import NamedTuple
 
-from .errors import BandEdgeError, RegimeViolation
+from .errors import RegimeViolation
 
 __all__ = [
     "SymmetricSystem",
@@ -58,7 +58,7 @@ class SymmetricSystem:
     The closed forms read only ``delta``, ``J`` and ``lam``, never ``eps0``.
     Both impurity levels must sit strictly below the band, which for this
     configuration means ``gap > 0`` and ``a`` in ``(-1, 0]``; anything
-    else raises :class:`~chaincp.errors.BandEdgeError`.  Every parameter,
+    else raises :class:`~chaincp.errors.RegimeViolation`.  Every parameter,
     ``omega`` and both band edges must be finite.  The separation is not part
     of the system: every function that needs one takes it as an argument.
 
@@ -113,7 +113,7 @@ class SymmetricSystem:
         # A level a few ulp below the band bottom can still round |a| up to 1.
         a = 2.0 * self.J / self.delta if self.gap > 0.0 else -math.inf
         if not -1.0 < a:
-            raise BandEdgeError(
+            raise RegimeViolation(
                 f"impurity level eps0={self.eps0} is not below the band bottom "
                 f"{self.band_bottom}; closed forms require delta < 0 and |a| < 1"
             )

@@ -3,6 +3,8 @@
 Nothing here shares algebra with the closed forms, which work through
 ``q``: the ED works in real space, the quadrature in momentum space.  The
 error budgets are unrelated, so agreement is evidence rather than tautology.
+Each takes a ``range`` of separations and returns one float per separation,
+sharing one single-impurity level (the ED) or one grid (the quadrature).
 
 * :func:`cp_energy_ed` takes the exact ground energy of the single-electron
   Hamiltonian on the ring of ``M = 2N + 1`` sites.  The impurities touch the
@@ -38,7 +40,8 @@ error budgets are unrelated, so agreement is evidence rather than tautology.
   memory.  The integral is a difference of quantities nine or more orders
   apart at large ``R``, far below the float64 noise floor, so the
   accumulation runs in arbitrary precision (mpmath), with enough digits for
-  the ``-R log10 q`` that cancel, and only the final values are rounded.
+  the ``-R log10 q`` that cancel, up to those that resolve the smallest
+  subnormal, and only the final values are rounded.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import math
 import operator
 import warnings
 
-from .errors import ConvergenceError, InvalidRegime, NonConvergence
+from .errors import ConvergenceError, RegimeViolation
 from .lattice import SymmetricSystem, _ring_column, _ring_entry, _separations
 
 __all__ = [
@@ -64,7 +67,7 @@ ED_TOL = 1e-2
 REFINEMENT_TOL = 1e-13
 
 #: Quadrature point budget; refining past it raises
-#: :class:`~chaincp.errors.NonConvergence`.
+#: :class:`~chaincp.errors.ConvergenceError`.
 MAX_POINTS = 2 ** 22
 
 #: Fixed-point steps per ED level; more raise :class:`~chaincp.errors.ConvergenceError`.
@@ -121,8 +124,8 @@ def _even_shift(sys: SymmetricSystem, x1: float, column: list[float], R: int) ->
     return _fixed_point(update, -lam_sq * _ring_entry(column, R), f"R={R}, N={sys.N}")
 
 
-def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, ...]:
-    """Interaction energy at separation ``R`` from the exact ground energy.
+def cp_energy_ed(sys: SymmetricSystem, R: range) -> tuple[float, ...]:
+    """Interaction energy at each separation in ``R`` from the exact ground energy.
 
     The ground energy is the even root ``x(R)`` of the secular equation on
     the finite ring (see the module docstring), exact in the coupling.  The
@@ -140,14 +143,13 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
     Parameters
     ----------
     sys : SymmetricSystem
-    R : int or range
-        Separation ``1 <= R <= N // 4``, or a non-empty range of them with
-        step 1.
+    R : range
+        Separations, a non-empty range with step 1, each ``1 <= R <= N // 4``.
 
     Returns
     -------
-    float or tuple of float
-        A tuple in the order of ``R`` when ``R`` is a range.
+    tuple of float
+        One value per separation, in the order of ``R``.
     """
     seps = _separations(R, upper=sys.N // 4)
     x1, column = _impurity_level(sys)
@@ -168,11 +170,11 @@ def cp_energy_ed(sys: SymmetricSystem, R: int | range) -> float | tuple[float, .
                 stacklevel=2,
             )
         values.append(_even_shift(sys, x1, column, r))
-    return tuple(values) if isinstance(R, range) else values[0]
+    return tuple(values)
 
 
-def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[float, ...]:
-    """Interaction energy from the momentum integral, in arbitrary precision.
+def cp_energy_quadrature(sys: SymmetricSystem, R: range) -> tuple[float, ...]:
+    """Interaction energy at each separation in ``R`` from the momentum integral.
 
     One periodic trapezoid grid serves every separation asked for.  The
     integrand is even, so the grid ``k_n = 2 pi n / M`` is walked on ``[0,
@@ -184,48 +186,53 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
     separation keeps its own running sum.  The number of points doubles
     from 64, adding only the new midpoints, until every separation has two
     successive estimates that agree to :data:`REFINEMENT_TOL`, the coarser
-    on more than ``4R + 4`` points; a separation's value is the first
-    estimate that does, so a sweep returns the same floats as one call per
-    separation.  Past :data:`MAX_POINTS` points it raises
-    :class:`~chaincp.errors.NonConvergence`, naming the separations still
-    unconverged.
+    on more than ``4R + 4`` points, or that both round to zero; a
+    separation's value is the first estimate that does, so a sweep returns
+    the same floats as one call per one-point range.  Past :data:`MAX_POINTS`
+    points it raises :class:`~chaincp.errors.ConvergenceError`, naming the
+    separations still unconverged.
 
     The cosine table holds the ``M/2 + 1`` nodes of the current grid, so
     memory is O(M): about 240 bytes a node at 40 digits, 16 KB at 128
     points and 0.5 GB at :data:`MAX_POINTS`.
 
     The answer at ``R`` is of order ``q**R`` while the integrand is of order
-    one, so the sum cancels about ``-R log10 q`` digits.  The accumulation
-    runs at ``40 + max(0, ceil(-rmax log10 q) - 5)`` digits: 40 digits
-    absorb the first five lost, and a tiny hopping (``q`` of
-    1e-5 at ``J = 1e-5``) gets the digits its smallest answer needs
-    instead of refining forever.  ``q`` sets the precision only; the value
-    comes from the integral alone.
+    one, so the sum cancels about ``-R log10 q`` digits; but no float64
+    answer needs more than the ``log10(lam^2 / gap / 5e-324)`` between the
+    integrand's scale and the smallest subnormal, below which it rounds to
+    zero.  The accumulation runs at 40 digits plus the lesser of the two at
+    ``rmax``, less the five that 40 digits absorb: a tiny hopping (``q`` of
+    1e-5 at ``J = 1e-5``) gets the digits its smallest answer needs, and
+    ``J = 1e-300`` gets about 355, not 30000.  Neither sets the value,
+    which comes from the integral alone.
 
     Parameters
     ----------
     sys : SymmetricSystem
         Requires a dispersive band, ``a`` in ``(-1, 0)``.
-    R : int or range
-        Separation ``R >= 1``, or a non-empty range of them with step 1.
+    R : range
+        Separations, a non-empty range with step 1, each ``R >= 1``.
 
     Returns
     -------
-    float or tuple of float
-        The integral times ``lam**2``, rounded once at the end; a tuple in
-        the order of ``R`` when ``R`` is a range.
+    tuple of float
+        The integral times ``lam**2`` at each separation, in the order of
+        ``R``, each rounded once at the end.
     """
     # the one mpmath user; imported here so that `import chaincp` never loads it
     from mpmath import mp
 
     if sys.a == 0.0:
-        raise InvalidRegime("quadrature needs a dispersive band (J > 0); "
-                            "for J = 0 the interaction is identically zero")
+        raise RegimeViolation("quadrature needs a dispersive band (J > 0); "
+                              "for J = 0 the interaction is identically zero")
     seps = _separations(R)
-    # q underflows to 0.0 only below the smallest subnormal
-    lost = math.ceil(-seps[-1] * math.log10(max(sys.q, math.ulp(0.0))))
+    # digits cancelled at the last separation (q underflows to 0.0 only below the
+    # smallest subnormal), capped at those between lam^2 / gap and that subnormal
+    tiny = math.ulp(0.0)
+    lost = min(-seps[-1] * math.log10(max(sys.q, tiny)),
+               2.0 * math.log10(max(abs(sys.lam), tiny)) - math.log10(sys.gap) - math.log10(tiny))
 
-    with mp.workdps(40 + max(0, lost - 5)):
+    with mp.workdps(40 + max(0, math.ceil(lost) - 5)):
         delta = mp.mpf(sys.delta)
         two_j = mp.mpf(2.0 * sys.J)
         lam_sq = mp.mpf(sys.lam) ** 2
@@ -256,9 +263,13 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
                 if (prev[i] is not None and m_points // 2 > 4 * r + 4
                         and abs(value - prev[i]) <= REFINEMENT_TOL * abs(value)):
                     values[i] = float(value)
+                # every alias adds to E_cp(R), of the sign of lam^2 / delta, so two
+                # estimates that round to zero settle it; their own signs are noise
+                elif prev[i] is not None and float(value) == float(prev[i]) == 0.0:
+                    values[i] = math.copysign(0.0, sys.delta)
                 prev[i] = value
             if None not in values:
-                return tuple(values) if isinstance(R, range) else values[0]
+                return tuple(values)
             if 2 * m_points > MAX_POINTS:
                 break
             # doubling the grid adds one node halfway between each pair of current ones
@@ -270,7 +281,7 @@ def cp_energy_quadrature(sys: SymmetricSystem, R: int | range) -> float | tuple[
             cosines[::2], cosines[1::2] = old, midpoints
 
     missing = ", ".join(str(r) for r, value in zip(seps, values) if value is None)
-    raise NonConvergence(
+    raise ConvergenceError(
         f"trapezoid refinement reached {MAX_POINTS} points at R={missing} without "
         f"two estimates agreeing to {REFINEMENT_TOL}"
     )

@@ -21,8 +21,9 @@ the band parameter ``a = 2J/delta``:
 
 Every function returns levels measured from ``eps0``.  On the finite ring
 the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R`` at ``eps0``,
-ring image included; the band back-action is one term per mode.  The band
-has one rule, ``_half_ring``, which :func:`band_energies` and the thermal
+ring image included; the band back-action is one term per mode.  Each
+doublet function takes one separation and returns one pair.  The band has
+one rule, ``_half_ring``, which :func:`band_energies` and the thermal
 kernel both read.
 """
 
@@ -65,7 +66,7 @@ def band_energies(sys: SymmetricSystem) -> tuple[float, ...]:
     return (*reversed(half[1:]), *half)
 
 
-def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int | range) -> tuple:
+def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]:
     """Doublet levels ``(E_plus, E_minus)`` from ``eps0`` on the finite ring, at ``1 <= R <= N``.
 
     The doublet follows from diagonalising the effective two-level problem;
@@ -74,13 +75,12 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int | range) -> tuple:
     sums for the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R``,
     read off one column ``g_n = -G_0n`` of the ring's Green's function
     (``lattice._ring_column``), to full relative precision at every ``R``, as
-    the thermal kernel's ``m -+ h_R`` (:func:`_doublet_halves`); a range of
-    ``R`` reads one column.  This is the finite-``N`` reference that the
-    closed forms approximate; the band it shifts is :func:`band_energies`.
+    the thermal kernel's ``m -+ h_R`` (:func:`_doublet_halves`).  This is the
+    finite-``N`` reference that the closed forms approximate; the band it
+    shifts is :func:`band_energies`.
     """
-    m, halves = _doublet_halves(sys, _separations(R, upper=sys.N))
-    doublets = tuple((m - h, m + h) for h in halves)
-    return doublets if isinstance(R, range) else doublets[0]
+    m, (h,) = _doublet_halves(sys, _separations(R, upper=sys.N))
+    return m - h, m + h
 
 
 def _doublet_halves(sys: SymmetricSystem, seps: range) -> tuple[float, list[float]]:

@@ -39,9 +39,8 @@ def test_01_closed_form_matches_arbitrary_precision_quadrature():
     worst = 0.0
     for j in (0.3, 0.4):
         sys_ = system(J=j)
-        for r in range(1, 21):
+        for r, quad in zip(range(1, 21), cp_energy_quadrature(sys_, range(1, 21))):
             closed = cp_energy(sys_, r)
-            quad = cp_energy_quadrature(sys_, r)
             worst = max(worst, abs(quad - closed) / abs(closed))
     report("closed form vs quadrature", worst < 1e-9, f"worst rel err {worst:.3e}")
 

@@ -12,7 +12,7 @@ from chaincp.casimir import (
     ecp_force,
     force_curve,
 )
-from chaincp.errors import InvalidRegime
+from chaincp.errors import RegimeViolation
 from chaincp.lattice import SymmetricSystem, _edge_safe_root
 from chaincp.perturbation import symmetric_spectrum_closed
 
@@ -160,7 +160,7 @@ def test_continuum_decay_constant_frozen_value():
 
 
 def test_continuum_needs_a_dispersive_band():
-    with pytest.raises(InvalidRegime):
+    with pytest.raises(RegimeViolation, match="continuum approximation needs J > 0"):
         continuum_decay_constant(fig_system(J=0.0))
 
 

@@ -16,6 +16,7 @@ from chaincp.casimir import cp_energy, ecp_force
 from chaincp import cli
 from chaincp.cli import (_KEYS, _RIVALS, MAX_MODES, MODES, PRESETS, ConfigError, _flag,
                          _linspace, load_config, main)
+from chaincp.errors import ConvergenceError, RegimeViolation
 from chaincp.lattice import SymmetricSystem, require_valid_regime
 from chaincp.thermal import _growth_violations, thermal_table
 
@@ -625,6 +626,56 @@ def test_exit_code_2_for_config_problems(tmp_path):
     assert run_cli(["--config", str(conf)]) == 2
 
 
+def test_exit_code_2_for_an_unreadable_config_file(tmp_path, capsys):
+    path = tmp_path / "missing.conf"
+    assert run_cli(["--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"chaincp: config error: cannot read config file {path}: "
+        f"[Errno 2] No such file or directory: {str(path)!r}\n")
+
+
+def test_exit_code_2_for_a_config_line_without_equals(tmp_path, capsys):
+    path = tmp_path / "bare.conf"
+    path.write_text("# a comment\nmode force-sweep\n")
+    assert run_cli(["--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"chaincp: config error: {path}:2: expected 'key = value', got 'mode force-sweep'\n")
+
+
+def test_exit_code_2_for_an_unknown_format(tmp_path, capsys):
+    out = tmp_path / "never.xml"
+    assert run_cli(["--mode", "force-sweep", "--format", "xml", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "chaincp: config error: unknown format 'xml'; choose csv or json\n")
+    assert not out.exists()
+
+
+def test_exit_code_2_when_the_output_cannot_be_written(tmp_path, capsys):
+    # the output's parent directory is a regular file
+    parent = tmp_path / "plain"
+    parent.write_text("")
+    assert run_cli(["--mode", "force-sweep", "--output", str(parent / "out.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"chaincp: i/o error: [Errno 17] File exists: {str(parent)!r}\n")
+
+
+@pytest.mark.parametrize("error,code,kind", [
+    (RegimeViolation, 3, "regime violation"),
+    (ConvergenceError, 4, "convergence failure"),
+    (ValueError, 2, "config error"),
+    (ConfigError, 2, "config error"),
+    (MemoryError, 2, "config error"),
+    (OSError, 2, "i/o error"),
+], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+def test_main_maps_each_error_to_one_exit_code(error, code, kind, monkeypatch, capsys):
+    def failing(cfg):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "run", failing)
+    assert main(["--mode", "force-sweep"]) == code
+    assert capsys.readouterr().err == f"chaincp: {kind}: planted\n"
+
+
 @pytest.mark.parametrize("mode", ["force-sweep", "thermal-sweep"])
 def test_exit_code_2_when_the_chain_has_no_room_for_a_force(mode, tmp_path, capsys):
     # the force at R needs R + 1 <= N, so N = 1 leaves no separation at all
@@ -805,12 +856,18 @@ def test_importing_the_cli_loads_every_traced_module():
     spec = importlib.util.spec_from_file_location("_bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    modules = sorted({module for _, module, _ in tracing.SPANNED})
+    # and patches each spanned attribute by name, so each must resolve there
+    pairs = [f"{module}:{attribute}" for _, module, attribute in tracing.SPANNED]
     proc = _fresh_python("-c", "import sys, chaincp.cli; "
-                         "print(sorted(set(sys.argv[1:]) - set(sys.modules)))", *modules)
-    assert proc.stdout.split() == ["[]"], (
-        f"chaincp.cli no longer imports {proc.stdout.strip()}, which the bench tracer spans; "
-        + proc.stderr)
+                         "pairs = [arg.split(':') for arg in sys.argv[1:]]; "
+                         "print(sorted({m for m, _ in pairs} - set(sys.modules))); "
+                         "print(sorted(f'{m}.{a}' for m, a in pairs "
+                         "if not hasattr(sys.modules.get(m), a)))", *pairs)
+    missing, unresolved = (proc.stdout.splitlines() + ["?", "?"])[:2]
+    assert missing == "[]", (
+        f"chaincp.cli no longer imports {missing}, which the bench tracer spans; " + proc.stderr)
+    assert unresolved == "[]", (
+        f"the bench tracer spans {unresolved}, which chaincp no longer has; " + proc.stderr)
 
 
 def test_oracle_warnings_print_as_chaincp_notes(tmp_path):

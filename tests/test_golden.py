@@ -71,6 +71,9 @@ EXIT_CODES = [
     ("oracle-check --eps0 1e16 --N 40 --rmax 3", 0),
     # the ED solves for the shift itself, so E_cp ~ 1e-54 keeps its digits
     ("oracle-check --J 1e-5 --N 40 --rmax 10", 0),
+    # q ~ 1e-300: the quadrature works at the digits that resolve the smallest
+    # subnormal, not the 30000 that E_cp(100) cancels, and every cell past R = 1 is zero
+    ("oracle-check --J 1e-300 --N 400 --rmax 100", 0),
     # the exact finite-ring shift keeps the coupling's shift of the decay rate,
     # 34% at R = 140, which the second-order closed form drops
     ("oracle-check --delta=-1 --J 0.2 --lambda 0.05 --N 1000 --rmin 140 --rmax 160", 4),

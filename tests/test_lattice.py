@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 import chaincp
 from chaincp.casimir import force_curve
-from chaincp.errors import BandEdgeError, RegimeViolation
+from chaincp.errors import RegimeViolation
 from chaincp.lattice import (
     SymmetricSystem,
     _ring_column,
@@ -28,7 +28,7 @@ from chaincp.lattice import (
     validate_regime,
 )
 from chaincp.oracle import cp_energy_ed, cp_energy_quadrature
-from chaincp.perturbation import symmetric_spectrum_closed
+from chaincp.perturbation import symmetric_spectrum_closed, symmetric_spectrum_ksum
 from chaincp.thermal import thermal_table
 
 
@@ -105,7 +105,7 @@ def test_a_wrapped_post_init_sees_every_construction(monkeypatch):
     ring(10)
     SymmetricSystem(-1.0, 0.3, 0.01, 20)
     copy.copy(ring(30))
-    with pytest.raises(BandEdgeError):
+    with pytest.raises(RegimeViolation, match="is not below the band bottom"):
         SymmetricSystem(delta=-0.5, J=0.3, lam=0.01, N=40)
     assert builds == [10, 20, 30, 30, 40]
 
@@ -244,7 +244,7 @@ def test_symmetric_system_flat_band_is_allowed():
     (0.5, 0.3),    # level above the band centre
 ])
 def test_symmetric_system_rejects_levels_not_below_band(delta, J):
-    with pytest.raises(BandEdgeError):
+    with pytest.raises(RegimeViolation, match="is not below the band bottom"):
         SymmetricSystem(delta=delta, J=J, lam=0.01, N=10)
 
 
@@ -253,16 +253,17 @@ def test_symmetric_system_rejects_a_rounded_onto_the_band_edge():
     # yet 2 J / delta is exactly -1
     eps0, delta, J = 0.91, -0.5, 0.25
     assert eps0 < (eps0 - delta) - 2 * J and 2 * J / delta == -1.0
-    with pytest.raises(BandEdgeError):
+    with pytest.raises(RegimeViolation, match="is not below the band bottom"):
         SymmetricSystem(delta=delta, J=J, lam=0.01, N=10, eps0=eps0)
 
 
 def test_band_edge_error_is_raised_only_by_the_system():
+    # the band-edge refusal is a RegimeViolation told apart by its message
     raises = [
         path.name
         for path in sorted(Path(chaincp.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Raise) and "BandEdgeError" in ast.unparse(node)
+        if isinstance(node, ast.Raise) and "is not below the band bottom" in ast.unparse(node)
     ]
     assert raises == ["lattice.py"]
 
@@ -298,7 +299,7 @@ PUBLIC_NAMES = [
     "cp_energy_ed", "cp_energy_quadrature",
     "ThermalEnsemble", "ThermalRow", "thermal_ensemble", "thermal_table", "thermal_energy",
     "thermal_force",
-    "RegimeViolation", "BandEdgeError", "InvalidRegime", "ConvergenceError", "NonConvergence",
+    "RegimeViolation", "ConvergenceError",
 ]
 
 
@@ -322,13 +323,14 @@ def test_symmetric_system_separation_bounds():
     with pytest.raises(TypeError):
         SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, R=1, N=10)
     sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=10)
-    symmetric_spectrum_closed(sys_, 10)
-    with pytest.raises(ValueError):
-        symmetric_spectrum_closed(sys_, 11)
-    with pytest.raises(ValueError):
-        symmetric_spectrum_closed(sys_, 0)
-    with pytest.raises(TypeError):
-        symmetric_spectrum_closed(sys_, 1.0)
+    for doublet in (symmetric_spectrum_closed, symmetric_spectrum_ksum):
+        doublet(sys_, 10)
+        with pytest.raises(ValueError):
+            doublet(sys_, 11)
+        with pytest.raises(ValueError):
+            doublet(sys_, 0)
+        with pytest.raises(TypeError):
+            doublet(sys_, 1.0)
 
 
 def test_separations_turns_an_integer_into_a_one_point_range():

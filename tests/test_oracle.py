@@ -24,10 +24,11 @@ import chaincp
 from chaincp import oracle, perturbation, thermal
 from chaincp.casimir import cp_energy
 from chaincp.cli import main as cli_main
-from chaincp.errors import ConvergenceError, InvalidRegime, NonConvergence
+from chaincp.errors import ConvergenceError, RegimeViolation
 from chaincp.lattice import (
     SymmetricSystem,
     _ring_column,
+    _separations,
     brillouin_modes,
     dispersion,
 )
@@ -95,8 +96,8 @@ def test_three_site_ring_eigenvalues():
 def test_diagonalisation_is_deterministic():
     # a fresh but equal system, solved from scratch, must give the same bits
     sys_ = fig_system(N=40)
-    values = [cp_energy_ed(sys_, r) for r in (1, 2, 3)]
-    again = [cp_energy_ed(fig_system(N=40), r) for r in (1, 2, 3)]
+    values = cp_energy_ed(sys_, range(1, 4))
+    again = cp_energy_ed(fig_system(N=40), range(1, 4))
     assert values == again
 
 
@@ -222,7 +223,7 @@ def test_ed_non_finite_iterate_is_a_convergence_error(monkeypatch):
     sys_ = fig_system(N=40)
     object.__setattr__(sys_, "lam", math.nan)
     with pytest.raises(ConvergenceError, match=r"reached nan at the single-impurity level, N=40$"):
-        cp_energy_ed(sys_, 1)
+        cp_energy_ed(sys_, range(1, 2))
     # a ring column poisoned past site 2 spoils every shift but not the level
     real_column = oracle._ring_column
 
@@ -240,13 +241,14 @@ def test_ed_non_finite_iterate_is_a_convergence_error(monkeypatch):
 def test_ed_step_cap_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_STEPS", 2)
     with pytest.raises(ConvergenceError, match=r"did not settle in 2 steps"):
-        cp_energy_ed(fig_system(N=40), 1)
+        cp_energy_ed(fig_system(N=40), range(1, 2))
 
 
 @pytest.mark.parametrize("N", [40, 400, 20000])
 def test_ed_sweep_gives_the_floats_of_single_calls(N):
     sys_ = fig_system(N=N)
-    assert cp_energy_ed(sys_, range(1, 6)) == tuple(cp_energy_ed(sys_, r) for r in range(1, 6))
+    assert cp_energy_ed(sys_, range(1, 6)) == tuple(
+        cp_energy_ed(sys_, range(r, r + 1))[0] for r in range(1, 6))
 
 
 @pytest.mark.parametrize("J,lam,N,seps,past", [
@@ -294,7 +296,7 @@ def test_ed_sweep_warns_for_each_separation():
         cp_energy_ed(sys_, range(1, 4))
     with pytest.warns(UserWarning) as single:
         for r in range(1, 4):
-            cp_energy_ed(sys_, r)
+            cp_energy_ed(sys_, range(r, r + 1))
     assert len(swept) == 3
     assert [str(w.message) for w in swept] == [str(w.message) for w in single]
 
@@ -302,9 +304,9 @@ def test_ed_sweep_warns_for_each_separation():
 def test_ed_reaches_chains_too_large_for_a_dense_matrix():
     # the dense matrix would be 40003^2 doubles, about 12.8 GB
     sys_ = fig_system(N=20000)
-    for r in range(1, 6):
+    for r, ed in zip(range(1, 6), cp_energy_ed(sys_, range(1, 6))):
         closed = cp_energy(sys_, r)
-        assert abs(cp_energy_ed(sys_, r) - closed) / abs(closed) < ED_TOL
+        assert abs(ed - closed) / abs(closed) < ED_TOL
 
 
 def test_oracle_check_runs_at_large_n(tmp_path):
@@ -316,8 +318,7 @@ def test_oracle_check_runs_at_large_n(tmp_path):
 
 def test_ed_energy_matches_closed_form():
     sys_ = fig_system(N=200)
-    for r in (1, 2, 3):
-        ed = cp_energy_ed(sys_, r)
+    for r, ed in zip(range(1, 4), cp_energy_ed(sys_, range(1, 4))):
         closed = cp_energy(sys_, r)
         assert abs(ed - closed) / abs(closed) < 1e-2
 
@@ -325,7 +326,7 @@ def test_ed_energy_matches_closed_form():
 def test_ed_systematics_shrink_with_chain_length():
     # the N-dependent part of the estimate is the ring image, geometric in
     # N; past that it settles onto its (N-independent) fourth-order floor
-    values = [cp_energy_ed(fig_system(N=n), 2) for n in (8, 16, 32, 64)]
+    values = [cp_energy_ed(fig_system(N=n), range(2, 3))[0] for n in (8, 16, 32, 64)]
     drifts = [abs(v2 - v1) for v1, v2 in zip(values, values[1:])]
     assert drifts[0] > drifts[1] > drifts[2]
     assert drifts[2] < 1e-10
@@ -334,15 +335,15 @@ def test_ed_systematics_shrink_with_chain_length():
 def test_ed_separation_cap():
     sys_ = fig_system(N=40)
     with pytest.raises(ValueError):
-        cp_energy_ed(sys_, 11)  # N // 4 = 10
+        cp_energy_ed(sys_, range(11, 12))  # N // 4 = 10
 
 
 def test_ed_scaling_is_quadratic_up_to_fourth_order():
     # doubling the coupling must quadruple the second-order energy; the
     # diagonalisation keeps all orders, so allow twice the fourth-order
     # fraction (lam/gap)^2 of the stronger coupling as slack
-    weak = cp_energy_ed(fig_system(lam=0.01, N=120), 2)
-    strong = cp_energy_ed(fig_system(lam=0.02, N=120), 2)
+    (weak,) = cp_energy_ed(fig_system(lam=0.01, N=120), range(2, 3))
+    (strong,) = cp_energy_ed(fig_system(lam=0.02, N=120), range(2, 3))
     slack = 2.0 * (0.02 / 0.4) ** 2
     assert abs(strong / weak - 4.0) / 4.0 < slack
 
@@ -351,7 +352,7 @@ def test_ed_warns_when_systematics_bite():
     # lam / gap = 0.25: fourth-order term (lam/gap)^2 > ED_TOL
     sys_ = fig_system(lam=0.1, N=80)
     with pytest.warns(UserWarning):
-        cp_energy_ed(sys_, 1)
+        cp_energy_ed(sys_, range(1, 2))
 
 
 def test_ed_warns_whenever_its_estimate_exceeds_the_check_tolerance():
@@ -360,35 +361,37 @@ def test_ed_warns_whenever_its_estimate_exceeds_the_check_tolerance():
     sys_ = SymmetricSystem(-1.0, 0.49999, 1e-6, 400)
     closed = cp_energy(sys_, 1)
     with pytest.warns(UserWarning, match=r"~1\.6% .* at R=1, N=400"):
-        ed = cp_energy_ed(sys_, 1)
+        (ed,) = cp_energy_ed(sys_, range(1, 2))
     assert abs(ed - closed) / abs(closed) > ED_TOL
 
 
 @pytest.mark.parametrize("J,R", [(0.3, 1), (0.3, 5), (0.4, 3), (0.45, 2)])
 def test_quadrature_matches_closed_form(J, R):
     sys_ = fig_system(J=J)
-    assert cp_energy_quadrature(sys_, R) == pytest.approx(cp_energy(sys_, R), rel=1e-12)
+    (value,) = cp_energy_quadrature(sys_, range(R, R + 1))
+    assert value == pytest.approx(cp_energy(sys_, R), rel=1e-12)
 
 
 def test_quadrature_survives_deep_cancellation():
     # at R = 20 the integrand's mean is nine orders above the answer; a
     # float64 accumulation would be stuck near 1e-7 relative error
     sys_ = fig_system(J=0.3)
-    assert cp_energy_quadrature(sys_, 20) == pytest.approx(cp_energy(sys_, 20), rel=1e-12)
+    (value,) = cp_energy_quadrature(sys_, range(20, 21))
+    assert value == pytest.approx(cp_energy(sys_, 20), rel=1e-12)
 
 
 def test_quadrature_point_budget(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_POINTS", 64)
     sys_ = fig_system(J=0.3)
-    with pytest.raises(NonConvergence):
-        cp_energy_quadrature(sys_, 1)
+    with pytest.raises(ConvergenceError, match=r"^trapezoid refinement reached 64 points at R=1 "):
+        cp_energy_quadrature(sys_, range(1, 2))
 
 
 def test_quadrature_rejects_flat_band_and_bad_separation():
-    with pytest.raises(InvalidRegime):
-        cp_energy_quadrature(fig_system(J=0.0), 1)
-    with pytest.raises(ValueError):
-        cp_energy_quadrature(fig_system(), -1)
+    with pytest.raises(RegimeViolation, match=r"^quadrature needs a dispersive band \(J > 0\)"):
+        cp_energy_quadrature(fig_system(J=0.0), range(1, 2))
+    with pytest.raises(ValueError, match="separation must be >= 1, got R=-1"):
+        cp_energy_quadrature(fig_system(), range(-1, 0))
 
 
 def test_quadrature_refinement_evaluates_each_node_once(monkeypatch):
@@ -400,7 +403,7 @@ def test_quadrature_refinement_evaluates_each_node_once(monkeypatch):
     for name, seen in calls.items():
         real = getattr(mp, name)
         monkeypatch.setattr(mp, name, lambda x, real=real, seen=seen: seen.append(x) or real(x))
-    value = cp_energy_quadrature(sys_, 1)
+    (value,) = cp_energy_quadrature(sys_, range(1, 2))
     monkeypatch.undo()
     assert len(calls["cos"]) == 65
     assert calls["sin"] == []
@@ -420,7 +423,8 @@ def test_quadrature_calls_cos_once_per_node_for_any_window(monkeypatch, separati
     calls = []
     real = mp.cos
     monkeypatch.setattr(mp, "cos", lambda x: calls.append(x) or real(x))
-    cp_energy_quadrature(fig_system(J=0.3), separations)
+    # a lone R is its one-point window
+    cp_energy_quadrature(fig_system(J=0.3), _separations(separations))
     monkeypatch.undo()
     assert len(calls) == 65
 
@@ -431,7 +435,7 @@ def test_quadrature_calls_cos_once_per_node_for_any_window(monkeypatch, separati
 def test_quadrature_sweep_gives_the_floats_of_single_calls(J, separations):
     sys_ = fig_system(J=J)
     assert cp_energy_quadrature(sys_, separations) == tuple(
-        cp_energy_quadrature(sys_, r) for r in separations)
+        cp_energy_quadrature(sys_, range(r, r + 1))[0] for r in separations)
 
 
 def test_quadrature_sweep_keeps_each_separations_first_converged_estimate(monkeypatch):
@@ -440,7 +444,7 @@ def test_quadrature_sweep_keeps_each_separations_first_converged_estimate(monkey
     monkeypatch.setattr(oracle, "REFINEMENT_TOL", 1e-6)
     sys_ = fig_system(J=0.495)
     sweep = cp_energy_quadrature(sys_, range(1, 21))
-    assert sweep == tuple(cp_energy_quadrature(sys_, r) for r in range(1, 21))
+    assert sweep == tuple(cp_energy_quadrature(sys_, range(r, r + 1))[0] for r in range(1, 21))
 
 
 def test_quadrature_keeps_its_digits_at_tiny_hopping():
@@ -450,11 +454,32 @@ def test_quadrature_keeps_its_digits_at_tiny_hopping():
         assert value == pytest.approx(cp_energy(sys_, r), rel=1e-12)
 
 
+def test_oracle_check_at_tiny_hopping_stops_its_precision_at_the_smallest_subnormal(
+        tmp_path, monkeypatch):
+    # q ~ 1e-300, so E_cp(100) cancels 30000 digits; but lam^2 / gap = 1e-4 is
+    # only 320 digits above the smallest subnormal, so 40 + 320 - 5 digits
+    # resolve every float64 answer, and every one past R = 1 rounds to zero
+    used = []
+    real = mp.workdps
+    monkeypatch.setattr(mp, "workdps", lambda dps: used.append(dps) or real(dps))
+    out = tmp_path / "oracle.csv"
+    assert cli_main(["--mode", "oracle-check", "--J", "1e-300", "--N", "400", "--rmax", "100",
+                     "--output", str(out)]) == 0
+    monkeypatch.undo()
+    assert used == [355]
+    rows = table_rows(out)
+    assert len(rows) == 100
+    assert all(row["quad_ok"] == "1" for row in rows)
+    assert float(rows[0]["quadrature"]) != 0.0
+    # a zero takes the sign of lam^2 / delta, as the closed form's does
+    assert [row["quadrature"] for row in rows[1:]] == ["-0"] * 99
+
+
 def test_quadrature_sweep_names_the_separations_left_unconverged(monkeypatch):
     # a 64-point grid agreeing with the 128-point one settles R <= 14 only:
     # from R = 15 on, 64 points are not past 4R + 4
     monkeypatch.setattr(oracle, "MAX_POINTS", 128)
-    with pytest.raises(NonConvergence, match=r"at R=15, 16, 17, 18, 19, 20 without"):
+    with pytest.raises(ConvergenceError, match=r"at R=15, 16, 17, 18, 19, 20 without"):
         cp_energy_quadrature(fig_system(J=0.3), range(1, 21))
 
 
@@ -462,7 +487,8 @@ def test_quadrature_does_not_converge_on_an_alias():
     # a = -0.4: the 64- and 128-point rules both fold R = 150 onto
     # |150 - 128| = 22 and agree, on E_cp(22) instead of E_cp(150)
     sys_ = fig_system(J=0.2, lam=0.05, N=1000)
-    assert cp_energy_quadrature(sys_, 150) == pytest.approx(cp_energy(sys_, 150), rel=1e-12)
+    (value,) = cp_energy_quadrature(sys_, range(150, 151))
+    assert value == pytest.approx(cp_energy(sys_, 150), rel=1e-12)
     seps = range(140, 161)
     for r, value in zip(seps, cp_energy_quadrature(sys_, seps)):
         assert value == pytest.approx(cp_energy(sys_, r), rel=1e-12)
@@ -577,7 +603,7 @@ def test_the_lazy_namespace_is_complete_and_rejects_unknown_names():
         "print(sorted(set(names) - {'__builtins__'}) == sorted(chaincp.__all__)); "
         "print(set(dir(chaincp)) >= set(chaincp.__all__))")
     assert lines == ["False []", "True", "True"]
-    assert len(chaincp.__all__) == 29
+    assert len(chaincp.__all__) == 26
 
 
 def imported_names(module):

@@ -59,7 +59,7 @@ def test_zero_temperature_recovers_the_ground_level():
     # the spectrum's doublets are the kernel's m -+ h to the bit, at every R
     seps = range(1, sys_.N + 1)
     m, halves = _doublet_halves(sys_, seps)
-    assert symmetric_spectrum_ksum(sys_, seps) == tuple((m - h, m + h) for h in halves)
+    assert [symmetric_spectrum_ksum(sys_, r) for r in seps] == [(m - h, m + h) for h in halves]
 
 
 def test_zero_temperature_force_matches_the_ground_state_force():
