@@ -8,45 +8,36 @@ interaction, checks them against the exact ground energy of the finite
 ring (from its Green's function in real space) and an arbitrary-precision
 momentum integral, and extends them to finite temperature.
 
-What loads when: ``import chaincp`` runs only this file, the version's one
-home, which ``pyproject.toml`` reads as a literal without importing it.  Each
-public name, and each submodule name, imports its home module on first access
-(PEP 562), so ``chaincp.cp_energy`` loads ``lattice``, ``casimir`` and
-``errors`` and never the oracles or the thermal layer.  Names are looked up in
-the home module on every access, never cached here, so a patched home module
-is seen through the package.  It never imports numpy: modes and levels are
-floats and tuples computed with ``math``.  mpmath, its one dependency, loads
-on the first quadrature.
+What loads when: ``import chaincp`` runs only this file, which holds the
+version (``pyproject.toml`` reads the literal without importing it), the
+names of the submodules and two PEP 562 hooks.  A submodule name imports that
+submodule on first access, so ``from chaincp import cli`` and ``from . import
+perturbation`` load what they name and nothing else.  The first public
+``chaincp.<name>``, ``dir(chaincp)`` or ``from chaincp import *`` also loads
+``chaincp._namespace``, the table of each public name's home module, and each
+name then imports its home on first access, so ``chaincp.cp_energy`` loads
+``lattice``, ``casimir`` and ``errors`` and never the oracles or the thermal
+layer.  Names are looked up in the home module on every access, never cached
+here, so a patched home module is seen through the package.  The CLI never
+loads the table.  The package never imports numpy: modes and levels are floats
+and tuples computed with ``math``.  mpmath, its one dependency, loads on the
+first quadrature.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-#: Each home submodule and its public names, in ``__all__`` order.
-_HOMES = {
-    "lattice": "SymmetricSystem RegimeReport dispersion brillouin_modes validate_regime",
-    "perturbation": "band_energies symmetric_spectrum_ksum symmetric_spectrum_closed",
-    "casimir": "ForceRecord DecayProfile cp_energy ecp_force force_curve decay_profile "
-               "continuum_decay_constant",
-    "oracle": "cp_energy_ed cp_energy_quadrature",
-    "thermal": "ThermalEnsemble ThermalRow thermal_ensemble thermal_table thermal_energy "
-               "thermal_force",
-    "errors": "RegimeViolation ConvergenceError",
-}
-#: Every public name's home submodule.
-_HOME_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
-
-__all__ = ["__version__", *_HOME_OF]
+#: Every submodule; each imports on its first ``chaincp.<name>``, without the name table.
+_SUBMODULES = ("_namespace", "casimir", "cli", "errors", "lattice", "oracle", "perturbation",
+               "thermal")
 
 
 def __getattr__(name: str):
-    if name in _HOMES:
+    if name in _SUBMODULES:
         return import_module(f"{__name__}.{name}")
-    if name not in _HOME_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{_HOME_OF[name]}"), name)
+    return import_module(f"{__name__}._namespace").attribute(name)
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_HOMES})
+    return import_module(f"{__name__}._namespace").names()

@@ -37,7 +37,7 @@ import math
 from typing import NamedTuple
 
 from .errors import RegimeViolation
-from .lattice import SymmetricSystem, _edge_safe_root, _separations
+from .lattice import SymmetricSystem, _edge_safe_root, _separation, _separations
 
 __all__ = [
     "ForceRecord",
@@ -93,7 +93,7 @@ def cp_energy(sys: SymmetricSystem, R: int) -> float:
         ``(lam**2 / delta) * q**R / sqrt(1 - a**2)``; exactly ``0.0`` for a
         flat band (``J = 0``).
     """
-    _separations(R)
+    _separation(R)
     return (sys.lam ** 2 / sys.delta) * sys.q ** R / _edge_safe_root(sys)[0]
 
 

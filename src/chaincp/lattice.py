@@ -178,19 +178,29 @@ def _edge_safe_root(sys: SymmetricSystem) -> tuple[float, float]:
     return root, (root + one_plus_a) / (root + 1.0)
 
 
-def _separations(R: int | range, upper: int | None = None) -> range:
-    """``R`` as a checked range of separations, each in ``1 .. upper``.
+def _separation(R: int, upper: int | None = None) -> int:
+    """``R`` as one checked separation in ``1 .. upper``: the point rule.
 
-    ``R`` is one integer separation or a non-empty range of them with step 1;
-    a single separation comes back as ``range(R, R + 1)``.  This is the
-    package's one separation rule, and 1 its one floor.  A window with
-    ``upper < 1`` (a chain too short for any separation) is refused whatever
-    ``R`` is.  An empty window is named by its ends, a stride by its ``repr``.
+    Anything but an integer, a ``range`` included, is a ``TypeError``; the
+    bounds are :func:`_separations`' on the one-point window, so both shapes
+    give the same messages.
+    """
+    if not isinstance(R, int):
+        raise TypeError(f"separation must be an integer, got {R!r}")
+    return _separations(range(R, R + 1), upper)[0]
+
+
+def _separations(R: range, upper: int | None = None) -> range:
+    """``R`` as a checked window of separations, each in ``1 .. upper``: the window rule.
+
+    ``R`` is a non-empty range with step 1; anything else, an integer
+    included, is a ``TypeError``.  This is the package's one bounds rule, and
+    1 its one floor.  A window with ``upper < 1`` (a chain too short for any
+    separation) is refused whatever ``R`` is.  An empty window is named by
+    its ends, a stride by its ``repr``.
     """
     if not isinstance(R, range):
-        if not isinstance(R, int):
-            raise TypeError(f"separation must be an integer, got {R!r}")
-        R = range(R, R + 1)
+        raise TypeError(f"separations must be a range, got {R!r}")
     if upper is not None and upper < 1:
         raise ValueError(f"no separation fits: the upper bound {upper} is below the lower bound 1")
     if R.step != 1 or not R:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .lattice import SymmetricSystem, _edge_safe_root, _ring_column, _ring_entry, _separations
+from .lattice import SymmetricSystem, _edge_safe_root, _ring_column, _ring_entry, _separation
 
 __all__ = [
     "band_energies",
@@ -79,7 +79,8 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]
     finite-``N`` reference that the closed forms approximate; the band it
     shifts is :func:`band_energies`.
     """
-    m, (h,) = _doublet_halves(sys, _separations(R, upper=sys.N))
+    _separation(R, upper=sys.N)
+    m, (h,) = _doublet_halves(sys, range(R, R + 1))
     return m - h, m + h
 
 
@@ -105,7 +106,7 @@ def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, floa
     At ``a = 0`` the band is flat, ``q = 0``, and the doublet is degenerate
     at ``lam**2 / delta``.
     """
-    _separations(R, upper=sys.N)
+    _separation(R, upper=sys.N)
     root, one_minus_q = _edge_safe_root(sys)
     base = sys.lam ** 2 / (sys.delta * root)
     odd = -math.expm1(R * math.log1p(-one_minus_q)) if one_minus_q < 1.0 else 1.0

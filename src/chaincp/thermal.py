@@ -67,7 +67,7 @@ import math
 from typing import NamedTuple
 
 from . import perturbation
-from .lattice import SymmetricSystem, _separations
+from .lattice import SymmetricSystem, _separation, _separations
 from .perturbation import _doublet_halves, band_energies
 
 __all__ = [
@@ -137,7 +137,8 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
         Separation to evaluate at, ``1 <= R <= N``.
     """
     beta = _beta(T)
-    m, (h,) = _doublet_halves(sys, _separations(R, upper=sys.N))
+    _separation(R, upper=sys.N)
+    m, (h,) = _doublet_halves(sys, range(R, R + 1))
     energies = (m - h, m + h, *band_energies(sys))
     e_min = min(energies)
     if beta == math.inf:
@@ -222,7 +223,8 @@ def thermal_table(sys: SymmetricSystem, temperatures, R: range) -> tuple[Thermal
 
 def thermal_energy(sys: SymmetricSystem, T: float, R: int) -> float:
     """Ensemble average level from ``eps0`` at ``1 <= R <= N``; the even level at ``T = 0``."""
-    _, base, (share,) = next(_kernel(sys, (float(T),), _separations(R, upper=sys.N)))
+    _separation(R, upper=sys.N)
+    _, base, (share,) = next(_kernel(sys, (float(T),), range(R, R + 1)))
     return base + share
 
 
@@ -231,7 +233,8 @@ def thermal_force(sys: SymmetricSystem, T: float, R: int) -> float:
 
     Needs room for the difference: ``1 <= R`` and ``R + 1 <= N``.
     """
-    return thermal_table(sys, (T,), _separations(R))[0].force
+    _separation(R)
+    return thermal_table(sys, (T,), range(R, R + 1))[0].force
 
 
 def _growth_violations(rows) -> tuple[str, ...]:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from chaincp.lattice import SymmetricSystem, _separations
+from chaincp.lattice import SymmetricSystem, _separation
 from chaincp.perturbation import _doublet_halves
 
 
@@ -26,7 +26,7 @@ def dense_hamiltonian(ring: SymmetricSystem, eps1: float, eps2: float,
     ``R``, ``1 <= R <= N``.  Basis order is ``(imp1, imp2, site -N, ...,
     site N)``.
     """
-    _separations(R, upper=ring.N)
+    _separation(R, upper=ring.N)
     n_sites = ring.num_sites
     h = np.zeros((n_sites + 2, n_sites + 2))
     h[0, 0] = eps1
@@ -77,7 +77,8 @@ def shifted_band(sys: SymmetricSystem) -> np.ndarray:
 
 def ensemble(sys: SymmetricSystem, T: float, R: int) -> tuple[np.ndarray, np.ndarray]:
     """``(energies, weights)`` of the doublet and :func:`shifted_band` at ``T > 0``."""
-    m, (h,) = _doublet_halves(sys, _separations(R, upper=sys.N))
+    _separation(R, upper=sys.N)
+    m, (h,) = _doublet_halves(sys, range(R, R + 1))
     energies = np.concatenate(((m - h, m + h), shifted_band(sys)))
     shifted = np.exp(-(1.0 / T) * (energies - energies.min()))
     return energies, shifted / math.fsum(shifted.tolist())

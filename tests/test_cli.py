@@ -250,7 +250,7 @@ def test_omega_consistency_forgives_input_rounding_at_large_magnitude():
     # eps0 - omega misses -1.3 by 1.1e-9 here, which is input rounding only
     cfg = load_config(["--mode", "force-sweep", "--eps0", "12345678.9",
                        "--omega", "12345680.2", "--delta=-1.3"])
-    assert cfg["delta"] == pytest.approx(-1.3, rel=1e-8)
+    assert cfg["delta"] == pytest.approx(-1.3, rel=1e-8, abs=0)
 
 
 def test_omega_consistency_catches_contradictions_at_small_magnitude():

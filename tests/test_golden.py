@@ -112,7 +112,7 @@ def test_the_round_trip_table_differs_only_in_its_six_unrounded_rows():
         for a, b in zip(map(float, o[2:]), map(float, n[2:])):
             assert abs(a - b) <= 1e-13 * abs(b)
         delta = float(n[0])
-        row = force_curve(SymmetricSystem(1.0 - (1.0 - delta), 0.3, 0.01, 200), 1)[0]
+        row = force_curve(SymmetricSystem(1.0 - (1.0 - delta), 0.3, 0.01, 200), range(1, 2))[0]
         if [row.energy, row.force] != [float(n[2]), float(n[3])]:
             moved.append(n[0])
             assert row.energy == pytest.approx(float(n[2]), rel=1e-13, abs=0.0)

@@ -15,12 +15,13 @@ from mpmath import mp
 from numpy.testing import assert_allclose
 
 import chaincp
-from chaincp.casimir import force_curve
+from chaincp.casimir import cp_energy, force_curve
 from chaincp.errors import RegimeViolation
 from chaincp.lattice import (
     SymmetricSystem,
     _ring_column,
     _ring_entry,
+    _separation,
     _separations,
     brillouin_modes,
     dispersion,
@@ -29,7 +30,7 @@ from chaincp.lattice import (
 )
 from chaincp.oracle import cp_energy_ed, cp_energy_quadrature
 from chaincp.perturbation import symmetric_spectrum_closed, symmetric_spectrum_ksum
-from chaincp.thermal import thermal_table
+from chaincp.thermal import thermal_energy, thermal_ensemble, thermal_force, thermal_table
 
 
 def ring(N, J=0.3):
@@ -219,14 +220,14 @@ def test_dispersion_scalar_and_array_agree():
     scalar = [dispersion(sys_, k) for k in modes]
     assert_allclose(scalar, sys_.omega - 2.0 * sys_.J * np.cos(modes), rtol=1e-15)
     assert dispersion(sys_, 0.0) == sys_.band_bottom
-    assert dispersion(sys_, np.pi) == pytest.approx(sys_.band_top, rel=1e-15)
+    assert dispersion(sys_, np.pi) == pytest.approx(sys_.band_top, rel=1e-15, abs=0)
 
 
 def test_symmetric_system_derived_quantities():
     sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=50)
     assert sys_.delta == -1.0
-    assert sys_.a == pytest.approx(-0.6, rel=1e-15)
-    assert sys_.q == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert sys_.a == pytest.approx(-0.6, rel=1e-15, abs=0)
+    assert sys_.q == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0)
     assert sys_.omega == 2.0
     assert sys_.eps0 == 1.0
     assert sys_.lam == 0.01
@@ -333,9 +334,45 @@ def test_symmetric_system_separation_bounds():
             doublet(sys_, 1.0)
 
 
-def test_separations_turns_an_integer_into_a_one_point_range():
-    assert _separations(4) == range(4, 5)
-    assert _separations(1) == range(1, 2)
+#: Each function that takes one separation, called at ``R``.
+POINT_FUNCTIONS = {
+    "cp_energy": cp_energy,
+    "symmetric_spectrum_ksum": symmetric_spectrum_ksum,
+    "symmetric_spectrum_closed": symmetric_spectrum_closed,
+    "thermal_ensemble": lambda s, R: thermal_ensemble(s, 0.1, R),
+    "thermal_energy": lambda s, R: thermal_energy(s, 0.1, R),
+    "thermal_force": lambda s, R: thermal_force(s, 0.1, R),
+}
+#: Each function that takes a window of separations, called on ``R``.
+WINDOW_FUNCTIONS = {
+    "force_curve": force_curve,
+    "cp_energy_ed": cp_energy_ed,
+    "cp_energy_quadrature": cp_energy_quadrature,
+    "thermal_table": lambda s, R: thermal_table(s, (0.1,), R),
+}
+
+
+@pytest.mark.parametrize("name", POINT_FUNCTIONS)
+def test_a_point_function_refuses_a_window_by_naming_an_integer(name):
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=200)
+    POINT_FUNCTIONS[name](sys_, 2)
+    with pytest.raises(TypeError) as exc:
+        POINT_FUNCTIONS[name](sys_, range(1, 3))
+    assert str(exc.value) == "separation must be an integer, got range(1, 3)"
+
+
+@pytest.mark.parametrize("name", WINDOW_FUNCTIONS)
+def test_a_window_function_refuses_an_integer_by_naming_a_range(name):
+    sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=200)
+    assert len(WINDOW_FUNCTIONS[name](sys_, range(2, 3))) == 1
+    with pytest.raises(TypeError) as exc:
+        WINDOW_FUNCTIONS[name](sys_, 2)
+    assert str(exc.value) == "separations must be a range, got 2"
+
+
+def test_separation_gives_back_the_integer_it_checks():
+    assert _separation(4, upper=4) == 4
+    assert _separation(1) == 1
 
 
 def test_separations_passes_a_valid_range_through():
@@ -344,7 +381,10 @@ def test_separations_passes_a_valid_range_through():
 
 
 def test_separations_refuses_a_non_integer():
+    # a lone separation that is not an integer; a window that is not a range
     with pytest.raises(TypeError, match="integer"):
+        _separation(2.0)
+    with pytest.raises(TypeError, match="range"):
         _separations(2.0)
 
 
@@ -359,9 +399,11 @@ def test_separations_refuses_a_non_integer():
     ((range(1, 2), 0), "no separation fits: the upper bound 0 is below the lower bound 1"),
 ])
 def test_separations_refuses_empty_strided_and_out_of_bounds_ranges(bad, match):
+    # a lone separation goes through the point check, which states the same bounds
     R, upper = bad if isinstance(bad, tuple) else (bad, 10)
+    check = _separations if isinstance(R, range) else _separation
     with pytest.raises(ValueError, match=match):
-        _separations(R, upper=upper)
+        check(R, upper=upper)
 
 
 @pytest.mark.parametrize("sweep", [
@@ -393,7 +435,7 @@ def test_validate_regime_weak_coupling_passes():
     report = validate_regime(regime_system(0.01))
     assert report.weak_coupling
     # gap is 0.4, so the ratio is 0.025
-    assert report.coupling_ratio == pytest.approx(0.025, rel=1e-12)
+    assert report.coupling_ratio == pytest.approx(0.025, rel=1e-12, abs=0)
     assert report.warnings == ()
 
 
@@ -407,7 +449,7 @@ def test_validate_regime_warns_in_the_grey_zone():
 def test_validate_regime_fails_for_strong_coupling():
     sys_ = regime_system(-0.3)  # ratio 0.75; the sign of lam does not matter
     report = validate_regime(sys_)
-    assert report.coupling_ratio == pytest.approx(0.75, rel=1e-12)
+    assert report.coupling_ratio == pytest.approx(0.75, rel=1e-12, abs=0)
     assert not report.weak_coupling
     # three digits suffice where they do not read as the threshold
     with pytest.raises(RegimeViolation, match=r"coupling too strong \(coupling ratio 0\.75\)$"):

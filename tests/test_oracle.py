@@ -28,7 +28,6 @@ from chaincp.errors import ConvergenceError, RegimeViolation
 from chaincp.lattice import (
     SymmetricSystem,
     _ring_column,
-    _separations,
     brillouin_modes,
     dispersion,
 )
@@ -194,7 +193,7 @@ def test_ed_matches_fifty_digit_secular_roots(J, lam):
         warnings.simplefilter("ignore", UserWarning)
         values = cp_energy_ed(sys_, seps)
     for value, exact in zip(values, mp_secular_shifts(sys_, seps)):
-        assert value == pytest.approx(exact, rel=1e-13)
+        assert value == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 def test_ed_fixed_point_that_alternates_between_two_floats_returns(monkeypatch):
@@ -214,7 +213,7 @@ def test_ed_fixed_point_that_alternates_between_two_floats_returns(monkeypatch):
     value = _even_shift(sys_, x1, column, 33)
     assert iterates[-1] == iterates[-3] != iterates[-2]
     assert math.isfinite(value)
-    assert value == pytest.approx(cp_energy(sys_, 33), rel=0.05)
+    assert value == pytest.approx(cp_energy(sys_, 33), rel=0.05, abs=0)
 
 
 def test_ed_non_finite_iterate_is_a_convergence_error(monkeypatch):
@@ -369,7 +368,7 @@ def test_ed_warns_whenever_its_estimate_exceeds_the_check_tolerance():
 def test_quadrature_matches_closed_form(J, R):
     sys_ = fig_system(J=J)
     (value,) = cp_energy_quadrature(sys_, range(R, R + 1))
-    assert value == pytest.approx(cp_energy(sys_, R), rel=1e-12)
+    assert value == pytest.approx(cp_energy(sys_, R), rel=1e-12, abs=0)
 
 
 def test_quadrature_survives_deep_cancellation():
@@ -377,7 +376,7 @@ def test_quadrature_survives_deep_cancellation():
     # float64 accumulation would be stuck near 1e-7 relative error
     sys_ = fig_system(J=0.3)
     (value,) = cp_energy_quadrature(sys_, range(20, 21))
-    assert value == pytest.approx(cp_energy(sys_, 20), rel=1e-12)
+    assert value == pytest.approx(cp_energy(sys_, 20), rel=1e-12, abs=0)
 
 
 def test_quadrature_point_budget(monkeypatch):
@@ -413,7 +412,7 @@ def test_quadrature_refinement_evaluates_each_node_once(monkeypatch):
         nodes = [-mp.pi + j * 2 * mp.pi / 128 for j in range(128)]
         direct = mp.mpf(sys_.lam) ** 2 / 128 * mp.fsum(
             mp.cos(k) / (sys_.delta + 2 * sys_.J * mp.cos(k)) for k in nodes)
-    assert value == pytest.approx(float(direct), rel=1e-15)
+    assert value == pytest.approx(float(direct), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("separations", [1, 5, range(3, 9), range(1, 11)])
@@ -423,8 +422,10 @@ def test_quadrature_calls_cos_once_per_node_for_any_window(monkeypatch, separati
     calls = []
     real = mp.cos
     monkeypatch.setattr(mp, "cos", lambda x: calls.append(x) or real(x))
-    # a lone R is its one-point window
-    cp_energy_quadrature(fig_system(J=0.3), _separations(separations))
+    # a lone R as its one-point window
+    if not isinstance(separations, range):
+        separations = range(separations, separations + 1)
+    cp_energy_quadrature(fig_system(J=0.3), separations)
     monkeypatch.undo()
     assert len(calls) == 65
 
@@ -451,7 +452,7 @@ def test_quadrature_keeps_its_digits_at_tiny_hopping():
     # q ~ 1e-5, so E_cp(10) ~ 1e-54 sits 50 digits below the integrand
     sys_ = fig_system(J=1e-5)
     for r, value in zip(range(6, 11), cp_energy_quadrature(sys_, range(6, 11))):
-        assert value == pytest.approx(cp_energy(sys_, r), rel=1e-12)
+        assert value == pytest.approx(cp_energy(sys_, r), rel=1e-12, abs=0)
 
 
 def test_oracle_check_at_tiny_hopping_stops_its_precision_at_the_smallest_subnormal(
@@ -488,10 +489,10 @@ def test_quadrature_does_not_converge_on_an_alias():
     # |150 - 128| = 22 and agree, on E_cp(22) instead of E_cp(150)
     sys_ = fig_system(J=0.2, lam=0.05, N=1000)
     (value,) = cp_energy_quadrature(sys_, range(150, 151))
-    assert value == pytest.approx(cp_energy(sys_, 150), rel=1e-12)
+    assert value == pytest.approx(cp_energy(sys_, 150), rel=1e-12, abs=0)
     seps = range(140, 161)
     for r, value in zip(seps, cp_energy_quadrature(sys_, seps)):
-        assert value == pytest.approx(cp_energy(sys_, r), rel=1e-12)
+        assert value == pytest.approx(cp_energy(sys_, r), rel=1e-12, abs=0)
 
 
 def test_oracle_check_far_separations_have_the_quadrature_ok(tmp_path, capsys):
@@ -563,15 +564,20 @@ def test_oracle_check_survives_a_closed_form_that_underflows(tmp_path):
     assert all(row["quad_ok"] == row["ed_ok"] == "1" for row in rows)
 
 
-def _fresh_lines(code: str) -> list[str]:
-    """The stdout lines of ``code`` run in a fresh Python importing this checkout."""
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh Python run with ``args``, importing this checkout; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(chaincp.__file__).parents[1]), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    return proc
+
+
+def _fresh_lines(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a fresh Python importing this checkout."""
+    return _fresh_python("-c", code).stdout.splitlines()
 
 
 # prints the modules that ``import chaincp`` (or the line after it) adds, so
@@ -589,10 +595,43 @@ def test_importing_the_package_leaves_mpmath_unloaded():
     assert lines == [str(["chaincp"])]
 
 
+def test_a_bare_import_and_the_cli_never_load_the_name_table():
+    # the table of public names compiles on the first public chaincp.<name>,
+    # never in the import itself; the console script, `python -m chaincp.cli`
+    # and `from chaincp import cli` load submodules, which the package's own
+    # hook imports without the table
+    lines = _fresh_lines("import sys, chaincp; "
+                         "print(sorted({'_HOMES', '_HOME_OF'} & set(vars(chaincp)))); "
+                         "from chaincp.cli import entry; "
+                         "print('chaincp._namespace' in sys.modules)")
+    assert lines == ["[]", "False"]
+    lines = _fresh_lines("import sys, chaincp; from chaincp import cli; "
+                         "print(chaincp.lattice is sys.modules['chaincp.lattice'], "
+                         "'chaincp._namespace' in sys.modules)")
+    assert lines == ["True False"]
+    # `python -m chaincp.cli --help`, then the modules it left loaded
+    lines = _fresh_lines("import runpy, sys; sys.argv = ['chaincp', '--help']\n"
+                         "try:\n"
+                         "    runpy.run_module('chaincp.cli', run_name='__main__', alter_sys=True)\n"
+                         "except SystemExit:\n"
+                         "    pass\n"
+                         "print('chaincp.thermal' in sys.modules, 'chaincp._namespace' in sys.modules)")
+    assert lines[-1] == "True False"
+
+
+def test_the_package_names_every_submodule():
+    package = Path(chaincp.__file__).parent
+    files = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert set(chaincp._SUBMODULES) == files
+    assert set(chaincp._namespace._HOMES) <= set(chaincp._SUBMODULES)
+    assert set(dir(chaincp)) >= set(chaincp._SUBMODULES)
+
+
 def test_a_closed_form_name_loads_only_its_home_modules():
     lines = _fresh_lines("import sys, chaincp; before = set(sys.modules); "
                          f"chaincp.cp_energy; {_ADDED}")
-    assert lines == [str(["chaincp.casimir", "chaincp.errors", "chaincp.lattice"])]
+    assert lines == [str(["chaincp._namespace", "chaincp.casimir", "chaincp.errors",
+                          "chaincp.lattice"])]
 
 
 def test_the_lazy_namespace_is_complete_and_rejects_unknown_names():
@@ -602,7 +641,7 @@ def test_the_lazy_namespace_is_complete_and_rejects_unknown_names():
         "names = {}; exec('from chaincp import *', names); "
         "print(sorted(set(names) - {'__builtins__'}) == sorted(chaincp.__all__)); "
         "print(set(dir(chaincp)) >= set(chaincp.__all__))")
-    assert lines == ["False []", "True", "True"]
+    assert lines == ["False ['chaincp._namespace']", "True", "True"]
     assert len(chaincp.__all__) == 26
 
 

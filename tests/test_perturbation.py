@@ -55,11 +55,11 @@ def with_band_parameter(a):
 
 def test_geometric_ratio_values():
     assert with_band_parameter(0.0).q == 0.0
-    assert with_band_parameter(-0.6).q == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert with_band_parameter(-0.6).q == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0)
     # matches the textbook form where that form is well conditioned
     for a in (-0.9, -0.5, -0.2):
         naive = (math.sqrt(1.0 - a * a) - 1.0) / a
-        assert with_band_parameter(a).q == pytest.approx(naive, rel=1e-14)
+        assert with_band_parameter(a).q == pytest.approx(naive, rel=1e-14, abs=0)
 
 
 def test_geometric_ratio_stays_in_unit_interval():
@@ -83,15 +83,15 @@ def test_closed_spectrum_frozen_values():
     sys_ = SymmetricSystem(delta=-1.0, J=0.3, lam=0.01, N=200)
     # offsets from eps0: lam^2 / (delta sqrt(1 - a^2)) (1 +- q) with q = 1/3
     e_plus, e_minus = symmetric_spectrum_closed(sys_, 1)
-    assert e_plus == pytest.approx(-1.6666666666666666e-4, rel=1e-14)
-    assert e_minus == pytest.approx(-8.333333333333333e-5, rel=1e-14)
+    assert e_plus == pytest.approx(-1.6666666666666666e-4, rel=1e-14, abs=0)
+    assert e_minus == pytest.approx(-8.333333333333333e-5, rel=1e-14, abs=0)
     assert e_plus < e_minus
 
 
 def test_closed_spectrum_flat_band_degenerate():
     sys_ = SymmetricSystem(delta=-1.0, J=0.0, lam=0.01, N=10)
     e_plus, e_minus = symmetric_spectrum_closed(sys_, 3)
-    assert e_plus == e_minus == pytest.approx(-1e-4, rel=1e-15)
+    assert e_plus == e_minus == pytest.approx(-1e-4, rel=1e-15, abs=0)
 
 
 def test_closed_spectrum_degenerate_at_large_separation():
@@ -110,8 +110,8 @@ def test_effective_coefficients_match_direct_sum(R):
     shift, hop12, band_shift = brute_coefficients(sys_, R)
     centre = shift
     split = abs(hop12)
-    assert e_plus == pytest.approx(centre - split, rel=1e-13)
-    assert e_minus == pytest.approx(centre + split, rel=1e-13)
+    assert e_plus == pytest.approx(centre - split, rel=1e-13, abs=0)
+    assert e_minus == pytest.approx(centre + split, rel=1e-13, abs=0)
     # the odd-in-k part cancels pairwise across +-k
     assert abs(hop12.imag) < 1e-20
     bare = np.array([dispersion(sys_, k) for k in brillouin_modes(sys_)]) - sys_.eps0
@@ -125,8 +125,8 @@ def test_ksum_spectrum_matches_two_level_diagonalisation():
     shift, hop12, _ = brute_coefficients(sys_, 2)
     centre = shift
     split = abs(hop12)
-    assert e_plus == pytest.approx(centre - split, rel=1e-13)
-    assert e_minus == pytest.approx(centre + split, rel=1e-13)
+    assert e_plus == pytest.approx(centre - split, rel=1e-13, abs=0)
+    assert e_minus == pytest.approx(centre + split, rel=1e-13, abs=0)
     assert len(band_energies(sys_)) == sys_.num_sites
 
 
@@ -147,6 +147,6 @@ def test_ksum_large_chain_agrees_with_closed_form():
     sys_ = SymmetricSystem(delta=-1.0, J=0.4, lam=0.01, N=2000)
     e_plus, e_minus = symmetric_spectrum_closed(sys_, 3)
     ksum_plus, ksum_minus = symmetric_spectrum_ksum(sys_, 3)
-    assert ksum_plus == pytest.approx(e_plus, rel=1e-10)
-    assert ksum_minus == pytest.approx(e_minus, rel=1e-10)
+    assert ksum_plus == pytest.approx(e_plus, rel=1e-10, abs=0)
+    assert ksum_minus == pytest.approx(e_minus, rel=1e-10, abs=0)
 

@@ -68,7 +68,7 @@ def test_zero_temperature_force_matches_the_ground_state_force():
     for lam in (0.1, 0.01):
         sys_ = fig_system(lam=lam, N=200)
         for row in thermal_table(sys_, (0.0,), range(1, 9)):
-            assert row.force == pytest.approx(ecp_force(sys_, row.R), rel=1e-11)
+            assert row.force == pytest.approx(ecp_force(sys_, row.R), rel=1e-11, abs=0)
 
 
 def test_zero_temperature_force_keeps_its_digits_at_large_separation():
@@ -86,7 +86,7 @@ def test_infinite_temperature_is_the_uniform_average():
     size = len(ens.energies)
     assert np.allclose(ens.weights, np.full(size, 1.0 / size), rtol=0, atol=1e-15)
     mean = math.fsum(ens.energies) / size
-    assert thermal_energy(sys_, math.inf, 1) == pytest.approx(mean, rel=1e-12)
+    assert thermal_energy(sys_, math.inf, 1) == pytest.approx(mean, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("T", [0.0, 0.1, math.inf])
@@ -109,7 +109,7 @@ def test_infinite_temperature_force_vanishes():
 @pytest.mark.parametrize("T", [0.05, 0.5, 2.0])
 def test_thermal_energy_matches_direct_average(T):
     sys_ = fig_system(N=30)
-    assert thermal_energy(sys_, T, 2) == pytest.approx(brute_average(sys_, T, 2), rel=1e-12)
+    assert thermal_energy(sys_, T, 2) == pytest.approx(brute_average(sys_, T, 2), rel=1e-12, abs=0)
 
 
 def test_weights_are_a_distribution():
@@ -117,7 +117,7 @@ def test_weights_are_a_distribution():
     for temp in (0.0, 0.01, 0.3, 5.0, math.inf):
         ens = thermal_ensemble(sys_, temp, 1)
         assert np.all(np.asarray(ens.weights) >= 0.0)
-        assert math.fsum(ens.weights) == pytest.approx(1.0, rel=1e-13)
+        assert math.fsum(ens.weights) == pytest.approx(1.0, rel=1e-13, abs=0)
 
 
 def test_zero_temperature_weights_concentrate():
@@ -179,9 +179,9 @@ def test_low_temperature_limit_reaches_the_static_force():
     # that splitting out to R = 5 here, and past there the limit genuinely
     # needs a colder ensemble (1e-9 covers R = 1..10 with room to spare)
     for r in range(1, 6):
-        assert thermal_force(sys_, 1e-6, r) == pytest.approx(ecp_force(sys_, r), rel=1e-6)
+        assert thermal_force(sys_, 1e-6, r) == pytest.approx(ecp_force(sys_, r), rel=1e-6, abs=0)
     for r in range(1, 11):
-        assert thermal_force(sys_, 1e-9, r) == pytest.approx(ecp_force(sys_, r), rel=1e-6)
+        assert thermal_force(sys_, 1e-9, r) == pytest.approx(ecp_force(sys_, r), rel=1e-6, abs=0)
 
 
 def test_decoupled_impurities_feel_no_thermal_force():
@@ -328,7 +328,7 @@ def test_band_dilution_weakens_the_warm_force():
     f_large = thermal_force(fig_system(N=400), 1.0, 1)
     assert abs(f_large) < abs(f_small)
     assert thermal_force(fig_system(N=100), 0.0, 1) == \
-        pytest.approx(thermal_force(fig_system(N=400), 0.0, 1), rel=1e-12)
+        pytest.approx(thermal_force(fig_system(N=400), 0.0, 1), rel=1e-12, abs=0)
 
 
 def test_table_rows_match_the_single_point_functions_bit_for_bit():
