@@ -29,8 +29,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 #: Every submodule; each imports on its first ``chaincp.<name>``, without the name table.
-_SUBMODULES = ("_namespace", "casimir", "cli", "errors", "lattice", "oracle", "perturbation",
-               "thermal")
+_SUBMODULES = ("_namespace", "_ring", "casimir", "cli", "errors", "lattice", "oracle",
+               "perturbation", "thermal")
 
 
 def __getattr__(name: str):

@@ -18,9 +18,10 @@ the discrete difference, evaluated as one product
 
 equal in exact arithmetic, pointing towards smaller separations.  The
 product keeps its digits as ``q -> 1``, where the difference cancels.  The
-root and ``1 - q`` come from ``lattice._edge_safe_root``, so every closed
-form keeps its digits at the band edge.  Since ``q`` in ``[0, 1)``, both
-decay exponentially with rate ``Gamma = ln(1/q)`` per site.
+root and ``1 - q`` come from ``lattice._edge_safe_root`` and ``q^R`` from
+``lattice._decay_power``, so every closed form keeps its digits at the band
+edge.  Since ``q`` in ``[0, 1)``, both decay exponentially with rate
+``Gamma = ln(1/q)`` per site.
 
 Near the band edge (``a -> -1``) the lattice scale drops out: ``Gamma``
 tends to the continuum decay constant
@@ -37,7 +38,7 @@ import math
 from typing import NamedTuple
 
 from .errors import RegimeViolation
-from .lattice import SymmetricSystem, _edge_safe_root, _separation, _separations
+from .lattice import SymmetricSystem, _decay_power, _edge_safe_root, _separation, _separations
 
 __all__ = [
     "ForceRecord",
@@ -94,7 +95,7 @@ def cp_energy(sys: SymmetricSystem, R: int) -> float:
         flat band (``J = 0``).
     """
     _separation(R)
-    return (sys.lam ** 2 / sys.delta) * sys.q ** R / _edge_safe_root(sys)[0]
+    return (sys.lam ** 2 / sys.delta) * _decay_power(sys, R) / _edge_safe_root(sys)[0]
 
 
 def ecp_force(sys: SymmetricSystem, R: int) -> float:

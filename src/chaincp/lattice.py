@@ -14,9 +14,6 @@ tuples of them, computed with ``math``.
 from __future__ import annotations
 
 import math
-import operator
-from collections import deque
-from itertools import accumulate, chain, islice, repeat
 from typing import NamedTuple
 
 from .errors import RegimeViolation
@@ -36,10 +33,6 @@ WEAK_COUPLING_WARN = 0.1
 #: Ratio above which the perturbative treatment is not trustworthy at all;
 #: ``validate_regime`` reports failure.
 WEAK_COUPLING_FAIL = 0.5
-
-#: ``log`` of the smallest subnormal float, 5e-324, where the ring column stops.
-_LOG_TINY = math.log(math.ulp(0.0))
-
 
 class SymmetricSystem:
     """Identical impurities (``eps0``, ``lam``) side-coupled to one ring.
@@ -178,6 +171,17 @@ def _edge_safe_root(sys: SymmetricSystem) -> tuple[float, float]:
     return root, (root + one_plus_a) / (root + 1.0)
 
 
+def _decay_power(sys: SymmetricSystem, R: int) -> float:
+    """``q^R``, above ``q = 1/2`` as ``exp(R log1p(-(1 - q)))`` on the edge-safe ``1 - q``.
+
+    ``q ** R`` amplifies the rounding of ``q`` R times, to 9.5e-13 at ``R =
+    20000`` near the band edge; this carries ``Gamma R`` ulp, ``Gamma = -log q``.
+    """
+    if sys.q <= 0.5:
+        return sys.q ** R
+    return math.exp(R * math.log1p(-_edge_safe_root(sys)[1]))
+
+
 def _separation(R: int, upper: int | None = None) -> int:
     """``R`` as one checked separation in ``1 .. upper``: the point rule.
 
@@ -211,66 +215,6 @@ def _separations(R: range, upper: int | None = None) -> range:
     if upper is not None and R[-1] > upper:
         raise ValueError(f"separation must satisfy 1 <= R <= {upper}, got R={R[-1]}")
     return R
-
-
-def _ring_column(sys: SymmetricSystem, x: float, stop: float = math.inf) -> list[float]:
-    """``g_n = -G_0n(eps0 + x)``, the ring's Green's function, for ``n = 0 .. N`` or up to its cut.
-
-    Below the band ``d = -(x + delta) > 2 J``, ``d g_n - J (g_{n-1} + g_{n+1})
-    = [n = 0]`` and, by mirror symmetry, ``g_{N+1} = g_N``.  Eliminating from
-    there gives the minimal solution (Gautschi, SIAM Rev. 9:24, 1967): ratios
-    ``c_n = g_n / g_{n-1}`` with ``c_N = J / (d - J)``, ``c_n = J / (d - J
-    c_{n+1})``, and ``g_0 = 1 / (d - 2 J c_1)``.  Every ``c_n`` is in ``[0,
-    1)``; they fall towards the bulk decay ratio ``c_1``, and once one repeats
-    every lower one equals it, so elimination stops there.
-
-    Near the band edge ``c_n -> 1``, where ``d - 2 J c_1`` cancels and the
-    recursion amplifies rounding by about ``1 / (1 - c^2)``.  So a ratio from
-    1/2 up is carried as ``u_n = 1 - c_n``, with ``e = d - 2 J = gap - x``:
-    ``u_N = e / (e + J)``, ``u_n = (e + J u_{n+1}) / (e + J + J u_{n+1})`` and
-    ``g_0 = 1 / (e + 2 J u_1)``, sums of positive terms only.  Below 1/2 the
-    ratio is carried as itself, since ``1 - u`` would lose its relative digits
-    as ``c -> 0``.  The ratios fall, so the switch happens at most once.
-
-    This is the package's only evaluation of the finite ring.  ``c_N`` is the
-    largest ratio, so ``g_n <= g_0 c_N^n``: the column stops at ``n = log(5e-324
-    / g_0) / log(c_N) + 2``, past which that bound is below the smallest
-    subnormal.  :func:`_ring_entry` reads ``g_n`` past the cut as ``0.0``.
-    Above ``c = 1/2`` the site-by-site product would instead stick at the
-    smallest subnormals, since ``5e-324 c`` rounds back up.  A caller that
-    reads only the first entries ends the column sooner, at ``n < stop``, and
-    keeps only the ratios those entries need: near the band edge no ratio
-    repeats, and holding all ``N`` of them would make a short column cost
-    O(N) memory.
-    """
-    d, e, J = -(x + sys.delta), sys.gap - x, sys.J
-    e_J, top = e + J, J / (d - J)
-    # c_N, c_{N-1}, .. until a ratio repeats; the last one then fills c_1 upwards.
-    # The mirror's u_{N+1} = 1 - c_{N+1} = 0 starts both recursions.
-    tail = deque(maxlen=None if stop == math.inf else max(int(stop) - 1, 1))
-    # found: how many ratios were computed, c_N down to c_{N - found + 1}
-    found, u, c, edge = 0, 0.0, 1.0, True
-    while found < sys.N:
-        if edge and (v := (e + J * u) / (e_J + J * u)) <= 0.5:
-            if v == u:
-                break
-            u, ratio = v, 1.0 - v
-        else:
-            edge = False
-            ratio = J / (d - J * c)
-            if ratio == c:
-                break
-        tail.append(ratio)
-        found, c = found + 1, ratio
-    g_0 = 1.0 / (e + 2.0 * J * u) if edge else 1.0 / (d - 2.0 * J * c)
-    cut = (_LOG_TINY - math.log(g_0)) / math.log(max(top, math.ulp(0.0))) + 2
-    ratios = chain((g_0,), repeat(tail[-1], sys.N - found), reversed(tail))
-    return list(islice(accumulate(ratios, operator.mul), min(int(cut), stop)))
-
-
-def _ring_entry(column: list[float], n: int) -> float:
-    """``g_n`` from a :func:`_ring_column`, exactly ``0.0`` past its cut."""
-    return column[n] if n < len(column) else 0.0
 
 
 def dispersion(sys: SymmetricSystem, k: float) -> float:

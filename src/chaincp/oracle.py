@@ -16,7 +16,7 @@ sharing one single-impurity level (the ED) or one grid (the quadrature).
       x = -\\lambda^2 \\left(g_0(x) + g_R(x)\\right)
 
   for the offset ``x = E - eps0``, with ``g_n(x) = -G_0n(eps0 + x)`` the
-  ring's Green's function (``lattice._ring_column``): exact in the coupling
+  ring's Green's function (``_ring._ring_column``): exact in the coupling
   and in ``N``, with no dense matrix and no mode sum.  Every ``g_n > 0``, so
   the odd level (``g_0 - g_R``) lies above this one.  The interaction is the
   shift ``D = x(R) - x1`` from the single-impurity level ``x1``, solved for
@@ -47,11 +47,11 @@ sharing one single-impurity level (the ED) or one grid (the quadrature).
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 
+from ._ring import _decay_ratio, _even_shift, _impurity_level
 from .errors import ConvergenceError, RegimeViolation
-from .lattice import SymmetricSystem, _ring_column, _ring_entry, _separations
+from .lattice import SymmetricSystem, _separations
 
 __all__ = [
     "cp_energy_ed",
@@ -69,60 +69,6 @@ REFINEMENT_TOL = 1e-13
 #: Quadrature point budget; refining past it raises
 #: :class:`~chaincp.errors.ConvergenceError`.
 MAX_POINTS = 2 ** 22
-
-#: Fixed-point steps per ED level; more raise :class:`~chaincp.errors.ConvergenceError`.
-MAX_STEPS = 200
-
-
-def _fixed_point(update, x: float, where: str) -> float:
-    """Iterate ``x = update(x)`` while the step strictly shrinks.
-
-    Returns once a step is zero or no smaller than the last: a contraction's
-    steps shrink until rounding, where iterates settle or alternate between
-    two floats.  A non-finite iterate, or :data:`MAX_STEPS` steps, raise
-    :class:`~chaincp.errors.ConvergenceError`.
-    """
-    last = math.inf
-    for _ in range(MAX_STEPS):
-        new = update(x)
-        if not math.isfinite(new):
-            raise ConvergenceError(f"ED fixed point reached {new!r} at {where}")
-        step = abs(new - x)
-        x = new
-        if step == 0.0 or step >= last:
-            return x
-        last = step
-    raise ConvergenceError(f"ED fixed point did not settle in {MAX_STEPS} steps at {where}")
-
-
-def _impurity_level(sys: SymmetricSystem) -> tuple[float, list[float]]:
-    """One impurity's level ``x1 = -lam^2 g_0(x1)``, with the ring column at ``x1``."""
-    lam_sq = sys.lam ** 2
-    x1 = _fixed_point(lambda x: -lam_sq * _ring_column(sys, x, stop=1)[0], 0.0,
-                      f"the single-impurity level, N={sys.N}")
-    return x1, _ring_column(sys, x1)
-
-
-def _even_shift(sys: SymmetricSystem, x1: float, column: list[float], R: int) -> float:
-    """Shift ``D = x(R) - x1`` of the even level at separation ``1 <= R <= N``.
-
-    ``column`` is the ring column at ``x1``.  Subtracting ``x1`` from the
-    secular equation, by the resolvent identity, leaves ``D (1 + lam^2 S) =
-    -lam^2 g_R(x1 + D)`` with ``S = g_0 g_0' + 2 sum_{n >= 1} g_n g_n'``,
-    unprimed factors at ``x1`` and primed ones at ``x1 + D``: only positive
-    terms, so nothing cancels.  ``S`` runs over the entries both columns
-    keep, since every product past either cut underflows to ``0.0``.  The
-    fixed point starts at ``-lam^2 g_R(x1)``.
-    """
-    lam_sq = sys.lam ** 2
-
-    def update(shift: float) -> float:
-        moved = _ring_column(sys, x1 + shift)
-        s = 2.0 * sum(map(operator.mul, column, moved)) - column[0] * moved[0]
-        return -lam_sq * _ring_entry(moved, R) / (1.0 + lam_sq * s)
-
-    return _fixed_point(update, -lam_sq * _ring_entry(column, R), f"R={R}, N={sys.N}")
-
 
 def cp_energy_ed(sys: SymmetricSystem, R: range) -> tuple[float, ...]:
     """Interaction energy at each separation in ``R`` from the exact ground energy.
@@ -154,7 +100,7 @@ def cp_energy_ed(sys: SymmetricSystem, R: range) -> tuple[float, ...]:
     seps = _separations(R, upper=sys.N // 4)
     x1, column = _impurity_level(sys)
     # the ring's decay ratio g_1 / g_0 at the bare level and at x1
-    q0, q1 = (g[1] / g[0] for g in (_ring_column(sys, 0.0, stop=2), column))
+    q0, q1 = _decay_ratio(sys, 0.0), _decay_ratio(sys, x1)
     # a flat band, or a ratio that underflows, has no decay rate to shift
     rate = math.log(q0 / q1) if q1 else 0.0
 

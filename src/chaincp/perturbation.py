@@ -21,17 +21,18 @@ the band parameter ``a = 2J/delta``:
 
 Every function returns levels measured from ``eps0``.  On the finite ring
 the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R`` at ``eps0``,
-ring image included; the band back-action is one term per mode.  Each
-doublet function takes one separation and returns one pair.  The band has
-one rule, ``_half_ring``, which :func:`band_energies` and the thermal
-kernel both read.
+ring image included, from ``_ring``; the band back-action is one term per
+mode.  Each doublet function takes one separation and returns one pair.
+The band has one rule, ``_half_ring``, which :func:`band_energies` and the
+thermal kernel both read.
 """
 
 from __future__ import annotations
 
 import math
 
-from .lattice import SymmetricSystem, _edge_safe_root, _ring_column, _ring_entry, _separation
+from ._ring import _doublet_halves
+from .lattice import SymmetricSystem, _decay_power, _edge_safe_root, _separation
 
 __all__ = [
     "band_energies",
@@ -74,26 +75,14 @@ def symmetric_spectrum_ksum(sys: SymmetricSystem, R: int) -> tuple[float, float]
     combinations and the splitting is twice the mediated hopping.  The mode
     sums for the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R``,
     read off one column ``g_n = -G_0n`` of the ring's Green's function
-    (``lattice._ring_column``), to full relative precision at every ``R``, as
-    the thermal kernel's ``m -+ h_R`` (:func:`_doublet_halves`).  This is the
-    finite-``N`` reference that the closed forms approximate; the band it
+    (``_ring._ring_column``), to full relative precision at every ``R``, as
+    the thermal kernel's ``m -+ h_R`` (``_ring._doublet_halves``).  This is
+    the finite-``N`` reference that the closed forms approximate; the band it
     shifts is :func:`band_energies`.
     """
     _separation(R, upper=sys.N)
     m, (h,) = _doublet_halves(sys, range(R, R + 1))
     return m - h, m + h
-
-
-def _doublet_halves(sys: SymmetricSystem, seps: range) -> tuple[float, list[float]]:
-    """Doublet mean ``m = -lam^2 g_0`` and half-splittings ``h_R = lam^2 g_R``, ``R`` in ``seps``.
-
-    The doublet at ``R`` is ``(m - h_R, m + h_R)``, the levels of
-    :func:`symmetric_spectrum_ksum`; the mean and the half-splitting are
-    kept apart, so that a difference of two ``h`` never cancels against
-    ``m``.  The column is cut one site past the last separation.
-    """
-    column, lam_sq = _ring_column(sys, 0.0, stop=seps[-1] + 1), sys.lam ** 2
-    return -lam_sq * column[0], [lam_sq * _ring_entry(column, r) for r in seps]
 
 
 def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, float]:
@@ -104,10 +93,10 @@ def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, floa
     q^R`` is ``-expm1(R log1p(-(1 - q)))`` on the edge-safe ``1 - q``, which
     keeps its digits as ``q -> 1``, or exactly 1.0 once ``1 - q`` rounds to 1.
     At ``a = 0`` the band is flat, ``q = 0``, and the doublet is degenerate
-    at ``lam**2 / delta``.
+    at ``lam**2 / delta``.  The even level's ``q^R`` is ``lattice._decay_power``.
     """
     _separation(R, upper=sys.N)
     root, one_minus_q = _edge_safe_root(sys)
     base = sys.lam ** 2 / (sys.delta * root)
     odd = -math.expm1(R * math.log1p(-one_minus_q)) if one_minus_q < 1.0 else 1.0
-    return base * (1.0 + sys.q ** R), base * odd
+    return base * (1.0 + _decay_power(sys, R)), base * odd

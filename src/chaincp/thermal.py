@@ -4,8 +4,9 @@ One electron is shared between the doublet and the band, so the ensemble is
 a straight Boltzmann average over the ``2N + 3`` single-electron levels.  The
 doublet is ``m -+ h_R``, with the mean ``m = -lam^2 g_0`` and the
 half-splitting ``h_R = lam^2 g_R`` read off one column of the ring's Green's
-function, and the band is the same ring's ``2N + 1`` shifted modes ``b_k``.
-Measured from ``m``, the band enters a temperature only through two sums,
+function (``_ring._doublet_halves``), and the band is the same ring's ``2N +
+1`` shifted modes ``b_k``.  Measured from ``m``, the band enters a
+temperature only through two sums,
 
 .. math::
 
@@ -67,8 +68,9 @@ import math
 from typing import NamedTuple
 
 from . import perturbation
+from ._ring import _doublet_halves
 from .lattice import SymmetricSystem, _separation, _separations
-from .perturbation import _doublet_halves, band_energies
+from .perturbation import band_energies
 
 __all__ = [
     "ThermalEnsemble",
@@ -125,7 +127,7 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
 
     The explicit-levels reference for the thermal kernel: every level and its
     weight, as tuples, with the kernel's doublet rule
-    (:func:`~chaincp.perturbation._doublet_halves`).
+    (:func:`~chaincp._ring._doublet_halves`).
 
     Parameters
     ----------

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
+from chaincp._ring import _doublet_halves
 from chaincp.lattice import SymmetricSystem, _separation
-from chaincp.perturbation import _doublet_halves
 
 
 def dense_hamiltonian(ring: SymmetricSystem, eps1: float, eps2: float,

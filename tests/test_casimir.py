@@ -257,3 +257,32 @@ def test_closed_forms_are_accurate_across_the_band_up_to_its_edge():
                 err = float(abs(value - exact) / abs(exact)) / ((r + 1) * 2.0 ** -52)
                 worst[name] = max(worst[name], err)
     assert max(worst.values()) <= 4.0, worst
+
+
+#: Separations per band parameter, up to where ``E_cp`` is still a normal float.
+DECAY_GRID = {-0.6: (1, 2, 10, 100, 300, 600), -0.9: (1, 10, 100, 300, 1000),
+              -0.999: (1, 10, 100, 1000, 3000, 10000),
+              -0.99999: (1, 10, 100, 1000, 3000, 10000, 20000)}
+
+
+@pytest.mark.parametrize("a", sorted(DECAY_GRID))
+def test_closed_forms_carry_the_error_of_their_decay_not_of_R(a):
+    # q ** R would amplify the rounding of q R times: 2029 ulp at a = -0.999,
+    # R = 10000, against Gamma R = 447.  Each energy, force and even level is
+    # within (Gamma R + 2) ulp of 50-digit values from the system's floats,
+    # Gamma = -log q, the digits the answer's own decay costs
+    sys_ = SymmetricSystem(delta=-1.0, J=-a / 2.0, lam=0.01, N=20001)
+    with mp.workdps(50):
+        lam_sq, delta = mp.mpf(sys_.lam) ** 2, mp.mpf(sys_.delta)
+        a_exact = 2 * mp.mpf(sys_.J) / delta
+        root = mp.sqrt(1 - a_exact ** 2)
+        q = (root - 1) / a_exact
+        gamma = float(-mp.log(q))
+        for r in DECAY_GRID[a]:
+            energy = lam_sq / delta * q ** r / root
+            rel = (gamma * r + 2.0) * 2.0 ** -52
+            assert cp_energy(sys_, r) == pytest.approx(float(energy), rel=rel, abs=0), r
+            assert ecp_force(sys_, r) == pytest.approx(float(energy * (1 - q)), rel=rel, abs=0), r
+            even = lam_sq / (delta * root) * (1 + q ** r)
+            assert symmetric_spectrum_closed(sys_, r)[0] == pytest.approx(float(even), rel=rel,
+                                                                          abs=0), r

@@ -238,7 +238,8 @@ def test_a_tiny_detuning_gives_the_same_cells_at_any_eps0(tmp_path):
 
 def test_omega_is_an_alias_for_the_detuning():
     cfg = load_config(["--mode", "force-sweep", "--omega", "1.8"])
-    assert cfg["delta"] == pytest.approx(-0.8)
+    # 1.0 - 1.8 is exact (Sterbenz) and is the float -0.8
+    assert cfg["delta"] == -0.8
     # consistent pair is accepted
     cfg2 = load_config(["--mode", "force-sweep", "--omega", "2.0", "--delta", "-1.0"])
     assert cfg2["delta"] == -1.0

@@ -7,8 +7,14 @@ one exactly; ``golden/demos/`` holds each demo's stdout, which
 them all from the root of the checkout with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each table it rewrites with new bytes, how many cells
+changed and the largest relative move per column, and names each demo whose
+stdout changed.
 """
 
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -226,13 +232,75 @@ def test_exit_code(args, code, tmp_path):
     assert main(argv) == code
 
 
+def table_parts(text):
+    """``(header, columns, rows)`` of a CSV or JSON table, every cell as its text."""
+    if text.startswith("{"):
+        table = json.loads(text)
+        return table["meta"], table["columns"], [list(map(json.dumps, row)) for row in table["rows"]]
+    header = [line for line in text.splitlines() if line.startswith("#")]
+    columns, *rows = (line.split(",") for line in text.splitlines() if not line.startswith("#"))
+    return header, columns, rows
+
+
+def moves(old, new):
+    """What regenerating a table moved: a header, rows, or cells and each column's largest move.
+
+    A cell's move is ``|new - old| / |old|``: infinite off a zero, ``nan``
+    for a cell that is not a number.
+    """
+    (old_header, columns, old_rows), (new_header, new_columns, new_rows) = map(
+        table_parts, (old, new))
+    found = ["header changed"] if old_header != new_header else []
+    if columns != new_columns or len(old_rows) != len(new_rows):
+        return ", ".join(found + [f"columns or row count changed: {len(old_rows)} -> "
+                                  f"{len(new_rows)} rows"])
+    largest, cells = {}, 0
+    for old_row, new_row in zip(old_rows, new_rows):
+        for column, a, b in zip(columns, old_row, new_row):
+            if a == b:
+                continue
+            cells += 1
+            try:
+                a, b = float(a), float(b)
+                move = abs(b - a) / abs(a) if a else math.inf
+            except ValueError:
+                move = math.nan
+            largest[column] = max(largest.get(column, move), move, key=lambda m: (m == m, m))
+    if cells:
+        found.append(f"{cells} cells changed, largest relative move "
+                     + ", ".join(f"{column} {move:.2g}" for column, move in largest.items()))
+    return "; ".join(found)
+
+
+def test_a_regeneration_report_names_every_move():
+    old = "# J = 1\nR,energy,ok\n1,-2.0,True\n2,-1.0,True\n3,0.0,True\n"
+    new = "# J = 2\nR,energy,ok\n1,-2.0,True\n2,-1.5,True\n3,1e-300,False\n"
+    assert moves(old, new) == "header changed; 3 cells changed, largest relative move " \
+                              "energy inf, ok nan"
+    assert moves(old, old.replace("-1.0", "-1.25")) == \
+        "1 cells changed, largest relative move energy 0.25"
+    as_json = json.dumps({"meta": {}, "columns": ["R", "ok"], "rows": [[1, True]]})
+    assert moves(as_json, as_json.replace("true", "false")) == \
+        "1 cells changed, largest relative move ok nan"
+    assert moves(old, old + "4,0.5,True\n") == "columns or row count changed: 3 -> 4 rows"
+
+
 if __name__ == "__main__":
     from test_demos import DEMOS, GOLDEN_DEMOS, demo_stdout
 
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in TABLES.items():
-        if main(argv + ["--output", str(GOLDEN / name)]) != 0:
+        path = GOLDEN / name
+        old = path.read_text(encoding="ascii") if path.exists() else None
+        if main(argv + ["--output", str(path)]) != 0:
             raise SystemExit(f"chaincp {' '.join(argv)} failed")
+        new = path.read_text(encoding="ascii")
+        if old != new:
+            print(f"{name}: {'new table' if old is None else moves(old, new)}")
     GOLDEN_DEMOS.mkdir(exist_ok=True)
     for demo in DEMOS:
-        (GOLDEN_DEMOS / f"{demo.stem}.txt").write_text(demo_stdout(demo), encoding="utf-8")
+        path = GOLDEN_DEMOS / f"{demo.stem}.txt"
+        old, new = path.read_text(encoding="utf-8") if path.exists() else None, demo_stdout(demo)
+        if old != new:
+            print(f"demos/{path.name}: stdout changed")
+        path.write_text(new, encoding="utf-8")

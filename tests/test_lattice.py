@@ -16,11 +16,11 @@ from numpy.testing import assert_allclose
 
 import chaincp
 from chaincp.casimir import cp_energy, force_curve
+from chaincp._ring import _ring_column, _ring_entry
 from chaincp.errors import RegimeViolation
 from chaincp.lattice import (
     SymmetricSystem,
-    _ring_column,
-    _ring_entry,
+    _edge_safe_root,
     _separation,
     _separations,
     brillouin_modes,
@@ -41,8 +41,9 @@ def ring(N, J=0.3):
 def test_chain_band_edges():
     sys_ = ring(10)
     assert sys_.num_sites == 21
-    assert sys_.band_bottom == pytest.approx(1.4)
-    assert sys_.band_top == pytest.approx(2.6)
+    # 2.0 -+ 0.6 rounds to the floats 1.4 and 2.6
+    assert sys_.band_bottom == 1.4
+    assert sys_.band_top == 2.6
     # the gap is an offset from the level, read off delta and J alone
     assert sys_.gap == -(sys_.delta + 2 * sys_.J) == 0.4
 
@@ -201,6 +202,27 @@ def test_ring_column_cut_drops_only_rounding_debris_above_a_half():
         assert g_n < mp.mpf(math.ulp(0.0)) / 2
 
 
+@pytest.mark.parametrize("a", [-0.6, -0.9, -0.99, -0.99999])
+def test_ring_column_error_grows_with_n_as_its_docstring_states(a):
+    # the running product rounds once a site: against a 60-digit elimination,
+    # every normal g_n is within (n + 1 / (1 - q)) units of 2^-52; g_R is
+    # 636 units off at a = -0.9, R = 1000 and 5617 at a = -0.99999, R = 20000
+    sys_ = SymmetricSystem(delta=-1.0, J=-a / 2.0, lam=0.01, N=20000)
+    column = _ring_column(sys_, 0.0)
+    settle = 1.0 / _edge_safe_root(sys_)[1]
+    with mp.workdps(60):
+        d, J = -mp.mpf(sys_.delta), mp.mpf(sys_.J)
+        ratios = [J / (d - J)]
+        for _ in range(sys_.N - 1):
+            ratios.append(J / (d - J * ratios[-1]))
+        exact = 1 / (d - 2 * J * ratios[-1])
+        for n, g_n in enumerate(column):
+            exact *= ratios[-n] if n else 1
+            if g_n < 2.0 ** -1022:  # past the normal floats
+                break
+            assert abs(g_n - exact) <= (n + settle) * 2.0 ** -52 * exact, n
+
+
 def test_brillouin_modes_cover_the_zone():
     modes = brillouin_modes(ring(6))
     assert type(modes) is tuple and len(modes) == 13
@@ -280,6 +302,23 @@ def test_only_lattice_and_cli_read_the_impurity_level():
         if any(tok.string == "." and nxt.string == "eps0" for tok, nxt in zip(tokens, tokens[1:])):
             readers.add(path.name)
     assert readers == {"lattice.py", "cli.py"}
+
+
+def test_only_the_ring_module_builds_or_reads_a_ring_column():
+    # a ring column's layout (cut where it underflows, 0.0 past the cut, shortened
+    # by stop) is _ring's to know: no other module defines, imports or names
+    # the column, its reader or the fixed point that solves on it
+    private = {"_ring_column", "_ring_entry", "_fixed_point"}
+    found = set()
+    for path in sorted(Path(chaincp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "name", None), getattr(node, "id", None),
+                     getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+            found.update((path.name, name) for name in names & private)
+    assert {module for module, _ in found} == {"_ring.py"}
+    assert {name for _, name in found} == private
 
 
 @pytest.mark.parametrize("eps0", [0.0, 1.0, 1e14, 1e16])

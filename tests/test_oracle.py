@@ -21,20 +21,18 @@ from numpy.testing import assert_allclose
 from test_lattice import full_elimination
 
 import chaincp
-from chaincp import oracle, perturbation, thermal
+from chaincp import _ring, oracle, thermal
+from chaincp._ring import _even_shift, _impurity_level, _ring_column
 from chaincp.casimir import cp_energy
 from chaincp.cli import main as cli_main
 from chaincp.errors import ConvergenceError, RegimeViolation
 from chaincp.lattice import (
     SymmetricSystem,
-    _ring_column,
     brillouin_modes,
     dispersion,
 )
 from chaincp.oracle import (
     ED_TOL,
-    _even_shift,
-    _impurity_level,
     cp_energy_ed,
     cp_energy_quadrature,
 )
@@ -201,12 +199,12 @@ def test_ed_fixed_point_that_alternates_between_two_floats_returns(monkeypatch):
     # two floats 2.1e-21 (1.1e-15 of the shift) apart: a step that no longer
     # shrinks ends it
     iterates = []
-    real_fixed_point = oracle._fixed_point
+    real_fixed_point = _ring._fixed_point
 
     def recording(update, x, where):
         return real_fixed_point(lambda y: iterates.append(update(y)) or iterates[-1], x, where)
 
-    monkeypatch.setattr(oracle, "_fixed_point", recording)
+    monkeypatch.setattr(_ring, "_fixed_point", recording)
     sys_ = fig_system(J=0.499, lam=0.001, N=100)
     x1, column = _impurity_level(sys_)
     iterates.clear()
@@ -224,7 +222,7 @@ def test_ed_non_finite_iterate_is_a_convergence_error(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"reached nan at the single-impurity level, N=40$"):
         cp_energy_ed(sys_, range(1, 2))
     # a ring column poisoned past site 2 spoils every shift but not the level
-    real_column = oracle._ring_column
+    real_column = _ring._ring_column
 
     def poisoned(sys_, x, stop=math.inf):
         column = real_column(sys_, x, stop)
@@ -232,13 +230,13 @@ def test_ed_non_finite_iterate_is_a_convergence_error(monkeypatch):
             column[3] = math.nan
         return column
 
-    monkeypatch.setattr(oracle, "_ring_column", poisoned)
+    monkeypatch.setattr(_ring, "_ring_column", poisoned)
     with pytest.raises(ConvergenceError, match=r"reached nan at R=1, N=40$"):
         cp_energy_ed(fig_system(N=40), range(1, 3))
 
 
 def test_ed_step_cap_is_a_convergence_error(monkeypatch):
-    monkeypatch.setattr(oracle, "MAX_STEPS", 2)
+    monkeypatch.setattr(_ring, "MAX_STEPS", 2)
     with pytest.raises(ConvergenceError, match=r"did not settle in 2 steps"):
         cp_energy_ed(fig_system(N=40), range(1, 2))
 
@@ -268,8 +266,7 @@ def test_ed_and_ksum_give_the_floats_of_the_uncut_column(J, lam, N, seps, past, 
         return list(cp_energy_ed(sys_, seps)), doublets
 
     shifts, doublets = floats()
-    monkeypatch.setattr(oracle, "_ring_column", full_elimination)
-    monkeypatch.setattr(perturbation, "_ring_column", full_elimination)
+    monkeypatch.setattr(_ring, "_ring_column", full_elimination)
     uncut_shifts, uncut_doublets = floats()
     assert list(map(float.hex, shifts)) == list(map(float.hex, uncut_shifts))
     assert doublets == uncut_doublets

@@ -13,12 +13,12 @@ import pytest
 from mpmath import mp, mpf
 
 import chaincp
-from chaincp import perturbation, thermal
+from chaincp import _ring, perturbation, thermal
+from chaincp._ring import _doublet_halves, _ring_column, _ring_entry
 from chaincp.casimir import ecp_force
 from chaincp.cli import CANCEL_EPS, main
-from chaincp.lattice import (SymmetricSystem, _ring_column, _ring_entry, brillouin_modes,
-                             dispersion)
-from chaincp.perturbation import _doublet_halves, band_energies, symmetric_spectrum_ksum
+from chaincp.lattice import SymmetricSystem, brillouin_modes, dispersion
+from chaincp.perturbation import band_energies, symmetric_spectrum_ksum
 from chaincp.thermal import (
     ThermalRow,
     _growth_violations,
@@ -390,8 +390,8 @@ def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch)
     def forbidden(*args):
         raise AssertionError("the thermal kernel built an explicit band or spectrum")
 
-    monkeypatch.setattr(perturbation, "_ring_column",
-                        counting(columns, perturbation._ring_column,
+    monkeypatch.setattr(_ring, "_ring_column",
+                        counting(columns, _ring._ring_column,
                                  lambda sys_, *_, **kw: sys_.N))
     monkeypatch.setattr(thermal, "_band_sums",
                         counting(sums, thermal._band_sums, lambda sys_, m, beta: (sys_.N, beta)))
