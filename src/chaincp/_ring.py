@@ -26,8 +26,9 @@ from itertools import accumulate, chain, islice, repeat
 from .errors import ConvergenceError
 from .lattice import SymmetricSystem
 
-#: ``log`` of the smallest subnormal float, 5e-324, where the ring column stops.
-_LOG_TINY = math.log(math.ulp(0.0))
+#: ``log`` of half the smallest subnormal float: below it a float rounds to
+#: 0.0, and the ring column stops.
+_LOG_ZERO = math.log(math.ulp(0.0)) - math.log(2.0)
 
 #: Fixed-point steps per ED level; more raise :class:`~chaincp.errors.ConvergenceError`.
 MAX_STEPS = 200
@@ -52,12 +53,15 @@ def _ring_column(sys: SymmetricSystem, x: float, stop: float = math.inf) -> list
     ratio is carried as itself, since ``1 - u`` would lose its relative digits
     as ``c -> 0``.  The ratios fall, so the switch happens at most once.
 
-    This is the package's only evaluation of the finite ring.  ``c_N`` is the
-    largest ratio, so ``g_n <= g_0 c_N^n``: the column stops at ``n = log(5e-324
-    / g_0) / log(c_N) + 2``, past which that bound is below the smallest
-    subnormal.  :func:`_ring_entry` reads ``g_n`` past the cut as ``0.0``.
-    Above ``c = 1/2`` the site-by-site product would instead stick at the
-    smallest subnormals, since ``5e-324 c`` rounds back up.  A caller that
+    This is the package's only evaluation of the finite ring.  The column
+    stops at the first ``g_n`` below half the smallest subnormal, whose
+    correctly rounded value is ``0.0``; :func:`_ring_entry` reads ``g_n`` past
+    the cut as that ``0.0``.  Above ``c = 1/2`` the site-by-site product would
+    instead stick at the smallest subnormals, since ``5e-324 c`` rounds back
+    up.  The cut reads ``log g_n = log g_0 + sum log c_i``: ``n log c_1``
+    where the ratio has repeated, and a running sum of logs past that, only
+    when ``g_0 c_1^n``, which bounds ``g_n`` from below since ``c_1`` is the
+    smallest ratio, stays above the floor there.  A caller that
     reads only the first entries ends the column sooner, at ``n < stop``, and
     keeps only the ratios those entries need: near the band edge no ratio
     repeats, and holding all ``N`` of them would make a short column cost
@@ -73,7 +77,7 @@ def _ring_column(sys: SymmetricSystem, x: float, stop: float = math.inf) -> list
     -0.99999``, ``R = 20000``.
     """
     d, e, J = -(x + sys.delta), sys.gap - x, sys.J
-    e_J, top = e + J, J / (d - J)
+    e_J = e + J
     # c_N, c_{N-1}, .. until a ratio repeats; the last one then fills c_1 upwards.
     # The mirror's u_{N+1} = 1 - c_{N+1} = 0 starts both recursions.
     tail = deque(maxlen=None if stop == math.inf else max(int(stop) - 1, 1))
@@ -92,9 +96,20 @@ def _ring_column(sys: SymmetricSystem, x: float, stop: float = math.inf) -> list
         tail.append(ratio)
         found, c = found + 1, ratio
     g_0 = 1.0 / (e + 2.0 * J * u) if edge else 1.0 / (d - 2.0 * J * c)
-    cut = (_LOG_TINY - math.log(g_0)) / math.log(max(top, math.ulp(0.0))) + 2
-    ratios = chain((g_0,), repeat(tail[-1], sys.N - found), reversed(tail))
-    return list(islice(accumulate(ratios, operator.mul), min(int(cut), stop)))
+    size, bulk, sites = min(sys.N + 1, stop), tail[-1], sys.N - found
+    # log(g_n / g_0) below floor: g_n rounds to 0.0, and the column ends before it
+    floor = _LOG_ZERO - math.log(g_0)
+    # g_n >= g_0 c_1^n, with equality while the ratio repeats; a ratio of 0.0
+    # counts as 5e-324
+    decay = math.log(max(bulk, math.ulp(0.0)))
+    first = int(floor / decay) + 1
+    if sites < first < size:
+        above = map(max, reversed(tail), repeat(math.ulp(0.0)))
+        logs = accumulate(map(math.log, above), initial=sites * decay)
+        first = next((n for n, log_g in enumerate(logs, sites) if log_g < floor), size)
+    size = min(size, first)
+    ratios = chain((g_0,), repeat(bulk, sites), reversed(tail))
+    return list(islice(accumulate(ratios, operator.mul), size))
 
 
 def _ring_entry(column: list[float], n: int) -> float:

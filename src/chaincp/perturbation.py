@@ -23,8 +23,9 @@ Every function returns levels measured from ``eps0``.  On the finite ring
 the shift and the hopping are ``lam^2 G_00`` and ``lam^2 G_0R`` at ``eps0``,
 ring image included, from ``_ring``; the band back-action is one term per
 mode.  Each doublet function takes one separation and returns one pair.
-The band has one rule, ``_half_ring``, which :func:`band_energies` and the
-thermal kernel both read.
+The band has one rule, ``_band_runs``, which yields its levels in runs of
+consecutive modes; :func:`band_energies` and the thermal kernel both read
+it.
 """
 
 from __future__ import annotations
@@ -41,21 +42,30 @@ __all__ = [
 ]
 
 
-def _half_ring(sys: SymmetricSystem, m: float):
-    """``(multiplicity, b_n - m)`` for the band modes ``n = 0 .. N``, one at a time.
+#: Modes per run of :func:`_band_runs`: long enough that a run's sums cost
+#: little per mode, short enough that its lists stay a few tens of KB.
+_RUN = 512
+
+
+def _band_runs(sys: SymmetricSystem, m: float):
+    """``(multiplicity, [b_n - m, ..])`` for the band modes ``n = 0 .. N``, in runs.
 
     ``b_n = Omega_n - eps0 + 2 g^2 / (Omega_n - eps0)`` is the shifted level
     of the mode ``k_n = 2 pi n / (2N + 1)``, from the offset ``Omega_n - eps0
     = -(delta + 2 J cos k_n)``.  The mode ``n`` and its partner ``-n`` share
-    it, so each ``n >= 1`` counts twice.
+    it, so mode 0 comes first, alone, counted once, and then every ``n >= 1``
+    counts twice, in runs of :data:`_RUN` consecutive modes.
     """
     delta, width, ns = sys.delta, 2.0 * sys.J, sys.num_sites
     shift, turn, cos = 2.0 * (sys.lam ** 2 / ns), 2.0 * math.pi, math.cos
-    multiplicity = 1.0
-    for n in range(sys.N + 1):
-        offset = -(delta + width * cos(turn * n / ns))
-        yield multiplicity, offset + shift / offset - m
-        multiplicity = 2.0
+
+    def levels(modes: range) -> list[float]:
+        return [(offset := -(delta + width * cos(turn * n / ns))) + shift / offset - m
+                for n in modes]
+
+    yield 1.0, levels(range(1))
+    for start in range(1, sys.N + 1, _RUN):
+        yield 2.0, levels(range(start, min(start + _RUN, sys.N + 1)))
 
 
 def band_energies(sys: SymmetricSystem) -> tuple[float, ...]:
@@ -63,7 +73,7 @@ def band_energies(sys: SymmetricSystem) -> tuple[float, ...]:
 
     Modes run ``n = -N .. N``; each ``-n`` takes the level of ``n``.
     """
-    half = [level for _, level in _half_ring(sys, 0.0)]
+    half = [level for _, run in _band_runs(sys, 0.0) for level in run]
     return (*reversed(half[1:]), *half)
 
 

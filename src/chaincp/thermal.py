@@ -38,11 +38,14 @@ scaled by ``e^{-beta h}``, so no ``exp`` overflows as ``T -> 0``.  ``T = 0``,
 and a ``T`` so small that ``1 / T`` overflows, take the exact limit: all
 weight on the even level, ``E = m - h_R`` and ``f = h_{R + 1} - h_R``.
 
-Each sum is one ``math.fsum`` over the band rule of
-:mod:`~chaincp.perturbation`, a generator that walks the modes ``n = 0 ..
-N``, counting each ``n >= 1`` twice for its partner ``-n``: no list of the
-band is ever built, so a temperature costs O(N) time and O(1) memory, and
-each ``(T, R)`` row O(1).  ``thermal-sweep`` refuses a band of more than
+Both sums come from one walk of the band rule of
+:mod:`~chaincp.perturbation`, which yields the modes ``n = 0 .. N`` in runs
+of a few hundred, counting each ``n >= 1`` twice for its partner ``-n``.
+Each mode's weight is taken once, and each sum carries the exact sum of the
+runs so far as a few floats, rounded once at the end: the float that one
+``math.fsum`` over all ``2N + 1`` terms gives.  No list of the band is ever
+built, so a temperature costs O(N) time and O(run) memory, and each ``(T,
+R)`` row O(1).  ``thermal-sweep`` refuses a band of more than
 :data:`~chaincp.cli.MAX_MODES` modes.
 
 Raising ``T`` moves weight from the even doublet state first onto its odd
@@ -154,16 +157,40 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     return ThermalEnsemble(energies=energies, weights=tuple(w / total for w in shifted))
 
 
+def _exact(terms: list[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of ``terms``, largest first.
+
+    ``math.fsum`` rounds the exact sum correctly; the rest it leaves is summed
+    again, with each rounded part taken out as ``-part``, until nothing is
+    left (Shewchuk, DCG 18:305, 1997).  A part that is not finite ends it.
+    ``terms`` is consumed.
+    """
+    parts = []
+    while part := math.fsum(terms):
+        parts.append(part)
+        if not math.isfinite(part):
+            break
+        terms.append(-part)
+    return parts
+
+
 def _band_sums(sys: SymmetricSystem, m: float, beta: float) -> tuple[float, float]:
     """``(Z, S)``, the band's Boltzmann sum and its energy-weighted sum, from ``m``.
 
-    Every band level lies above ``m``, so no weight exceeds 1.  ``beta`` is
-    finite: at ``T = 0`` the kernel needs no band.
+    One walk of the band rule: each mode's weight ``e = e^{-beta x}`` is taken
+    once, for the terms ``k e`` and ``(k x) e``.  Each sum carries the exact
+    sum of the runs so far as a few floats (:func:`_exact`), so the result is
+    the correctly rounded sum of every term, as one ``math.fsum`` over all of
+    them gives, in O(run) memory.  Every band level lies above ``m``, so no
+    weight exceeds 1.  ``beta`` is finite: at ``T = 0`` the kernel needs no
+    band.
     """
-    exp, half_ring = math.exp, perturbation._half_ring
-    z = math.fsum(k * exp(-beta * x) for k, x in half_ring(sys, m))
-    s = math.fsum(k * x * exp(-beta * x) for k, x in half_ring(sys, m))
-    return z, s
+    exp, z, s = math.exp, [], []
+    for k, run in perturbation._band_runs(sys, m):
+        weights = [exp(-beta * x) for x in run]
+        z = _exact(z + [k * e for e in weights])
+        s = _exact(s + [k * x * e for x, e in zip(run, weights)])
+    return math.fsum(z), math.fsum(s)
 
 
 def _pair_share(h: float, beta: float, z: float, s: float) -> float:
@@ -201,7 +228,7 @@ def thermal_table(sys: SymmetricSystem, temperatures, R: range) -> tuple[Thermal
     """Thermal energy and force for every temperature and every separation in ``R``.
 
     One ring column gives the doublets, out to one site past the last
-    separation; per temperature, each of the band's two sums walks it once,
+    separation; per temperature, one walk of the band gives both its sums,
     and every row is then O(1).  Rows run over ``R`` within each
     temperature, in the order given.
 

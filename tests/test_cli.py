@@ -946,3 +946,48 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
     assert out.exists()
     assert "wrote" in proc.stderr
+
+
+#: The energy keys each scaled preset reads, and the columns that are energies,
+#: forces or temperatures.
+SCALED_COLUMNS = {"fig2": {"J", "delta", "energy", "force", "abs_force"},
+                  "fig5": {"T", "energy", "force"}}
+ENERGY_KEYS = ("eps0", "delta", "J", "lambda", "j_values", "temperatures")
+
+
+def scaled_table(tmp_path, preset, k):
+    """``preset`` with every energy key and temperature times ``2^k``: its columns and rows."""
+    argv = ["--preset", preset]
+    for key in ENERGY_KEYS:
+        if key in PRESETS[preset]:
+            value = PRESETS[preset][key]
+            scaled = [math.ldexp(v, k) for v in (value if isinstance(value, tuple) else (value,))]
+            argv += [_flag(key), ",".join(map(repr, scaled))]
+    out = tmp_path / f"{preset}-{k}.csv"
+    assert main(argv + ["--output", str(out)]) == 0
+    _, columns, rows = read_csv(out)
+    return columns, rows
+
+
+@pytest.mark.parametrize("k", [
+    -300, 300, 450,
+    pytest.param(-600, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 17: lam ** 2 underflows, and every energy and force is silently 0")),
+    pytest.param(520, marks=pytest.mark.xfail(
+        strict=True, raises=OverflowError,
+        reason="ROADMAP item 17: lam ** 2 overflows, an OverflowError instead of an exit code")),
+])
+@pytest.mark.parametrize("preset", sorted(SCALED_COLUMNS))
+def test_a_power_of_two_energy_unit_scales_every_cell_bit_for_bit(tmp_path, preset, k):
+    # scaling every energy and temperature by 2^k is exact, so every energy,
+    # force and temperature cell must scale by 2^k exactly, and no other moves
+    columns, base = scaled_table(tmp_path, preset, 0)
+    scaled_columns, scaled = scaled_table(tmp_path, preset, k)
+    assert scaled_columns == columns and len(scaled) == len(base)
+    for row, scaled_row in zip(base, scaled):
+        for column, cell, scaled_cell in zip(columns, row, scaled_row):
+            if column in SCALED_COLUMNS[preset]:
+                assert float(scaled_cell) == math.ldexp(float(cell), k), (column, row)
+            else:
+                assert scaled_cell == cell, (column, row)

@@ -180,9 +180,9 @@ def test_ring_column_early_exit_gives_the_floats_of_the_full_elimination(J, N):
 
 def test_ring_column_cut_drops_only_rounding_debris_above_a_half():
     # above a decay ratio of 1/2 the site-by-site product never reaches 0.0,
-    # as 5e-324 * c rounds back to 5e-324.  Past the cut the bound g_0 c_N^n
-    # is below 5e-324, and here the true g_n is below half of it, so the cut's
-    # 0.0 is the correctly rounded value and the full elimination's is not
+    # as 5e-324 * c rounds back to 5e-324.  The cut is where the true g_n falls
+    # below half of 5e-324, so the cut's 0.0 is the correctly rounded value and
+    # the full elimination's is not, and the last entry kept rounds to no 0.0
     sys_ = SymmetricSystem(delta=-1.0, J=0.45, lam=0.01, N=5000)
     full = full_elimination(sys_, 0.0)
     column = _ring_column(sys_, 0.0)
@@ -192,14 +192,36 @@ def test_ring_column_cut_drops_only_rounding_debris_above_a_half():
     ratios = full_ratios(sys_, 0.0)
     assert max(ratios[1:]) == ratios[-1] > 0.5
     with mp.workdps(30):
-        assert mp.mpf(column[0]) * mp.mpf(ratios[-1]) ** n < math.ulp(0.0)
         # the same elimination in 30 digits, from site N down to site 1
         d, J = -mp.mpf(sys_.delta), mp.mpf(sys_.J)
         exact = [J / (d - J)]
         for _ in range(sys_.N - 1):
             exact.append(J / (d - J * exact[-1]))
         g_n = 1 / (d - 2 * J * exact[-1]) * mp.fprod(exact[::-1][:n])
-        assert g_n < mp.mpf(math.ulp(0.0)) / 2
+        assert g_n < mp.mpf(math.ulp(0.0)) / 2 <= g_n / exact[-n]
+
+
+@pytest.mark.parametrize("N", [5300, 20000])
+def test_ring_column_ends_where_the_true_column_rounds_to_zero(N):
+    # at a = -0.99 the largest ratio c_N = 0.98 is far above the bulk c_1 =
+    # 0.87: a cut from g_0 c_N^n kept all 20001 entries at N = 20000, 14999 of
+    # them subnormal and stuck at 1.5e-323 where the true g_n is below 1e-600.
+    # At N = 5300 the cut falls among the ratios that never repeated
+    sys_ = SymmetricSystem(delta=-1.0, J=0.495, lam=0.01, N=N)
+    column = _ring_column(sys_, 0.0)
+    n = len(column)
+    assert column == full_elimination(sys_, 0.0, stop=n)
+    with mp.workdps(60):
+        d, J = -mp.mpf(sys_.delta), mp.mpf(sys_.J)
+        ratios = [J / (d - J)]  # c_N down to c_1
+        for _ in range(sys_.N - 1):
+            ratios.append(J / (d - J * ratios[-1]))
+        exact = [1 / (d - 2 * J * ratios[-1])]
+        for c in reversed(ratios):
+            exact.append(exact[-1] * c)
+        # every g_n past the cut rounds to 0.0, and the last one kept does not
+        assert n <= N and exact[n] < mp.mpf(math.ulp(0.0)) / 2 <= exact[n - 1]
+    assert _ring_entry(column, min(19000, N)) == 0.0 < column[-1]
 
 
 @pytest.mark.parametrize("a", [-0.6, -0.9, -0.99, -0.99999])

@@ -1,10 +1,13 @@
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chaincp
 from chaincp.errors import RegimeViolation
 from chaincp.lattice import SymmetricSystem, brillouin_modes, dispersion
 from chaincp.perturbation import (
@@ -150,3 +153,20 @@ def test_ksum_large_chain_agrees_with_closed_form():
     assert ksum_plus == pytest.approx(e_plus, rel=1e-10, abs=0)
     assert ksum_minus == pytest.approx(e_minus, rel=1e-10, abs=0)
 
+
+
+def test_only_perturbation_defines_the_band_rule():
+    # the band's levels have one formula: perturbation defines the rule, and
+    # only it (for band_energies) and the thermal kernel import or read it
+    definers, readers = set(), set()
+    for path in sorted(Path(chaincp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_band_runs":
+                definers.add(path.name)
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+            if "_band_runs" in names:
+                readers.add(path.name)
+    assert definers == {"perturbation.py"}
+    assert readers == {"perturbation.py", "thermal.py"}

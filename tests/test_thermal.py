@@ -1,10 +1,12 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import dense_reference
@@ -377,8 +379,8 @@ def test_infinite_temperature_stays_legal_in_the_table():
 
 
 def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch):
-    # one ring column per chain; per (chain, T), the band streamed once into
-    # each of its two sums, and never an explicit band, spectrum or ensemble
+    # one ring column per chain; per (chain, T), one walk of the band for both
+    # of its sums, and never an explicit band, spectrum or ensemble
     columns, sums, walks = Counter(), Counter(), Counter()
 
     def counting(counter, fn, key):
@@ -395,8 +397,8 @@ def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch)
                                  lambda sys_, *_, **kw: sys_.N))
     monkeypatch.setattr(thermal, "_band_sums",
                         counting(sums, thermal._band_sums, lambda sys_, m, beta: (sys_.N, beta)))
-    monkeypatch.setattr(perturbation, "_half_ring",
-                        counting(walks, perturbation._half_ring, lambda sys_, m: sys_.N))
+    monkeypatch.setattr(perturbation, "_band_runs",
+                        counting(walks, perturbation._band_runs, lambda sys_, m: sys_.N))
     for name in ("band_energies", "thermal_ensemble"):
         monkeypatch.setattr(thermal, name, forbidden)
     monkeypatch.setattr(perturbation, "symmetric_spectrum_ksum", forbidden)
@@ -405,9 +407,9 @@ def test_thermal_sweep_builds_each_band_and_ensemble_once(tmp_path, monkeypatch)
                  "--temperatures", "0,0.1,1", "--rmin", "1", "--rmax", "8",
                  "--output", str(out)]) == 0
     assert columns == {50: 1, 100: 1}
-    # T = 0 needs no band: only T = 0.1 and T = 1 sum it, walking it once per sum
+    # T = 0 needs no band: only T = 0.1 and T = 1 sum it, walking it once each
     assert sums == {(n, beta): 1 for n in (50, 100) for beta in (10.0, 1.0)}
-    assert walks == {50: 4, 100: 4}
+    assert walks == {50: 2, 100: 2}
 
     # the library table at one R gives the same floats, bit for bit
     lines = [line.split(",") for line in out.read_text().splitlines()
@@ -492,6 +494,103 @@ def test_the_ensemble_is_the_numpy_ensemble(delta, J, lam):
             energies, weights = dense_reference.ensemble(sys_, temp, 1)
             assert _hex(ens.energies) == _hex(energies), (n, temp)
             assert ens.weights == pytest.approx(weights.tolist(), rel=1e-15, abs=0), (n, temp)
+
+
+def two_walk_sums(sys_, m, beta):
+    """``(Z, S)`` as one ``math.fsum`` each, over a band walked once per sum, mode by mode.
+
+    The levels are the band rule's float expression, written out here: mode 0
+    counts once and every other mode twice.
+    """
+    delta, width, ns = sys_.delta, 2.0 * sys_.J, sys_.num_sites
+    shift = 2.0 * (sys_.lam ** 2 / ns)
+
+    def walk():
+        for n in range(sys_.N + 1):
+            offset = -(delta + width * math.cos(2.0 * math.pi * n / ns))
+            yield (2.0 if n else 1.0), offset + shift / offset - m
+
+    z = math.fsum(k * math.exp(-beta * x) for k, x in walk())
+    s = math.fsum(k * x * math.exp(-beta * x) for k, x in walk())
+    return z, s
+
+
+RUN = perturbation._RUN
+
+
+@pytest.mark.parametrize("N", [1, RUN - 1, RUN, RUN + 1, 2 * RUN, 4000])
+@pytest.mark.parametrize("J,lam", [(0.3, 0.1), (0.499, 0.0005)], ids=["a=-0.6", "a=-0.998"])
+def test_one_walk_gives_the_two_sums_of_two_walks_bit_for_bit(N, J, lam):
+    # the runs' exact carry rounds once, at the end, as one fsum over every term
+    # does: the same floats at every run boundary, and from a subnormal T whose
+    # 1 / T is finite (every weight 0.0) up to T = inf (every weight 1.0)
+    sys_ = fig_system(J=J, lam=lam, N=N)
+    m, _ = _doublet_halves(sys_, range(1, 2))
+    for T in (1e-308, 1e-3, 0.01, 1.0, math.inf):
+        beta = 1.0 / T
+        got, want = thermal._band_sums(sys_, m, beta), two_walk_sums(sys_, m, beta)
+        assert _hex(got) == _hex(want), (T, got, want)
+
+
+def carried(terms, run):
+    """``_exact`` carried over runs of ``run`` terms, then one ``fsum``, as ``_band_sums`` does."""
+    parts = []
+    for start in range(0, len(terms), run):
+        parts = thermal._exact(parts + terms[start:start + run])
+    return math.fsum(parts)
+
+
+def hard_lists():
+    rng = random.Random(7)
+    wide = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300) for _ in range(300)]
+    tiny = math.ulp(0.0)
+    return {
+        "huge and tiny": [1e300, 1e-300, -1e300, 1e-300, 3.0, 1e300, -1e300],
+        "wide mix": wide,
+        "subnormals": [tiny] * 7 + [-3 * tiny, 2.0 ** -1070, 2.0 ** -1022, -tiny],
+        "cancelling": wide + [-x for x in reversed(wide)],
+        "half-way": [1.0, 2.0 ** -53, 2.0 ** -106],
+        "half-way, even": [1.0, 2.0 ** -53, 2.0 ** -105, -2.0 ** -105],
+        "empty": [],
+    }
+
+
+@pytest.mark.parametrize("name", hard_lists())
+def test_the_carry_keeps_the_exact_sum(name):
+    terms = hard_lists()[name]
+    parts = thermal._exact(list(terms))
+    # the parts sum exactly to the terms, each part rounding what the ones
+    # before it leave over, and rounding them again gives fsum's float
+    assert sum(map(Fraction, parts)) == sum(map(Fraction, terms))
+    assert all(abs(b) < abs(a) for a, b in zip(parts, parts[1:]))
+    assert math.fsum(parts).hex() == math.fsum(terms).hex()
+    for run in (1, 2, 3, 64):
+        assert carried(terms, run).hex() == math.fsum(terms).hex(), run
+
+
+@pytest.mark.parametrize("beta,levels", [
+    # past mode 0, each run adds about half an ulp of Z = 1 (weights 2^-63) and
+    # then exactly half an ulp of S = 1 (weights 1.0): a carry rounded at
+    # each run would round every run's share away, or up, ties to even
+    (1.0, [0.0] + [63 * math.log(2.0)] * (3 * RUN)),
+    (0.0, [1.0] + [2.0 ** -63] * (3 * RUN)),
+], ids=["Z", "S"])
+def test_the_band_sums_carry_every_run_exactly(monkeypatch, beta, levels):
+    def runs(sys_, m):
+        yield 1.0, levels[:1]
+        for start in range(1, len(levels), RUN):
+            yield 2.0, levels[start:start + RUN]
+
+    monkeypatch.setattr(perturbation, "_band_runs", runs)
+    terms = [(k, x, math.exp(-beta * x)) for k, run in runs(None, 0.0) for x in run]
+    want = (math.fsum(k * e for k, _, e in terms), math.fsum(k * x * e for k, x, e in terms))
+    assert _hex(thermal._band_sums(fig_system(), 0.0, beta)) == _hex(want)
+
+
+def test_the_carry_stops_at_a_sum_that_is_not_finite():
+    assert thermal._exact([math.inf, 1.0]) == [math.inf]
+    (nan,) = thermal._exact([math.nan, 1.0])
+    assert math.isnan(nan)
 
 
 @pytest.mark.parametrize("J,lam", [(0.3, 0.1), (0.5 * (1 - 1e-9), 1e-11)],
