@@ -1,10 +1,11 @@
-"""The package's lazy namespace: each public name and the submodule it lives in.
+"""The package's lazy namespace: the one list of public names, each with its home submodule.
 
 ``chaincp/__init__.py`` holds only the version, the submodules' names and
 two PEP 562 hooks.  Its ``__getattr__`` imports a submodule itself and hands
 every other name here, and its ``__dir__`` hands ``dir(chaincp)`` here, so
 that neither a bare ``import chaincp`` nor the import of a submodule (the
-CLI's, or ``from chaincp import cli``) compiles the table.
+CLI's, or ``from chaincp import cli``) compiles the table.  No submodule
+keeps an ``__all__``: ``from chaincp import *`` reads :data:`PUBLIC`.
 """
 
 from importlib import import_module

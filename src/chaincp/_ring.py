@@ -120,7 +120,7 @@ def _ring_entry(column: list[float], n: int) -> float:
 def _decay_ratio(sys: SymmetricSystem, x: float) -> float:
     """The ring's decay ratio ``g_1 / g_0`` at ``x``, from the full column's first two entries."""
     g = _ring_column(sys, x, stop=2)
-    return g[1] / g[0]
+    return _ring_entry(g, 1) / g[0]
 
 
 def _doublet_halves(sys: SymmetricSystem, seps: range) -> tuple[float, list[float]]:

@@ -18,10 +18,10 @@ the discrete difference, evaluated as one product
 
 equal in exact arithmetic, pointing towards smaller separations.  The
 product keeps its digits as ``q -> 1``, where the difference cancels.  The
-root and ``1 - q`` come from ``lattice._edge_safe_root`` and ``q^R`` from
-``lattice._decay_power``, so every closed form keeps its digits at the band
-edge.  Since ``q`` in ``[0, 1)``, both decay exponentially with rate
-``Gamma = ln(1/q)`` per site.
+root and ``1 - q`` come from ``lattice._edge_safe_root``, ``q^R`` from
+``lattice._decay_power`` and ``ln q`` from ``lattice._log_q``, so every
+closed form keeps its digits at the band edge.  Since ``q`` in ``[0, 1)``,
+both decay exponentially with rate ``Gamma = ln(1/q)`` per site.
 
 Near the band edge (``a -> -1``) the lattice scale drops out: ``Gamma``
 tends to the continuum decay constant
@@ -38,17 +38,8 @@ import math
 from typing import NamedTuple
 
 from .errors import RegimeViolation
-from .lattice import SymmetricSystem, _decay_power, _edge_safe_root, _separation, _separations
-
-__all__ = [
-    "ForceRecord",
-    "DecayProfile",
-    "cp_energy",
-    "ecp_force",
-    "force_curve",
-    "decay_profile",
-    "continuum_decay_constant",
-]
+from .lattice import (SymmetricSystem, _decay_power, _edge_safe_root, _log_q, _separation,
+                      _separations)
 
 
 class ForceRecord(NamedTuple):
@@ -121,20 +112,15 @@ def force_curve(sys: SymmetricSystem, R: range) -> tuple[ForceRecord, ...]:
 def decay_profile(sys: SymmetricSystem) -> DecayProfile:
     """Decay rate, range, and amplitude of the force law.
 
-    For ``a = 0`` the interaction vanishes identically; this limit is
-    reported as ``gamma = inf`` and ``rc = 0`` with the amplitude kept
-    finite, so ``amplitude * exp(-gamma * R)`` is still ``0.0`` for every
-    ``R >= 1``.  Above ``q = 1/2``, where ``-log(q)`` cancels, ``gamma`` is
-    ``-log1p(-(1 - q))`` on the edge-safe ``1 - q``.
+    ``gamma`` is ``-ln q`` from ``lattice._log_q``, edge-safe as ``q -> 1``.
+    For ``a = 0`` the interaction vanishes identically: ``q = 0``, so
+    ``gamma = inf`` and ``rc = 0`` with the amplitude kept finite, and
+    ``amplitude * exp(-gamma * R)`` is still ``0.0`` for every ``R >= 1``.
     """
     root, one_minus_q = _edge_safe_root(sys)
-    if sys.q == 0.0:
-        gamma, rc = math.inf, 0.0
-    else:
-        gamma = -math.log1p(-one_minus_q) if sys.q > 0.5 else -math.log(sys.q)
-        rc = 1.0 / gamma
+    gamma = -_log_q(sys)
     amplitude = (sys.lam ** 2 / sys.delta) * one_minus_q / root
-    return DecayProfile(gamma=gamma, rc=rc, amplitude=amplitude)
+    return DecayProfile(gamma=gamma, rc=1.0 / gamma, amplitude=amplitude)
 
 
 def continuum_decay_constant(sys: SymmetricSystem) -> float:

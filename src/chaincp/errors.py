@@ -1,10 +1,5 @@
 """Exception types shared across the package, one per CLI exit code: 3 and 4."""
 
-__all__ = [
-    "RegimeViolation",
-    "ConvergenceError",
-]
-
 
 class RegimeViolation(ValueError):
     """Parameters leave the below-band, weak-coupling regime.

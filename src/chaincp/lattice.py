@@ -18,13 +18,6 @@ from typing import NamedTuple
 
 from .errors import RegimeViolation
 
-__all__ = [
-    "SymmetricSystem",
-    "RegimeReport",
-    "dispersion",
-    "brillouin_modes",
-    "validate_regime",
-]
 
 #: Coupling-to-gap ratio above which second-order results start to drift
 #: at the percent level; ``validate_regime`` records a warning.
@@ -171,15 +164,26 @@ def _edge_safe_root(sys: SymmetricSystem) -> tuple[float, float]:
     return root, (root + one_plus_a) / (root + 1.0)
 
 
+def _log_q(sys: SymmetricSystem) -> float:
+    """``ln q``: ``log1p(-(1 - q))`` on the edge-safe ``1 - q`` above ``q = 1/2``, else ``log q``.
+
+    Near the band edge ``log q`` would carry the rounding of ``q`` into ``Gamma
+    = -ln q``.  ``-inf`` at ``q = 0``.  This is the package's only ``ln q``.
+    """
+    if sys.q > 0.5:
+        return math.log1p(-_edge_safe_root(sys)[1])
+    return math.log(sys.q) if sys.q else -math.inf
+
+
 def _decay_power(sys: SymmetricSystem, R: int) -> float:
-    """``q^R``, above ``q = 1/2`` as ``exp(R log1p(-(1 - q)))`` on the edge-safe ``1 - q``.
+    """``q^R``, above ``q = 1/2`` as ``exp(R ln q)`` from :func:`_log_q`.
 
     ``q ** R`` amplifies the rounding of ``q`` R times, to 9.5e-13 at ``R =
-    20000`` near the band edge; this carries ``Gamma R`` ulp, ``Gamma = -log q``.
+    20000`` near the band edge; this carries ``Gamma R`` ulp, ``Gamma = -ln q``.
     """
     if sys.q <= 0.5:
         return sys.q ** R
-    return math.exp(R * math.log1p(-_edge_safe_root(sys)[1]))
+    return math.exp(R * _log_q(sys))
 
 
 def _separation(R: int, upper: int | None = None) -> int:

@@ -53,10 +53,6 @@ from ._ring import _decay_ratio, _even_shift, _impurity_level
 from .errors import ConvergenceError, RegimeViolation
 from .lattice import SymmetricSystem, _separations
 
-__all__ = [
-    "cp_energy_ed",
-    "cp_energy_quadrature",
-]
 
 #: oracle-check tolerances: quadrature must match the closed form to float
 #: accuracy, the real-space ED carries percent-level fourth-order systematics.

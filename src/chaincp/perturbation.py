@@ -33,13 +33,7 @@ from __future__ import annotations
 import math
 
 from ._ring import _doublet_halves
-from .lattice import SymmetricSystem, _decay_power, _edge_safe_root, _separation
-
-__all__ = [
-    "band_energies",
-    "symmetric_spectrum_ksum",
-    "symmetric_spectrum_closed",
-]
+from .lattice import SymmetricSystem, _decay_power, _edge_safe_root, _log_q, _separation
 
 
 #: Modes per run of :func:`_band_runs`: long enough that a run's sums cost
@@ -100,13 +94,11 @@ def symmetric_spectrum_closed(sys: SymmetricSystem, R: int) -> tuple[float, floa
 
     Evaluated at separation ``R``, ``1 <= R <= N``.  ``E_plus`` (even
     combination) is the lower level for ``delta < 0``.  The odd level's ``1 -
-    q^R`` is ``-expm1(R log1p(-(1 - q)))`` on the edge-safe ``1 - q``, which
-    keeps its digits as ``q -> 1``, or exactly 1.0 once ``1 - q`` rounds to 1.
-    At ``a = 0`` the band is flat, ``q = 0``, and the doublet is degenerate
-    at ``lam**2 / delta``.  The even level's ``q^R`` is ``lattice._decay_power``.
+    q^R`` is ``-expm1(R ln q)``, with ``ln q`` from ``lattice._log_q``, so it
+    keeps its digits as ``q -> 1``.  At ``a = 0`` the band is flat, ``ln q =
+    -inf`` makes it exactly 1.0, and the doublet is degenerate at ``lam**2 /
+    delta``.  The even level's ``q^R`` is ``lattice._decay_power``.
     """
     _separation(R, upper=sys.N)
-    root, one_minus_q = _edge_safe_root(sys)
-    base = sys.lam ** 2 / (sys.delta * root)
-    odd = -math.expm1(R * math.log1p(-one_minus_q)) if one_minus_q < 1.0 else 1.0
-    return base * (1.0 + _decay_power(sys, R)), base * odd
+    base = sys.lam ** 2 / (sys.delta * _edge_safe_root(sys)[0])
+    return base * (1.0 + _decay_power(sys, R)), base * -math.expm1(R * _log_q(sys))

@@ -73,16 +73,8 @@ from typing import NamedTuple
 from . import perturbation
 from ._ring import _doublet_halves
 from .lattice import SymmetricSystem, _separation, _separations
-from .perturbation import band_energies
+from .perturbation import band_energies, symmetric_spectrum_ksum
 
-__all__ = [
-    "ThermalEnsemble",
-    "ThermalRow",
-    "thermal_ensemble",
-    "thermal_table",
-    "thermal_energy",
-    "thermal_force",
-]
 
 #: Relative accuracy of a thermal force: tests hold every force to it against
 #: a 60-digit Boltzmann average of the same levels.  Growth of ``|f_T|`` within
@@ -129,8 +121,8 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
     """Populations of the doublet and band levels at temperature ``T``.
 
     The explicit-levels reference for the thermal kernel: every level and its
-    weight, as tuples, with the kernel's doublet rule
-    (:func:`~chaincp._ring._doublet_halves`).
+    weight, as tuples, with the kernel's doublet ``m -+ h_R`` from
+    :func:`~chaincp.perturbation.symmetric_spectrum_ksum`.
 
     Parameters
     ----------
@@ -142,9 +134,7 @@ def thermal_ensemble(sys: SymmetricSystem, T: float, R: int) -> ThermalEnsemble:
         Separation to evaluate at, ``1 <= R <= N``.
     """
     beta = _beta(T)
-    _separation(R, upper=sys.N)
-    m, (h,) = _doublet_halves(sys, range(R, R + 1))
-    energies = (m - h, m + h, *band_energies(sys))
+    energies = (*symmetric_spectrum_ksum(sys, R), *band_energies(sys))
     e_min = min(energies)
     if beta == math.inf:
         # Limit distribution: all weight on the ground level, split evenly

@@ -268,7 +268,7 @@ DECAY_GRID = {-0.6: (1, 2, 10, 100, 300, 600), -0.9: (1, 10, 100, 300, 1000),
 @pytest.mark.parametrize("a", sorted(DECAY_GRID))
 def test_closed_forms_carry_the_error_of_their_decay_not_of_R(a):
     # q ** R would amplify the rounding of q R times: 2029 ulp at a = -0.999,
-    # R = 10000, against Gamma R = 447.  Each energy, force and even level is
+    # R = 10000, against Gamma R = 447.  Each energy, force and level is
     # within (Gamma R + 2) ulp of 50-digit values from the system's floats,
     # Gamma = -log q, the digits the answer's own decay costs
     sys_ = SymmetricSystem(delta=-1.0, J=-a / 2.0, lam=0.01, N=20001)
@@ -283,6 +283,7 @@ def test_closed_forms_carry_the_error_of_their_decay_not_of_R(a):
             rel = (gamma * r + 2.0) * 2.0 ** -52
             assert cp_energy(sys_, r) == pytest.approx(float(energy), rel=rel, abs=0), r
             assert ecp_force(sys_, r) == pytest.approx(float(energy * (1 - q)), rel=rel, abs=0), r
-            even = lam_sq / (delta * root) * (1 + q ** r)
-            assert symmetric_spectrum_closed(sys_, r)[0] == pytest.approx(float(even), rel=rel,
-                                                                          abs=0), r
+            base = lam_sq / (delta * root)
+            even, odd = symmetric_spectrum_closed(sys_, r)
+            assert even == pytest.approx(float(base * (1 + q ** r)), rel=rel, abs=0), r
+            assert odd == pytest.approx(float(base * (1 - q ** r)), rel=rel, abs=0), r

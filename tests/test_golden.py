@@ -80,6 +80,9 @@ EXIT_CODES = [
     # q ~ 1e-300: the quadrature works at the digits that resolve the smallest
     # subnormal, not the 30000 that E_cp(100) cancels, and every cell past R = 1 is zero
     ("oracle-check --J 1e-300 --N 400 --rmax 100", 0),
+    # g_1 underflows right after g_0, so the ring column ends at one entry; the
+    # ED's decay ratio reads g_1 as 0.0, and every cell is -0 (the values are ~1e-330)
+    ("oracle-check --delta -1e10 --J 1e-310 --lambda 1e-3 --N 40 --rmax 5", 0),
     # the exact finite-ring shift keeps the coupling's shift of the decay rate,
     # 34% at R = 140, which the second-order closed form drops
     ("oracle-check --delta=-1 --J 0.2 --lambda 0.05 --N 1000 --rmin 140 --rmax 160", 4),

@@ -5,7 +5,6 @@ import itertools
 import math
 import operator
 import pickle
-import pkgutil
 import tokenize
 from pathlib import Path
 
@@ -365,19 +364,29 @@ PUBLIC_NAMES = [
 ]
 
 
-def test_public_surface_is_the_union_of_the_submodules_all():
-    # every public module lists its names once, and the package re-exports
-    # exactly those; the CLI is reached through its entry point, not imported
-    modules = [importlib.import_module(f"chaincp.{info.name}")
-               for info in pkgutil.iter_modules(chaincp.__path__)
-               if not info.name.startswith("_") and info.name != "cli"]
-    expected = {"__version__"}.union(*(module.__all__ for module in modules))
+def test_public_names_are_stated_once_in_the_namespace_table():
+    # _namespace._HOMES is the one list of public names: the package exports
+    # each from its home module, where it is defined, and no other module
+    # keeps an __all__ of its own to fall out of step with it
+    from chaincp._namespace import _HOMES
+
     assert chaincp.__all__ == PUBLIC_NAMES
     assert len(chaincp.__all__) == len(set(chaincp.__all__))
-    assert set(chaincp.__all__) == expected
-    for module in modules:
-        for name in module.__all__:
-            assert getattr(chaincp, name) is getattr(module, name)
+    for module, names in _HOMES.items():
+        home = importlib.import_module(f"chaincp.{module}")
+        for name in names.split():
+            value = getattr(chaincp, name)
+            assert value is getattr(home, name)
+            assert value.__module__ == home.__name__, name
+    assigned = {
+        path.stem
+        for path in Path(chaincp.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(target, ast.Name) and target.id == "__all__"
+    }
+    assert not assigned - {"_namespace"}, assigned
 
 
 def test_symmetric_system_separation_bounds():
